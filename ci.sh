@@ -26,8 +26,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
     -p clite-faults -p clite-load -p clite-par -p clite-learn -p clite-repro
 
 if [[ "${1:-}" != "quick" ]]; then
-    step "cargo build --release"
-    cargo build --release
+    # --workspace: the smoke steps below run the member crates' binaries
+    # (colocate, experiments, loadgate), which a root-package build skips.
+    step "cargo build --release --workspace"
+    cargo build --release --workspace
 fi
 
 step "cargo test -q (tier-1)"
@@ -64,6 +66,10 @@ if [[ "${1:-}" != "quick" ]]; then
             cargo test -p clite-par --release -q
         CLITE_PAR_THREADS=$pool_size \
             cargo test -p clite-bo --test parallel_determinism --release -q
+        # Bound-ordered climb steps == solving every gate survivor, bit
+        # for bit (same partition, same f64 bits).
+        CLITE_PAR_THREADS=$pool_size \
+            cargo test -p clite-bo --test bound_ordered_step --release -q
         CLITE_PAR_THREADS=$pool_size \
             cargo test -p clite-gp --release -q hyper::tests::threaded_scan
         CLITE_PAR_THREADS=$pool_size \

@@ -89,12 +89,20 @@ impl Acquisition {
     ///
     /// EI and UCB are non-decreasing in `std` (for EI, ∂EI/∂σ = φ(z) ≥ 0),
     /// so scoring at `std_upper` bounds the score. PI is *not* monotone in
-    /// `std` when `mean > best + ζ` (shrinking σ drives it toward 1), so
-    /// that branch returns PI's global maximum of 1.
+    /// `std` when `mean − best − ζ > 0` (shrinking σ drives it toward 1),
+    /// so that branch returns PI's global maximum of 1; the test rounds
+    /// exactly as [`Acquisition::score`] does.
+    ///
+    /// The bound holds in exact arithmetic. The computed EI is not
+    /// monotone in σ at the ulp level — `norm_cdf`'s Abramowitz–Stegun
+    /// `erf` cancels for z ≲ −6 — so `score(μ, σ)` can exceed
+    /// `score_upper_bound(μ, σ_up)` by a few ulps of the score scale.
+    /// Callers that rank on the bound allow `8ε·max(1, score)` for it (the
+    /// unit tests check that tolerance on a grid of z ∈ [−30, 30]).
     #[must_use]
     pub fn score_upper_bound(&self, mean: f64, std_upper: f64, best: f64) -> f64 {
         if let Acquisition::ProbabilityOfImprovement { zeta } = *self {
-            if mean > best + zeta {
+            if mean - best - zeta > 0.0 {
                 return 1.0;
             }
         }
@@ -174,5 +182,42 @@ mod tests {
         assert_eq!(Acquisition::paper_default().name(), "ei");
         assert_eq!(Acquisition::ProbabilityOfImprovement { zeta: 0.0 }.name(), "pi");
         assert_eq!(Acquisition::UpperConfidenceBound { beta: 1.0 }.name(), "ucb");
+    }
+
+    #[test]
+    fn upper_bound_dominates_score_up_to_the_stop_tolerance() {
+        // score(μ, σ) ≤ score_upper_bound(μ, σ_up) + 8ε·max(1, score) for
+        // every σ ≤ σ_up: the tolerance the bound-ordered climb step
+        // stops with. Exact EI is monotone in σ; the computed one is not
+        // at the ulp level (norm_cdf cancels for z ≲ −6).
+        let acquisitions = [
+            EI,
+            Acquisition::ExpectedImprovement { zeta: 0.0 },
+            Acquisition::ProbabilityOfImprovement { zeta: 0.01 },
+            Acquisition::UpperConfidenceBound { beta: 2.0 },
+        ];
+        for acq in acquisitions {
+            let zeta = match acq {
+                Acquisition::ExpectedImprovement { zeta }
+                | Acquisition::ProbabilityOfImprovement { zeta } => zeta,
+                Acquisition::UpperConfidenceBound { .. } => 0.0,
+            };
+            for best in [0.0, 0.5, 1.0] {
+                for std in [1e-12, 1e-6, 1e-3, 0.05, 0.3, 1.0] {
+                    for step in -600..=600 {
+                        let z = f64::from(step) * 0.05;
+                        let mean = best + zeta + z * std;
+                        let score = acq.score(mean, std, best);
+                        for widen in [1.0, 1.0 + 1e-12, 1.001, 1.5, 4.0] {
+                            let upper = acq.score_upper_bound(mean, std * widen, best);
+                            assert!(
+                                score <= upper + 8.0 * f64::EPSILON * score.max(1.0),
+                                "{acq:?}: z={z} std={std} widen={widen}: {score} > {upper}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

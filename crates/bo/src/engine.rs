@@ -99,45 +99,59 @@ pub struct Suggestion {
 
 /// The engine's acquisition surface: GP posterior fed into the configured
 /// acquisition function, with the structural fast paths the hill climb
-/// exposes through [`AcquisitionEval::best_neighbor`]:
+/// exposes through [`AcquisitionEval::best_neighbor`]. One steepest-ascent
+/// step is an exact branch-and-bound over the step's neighbours:
 ///
 /// * **Transfer-incremental distances** — a climb step's neighbours each
 ///   differ from the step base in exactly two feature coordinates (the
 ///   donor's and recipient's fraction of the transferred resource), so the
 ///   step caches the base's squared distances to every training point once
 ///   and shifts them in O(n) per neighbour instead of recomputing O(n·d).
-/// * **Bound-gated variance** — the exact posterior mean is O(n); only the
-///   variance needs the O(n²) triangular solve. A cheap upper bound on the
-///   posterior std ([`GaussianProcess::gate_append`]) bounds the
-///   acquisition from above ([`Acquisition::score_upper_bound`]); a
-///   candidate whose optimistic score cannot beat the step's entry value
-///   (the floor never decreases within a step) is dropped without a solve.
-/// * **Batched variance solves** — steepest ascent needs every surviving
-///   neighbour's exact variance anyway, so the step resolves them all in
-///   one blocked multi-RHS forward substitution
-///   ([`GaussianProcess::batch_stds_pooled`]). A single candidate's solve
-///   is latency-bound on its own dependency chain; blocking four
-///   independent chains per pass is what breaks that bound, and batches
-///   large enough to amortize a dispatch chunk across the shared worker
-///   pool in 4-RHS-aligned slabs.
+///   Every neighbour's row goes to one flat buffer.
+/// * **Bound gate** — the exact posterior mean is O(n); only the variance
+///   needs the O(n²) triangular solve. One covariance sweep over the flat
+///   buffer plus a four-rows-at-a-time reduction
+///   ([`GaussianProcess::gate_rows`]) yields every neighbour's mean and a
+///   cheap upper bound on its posterior std, which bounds the acquisition
+///   from above ([`Acquisition::score_upper_bound`]). A neighbour whose
+///   optimistic score does not exceed the step's entry value is dropped.
+/// * **Bound-ordered resolution** — the gate's survivors are resolved in
+///   descending optimistic score (ties by enumeration index), four per
+///   blocked multi-RHS solve ([`GaussianProcess::batch_stds`]), and the
+///   step stops at the first survivor whose bound, plus a tolerance of
+///   `8ε·max(1, best)`, falls below the best exact score so far. A step
+///   has about one winner, so most survivors are never solved.
 ///
-/// All three leave climb trajectories — and therefore suggestions —
-/// unchanged: gated-out candidates provably could not have won, and the
-/// final argmax replays the serial visitor's first-strictly-better
-/// tie-breaking over enumeration order.
-struct SurrogateAcq<'a> {
+/// The step returns the largest exact score among the gate's survivors,
+/// ties to the lowest enumeration index — what a running max over the
+/// survivors in enumeration order, seeded at the floor, returns. The
+/// guarantee is relative to the survivor set, not to every neighbour:
+/// computed EI is not monotone in σ at the ulp level (`norm_cdf`'s
+/// Abramowitz–Stegun `erf` cancels for z ≲ −6), so a neighbour's bound can
+/// read a hair below its exact score. Measured violations stay below
+/// 3.3e-16 absolute for scores up to 1, and the stop rule's tolerance
+/// covers them (see [`Acquisition::score_upper_bound`]); the entry gate
+/// keeps the plain `upper > floor` test, so it can drop a neighbour whose
+/// exact EI is below 1e-18 yet above a near-zero floor.
+pub struct SurrogateAcq<'a> {
     gp: &'a GaussianProcess,
     space: SearchSpace,
     acquisition: Acquisition,
     best_score: f64,
-    /// Pool slots for the blocked multi-RHS variance solve
-    /// ([`GaussianProcess::batch_stds_pooled`]): surviving-neighbour
-    /// batches below [`Cholesky::POOLED_MIN_RHS`] per slot fall back to
-    /// the serial solver, so small steps pay nothing and large batches
-    /// chunk across the shared pool bit-identically.
-    ///
-    /// [`Cholesky::POOLED_MIN_RHS`]: clite_gp::Cholesky::POOLED_MIN_RHS
-    batch_slots: usize,
+}
+
+impl<'a> SurrogateAcq<'a> {
+    /// The acquisition surface of `gp` over `space`, scoring improvement
+    /// over the incumbent value `best_score`.
+    #[must_use]
+    pub fn new(
+        gp: &'a GaussianProcess,
+        space: SearchSpace,
+        acquisition: Acquisition,
+        best_score: f64,
+    ) -> Self {
+        Self { gp, space, acquisition, best_score }
+    }
 }
 
 impl AcquisitionEval for SurrogateAcq<'_> {
@@ -154,78 +168,91 @@ impl AcquisitionEval for SurrogateAcq<'_> {
         floor: f64,
         scratch: &mut EvalScratch,
     ) -> Option<(Partition, f64)> {
+        let EvalScratch {
+            features,
+            base_scaled,
+            base_sq_dists,
+            neighbor_sq_dists,
+            kstar_flat,
+            gated,
+            survivors,
+            kstar_block,
+            block_stds,
+            v_flat,
+            ..
+        } = scratch;
         let kernel = self.gp.kernel();
-        self.space.encode_into(current, &mut scratch.features);
-        self.gp.scaled_sq_dists_into(
-            &scratch.features,
-            &mut scratch.base_scaled,
-            &mut scratch.base_sq_dists,
-        );
+        self.space.encode_into(current, features);
+        self.gp.scaled_sq_dists_into(features, base_scaled, base_sq_dists);
 
-        // Pass 1 — per neighbour: shift the base distances, compute the
-        // exact mean and the optimistic score; keep only candidates the
-        // bound cannot rule out. Gating against the *entry* floor is sound
-        // because the running best within a step only rises above it.
-        scratch.kstar_flat.clear();
-        scratch.cand_means.clear();
-        scratch.cand_idx.clear();
-        let mut enum_idx = 0usize;
+        // Pass 1 — every neighbour's shifted distances, then one covariance
+        // sweep for all exact means and σ bounds. Gating against the
+        // *entry* floor is what a serial running max does: its best within
+        // a step only rises above the floor.
+        neighbor_sq_dists.clear();
         current.for_each_neighbor_transfer(frozen_job, |n, transfer| {
-            let idx = enum_idx;
-            enum_idx += 1;
             let ri = transfer.resource.index();
             let col_from = transfer.from * NUM_RESOURCES + ri;
             let col_to = transfer.to * NUM_RESOURCES + ri;
             let changes = [
                 (
                     col_from,
-                    scratch.base_scaled[col_from],
+                    base_scaled[col_from],
                     kernel.scaled_coord(col_from, n.fraction(transfer.from, transfer.resource)),
                 ),
                 (
                     col_to,
-                    scratch.base_scaled[col_to],
+                    base_scaled[col_to],
                     kernel.scaled_coord(col_to, n.fraction(transfer.to, transfer.resource)),
                 ),
             ];
-            self.gp.shift_sq_dists(&scratch.base_sq_dists, changes, &mut scratch.neighbor_sq_dists);
-            let before = scratch.kstar_flat.len();
-            let gated = self.gp.gate_append(&scratch.neighbor_sq_dists, &mut scratch.kstar_flat);
-            let upper =
-                self.acquisition.score_upper_bound(gated.mean, gated.std_upper, self.best_score);
-            if upper <= floor {
-                scratch.kstar_flat.truncate(before);
-            } else {
-                scratch.cand_means.push(gated.mean);
-                scratch.cand_idx.push(idx);
-            }
+            self.gp.append_shifted_sq_dists(base_sq_dists, changes, neighbor_sq_dists);
         });
-        if scratch.cand_idx.is_empty() {
+        self.gp.gate_rows(neighbor_sq_dists, kstar_flat, gated);
+        survivors.clear();
+        for (i, g) in gated.iter().enumerate() {
+            let upper = self.acquisition.score_upper_bound(g.mean, g.std_upper, self.best_score);
+            if upper > floor {
+                survivors.push((upper, i));
+            }
+        }
+        if survivors.is_empty() {
             return None;
         }
+        survivors.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
 
-        // Pass 2 — all survivors' exact variances in one blocked solve.
-        self.gp.batch_stds_pooled(
-            &scratch.kstar_flat,
-            &mut scratch.v_flat,
-            &mut scratch.cand_stds,
-            self.batch_slots,
-        );
-
-        // Argmax with the serial visitor's semantics: first strictly-better
-        // candidate in enumeration order wins, seeded at `floor`.
+        // Pass 2 — exact scores, most optimistic first, four per blocked
+        // solve, until no remaining bound can reach the best exact score:
+        // stop at the first `upper + 8ε·max(1, best) < best`, the
+        // tolerance covering the bound's ulp-level violations.
+        let n = self.gp.len();
         let mut best: Option<usize> = None;
         let mut best_val = floor;
-        for (i, (&mean, &std)) in scratch.cand_means.iter().zip(&scratch.cand_stds).enumerate() {
-            let v = self.acquisition.score(mean, std, self.best_score);
-            if v > best_val {
-                best_val = v;
-                best = Some(i);
+        let mut next = 0;
+        while next < survivors.len() {
+            let block = &survivors[next..survivors.len().min(next + 4)];
+            let tolerance = 8.0 * f64::EPSILON * best_val.max(1.0);
+            let take = block.iter().take_while(|(upper, _)| upper + tolerance >= best_val).count();
+            if take == 0 {
+                break;
             }
+            kstar_block.clear();
+            for &(_, i) in &block[..take] {
+                kstar_block.extend_from_slice(&kstar_flat[i * n..(i + 1) * n]);
+            }
+            self.gp.batch_stds(kstar_block, v_flat, block_stds);
+            for (&(_, i), &std) in block[..take].iter().zip(block_stds.iter()) {
+                let v = self.acquisition.score(gated[i].mean, std, self.best_score);
+                if v > best_val || (v == best_val && best.is_some_and(|b| i < b)) {
+                    best_val = v;
+                    best = Some(i);
+                }
+            }
+            next += take;
         }
         best.map(|i| {
             let n = current
-                .nth_neighbor(frozen_job, scratch.cand_idx[i])
+                .nth_neighbor(frozen_job, i)
                 .expect("index enumerated by for_each_neighbor_transfer");
             (n, best_val)
         })
@@ -407,13 +434,7 @@ impl BoEngine {
         let gp = self.fit_surrogate_with(telemetry)?;
 
         let best_score = self.best().map(|(_, s)| s).unwrap_or(0.0);
-        let acq = SurrogateAcq {
-            gp: &gp,
-            space: self.space,
-            acquisition: self.config.acquisition,
-            best_score,
-            batch_slots: self.config.optimizer.threads,
-        };
+        let acq = SurrogateAcq::new(&gp, self.space, self.config.acquisition, best_score);
 
         // Warm starts: the incumbent best and the most recent sample.
         let mut seeds: Vec<Partition> = Vec::new();

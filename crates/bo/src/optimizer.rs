@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use clite_gp::gp::PredictScratch;
+use clite_gp::gp::{GatedPrediction, PredictScratch};
 use clite_sim::alloc::{JobAllocation, Partition};
 
 use crate::space::SearchSpace;
@@ -54,19 +54,22 @@ pub struct EvalScratch {
     /// Squared scaled distances from the step base to every training
     /// point (batched evaluators only).
     pub base_sq_dists: Vec<f64>,
-    /// Per-neighbour shifted squared distances (batched evaluators only).
+    /// Every neighbour's shifted squared distances, one training-size row
+    /// per neighbour in enumeration order (batched evaluators only).
     pub neighbor_sq_dists: Vec<f64>,
-    /// Cross-covariance rows of every candidate that survived the bound
-    /// gate this step, concatenated (batched evaluators only).
+    /// Every neighbour's cross-covariance row, same layout (batched
+    /// evaluators only).
     pub kstar_flat: Vec<f64>,
-    /// Posterior means of the surviving candidates, same order as
-    /// `kstar_flat` rows.
-    pub cand_means: Vec<f64>,
-    /// Neighbour-enumeration indices of the surviving candidates.
-    pub cand_idx: Vec<usize>,
-    /// Exact posterior standard deviations of the surviving candidates
-    /// (filled by the batched solve).
-    pub cand_stds: Vec<f64>,
+    /// Every neighbour's exact posterior mean and σ upper bound.
+    pub gated: Vec<GatedPrediction>,
+    /// `(optimistic score, enumeration index)` of the neighbours the bound
+    /// gate kept, in resolution order.
+    pub survivors: Vec<(f64, usize)>,
+    /// Up to four survivors' cross-covariance rows, gathered for one
+    /// blocked variance solve.
+    pub kstar_block: Vec<f64>,
+    /// Exact posterior standard deviations of the gathered survivors.
+    pub block_stds: Vec<f64>,
     /// Batched triangular-solve scratch.
     pub v_flat: Vec<f64>,
     /// Memoized climb steps, keyed by the step's base partition. Multiple

@@ -139,9 +139,9 @@ impl ScaledColumns {
 }
 
 /// Posterior mean plus a cheap *upper bound* on the posterior standard
-/// deviation, produced by [`GaussianProcess::gate_append`] without
-/// the O(n²) triangular solve. Acquisition climbs use the bound to skip
-/// the solve for candidates that provably cannot beat the incumbent.
+/// deviation, produced by [`GaussianProcess::gate_rows`] without the
+/// O(n²) triangular solve. Acquisition climbs use the bound to skip or
+/// defer the solve for candidates that cannot beat the step's best.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatedPrediction {
     /// Exact posterior mean.
@@ -166,7 +166,7 @@ pub struct GaussianProcess {
     /// Row sums of `K + σₙ²I` (all entries of a stationary kernel matrix
     /// are positive, so these are also the absolute row sums). Their max
     /// bounds `λ_max`, which powers the variance bound in
-    /// [`GaussianProcess::gate_append`]; kept as a vector so
+    /// [`GaussianProcess::gate_rows`]; kept as a vector so
     /// [`GaussianProcess::extended`] can update them in O(n).
     row_sums: Vec<f64>,
     /// `max(row_sums)`, precomputed so the gate pays zero per-candidate
@@ -469,11 +469,10 @@ impl GaussianProcess {
     }
 
     /// Writes the squared scaled distance from `x` to every training point
-    /// into `r2_out`, scaling `x` once through `scaled_out`. These are the
-    /// inputs [`GaussianProcess::gate_append`] and
-    /// [`GaussianProcess::shift_sq_dists`] operate on: a hill-climb
-    /// computes them once per step for the current partition and derives
-    /// each neighbor's vector with two-coordinate shifts.
+    /// into `r2_out`, scaling `x` once through `scaled_out`. A hill-climb
+    /// computes this once per step for the current partition and derives
+    /// each neighbour's row with two-coordinate shifts
+    /// ([`GaussianProcess::append_shifted_sq_dists`]).
     ///
     /// # Panics
     ///
@@ -489,44 +488,55 @@ impl GaussianProcess {
         self.scaled_xs.sq_dists_into(scaled_out, r2_out);
     }
 
-    /// Derives a neighbor's squared-distance vector from `base` when the
-    /// neighbor differs from the base query in exactly two scaled
-    /// coordinates: each `(dim, old, new)` change replaces the `(old −
-    /// xᵢ[dim])²` term with `(new − xᵢ[dim])²`. O(n) per neighbor instead
-    /// of the O(n·d) of [`GaussianProcess::scaled_sq_dists_into`]. The
-    /// result is clamped at zero to absorb cancellation round-off; the
+    /// Appends a neighbour's squared-distance row to `out`, derived from
+    /// `base` when the neighbour differs from the base query in exactly two
+    /// scaled coordinates: each `(dim, old, new)` change replaces the
+    /// `(old − xᵢ[dim])²` term with `(new − xᵢ[dim])²`. O(n) per neighbour
+    /// instead of the O(n·d) of [`GaussianProcess::scaled_sq_dists_into`].
+    /// The result is clamped at zero to absorb cancellation round-off; the
     /// base is recomputed fresh each climb step, so error never
     /// accumulates across steps.
-    pub fn shift_sq_dists(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base.len()` differs from the number of training points.
+    pub fn append_shifted_sq_dists(
         &self,
         base: &[f64],
         changes: [(usize, f64, f64); 2],
         out: &mut Vec<f64>,
     ) {
+        assert_eq!(base.len(), self.len(), "distance vector length mismatch");
         // Two streaming column passes; per element this applies the first
-        // change, then the second, then the clamp — the same operation
-        // order as the old per-point loop, so the bits match.
-        out.clear();
+        // change, then the second, then the clamp.
+        let start = out.len();
         out.extend_from_slice(base);
+        let row = &mut out[start..];
         let [(dim0, old0, new0), (dim1, old1, new1)] = changes;
-        for (acc, &t) in out.iter_mut().zip(self.scaled_xs.column(dim0)) {
+        for (acc, &t) in row.iter_mut().zip(self.scaled_xs.column(dim0)) {
             let (d_old, d_new) = (old0 - t, new0 - t);
             *acc += d_new * d_new - d_old * d_old;
         }
-        for (acc, &t) in out.iter_mut().zip(self.scaled_xs.column(dim1)) {
+        for (acc, &t) in row.iter_mut().zip(self.scaled_xs.column(dim1)) {
             let (d_old, d_new) = (old1 - t, new1 - t);
             *acc += d_new * d_new - d_old * d_old;
             *acc = acc.max(0.0);
         }
     }
 
-    /// Exact posterior mean plus an upper bound on the posterior standard
-    /// deviation, from a squared-distance vector — O(n), no triangular
-    /// solve. The cross-covariance row `k*` computed along the way is
-    /// **appended** to `k_star_all` (callers batch surviving candidates
-    /// and resolve their exact variances together with
-    /// [`GaussianProcess::batch_stds`]; a caller that discards this
-    /// candidate truncates `k_star_all` back).
+    /// Exact posterior means plus upper bounds on the posterior standard
+    /// deviations for a batch of queries, given as consecutive length-`n`
+    /// squared-distance rows in `r2_rows` — O(n) per row, no triangular
+    /// solve. The cross-covariance rows are written to `k_star_rows` (same
+    /// layout) in one sweep, so callers can resolve exact variances for
+    /// the rows the bound does not rule out with
+    /// [`GaussianProcess::batch_stds`]; `gated` receives one entry per row.
+    ///
+    /// Rows are reduced four at a time: the four rows' `k*·α`, `‖k*‖²` and
+    /// `max k*²` chains interleave, so a pass runs twelve independent
+    /// accumulations instead of three. Each chain still visits its row in
+    /// element order, so every value is bit-identical to reducing the row
+    /// on its own (the mean to `mean_y + dot(k*, α)`).
     ///
     /// The bound: `σ²(x) = σ² − vᵀv` with `v = L⁻¹k*`, and `vᵀv =
     /// k*ᵀ(K+σₙ²I)⁻¹k*` admits two cheap lower bounds — `‖k*‖² / λ_max`
@@ -539,37 +549,67 @@ impl GaussianProcess {
     ///
     /// # Panics
     ///
-    /// Panics if `r2.len()` differs from the number of training points.
-    pub fn gate_append(&self, r2: &[f64], k_star_all: &mut Vec<f64>) -> GatedPrediction {
-        assert_eq!(r2.len(), self.len(), "distance vector length mismatch");
-        let start = k_star_all.len();
-        self.kernel.eval_scaled_sq_append(r2, k_star_all);
-        let k_star = &k_star_all[start..];
-        let mean = self.mean_y + dot(k_star, &self.alpha);
+    /// Panics if `r2_rows.len()` is not a multiple of the training size.
+    pub fn gate_rows(
+        &self,
+        r2_rows: &[f64],
+        k_star_rows: &mut Vec<f64>,
+        gated: &mut Vec<GatedPrediction>,
+    ) {
+        let n = self.len();
+        assert!(r2_rows.len().is_multiple_of(n), "distance row length mismatch");
+        k_star_rows.clear();
+        self.kernel.eval_scaled_sq_append(r2_rows, k_star_rows);
+        gated.clear();
+        let mut blocks = k_star_rows.chunks_exact(4 * n);
+        for block in &mut blocks {
+            let (k0, rest) = block.split_at(n);
+            let (k1, rest) = rest.split_at(n);
+            let (k2, k3) = rest.split_at(n);
+            gated.extend(self.gate_lanes([k0, k1, k2, k3]));
+        }
+        for row in blocks.remainder().chunks_exact(n) {
+            gated.extend(self.gate_lanes([row]));
+        }
+    }
 
-        let (mut norm_sq, mut max_sq) = (0.0_f64, 0.0_f64);
-        for &k in k_star {
-            let k2 = k * k;
-            norm_sq += k2;
-            max_sq = max_sq.max(k2);
+    /// The gate of [`GaussianProcess::gate_rows`] over `R` interleaved
+    /// cross-covariance rows.
+    fn gate_lanes<const R: usize>(&self, rows: [&[f64]; R]) -> [GatedPrediction; R] {
+        // Rows sliced to `α`'s length: the compiler drops the per-element
+        // bounds checks that would otherwise keep the lanes from
+        // interleaving.
+        let rows = rows.map(|row| &row[..self.alpha.len()]);
+        // −0.0 is `f64`'s `Sum` identity, so the mean chain matches `dot`.
+        let (mut k_alpha, mut norm_sq, mut max_sq) = ([-0.0_f64; R], [0.0_f64; R], [0.0_f64; R]);
+        for (j, &a) in self.alpha.iter().enumerate() {
+            for r in 0..R {
+                let k = rows[r][j];
+                k_alpha[r] += k * a;
+                let k2 = k * k;
+                norm_sq[r] += k2;
+                max_sq[r] = max_sq[r].max(k2);
+            }
         }
         let jitter = self.chol.jitter();
         let inf_norm = self.inf_norm + jitter;
         let diag = self.kernel.variance() + self.config.noise_variance.max(0.0) + jitter;
-        let vtv_lb = (norm_sq / inf_norm).max(max_sq / diag);
-        let var_ub = self.kernel.variance() - vtv_lb;
-        GatedPrediction { mean, std_upper: var_ub.max(0.0).sqrt() }
+        std::array::from_fn(|r| {
+            let vtv_lb = (norm_sq[r] / inf_norm).max(max_sq[r] / diag);
+            let var_ub = self.kernel.variance() - vtv_lb;
+            GatedPrediction { mean: self.mean_y + k_alpha[r], std_upper: var_ub.max(0.0).sqrt() }
+        })
     }
 
     /// Exact posterior standard deviations for a batch of cross-covariance
-    /// rows (`m` consecutive length-`n` rows in `k_star_all`, as built by
-    /// [`GaussianProcess::gate_append`]), written to `stds` in order.
+    /// rows (`m` consecutive length-`n` rows in `k_star_all`, as written by
+    /// [`GaussianProcess::gate_rows`]), written to `stds` in order.
     ///
-    /// One climb step resolves all its surviving neighbours here in a
-    /// single blocked multi-RHS forward substitution
-    /// ([`Cholesky::solve_lower_batch`]) — the per-candidate solve is
-    /// latency-bound on its own dependency chain, while four-wide blocking
-    /// runs four independent chains per pass. `v_all` is solver scratch.
+    /// The solves run as one blocked multi-RHS forward substitution
+    /// ([`Cholesky::solve_lower_batch`]) — a lone solve is latency-bound
+    /// on its own dependency chain, while four-wide blocking runs four
+    /// independent chains per pass. Each row's result does not depend on
+    /// which other rows share its batch. `v_all` is solver scratch.
     ///
     /// # Panics
     ///
@@ -578,32 +618,6 @@ impl GaussianProcess {
         self.chol
             .solve_lower_batch(k_star_all, v_all)
             .expect("cross-covariance batch length matches training size");
-        self.stds_from_solves(v_all, stds);
-    }
-
-    /// [`batch_stds`](GaussianProcess::batch_stds) with the forward
-    /// substitution chunked over up to `slots` partitions of the shared
-    /// worker pool ([`Cholesky::solve_lower_batch_pooled`]) — byte-identical
-    /// to the serial batch at any slot count, and falling back to it for
-    /// batches too small to amortize a dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`batch_stds`](GaussianProcess::batch_stds).
-    pub fn batch_stds_pooled(
-        &self,
-        k_star_all: &[f64],
-        v_all: &mut Vec<f64>,
-        stds: &mut Vec<f64>,
-        slots: usize,
-    ) {
-        self.chol
-            .solve_lower_batch_pooled(k_star_all, v_all, slots)
-            .expect("cross-covariance batch length matches training size");
-        self.stds_from_solves(v_all, stds);
-    }
-
-    fn stds_from_solves(&self, v_all: &[f64], stds: &mut Vec<f64>) {
         let variance = self.kernel.variance();
         stds.clear();
         stds.extend(v_all.chunks_exact(self.len()).map(|v| (variance - dot(v, v)).max(0.0).sqrt()));
@@ -806,5 +820,74 @@ mod tests {
         assert_eq!(gp.dim(), 3);
         let (m, _) = gp.predict(&[0.5, 0.5, 0.5]);
         assert!((m - 0.4).abs() < 0.15);
+    }
+
+    /// The gate of one row on its own, as a plain per-row pass: exact mean
+    /// `mean_y + dot(k*, α)` and the two-bound σ ceiling.
+    fn scalar_gate(gp: &GaussianProcess, r2: &[f64]) -> GatedPrediction {
+        let mut k_star = Vec::new();
+        gp.kernel.eval_scaled_sq_append(r2, &mut k_star);
+        let mean = gp.mean_y + dot(&k_star, &gp.alpha);
+        let (mut norm_sq, mut max_sq) = (0.0_f64, 0.0_f64);
+        for &k in &k_star {
+            let k2 = k * k;
+            norm_sq += k2;
+            max_sq = max_sq.max(k2);
+        }
+        let jitter = gp.chol.jitter();
+        let inf_norm = gp.inf_norm + jitter;
+        let diag = gp.kernel.variance() + gp.config.noise_variance.max(0.0) + jitter;
+        let vtv_lb = (norm_sq / inf_norm).max(max_sq / diag);
+        let var_ub = gp.kernel.variance() - vtv_lb;
+        GatedPrediction { mean, std_upper: var_ub.max(0.0).sqrt() }
+    }
+
+    #[test]
+    fn gate_rows_match_scalar_gate_bit_for_bit() {
+        let gp = fit_toy();
+        let mut scaled = Vec::new();
+        let mut base = Vec::new();
+        gp.scaled_sq_dists_into(&[0.37], &mut scaled, &mut base);
+        // 1–9 rows: a lone tail, full 4-row blocks, and blocks plus tails.
+        for rows in 1..=9_usize {
+            let mut r2 = Vec::new();
+            for r in 0..rows {
+                let new = scaled[0] + (r as f64 - 4.0) * 0.9;
+                gp.append_shifted_sq_dists(&base, [(0, scaled[0], new), (0, new, new)], &mut r2);
+            }
+            let (mut k_star, mut gated) = (Vec::new(), Vec::new());
+            gp.gate_rows(&r2, &mut k_star, &mut gated);
+            assert_eq!(gated.len(), rows);
+            assert_eq!(k_star.len(), rows * gp.len());
+            for (r, (g, row)) in gated.iter().zip(r2.chunks_exact(gp.len())).enumerate() {
+                let want = scalar_gate(&gp, row);
+                assert_eq!(g.mean.to_bits(), want.mean.to_bits(), "rows={rows} mean of row {r}");
+                assert_eq!(
+                    g.std_upper.to_bits(),
+                    want.std_upper.to_bits(),
+                    "rows={rows} std bound of row {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gate_bound_dominates_exact_std() {
+        let gp = fit_toy();
+        let mut scaled = Vec::new();
+        let mut base = Vec::new();
+        gp.scaled_sq_dists_into(&[0.5], &mut scaled, &mut base);
+        let mut r2 = Vec::new();
+        for r in 0..40 {
+            let new = scaled[0] + (f64::from(r) - 20.0) * 0.37;
+            gp.append_shifted_sq_dists(&base, [(0, scaled[0], new), (0, new, new)], &mut r2);
+        }
+        let (mut k_star, mut gated) = (Vec::new(), Vec::new());
+        gp.gate_rows(&r2, &mut k_star, &mut gated);
+        let (mut v, mut stds) = (Vec::new(), Vec::new());
+        gp.batch_stds(&k_star, &mut v, &mut stds);
+        for (g, s) in gated.iter().zip(&stds) {
+            assert!(*s <= g.std_upper, "std {s} above its bound {}", g.std_upper);
+        }
     }
 }

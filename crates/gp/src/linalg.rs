@@ -224,8 +224,8 @@ impl Cholesky {
     /// scratch block (`blk[4j..4j+4]` is element `j` of the four partial
     /// solutions) so the inner loop reads one contiguous four-lane vector
     /// per matrix entry and the compiler vectorizes the four chains; the
-    /// block is scattered back to the flat layout afterwards. Diagonal
-    /// divisions become multiplies by precomputed reciprocals.
+    /// block is scattered back to the flat layout afterwards. Each row's
+    /// diagonal division becomes one reciprocal shared by the four lanes.
     /// Per-solution results can therefore differ from
     /// [`Cholesky::solve_lower_into`] in the last ulp; batch results do
     /// not depend on `m` or on how the batch is split into blocks of four
@@ -242,122 +242,39 @@ impl Cholesky {
         }
         out.clear();
         out.resize(rhs.len(), 0.0);
-        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / self.l[(i, i)]).collect();
-        self.solve_lower_batch_core(&inv_diag, rhs, out);
-        Ok(())
-    }
-
-    /// The blocked forward-substitution kernel shared by the serial and
-    /// pooled batch solvers: full 4-wide blocks first, scalar tail after.
-    /// Operates on pre-shaped slices so pool slots can run it directly on
-    /// disjoint chunks of one output buffer.
-    fn solve_lower_batch_core(&self, inv_diag: &[f64], rhs: &[f64], out: &mut [f64]) {
-        let n = self.l.rows;
-        let m = rhs.len() / n;
         let mut blk = vec![0.0_f64; 4 * n];
-
-        let mut c = 0;
-        while c + 4 <= m {
-            let b = &rhs[c * n..(c + 4) * n];
+        // A short final block runs in the same four lanes, its unused
+        // lanes zero-padded: lanes are independent, and each chain is
+        // latency-bound, so three real lanes cost what four do and a
+        // scalar tail would cost three times as much.
+        for (b, v) in rhs.chunks(4 * n).zip(out.chunks_mut(4 * n)) {
+            let lanes = b.len() / n;
             for i in 0..n {
                 let row = &self.l.row(i)[..i];
-                let mut acc = [b[i], b[n + i], b[2 * n + i], b[3 * n + i]];
+                let mut acc = [0.0_f64; 4];
+                for (k, a) in acc.iter_mut().enumerate().take(lanes) {
+                    *a = b[k * n + i];
+                }
                 for (&lij, vj) in row.iter().zip(blk.chunks_exact(4)) {
                     acc[0] -= lij * vj[0];
                     acc[1] -= lij * vj[1];
                     acc[2] -= lij * vj[2];
                     acc[3] -= lij * vj[3];
                 }
-                let d = inv_diag[i];
+                let d = 1.0 / self.l[(i, i)];
                 blk[4 * i] = acc[0] * d;
                 blk[4 * i + 1] = acc[1] * d;
                 blk[4 * i + 2] = acc[2] * d;
                 blk[4 * i + 3] = acc[3] * d;
             }
-            let v = &mut out[c * n..(c + 4) * n];
             for i in 0..n {
-                v[i] = blk[4 * i];
-                v[n + i] = blk[4 * i + 1];
-                v[2 * n + i] = blk[4 * i + 2];
-                v[3 * n + i] = blk[4 * i + 3];
-            }
-            c += 4;
-        }
-        while c < m {
-            let b = &rhs[c * n..(c + 1) * n];
-            let v = &mut out[c * n..(c + 1) * n];
-            for i in 0..n {
-                let row = &self.l.row(i)[..i];
-                let mut a = b[i];
-                for (j, &lij) in row.iter().enumerate() {
-                    a -= lij * v[j];
+                for k in 0..lanes {
+                    v[k * n + i] = blk[4 * i + k];
                 }
-                v[i] = a * inv_diag[i];
             }
-            c += 1;
         }
-    }
-
-    /// [`solve_lower_batch`](Cholesky::solve_lower_batch) with the
-    /// right-hand sides chunked over up to `slots` partitions of the
-    /// shared worker pool, so one climb step's multi-RHS solve scales past
-    /// the four lanes a single 4-wide block pass uses.
-    ///
-    /// Byte-identical to the serial batch solve at any slot count: chunk
-    /// boundaries are multiples of four right-hand sides, so every chunk's
-    /// internal 4-wide blocks — and the final chunk's scalar tail — are
-    /// exactly the blocks the serial solver would form, and each solution
-    /// only ever reads its own lane. Batches too small to amortize a
-    /// dispatch (fewer than [`Cholesky::POOLED_MIN_RHS`] right-hand sides
-    /// per slot) fall back to the serial path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpError::ShapeMismatch`] if `rhs.len()` is not a multiple
-    /// of the matrix order.
-    pub fn solve_lower_batch_pooled(
-        &self,
-        rhs: &[f64],
-        out: &mut Vec<f64>,
-        slots: usize,
-    ) -> Result<(), GpError> {
-        let n = self.l.rows;
-        if !rhs.len().is_multiple_of(n) {
-            return Err(GpError::ShapeMismatch { op: "solve_lower_batch" });
-        }
-        let m = rhs.len() / n;
-        let width = slots.max(1).min(m / Self::POOLED_MIN_RHS);
-        if width <= 1 {
-            return self.solve_lower_batch(rhs, out);
-        }
-        out.clear();
-        out.resize(rhs.len(), 0.0);
-        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / self.l[(i, i)]).collect();
-        // Per-chunk RHS count, rounded up to a multiple of 4 so chunk
-        // boundaries coincide with the serial solver's block boundaries.
-        let per_chunk = m.div_ceil(width).div_ceil(4) * 4;
-        clite_par::for_each_chunk_mut(
-            clite_par::WorkerPool::global(),
-            width,
-            out,
-            per_chunk * n,
-            |chunk_idx, out_chunk| {
-                let start = chunk_idx * per_chunk * n;
-                self.solve_lower_batch_core(
-                    &inv_diag,
-                    &rhs[start..start + out_chunk.len()],
-                    out_chunk,
-                );
-            },
-        );
         Ok(())
     }
-
-    /// Minimum right-hand sides per slot for
-    /// [`Cholesky::solve_lower_batch_pooled`] to fan out; below
-    /// `slots × POOLED_MIN_RHS` total, a dispatch costs more than the
-    /// lanes it adds.
-    pub const POOLED_MIN_RHS: usize = 16;
 
     /// Solves `Lᵀ·x = b` (backward substitution).
     ///
@@ -588,9 +505,10 @@ mod tests {
     }
 
     #[test]
-    fn pooled_batch_solve_is_byte_identical_to_serial() {
-        // Large SPD matrix so several chunk widths actually engage the
-        // pooled path (m must exceed POOLED_MIN_RHS per slot).
+    fn batch_solve_rows_do_not_depend_on_their_batch() {
+        // Every solution must be bit-identical whether it lands in a
+        // 4-wide block or in the scalar tail, and whichever rows share its
+        // batch: callers resolve arbitrary subsets four at a time.
         let n = 12;
         let b = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 13) as f64 * 0.07 + 0.3);
         let mut a = Matrix::zeros(n, n);
@@ -606,27 +524,21 @@ mod tests {
         a.add_diagonal(1.0);
         let c = Cholesky::decompose(&a).unwrap();
 
-        for m in [1usize, 3, 16, 33, 64, 130] {
+        for m in [1usize, 3, 4, 5, 8, 9] {
             let rhs: Vec<f64> =
                 (0..m * n).map(|i| ((i * 7919 % 1000) as f64).mul_add(1e-3, -0.5)).collect();
-            let mut serial = Vec::new();
-            c.solve_lower_batch(&rhs, &mut serial).unwrap();
-            for slots in [1usize, 2, 4, 8] {
-                let mut pooled = Vec::new();
-                c.solve_lower_batch_pooled(&rhs, &mut pooled, slots).unwrap();
-                assert_eq!(serial.len(), pooled.len());
-                for (i, (a, b)) in serial.iter().zip(&pooled).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "m={m} slots={slots} diverged at element {i}"
-                    );
+            let mut batch = Vec::new();
+            c.solve_lower_batch(&rhs, &mut batch).unwrap();
+            let mut alone = Vec::new();
+            for (r, row) in rhs.chunks_exact(n).enumerate() {
+                c.solve_lower_batch(row, &mut alone).unwrap();
+                for (i, (x, y)) in batch[r * n..(r + 1) * n].iter().zip(&alone).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "m={m} row={r} diverged at element {i}");
                 }
             }
         }
-        // Shape errors propagate the same way as the serial solver's.
         let mut out = Vec::new();
-        assert!(c.solve_lower_batch_pooled(&vec![0.0; n + 1], &mut out, 4).is_err());
+        assert!(c.solve_lower_batch(&vec![0.0; n + 1], &mut out).is_err());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread;
 
 /// Environment variable overriding the [`WorkerPool::global`] executor
@@ -272,7 +272,13 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        // Set the flag under the queue lock: a worker checks it under that
+        // lock before waiting, so it either sees the flag or is already
+        // waiting when the notify below fires — never lost in between.
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
         self.shared.work_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
