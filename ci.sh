@@ -224,6 +224,16 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -q "benchmark artifact written" "$store_tmp/placement_exp.txt"
     grep -q "placement: PASS" "$store_tmp/placement_exp.txt"
 
+    # Traced layered-benchmark smoke test on the learned-placement fleet:
+    # layerbench checks its own outputs (recovered == uninterrupted run,
+    # a waterfall whose layer self times are non-negative and add up)
+    # and prints `"correct": true` on its last line only if they hold.
+    step "layerbench fleet-wide-durable --trace 1 smoke test"
+    cargo run --release --offline --quiet --manifest-path layerbench/Cargo.toml -- \
+        --workload fleet-wide-durable --seed 42 --seconds 1 --trace 1 \
+        > "$store_tmp/layerbench.txt"
+    tail -n 1 "$store_tmp/layerbench.txt" | grep -q '"correct": true'
+
     # Benches must at least keep compiling (they are the perf record).
     step "cargo bench --no-run"
     cargo bench --no-run

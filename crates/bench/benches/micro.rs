@@ -13,6 +13,9 @@ use clite_bo::acquisition::Acquisition;
 use clite_bo::engine::{BoConfig, BoEngine};
 use clite_bo::optimizer::{maximize_acquisition, EvalScratch, OptimizerConfig};
 use clite_bo::space::SearchSpace;
+use clite_cluster::learned;
+use clite_cluster::placement::PlacementPolicy;
+use clite_cluster::scheduler::{ClusterScheduler, SchedulerConfig};
 use clite_gp::gp::{GaussianProcess, GpConfig};
 use clite_gp::kernel::Kernel;
 use clite_sim::alloc::Partition;
@@ -51,6 +54,45 @@ fn bench_gp(c: &mut Criterion) {
         GaussianProcess::fit(Kernel::matern52(0.04, 0.3), GpConfig::default(), xs, ys).unwrap();
     let query = vec![0.3; dims];
     c.bench_function("gp_predict_n30", |b| b.iter(|| gp.predict(black_box(&query))));
+}
+
+/// Learned candidate ranking: the per-candidate headroom posterior, and a
+/// whole `rank` over a 512-node fleet holding one LC job per node (each
+/// node's last search trace feeds its headroom).
+fn bench_learned(c: &mut Criterion) {
+    for n in [8usize, 32] {
+        let trace: Vec<(f64, f64)> = (0..n)
+            .map(|i| (i as f64 / (n - 1) as f64, 0.4 + 0.03 * ((i * 7) % 11) as f64))
+            .collect();
+        c.bench_function(&format!("headroom_predict_{n}"), |b| {
+            b.iter(|| clite_learn::headroom::predict(black_box(&trace)))
+        });
+    }
+
+    let config = SchedulerConfig { placement: PlacementPolicy::LeastLoaded, ..Default::default() };
+    let mut scheduler = ClusterScheduler::new(512, config, 42).unwrap();
+    let lc = WorkloadId::LATENCY_CRITICAL;
+    for i in 0..512 {
+        let load = 0.1 + 0.05 * (i % 5) as f64;
+        scheduler.submit(JobSpec::latency_critical(lc[i % lc.len()], load)).unwrap();
+    }
+    let mut model = clite_learn::RankingModel::zeroed();
+    for (i, w) in model.weights.iter_mut().enumerate() {
+        *w = (i as f64 - 6.0) * 0.05;
+    }
+    let candidates: Vec<usize> = (0..512).collect();
+    let spec = JobSpec::latency_critical(WorkloadId::Memcached, 0.3);
+    c.bench_function("learned_rank_512", |b| {
+        b.iter(|| {
+            learned::rank(
+                &model,
+                black_box(&spec),
+                scheduler.nodes(),
+                &candidates,
+                scheduler.stats_ref(),
+            )
+        })
+    });
 }
 
 fn bench_acquisition(c: &mut Criterion) {
@@ -330,6 +372,7 @@ fn bench_warm_start(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gp,
+    bench_learned,
     bench_acquisition,
     bench_suggest,
     bench_simulator,

@@ -100,17 +100,16 @@ pub fn rank<F: TestbedFactory>(
 ) -> Vec<(usize, f64)> {
     let job = job_input(spec);
     let fleet = fleet_input(stats);
-    let mut scored: Vec<(usize, f64)> = candidates
+    let mut scored: Vec<(usize, f64, f64)> = candidates
         .iter()
         .map(|&id| {
-            let features = extract(&job, &node_input(&nodes[id], spec), &fleet);
-            (id, model.score(&features))
+            let node = node_input(&nodes[id], spec);
+            let features = extract(&job, &node, &fleet);
+            (id, model.score(&features), node.lc_load)
         })
         .collect();
-    scored.sort_by(|&(a, sa), &(b, sb)| {
-        sb.total_cmp(&sa)
-            .then_with(|| nodes[a].committed_lc_load().total_cmp(&nodes[b].committed_lc_load()))
-            .then_with(|| a.cmp(&b))
+    scored.sort_by(|&(a, sa, la), &(b, sb, lb)| {
+        sb.total_cmp(&sa).then_with(|| la.total_cmp(&lb)).then_with(|| a.cmp(&b))
     });
-    scored
+    scored.into_iter().map(|(id, score, _)| (id, score)).collect()
 }

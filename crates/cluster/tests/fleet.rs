@@ -6,10 +6,13 @@
 
 use std::sync::Arc;
 
-use clite_cluster::fleet::{FleetConfig, FleetRun, FleetService};
+use clite_cluster::fleet::{FleetConfig, FleetCounters, FleetRun, FleetService};
+use clite_cluster::learned;
 use clite_cluster::scheduler::AdmissionMode;
 use clite_cluster::stats::ClusterStats;
 use clite_cluster::trace::{generate, TraceConfig};
+use clite_sim::prelude::*;
+use clite_store::log::fnv1a64;
 use clite_store::{ObservationStore, ShardPolicy, ShardedStore, StoreHandle};
 use clite_telemetry::Telemetry;
 
@@ -50,14 +53,19 @@ fn run(mode: AdmissionMode, store: Option<StoreHandle>) -> FleetRun {
     fleet.run(&fleet_trace(), &Telemetry::disabled()).expect("trace runs")
 }
 
-/// Like [`config`] but serving a trained (non-zero) placement model.
-fn learned_config(mode: AdmissionMode) -> FleetConfig {
+/// A deterministic non-zero ranking model.
+fn learned_model() -> clite_learn::RankingModel {
     let mut model = clite_learn::RankingModel::zeroed();
     for (i, w) in model.weights.iter_mut().enumerate() {
         *w = (i as f64 - 6.0) * 0.05;
     }
     model.epochs = 1;
-    let mut config = FleetConfig::mean_field_learned(8, 4, Arc::new(model));
+    model
+}
+
+/// Like [`config`] but serving a trained (non-zero) placement model.
+fn learned_config(mode: AdmissionMode) -> FleetConfig {
+    let mut config = FleetConfig::mean_field_learned(8, 4, Arc::new(learned_model()));
     config.scheduler.admission = mode;
     config
 }
@@ -144,4 +152,57 @@ fn fleet_runs_are_self_deterministic() {
     let a = run(AdmissionMode::Threaded, None);
     let b = run(AdmissionMode::Threaded, None);
     assert_eq!(a, b);
+}
+
+/// The learned 64-node run below, recorded before the headroom design
+/// memo: placements, counters, and a digest of every node's ranking on
+/// the final state. A ranking change must reproduce them exactly.
+const LEARNED_64_PLACEMENTS: [usize; 24] =
+    [0, 0, 1, 1, 2, 3, 3, 0, 4, 5, 5, 4, 6, 6, 0, 6, 3, 3, 0, 7, 8, 8, 8, 2];
+const LEARNED_64_RANKING_DIGEST: u64 = 0xa876_3ed8_ab4c_8e2c;
+
+#[test]
+fn learned_placements_match_the_pinned_record() {
+    // Regenerate: print `run.placements`, `run.counters` and `digest`.
+    let mut fleet =
+        FleetService::new(64, learned_config(AdmissionMode::Serial), SEED).expect("fleet");
+    let run = fleet.run(&fleet_trace(), &Telemetry::disabled()).expect("trace runs");
+    let pinned: Vec<Option<usize>> = LEARNED_64_PLACEMENTS.iter().copied().map(Some).collect();
+    assert_eq!(run.placements, pinned, "learned ranking changed the placements");
+    assert_eq!(
+        run.counters,
+        FleetCounters {
+            arrivals: 24,
+            placed: 24,
+            departures: 9,
+            load_shifts: 12,
+            stale_events: 0,
+            nodes_onboarded: 24,
+            epoch_solves: 7,
+            replacements: 0,
+            arrivals_shed: 0,
+        },
+        "learned ranking changed the counters"
+    );
+
+    // Scores carry every headroom bit, so the digest also pins rankings
+    // the placements above happen not to depend on.
+    let scheduler = fleet.scheduler();
+    let candidates: Vec<usize> = (0..scheduler.nodes().len()).collect();
+    let model = learned_model();
+    let mut bytes = Vec::new();
+    for spec in [
+        JobSpec::latency_critical(WorkloadId::Memcached, 0.3),
+        JobSpec::latency_critical(WorkloadId::ImgDnn, 0.6),
+        JobSpec::background(WorkloadId::Streamcluster),
+    ] {
+        let ranked =
+            learned::rank(&model, &spec, scheduler.nodes(), &candidates, scheduler.stats_ref());
+        for (id, score) in ranked {
+            bytes.extend((id as u64).to_le_bytes());
+            bytes.extend(score.to_bits().to_le_bytes());
+        }
+    }
+    let digest = fnv1a64(&bytes);
+    assert_eq!(digest, LEARNED_64_RANKING_DIGEST, "learned ranking changed: {digest:#x}");
 }

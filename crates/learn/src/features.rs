@@ -97,16 +97,13 @@ pub fn unit(x: f64) -> f64 {
 /// fractions. Convenience for callers assembling a [`NodeInput`].
 #[must_use]
 pub fn mix_load_pcts(committed_loads: &[f64], incoming_load: f64) -> (u32, u32) {
-    let pcts: Vec<u32> = committed_loads
+    let (sum, max) = committed_loads
         .iter()
-        .copied()
-        .chain(std::iter::once(incoming_load))
-        .map(quantize_load)
-        .collect();
-    let sum: u64 = pcts.iter().map(|&p| u64::from(p)).sum();
-    let mean = (sum / pcts.len().max(1) as u64) as u32;
-    let max = pcts.iter().copied().max().unwrap_or(0);
-    (mean, max)
+        .chain(std::iter::once(&incoming_load))
+        .map(|&load| quantize_load(load))
+        .fold((0u64, 0u32), |(sum, max), p| (sum + u64::from(p), max.max(p)));
+    let count = committed_loads.len() as u64 + 1;
+    ((sum / count) as u32, max)
 }
 
 /// Extracts the versioned feature vector for one (job, candidate-node)

@@ -6,16 +6,37 @@
 //! reading the posterior at the *end* of the trace gives a smoothed
 //! estimate of the score level the node's committed mix converged to —
 //! the QoS headroom the next co-runner would inherit — plus a posterior
-//! standard deviation that says how settled the search was. Both feed the
-//! feature vector ([`crate::features::extract`]).
+//! variance that says how settled the search was. Both feed the feature
+//! vector ([`crate::features::extract`]).
 //!
 //! The fit uses fixed hyper-parameters (no grid search): prediction must
 //! be cheap enough for the admission path and — more importantly —
 //! deterministic, since candidate ordering feeds the fleet's
 //! byte-identity contract.
+//!
+//! ## The per-length design memo
+//!
+//! Traces sit at positions `i / (n − 1)`, and with fixed hyper-parameters
+//! everything in the fit except the targets depends only on those
+//! positions: the Cholesky factor of `K + σₙ²I`, the cross-covariance row
+//! `k*` at `x = 1` and the posterior variance there. Each on-grid length
+//! up to [`MEMO_CAP`] builds that design once per process; a prediction
+//! then only centres the scores, solves for `α` with the same
+//! [`Cholesky::solve`] and takes `ȳ + k*·α` — the same operations on the
+//! same operands as a fresh fit, so the result is bit-identical. Traces
+//! whose finite points are off the grid (compared bit for bit), or longer
+//! than the cap, take the general [`GaussianProcess::fit`] path.
+
+use std::sync::OnceLock;
 
 use clite_gp::gp::{GaussianProcess, GpConfig};
 use clite_gp::kernel::Kernel;
+use clite_gp::linalg::{dot, Cholesky};
+
+/// Longest trace length whose design is memoized. Admission searches
+/// stop well below this (the default `Termination` allows 60 iterations
+/// after the initial samples); a longer trace falls back to a full fit.
+pub const MEMO_CAP: usize = 128;
 
 /// A surrogate headroom prediction for one candidate node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,8 +45,10 @@ pub struct Headroom {
     /// clamped to `[0, 1]` (0.5 when no trace exists: unknown, neither
     /// safe nor violating).
     pub predicted: f64,
-    /// Posterior standard deviation (1.0 when no trace exists — maximal
-    /// uncertainty).
+    /// Posterior *variance* at the end of the trace (1.0 when no trace
+    /// exists — maximal uncertainty). The feature schema
+    /// ([`crate::FEATURE_VERSION`]) and trained models are built on this
+    /// value, so it stays a variance despite the name.
     pub sigma: f64,
 }
 
@@ -44,6 +67,83 @@ impl Default for Headroom {
     }
 }
 
+/// The fixed kernel: Matérn-5/2, variance 0.25, lengthscale 0.3 in
+/// normalized trace positions.
+fn kernel() -> Kernel {
+    Kernel::matern52(0.25, 0.3)
+}
+
+/// The fixed observation-noise variance.
+fn config() -> GpConfig {
+    GpConfig { noise_variance: 1e-3 }
+}
+
+/// Position of sample `i` in an `n`-sample trace.
+fn grid_position(i: usize, n: usize) -> f64 {
+    i as f64 / (n - 1) as f64
+}
+
+/// The target-independent part of a fit over the `n`-point grid.
+struct Design {
+    chol: Cholesky,
+    /// `k(1, xᵢ)` for every grid position.
+    k_star: Vec<f64>,
+    /// Posterior variance at `x = 1`.
+    variance: f64,
+}
+
+impl Design {
+    /// Builds the design exactly as [`GaussianProcess::fit`] followed by
+    /// [`GaussianProcess::predict`] at `x = 1` would; `None` when the Gram
+    /// matrix cannot be factorized (the fit would fail too).
+    fn build(n: usize) -> Option<Self> {
+        let kernel = kernel();
+        let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![grid_position(i, n)]).collect();
+        let mut gram = kernel.gram(&xs);
+        gram.add_diagonal(config().noise_variance);
+        let chol = Cholesky::decompose(&gram).ok()?;
+        let (mut query, mut point) = (Vec::new(), Vec::new());
+        kernel.scale_into(&[1.0], &mut query);
+        let r2: Vec<f64> = xs
+            .iter()
+            .map(|x| {
+                kernel.scale_into(x, &mut point);
+                let diff = query[0] - point[0];
+                diff * diff
+            })
+            .collect();
+        let mut k_star = Vec::with_capacity(n);
+        kernel.eval_scaled_sq_append(&r2, &mut k_star);
+        let v = chol.solve_lower(&k_star).ok()?;
+        let variance = (kernel.variance() - dot(&v, &v)).max(0.0);
+        Some(Self { chol, k_star, variance })
+    }
+
+    /// Posterior mean and variance at `x = 1` for targets `ys`.
+    fn posterior(&self, ys: &[f64]) -> Option<(f64, f64)> {
+        let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
+        let centered: Vec<f64> = ys.iter().map(|y| y - mean_y).collect();
+        let alpha = self.chol.solve(&centered).ok()?;
+        Some((mean_y + dot(&self.k_star, &alpha), self.variance))
+    }
+}
+
+/// The memoized design for `n`-point grid traces, built on first use;
+/// `None` past [`MEMO_CAP`]. The inner `None` records a design whose
+/// factorization failed.
+fn design(n: usize) -> Option<&'static Option<Design>> {
+    static DESIGNS: [OnceLock<Option<Design>>; MEMO_CAP + 1] =
+        [const { OnceLock::new() }; MEMO_CAP + 1];
+    DESIGNS.get(n).map(|cell| cell.get_or_init(|| Design::build(n)))
+}
+
+/// Posterior mean and variance at `x = 1` from a fresh GP fit.
+fn fitted_posterior(clean: &[(f64, f64)], ys: Vec<f64>) -> Option<(f64, f64)> {
+    let xs: Vec<Vec<f64>> = clean.iter().map(|&(x, _)| vec![x]).collect();
+    let gp = GaussianProcess::fit(kernel(), config(), xs, ys).ok()?;
+    Some(gp.predict(&[1.0]))
+}
+
 /// Predicts headroom from a node's `(position, score)` trace, where
 /// `position` is the sample index normalized to `[0, 1]` and `score` the
 /// Eq. 3 value observed there. Needs at least two finite points; anything
@@ -52,23 +152,22 @@ impl Default for Headroom {
 pub fn predict(trace: &[(f64, f64)]) -> Headroom {
     let clean: Vec<(f64, f64)> =
         trace.iter().copied().filter(|(x, y)| x.is_finite() && y.is_finite()).collect();
-    if clean.len() < 2 {
+    let n = clean.len();
+    if n < 2 {
         return Headroom::prior();
     }
-    let xs: Vec<Vec<f64>> = clean.iter().map(|&(x, _)| vec![x]).collect();
     let ys: Vec<f64> = clean.iter().map(|&(_, y)| y).collect();
-    let kernel = Kernel::matern52(0.25, 0.3);
-    let config = GpConfig { noise_variance: 1e-3 };
-    match GaussianProcess::fit(kernel, config, xs, ys) {
-        Ok(gp) => {
-            let (mean, std) = gp.predict(&[1.0]);
-            if mean.is_finite() && std.is_finite() {
-                Headroom { predicted: mean.clamp(0.0, 1.0), sigma: std.max(0.0) }
-            } else {
-                Headroom::prior()
-            }
+    let on_grid =
+        clean.iter().enumerate().all(|(i, &(x, _))| x.to_bits() == grid_position(i, n).to_bits());
+    let posterior = match design(n) {
+        Some(memo) if on_grid => memo.as_ref().and_then(|d| d.posterior(&ys)),
+        _ => fitted_posterior(&clean, ys),
+    };
+    match posterior {
+        Some((mean, var)) if mean.is_finite() && var.is_finite() => {
+            Headroom { predicted: mean.clamp(0.0, 1.0), sigma: var.max(0.0) }
         }
-        Err(_) => Headroom::prior(),
+        _ => Headroom::prior(),
     }
 }
 
@@ -99,5 +198,25 @@ mod tests {
         let b = predict(&trace);
         assert_eq!(a, b);
         assert_eq!(a.predicted.to_bits(), b.predicted.to_bits());
+    }
+
+    #[test]
+    fn sigma_is_the_posterior_variance_at_the_trace_end() {
+        let trace: Vec<(f64, f64)> =
+            (0..6).map(|i| (i as f64 / 5.0, 0.3 + 0.1 * (i % 3) as f64)).collect();
+        let xs: Vec<Vec<f64>> = trace.iter().map(|&(x, _)| vec![x]).collect();
+        let ys: Vec<f64> = trace.iter().map(|&(_, y)| y).collect();
+        let gp = GaussianProcess::fit(kernel(), config(), xs, ys).expect("fit");
+        let (_, var) = gp.predict(&[1.0]);
+        let (_, std) = gp.predict_std(&[1.0]);
+        let h = predict(&trace);
+        assert_eq!(h.sigma.to_bits(), var.to_bits());
+        assert_ne!(h.sigma.to_bits(), std.to_bits(), "sigma is not the standard deviation");
+    }
+
+    #[test]
+    fn lengths_past_the_cap_fall_back_to_a_fit() {
+        assert!(design(MEMO_CAP).is_some());
+        assert!(design(MEMO_CAP + 1).is_none());
     }
 }
