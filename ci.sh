@@ -192,6 +192,15 @@ if [[ "${1:-}" != "quick" ]]; then
     step "cargo test -p clite-store --test journal_props --release -q"
     cargo test -p clite-store --test journal_props --release -q
 
+    # The fleet wire decoders (checkpoint, journal entry) stay total and
+    # canonical on arbitrary and mutated bytes, and all four framed files
+    # keep their pinned on-disk bytes.
+    step "cargo test -p clite-cluster --test wire_props --release -q"
+    cargo test -p clite-cluster --test wire_props --release -q
+
+    step "cargo test -p clite-cluster --test format_pins --release -q"
+    cargo test -p clite-cluster --test format_pins --release -q
+
     # Kill-and-recover CLI smoke test: journal a fleet run, kill it
     # mid-trace, then resume from the journal — the recovered run must
     # report the replayed suffix and still reach the completion marker.

@@ -4,7 +4,7 @@
 //!
 //! 1. **Kill sweep → replay identity**: a durable fleet is killed after
 //!    the k-th event — at both WAL boundaries (right after the journal
-//!    flush, and right after the apply) — for *every* k in the trace,
+//!    append, and right after the apply) — for *every* k in the trace,
 //!    recovered from the newest checkpoint plus the journal suffix, and
 //!    run to completion. The recovered [`FleetRun`] witness must be
 //!    byte-identical to a never-crashed run at every kill point. The

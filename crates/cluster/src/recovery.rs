@@ -3,9 +3,11 @@
 //!
 //! [`DurableFleet`] wraps a [`FleetService`] with the WAL discipline the
 //! store's log already proved out: every event is framed, checksummed, and
-//! flushed to the **event journal** *before* it mutates scheduler state,
+//! written to the **event journal** *before* it mutates scheduler state,
 //! and every `checkpoint_every` applied events the whole service is
-//! snapshotted to an atomically-replaced **checkpoint** blob. Recovery is
+//! snapshotted to an atomically-replaced **checkpoint** blob. Neither
+//! write is fsynced: both survive a process crash, not a power loss
+//! (DESIGN.md §8, "Durability, exactly"). Recovery is
 //! then mechanical: load the newest valid checkpoint (a corrupt or missing
 //! one degrades to an empty fleet), replay the journal suffix through the
 //! exact same event-handling code, and continue. Because every input to
@@ -28,6 +30,7 @@
 
 use std::path::{Path, PathBuf};
 
+use clite::config::capped_backoff;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
 use clite_store::{blob, BlobRead, EventJournal, StoreError, StoreHandle};
 use clite_telemetry::{Event, Telemetry};
@@ -388,28 +391,17 @@ impl Default for SupervisorConfig {
 
 impl SupervisorConfig {
     /// Backoff (in ticks) recorded before restart `attempt` (1-based):
-    /// capped exponential plus deterministic jitter. Mirrors
-    /// `RecoveryConfig::backoff_for` one layer up the ladder.
+    /// [`clite::config::capped_backoff`] over this config's base, cap and
+    /// jitter — the controller's retry backoff one layer up the ladder.
     #[must_use]
     pub fn backoff_for(&self, attempt: u32) -> u64 {
-        if attempt == 0 || self.base_backoff_ticks == 0 {
-            return 0;
-        }
-        let shift = (attempt - 1).min(63);
-        let exp = self
-            .base_backoff_ticks
-            .checked_shl(shift)
-            .unwrap_or(self.max_backoff_ticks)
-            .min(self.max_backoff_ticks.max(self.base_backoff_ticks));
-        let jitter = if self.jitter_ticks == 0 {
-            0
-        } else {
-            let mut z = self.seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % (self.jitter_ticks + 1)
-        };
-        exp + jitter
+        capped_backoff(
+            self.base_backoff_ticks,
+            self.max_backoff_ticks,
+            self.jitter_ticks,
+            self.seed,
+            u64::from(attempt),
+        )
     }
 
     /// Where on the degradation ladder restart `attempt` runs: the first
@@ -661,6 +653,13 @@ mod tests {
         assert_eq!(sup.backoff_for(2), 2);
         assert_eq!(sup.backoff_for(3), 4);
         assert_eq!(sup.backoff_for(40), 16, "capped, no overflow");
+        let jittered = SupervisorConfig { jitter_ticks: 5, seed: 0xFEED, ..sup };
+        for attempt in 0..=70 {
+            assert_eq!(
+                jittered.backoff_for(attempt),
+                capped_backoff(1, 16, 5, 0xFEED, attempt.into())
+            );
+        }
 
         let sink = MemoryRecorder::new();
         let telemetry = Telemetry::new(&sink);

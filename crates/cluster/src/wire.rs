@@ -1,9 +1,10 @@
 //! Wire codecs for durable fleet state: journal entries and checkpoints.
 //!
-//! Reuses the `clite-store` codec primitives (bounds-checked little-endian
-//! [`Reader`], presence-byte optionals, workload codes) so the fleet's
-//! durability layer speaks the same dialect as the observation log instead
-//! of inventing a second framing. Two payload families live here:
+//! Written in the `clite-store` codec dialect (bounds-checked
+//! little-endian [`Reader`], flags, presence-flagged optionals,
+//! count-prefixed sequences, workload codes) so the fleet's durability
+//! layer speaks the same dialect as the observation log instead of
+//! inventing a second framing. Two payload families live here:
 //!
 //! * **Journal entries** — one per [`TimedEvent`], written ahead of the
 //!   mutation they describe (see [`crate::recovery::DurableFleet`]). An
@@ -16,10 +17,11 @@
 //!   replays the journal suffix; a corrupt checkpoint degrades to a full
 //!   replay, never an abort.
 //!
-//! Every decoder is total: it returns a [`DecodeError`] naming the offset
-//! and expectation, never panics, and never reads past its slice — the same
-//! crash-safety argument as the store codec, because these bytes are read
-//! exactly when something already went wrong.
+//! Every decoder is total and strict: it returns a [`DecodeError`] naming
+//! the offset and expectation, never panics, never reads past its slice,
+//! and accepts only canonical bytes — whatever it decodes re-encodes to
+//! exactly the bytes it read. These bytes are read exactly when something
+//! already went wrong.
 
 use clite::score::{ScoreBreakdown, ScoreMode};
 use clite::trace::{CliteOutcome, SampleRecord};
@@ -28,7 +30,7 @@ use clite_sim::resource::ResourceCatalog;
 use clite_sim::server::JobSpec;
 use clite_sim::workload::WorkloadProfile;
 use clite_store::codec::{
-    put_f64, put_observation, put_opt_f64, put_partition_rows, put_u32, put_u64, put_u8,
+    put_bool, put_f64, put_observation, put_opt, put_partition_rows, put_seq, put_u64, put_u8,
     read_observation, read_partition_rows, workload_code, workload_from_code, DecodeError, Reader,
 };
 
@@ -40,16 +42,16 @@ pub const CKPT_MAGIC: &[u8; 8] = b"CLITECKP";
 /// Checkpoint payload format version.
 pub const CKPT_VERSION: u32 = 1;
 
-/// Vector lengths above which a payload is rejected as corrupt (a length
-/// prefix this large can only come from flipped bits).
+/// Sequence lengths above which a payload is rejected as corrupt (a
+/// count this large can only come from flipped bits).
 const MAX_VEC: usize = 1 << 20;
 
-fn read_len(r: &mut Reader<'_>, expected: &'static str) -> Result<usize, DecodeError> {
-    let n = r.u32(expected)? as usize;
-    if n > MAX_VEC {
-        return Err(r.fail(expected));
-    }
-    Ok(n)
+fn put_usize(buf: &mut Vec<u8>, v: usize) {
+    put_u64(buf, v as u64);
+}
+
+fn read_usize(r: &mut Reader<'_>, expected: &'static str) -> Result<usize, DecodeError> {
+    usize::try_from(r.u64(expected)?).map_err(|_| r.fail(expected))
 }
 
 // ── journal entries ──────────────────────────────────────────────────────
@@ -72,7 +74,7 @@ pub struct JournalEntry {
 #[must_use]
 pub fn encode_journal_entry(shed: bool, backlog: u64, event: &TimedEvent) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    put_u8(&mut buf, u8::from(shed));
+    put_bool(&mut buf, shed);
     put_u64(&mut buf, backlog);
     put_event(&mut buf, event);
     buf
@@ -86,11 +88,7 @@ pub fn encode_journal_entry(shed: bool, backlog: u64, event: &TimedEvent) -> Vec
 /// rejected.
 pub fn decode_journal_entry(payload: &[u8]) -> Result<JournalEntry, DecodeError> {
     let mut r = Reader::new(payload);
-    let shed = match r.u8("disposition")? {
-        0 => false,
-        1 => true,
-        _ => return Err(r.fail("disposition")),
-    };
+    let shed = r.bool("disposition")?;
     let backlog = r.u64("backlog")?;
     let event = read_event(&mut r)?;
     if !r.done() {
@@ -119,7 +117,7 @@ fn put_event(buf: &mut Vec<u8>, event: &TimedEvent) {
         }
         FleetEvent::Onboard { nodes } => {
             put_u8(buf, 3);
-            put_u64(buf, *nodes as u64);
+            put_usize(buf, *nodes);
         }
     }
 }
@@ -130,13 +128,19 @@ fn read_event(r: &mut Reader<'_>) -> Result<TimedEvent, DecodeError> {
         0 => FleetEvent::Arrival { spec: read_job_spec(r)? },
         1 => FleetEvent::Departure { job: r.u64("job id")? },
         2 => FleetEvent::LoadShift { job: r.u64("job id")?, load: read_load(r)? },
-        3 => FleetEvent::Onboard { nodes: r.u64("onboard count")? as usize },
+        3 => FleetEvent::Onboard { nodes: read_usize(r, "onboard count")? },
         _ => return Err(r.fail("event tag")),
     };
     Ok(TimedEvent::new(at, event))
 }
 
 fn put_load(buf: &mut Vec<u8>, load: &LoadSchedule) {
+    let put_pairs = |buf: &mut Vec<u8>, pairs: &[(f64, f64)]| {
+        put_seq(buf, pairs, |buf, &(a, b)| {
+            put_f64(buf, a);
+            put_f64(buf, b);
+        });
+    };
     match load {
         LoadSchedule::Constant(l) => {
             put_u8(buf, 0);
@@ -165,27 +169,12 @@ fn put_load(buf: &mut Vec<u8>, load: &LoadSchedule) {
     }
 }
 
-fn put_pairs(buf: &mut Vec<u8>, pairs: &[(f64, f64)]) {
-    put_u32(buf, pairs.len() as u32);
-    for &(a, b) in pairs {
-        put_f64(buf, a);
-        put_f64(buf, b);
-    }
-}
-
-fn read_pairs(r: &mut Reader<'_>) -> Result<Vec<(f64, f64)>, DecodeError> {
-    let n = read_len(r, "pair count")?;
-    let mut pairs = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        pairs.push((r.f64("pair")?, r.f64("pair")?));
-    }
-    Ok(pairs)
-}
-
 fn read_load(r: &mut Reader<'_>) -> Result<LoadSchedule, DecodeError> {
+    let pairs =
+        |r: &mut Reader<'_>| r.seq(MAX_VEC, "pair count", |r| Ok((r.f64("pair")?, r.f64("pair")?)));
     Ok(match r.u8("load tag")? {
         0 => LoadSchedule::Constant(r.f64("load")?),
-        1 => LoadSchedule::Steps(read_pairs(r)?),
+        1 => LoadSchedule::Steps(pairs(r)?),
         2 => LoadSchedule::Ramp {
             from: r.f64("ramp")?,
             to: r.f64("ramp")?,
@@ -196,7 +185,7 @@ fn read_load(r: &mut Reader<'_>) -> Result<LoadSchedule, DecodeError> {
             amplitude: r.f64("diurnal")?,
             period_s: r.f64("diurnal")?,
         },
-        4 => LoadSchedule::Trace(read_pairs(r)?),
+        4 => LoadSchedule::Trace(pairs(r)?),
         _ => return Err(r.fail("load tag")),
     })
 }
@@ -204,24 +193,15 @@ fn read_load(r: &mut Reader<'_>) -> Result<LoadSchedule, DecodeError> {
 fn put_job_spec(buf: &mut Vec<u8>, spec: &JobSpec) {
     put_u8(buf, workload_code(spec.workload));
     put_load(buf, &spec.load);
-    match &spec.profile_override {
-        None => put_u8(buf, 0),
-        Some(p) => {
-            put_u8(buf, 1);
-            put_profile(buf, p);
-        }
-    }
+    put_opt(buf, spec.profile_override.as_ref(), put_profile);
 }
 
 fn read_job_spec(r: &mut Reader<'_>) -> Result<JobSpec, DecodeError> {
-    let workload = workload_from_code(r)?;
-    let load = read_load(r)?;
-    let profile_override = match r.u8("profile presence")? {
-        0 => None,
-        1 => Some(read_profile(r)?),
-        _ => return Err(r.fail("profile presence")),
-    };
-    Ok(JobSpec { workload, load, profile_override })
+    Ok(JobSpec {
+        workload: workload_from_code(r)?,
+        load: read_load(r)?,
+        profile_override: r.opt("profile presence", read_profile)?,
+    })
 }
 
 fn put_profile(buf: &mut Vec<u8>, p: &WorkloadProfile) {
@@ -266,79 +246,41 @@ fn read_profile(r: &mut Reader<'_>) -> Result<WorkloadProfile, DecodeError> {
 
 fn put_score(buf: &mut Vec<u8>, s: &ScoreBreakdown) {
     put_f64(buf, s.value);
-    put_u8(
-        buf,
-        match s.mode {
-            ScoreMode::QosViolated => 0,
-            ScoreMode::QosMet => 1,
-        },
-    );
-    put_f64_vec(buf, &s.lc_ratios);
-    put_f64_vec(buf, &s.bg_ratios);
+    put_bool(buf, s.mode == ScoreMode::QosMet);
+    for ratios in [&s.lc_ratios, &s.bg_ratios] {
+        put_seq(buf, ratios, |buf, &x| put_f64(buf, x));
+    }
 }
 
 fn read_score(r: &mut Reader<'_>) -> Result<ScoreBreakdown, DecodeError> {
+    let ratios = |r: &mut Reader<'_>| r.seq(MAX_VEC, "f64 vec", |r| r.f64("f64 vec"));
     Ok(ScoreBreakdown {
         value: r.f64("score value")?,
-        mode: match r.u8("score mode")? {
-            0 => ScoreMode::QosViolated,
-            1 => ScoreMode::QosMet,
-            _ => return Err(r.fail("score mode")),
-        },
-        lc_ratios: read_f64_vec(r)?,
-        bg_ratios: read_f64_vec(r)?,
+        mode: if r.bool("score mode")? { ScoreMode::QosMet } else { ScoreMode::QosViolated },
+        lc_ratios: ratios(r)?,
+        bg_ratios: ratios(r)?,
     })
 }
 
-fn put_f64_vec(buf: &mut Vec<u8>, v: &[f64]) {
-    put_u32(buf, v.len() as u32);
-    for &x in v {
-        put_f64(buf, x);
-    }
-}
-
-fn read_f64_vec(r: &mut Reader<'_>) -> Result<Vec<f64>, DecodeError> {
-    let n = read_len(r, "f64 vec")?;
-    let mut v = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        v.push(r.f64("f64 vec")?);
-    }
-    Ok(v)
-}
-
 fn put_sample(buf: &mut Vec<u8>, s: &SampleRecord) {
-    put_u64(buf, s.index as u64);
-    put_u8(buf, u8::from(s.bootstrap));
+    put_usize(buf, s.index);
+    put_bool(buf, s.bootstrap);
     put_partition_rows(buf, &s.partition);
     put_observation(buf, &s.observation);
     put_score(buf, &s.score);
-    put_opt_f64(buf, s.expected_improvement);
-    match s.frozen_job {
-        None => put_u8(buf, 0),
-        Some(j) => {
-            put_u8(buf, 1);
-            put_u64(buf, j as u64);
-        }
-    }
+    put_opt(buf, s.expected_improvement, put_f64);
+    put_opt(buf, s.frozen_job, put_usize);
 }
 
 fn read_sample(r: &mut Reader<'_>, catalog: ResourceCatalog) -> Result<SampleRecord, DecodeError> {
     Ok(SampleRecord {
-        index: r.u64("sample index")? as usize,
-        bootstrap: match r.u8("bootstrap flag")? {
-            0 => false,
-            1 => true,
-            _ => return Err(r.fail("bootstrap flag")),
-        },
+        index: read_usize(r, "sample index")?,
+        bootstrap: r.bool("bootstrap flag")?,
         partition: read_partition_rows(r, catalog)?,
         observation: read_observation(r)?,
         score: read_score(r)?,
-        expected_improvement: r.opt_f64("expected improvement")?,
-        frozen_job: match r.u8("frozen presence")? {
-            0 => None,
-            1 => Some(r.u64("frozen job")? as usize),
-            _ => return Err(r.fail("frozen presence")),
-        },
+        expected_improvement: r.opt("expected improvement", |r| r.f64("expected improvement"))?,
+        frozen_job: r.opt("frozen presence", |r| read_usize(r, "frozen job"))?,
     })
 }
 
@@ -351,57 +293,22 @@ fn read_sample(r: &mut Reader<'_>, catalog: ResourceCatalog) -> Result<SampleRec
 fn put_outcome(buf: &mut Vec<u8>, o: &CliteOutcome) {
     put_partition_rows(buf, &o.best_partition);
     put_f64(buf, o.best_score);
-    put_u32(buf, o.samples.len() as u32);
-    for s in &o.samples {
-        put_sample(buf, s);
-    }
-    put_u8(buf, u8::from(o.converged));
-    put_u32(buf, o.infeasible_jobs.len() as u32);
-    for &j in &o.infeasible_jobs {
-        put_u64(buf, j as u64);
-    }
-    match o.samples_to_qos {
-        None => put_u8(buf, 0),
-        Some(i) => {
-            put_u8(buf, 1);
-            put_u64(buf, i as u64);
-        }
-    }
-    put_u64(buf, o.quarantined as u64);
+    put_seq(buf, &o.samples, put_sample);
+    put_bool(buf, o.converged);
+    put_seq(buf, &o.infeasible_jobs, |buf, &j| put_usize(buf, j));
+    put_opt(buf, o.samples_to_qos, put_usize);
+    put_usize(buf, o.quarantined);
 }
 
 fn read_outcome(r: &mut Reader<'_>, catalog: ResourceCatalog) -> Result<CliteOutcome, DecodeError> {
-    let best_partition = read_partition_rows(r, catalog)?;
-    let best_score = r.f64("best score")?;
-    let n = read_len(r, "sample count")?;
-    let mut samples = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        samples.push(read_sample(r, catalog)?);
-    }
-    let converged = match r.u8("converged flag")? {
-        0 => false,
-        1 => true,
-        _ => return Err(r.fail("converged flag")),
-    };
-    let k = read_len(r, "infeasible count")?;
-    let mut infeasible_jobs = Vec::with_capacity(k.min(1024));
-    for _ in 0..k {
-        infeasible_jobs.push(r.u64("infeasible job")? as usize);
-    }
-    let samples_to_qos = match r.u8("qos presence")? {
-        0 => None,
-        1 => Some(r.u64("samples to qos")? as usize),
-        _ => return Err(r.fail("qos presence")),
-    };
-    let quarantined = r.u64("quarantined")? as usize;
     Ok(CliteOutcome {
-        best_partition,
-        best_score,
-        samples,
-        converged,
-        infeasible_jobs,
-        samples_to_qos,
-        quarantined,
+        best_partition: read_partition_rows(r, catalog)?,
+        best_score: r.f64("best score")?,
+        samples: r.seq(MAX_VEC, "sample count", |r| read_sample(r, catalog))?,
+        converged: r.bool("converged flag")?,
+        infeasible_jobs: r.seq(MAX_VEC, "infeasible count", |r| read_usize(r, "infeasible job"))?,
+        samples_to_qos: r.opt("qos presence", |r| read_usize(r, "samples to qos"))?,
+        quarantined: read_usize(r, "quarantined")?,
         overhead: None,
     })
 }
@@ -470,24 +377,6 @@ pub struct FleetCheckpoint {
     pub scheduler: SchedulerSnapshot,
 }
 
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(buf, 0),
-        Some(x) => {
-            put_u8(buf, 1);
-            put_u64(buf, x);
-        }
-    }
-}
-
-fn read_opt_u64(r: &mut Reader<'_>, expected: &'static str) -> Result<Option<u64>, DecodeError> {
-    match r.u8(expected)? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64(expected)?)),
-        _ => Err(r.fail(expected)),
-    }
-}
-
 /// Encodes a checkpoint payload (wrap in [`clite_store::blob::save`] with
 /// [`CKPT_MAGIC`]/[`CKPT_VERSION`] for the durable file).
 #[must_use]
@@ -495,8 +384,8 @@ pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4096);
     put_u64(&mut buf, c.seqno);
     put_u64(&mut buf, c.clock_now);
-    put_opt_u64(&mut buf, c.solved_epoch);
-    put_opt_u64(&mut buf, c.target_pct.map(u64::from));
+    put_opt(&mut buf, c.solved_epoch, put_u64);
+    put_opt(&mut buf, c.target_pct.map(u64::from), put_u64);
     let k = &c.counters;
     for v in [
         k.arrivals,
@@ -511,40 +400,26 @@ pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
     ] {
         put_u64(&mut buf, v);
     }
-    put_u32(&mut buf, c.placements.len() as u32);
-    for p in &c.placements {
-        put_opt_u64(&mut buf, p.map(|n| n as u64));
-    }
-    put_u32(&mut buf, c.debt.len() as u32);
-    for &d in &c.debt {
-        put_u64(&mut buf, d);
-    }
+    put_seq(&mut buf, &c.placements, |buf, &p| put_opt(buf, p, put_usize));
+    put_seq(&mut buf, &c.debt, |buf, &d| put_u64(buf, d));
     let s = &c.scheduler;
     put_u64(&mut buf, s.next_job_id);
     put_u64(&mut buf, s.rejected);
     put_u64(&mut buf, s.replaced);
     put_u64(&mut buf, s.base_seed);
-    put_u32(&mut buf, s.nodes.len() as u32);
-    for n in &s.nodes {
-        put_u64(&mut buf, n.id as u64);
-        put_u64(&mut buf, n.seed);
-        put_u8(&mut buf, u8::from(n.alive));
-        put_u64(&mut buf, n.commits);
-        put_u64(&mut buf, n.searches_run as u64);
-        put_u64(&mut buf, n.samples_spent);
-        put_u32(&mut buf, n.jobs.len() as u32);
-        for (id, spec) in &n.jobs {
-            put_u64(&mut buf, *id);
-            put_job_spec(&mut buf, spec);
-        }
-        match &n.last_outcome {
-            None => put_u8(&mut buf, 0),
-            Some(o) => {
-                put_u8(&mut buf, 1);
-                put_outcome(&mut buf, o);
-            }
-        }
-    }
+    put_seq(&mut buf, &s.nodes, |buf, n| {
+        put_usize(buf, n.id);
+        put_u64(buf, n.seed);
+        put_bool(buf, n.alive);
+        put_u64(buf, n.commits);
+        put_usize(buf, n.searches_run);
+        put_u64(buf, n.samples_spent);
+        put_seq(buf, &n.jobs, |buf, (id, spec)| {
+            put_u64(buf, *id);
+            put_job_spec(buf, spec);
+        });
+        put_opt(buf, n.last_outcome.as_ref(), put_outcome);
+    });
     buf
 }
 
@@ -552,16 +427,19 @@ pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on any malformed byte; trailing garbage is
-/// rejected. Callers treat a decode failure as "no usable checkpoint" and
-/// fall back to a full journal replay.
+/// Returns [`DecodeError`] on any malformed byte; trailing garbage and a
+/// `target_pct` above `u32::MAX` are rejected. Callers treat a decode
+/// failure as "no usable checkpoint" and fall back to a full journal
+/// replay.
 pub fn decode_checkpoint(payload: &[u8]) -> Result<FleetCheckpoint, DecodeError> {
     let catalog = ResourceCatalog::testbed();
     let mut r = Reader::new(payload);
     let seqno = r.u64("ckpt seqno")?;
     let clock_now = r.u64("clock")?;
-    let solved_epoch = read_opt_u64(&mut r, "solved epoch")?;
-    let target_pct = read_opt_u64(&mut r, "target pct")?.map(|v| v as u32);
+    let solved_epoch = r.opt("solved epoch", |r| r.u64("solved epoch"))?;
+    let target_pct = r.opt("target pct", |r| {
+        u32::try_from(r.u64("target pct")?).map_err(|_| r.fail("target pct"))
+    })?;
     let counters = FleetCounters {
         arrivals: r.u64("counters")?,
         placed: r.u64("counters")?,
@@ -573,55 +451,27 @@ pub fn decode_checkpoint(payload: &[u8]) -> Result<FleetCheckpoint, DecodeError>
         replacements: r.u64("counters")?,
         arrivals_shed: r.u64("counters")?,
     };
-    let np = read_len(&mut r, "placement count")?;
-    let mut placements = Vec::with_capacity(np.min(4096));
-    for _ in 0..np {
-        placements.push(read_opt_u64(&mut r, "placement")?.map(|v| v as usize));
-    }
-    let nd = read_len(&mut r, "debt count")?;
-    let mut debt = Vec::with_capacity(nd.min(4096));
-    for _ in 0..nd {
-        debt.push(r.u64("debt")?);
-    }
-    let next_job_id = r.u64("next job id")?;
-    let rejected = r.u64("rejected")?;
-    let replaced = r.u64("replaced")?;
-    let base_seed = r.u64("base seed")?;
-    let nn = read_len(&mut r, "node count")?;
-    let mut nodes = Vec::with_capacity(nn.min(4096));
-    for _ in 0..nn {
-        let id = r.u64("node id")? as usize;
-        let seed = r.u64("node seed")?;
-        let alive = match r.u8("alive flag")? {
-            0 => false,
-            1 => true,
-            _ => return Err(r.fail("alive flag")),
-        };
-        let commits = r.u64("commits")?;
-        let searches_run = r.u64("searches run")? as usize;
-        let samples_spent = r.u64("samples spent")?;
-        let nj = read_len(&mut r, "job count")?;
-        let mut jobs = Vec::with_capacity(nj.min(1024));
-        for _ in 0..nj {
-            let id = r.u64("job id")?;
-            jobs.push((id, read_job_spec(&mut r)?));
-        }
-        let last_outcome = match r.u8("outcome presence")? {
-            0 => None,
-            1 => Some(read_outcome(&mut r, catalog)?),
-            _ => return Err(r.fail("outcome presence")),
-        };
-        nodes.push(NodeSnapshot {
-            id,
-            seed,
-            alive,
-            commits,
-            searches_run,
-            samples_spent,
-            jobs,
-            last_outcome,
-        });
-    }
+    let placements =
+        r.seq(MAX_VEC, "placement count", |r| r.opt("placement", |r| read_usize(r, "placement")))?;
+    let debt = r.seq(MAX_VEC, "debt count", |r| r.u64("debt"))?;
+    let scheduler = SchedulerSnapshot {
+        next_job_id: r.u64("next job id")?,
+        rejected: r.u64("rejected")?,
+        replaced: r.u64("replaced")?,
+        base_seed: r.u64("base seed")?,
+        nodes: r.seq(MAX_VEC, "node count", |r| {
+            Ok(NodeSnapshot {
+                id: read_usize(r, "node id")?,
+                seed: r.u64("node seed")?,
+                alive: r.bool("alive flag")?,
+                commits: r.u64("commits")?,
+                searches_run: read_usize(r, "searches run")?,
+                samples_spent: r.u64("samples spent")?,
+                jobs: r.seq(MAX_VEC, "job count", |r| Ok((r.u64("job id")?, read_job_spec(r)?)))?,
+                last_outcome: r.opt("outcome presence", |r| read_outcome(r, catalog))?,
+            })
+        })?,
+    };
     if !r.done() {
         return Err(r.fail("end of checkpoint"));
     }
@@ -633,7 +483,7 @@ pub fn decode_checkpoint(payload: &[u8]) -> Result<FleetCheckpoint, DecodeError>
         counters,
         placements,
         debt,
-        scheduler: SchedulerSnapshot { next_job_id, rejected, replaced, base_seed, nodes },
+        scheduler,
     })
 }
 
@@ -733,5 +583,14 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode_checkpoint(&bytes[..cut]).is_err(), "truncation at {cut}");
         }
+
+        // `target_pct` travels as a u64; a value that does not fit the
+        // u32 field is corruption, not something to truncate.
+        let target_at = 8 + 8 + 9 + 1;
+        assert_eq!(bytes[target_at..target_at + 8], 40u64.to_le_bytes());
+        let mut wide = bytes.clone();
+        wide[target_at + 4] = 1;
+        let err = decode_checkpoint(&wide).unwrap_err();
+        assert_eq!(err.expected, "target pct");
     }
 }

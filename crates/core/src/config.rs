@@ -111,33 +111,39 @@ impl RecoveryConfig {
     }
 
     /// Windows of backoff to wait before retry `attempt` (1-based):
-    /// capped exponential (`backoff_windows << (attempt-1)`, at most
-    /// [`RecoveryConfig::backoff_cap`]) plus deterministic seed-derived
-    /// jitter in `0..=jitter_windows`. A pure function of the config and
-    /// the attempt number, so retry schedules replay byte-identically.
+    /// [`capped_backoff`] over this config's base, cap and jitter.
     #[must_use]
     pub fn backoff_for(&self, attempt: usize) -> usize {
-        if attempt == 0 || self.backoff_windows == 0 {
-            return 0;
-        }
-        let shift = (attempt - 1).min(usize::BITS as usize - 1) as u32;
-        let exp = self
-            .backoff_windows
-            .checked_shl(shift)
-            .unwrap_or(self.backoff_cap)
-            .min(self.backoff_cap.max(self.backoff_windows));
-        let jitter = if self.jitter_windows == 0 {
-            0
-        } else {
-            // SplitMix64 finalizer over (seed, attempt): well-mixed but
-            // reproducible, mirroring the fault-injection streams.
-            let mut z = self.jitter_seed ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) as usize % (self.jitter_windows + 1)
-        };
-        exp + jitter
+        capped_backoff(
+            self.backoff_windows as u64,
+            self.backoff_cap as u64,
+            self.jitter_windows as u64,
+            self.jitter_seed,
+            attempt as u64,
+        ) as usize
     }
+}
+
+/// Capped exponential backoff before retry `attempt` (1-based), shared by
+/// the controller's fault retries and the fleet supervisor's restarts:
+/// `base << (attempt-1)` (shift clamped at 63, bits shifted out dropped),
+/// at most `max(cap, base)`, plus deterministic jitter in `0..=jitter`
+/// from a SplitMix64 finalizer over `(seed, attempt)`. Attempt 0 or a
+/// zero base waits nothing. A pure function of its arguments, so retry
+/// schedules replay byte-identically.
+#[must_use]
+pub fn capped_backoff(base: u64, cap: u64, jitter: u64, seed: u64, attempt: u64) -> u64 {
+    if attempt == 0 || base == 0 {
+        return 0;
+    }
+    let exp = (base << (attempt - 1).min(63)).min(cap.max(base));
+    if jitter == 0 {
+        return exp;
+    }
+    let mut z = seed ^ attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    exp + (z ^ (z >> 31)) % (jitter + 1)
 }
 
 /// Full CLITE configuration.
@@ -275,5 +281,59 @@ mod tests {
             (1..=8).any(|n| other.backoff_for(n) != r.backoff_for(n)),
             "different seeds should decorrelate some attempt"
         );
+    }
+
+    /// The pre-consolidation `RecoveryConfig::backoff_for`, kept verbatim
+    /// as the reference [`capped_backoff`] must reproduce (the fleet
+    /// supervisor's copy was the same formula over `u64`/`u32`).
+    fn reference_backoff(r: &RecoveryConfig, attempt: usize) -> usize {
+        if attempt == 0 || r.backoff_windows == 0 {
+            return 0;
+        }
+        let shift = (attempt - 1).min(usize::BITS as usize - 1) as u32;
+        let exp = r
+            .backoff_windows
+            .checked_shl(shift)
+            .unwrap_or(r.backoff_cap)
+            .min(r.backoff_cap.max(r.backoff_windows));
+        let jitter = if r.jitter_windows == 0 {
+            0
+        } else {
+            let mut z = r.jitter_seed ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as usize % (r.jitter_windows + 1)
+        };
+        exp + jitter
+    }
+
+    #[test]
+    fn capped_backoff_matches_the_reference_formula() {
+        // Bases include 0, caps below the base, and bases whose shifts
+        // overflow (bits shifted out, and shifts clamped at 63).
+        let bases = [0, 1, 3, 7, 1 << 40, 1 << 62, 1 << 63, u64::MAX >> 2];
+        let caps = [0, 1, 2, 8, 16, 1000, 1 << 50];
+        for base in bases {
+            for cap in caps {
+                for (jitter, seed) in [(0, 0), (0, 0xFEED), (3, 0xFEED), (17, 0xBEEF), (1, 0)] {
+                    for attempt in 0..=70 {
+                        let config = RecoveryConfig {
+                            backoff_windows: base as usize,
+                            backoff_cap: cap as usize,
+                            jitter_windows: jitter as usize,
+                            jitter_seed: seed,
+                            ..RecoveryConfig::default()
+                        };
+                        let want = reference_backoff(&config, attempt as usize) as u64;
+                        let got = capped_backoff(base, cap, jitter, seed, attempt);
+                        assert_eq!(
+                            got, want,
+                            "base {base} cap {cap} jitter {jitter} seed {seed} attempt {attempt}"
+                        );
+                        assert_eq!(config.backoff_for(attempt as usize) as u64, want);
+                    }
+                }
+            }
+        }
     }
 }

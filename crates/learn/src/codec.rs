@@ -1,26 +1,22 @@
 //! Checksummed, versioned model files.
 //!
-//! On-disk layout mirrors the `clite-store` log framing
-//! ([`clite_store::log`]):
-//!
-//! ```text
-//! [ b"CLITELRN" ][ version: u32 LE ]            file header, 12 bytes
-//! [ REC_MAGIC: u32 LE ][ len: u32 LE ]
-//! [ fnv1a64(payload): u64 LE ][ payload ]       exactly one frame
-//! ```
-//!
-//! The payload is a fixed little-endian record: feature version, weight
-//! dimension, epoch count, a reserved word, the final training loss, then
-//! the weights. [`decode`] is a total function — any byte sequence maps
-//! to `Some(model)` or `None`, never a panic — and rejects a model whose
-//! feature schema no longer matches [`FEATURE_DIM`]/[`FEATURE_VERSION`]:
-//! stale weights degrade to the zero model rather than scoring a schema
-//! they were never trained on.
+//! A model file is a [`clite_store::blob`] with magic `CLITELRN`: the
+//! shared 12-byte header and exactly one checksummed frame (layout in
+//! [`clite_store::log`]). This module only owns the payload, a fixed
+//! little-endian record written with the store codec: feature version,
+//! weight dimension, epoch count, a reserved word, the final training
+//! loss, then the weights. [`decode`] is a total function — any byte
+//! sequence maps to `Some(model)` or `None`, never a panic — and rejects
+//! a model whose feature schema no longer matches
+//! [`FEATURE_DIM`]/[`FEATURE_VERSION`]: stale weights degrade to the
+//! zero model rather than scoring a schema they were never trained on.
 
 use std::io::Write;
 use std::path::Path;
 
-use clite_store::log::{fnv1a64, frame, FRAME_PROLOGUE_LEN, MAX_PAYLOAD_LEN, REC_MAGIC};
+use clite_store::blob;
+use clite_store::codec::{put_f64, put_u32, DecodeError, Reader};
+use clite_store::log::tmp_path;
 
 use crate::features::{FEATURE_DIM, FEATURE_VERSION};
 use crate::model::RankingModel;
@@ -29,8 +25,6 @@ use crate::model::RankingModel;
 pub const MODEL_MAGIC: &[u8; 8] = b"CLITELRN";
 /// Current container format version.
 pub const MODEL_FORMAT_VERSION: u32 = 1;
-/// Header length in bytes (magic + version).
-pub const HEADER_LEN: usize = 12;
 
 /// Why a model failed to load.
 #[derive(Debug)]
@@ -64,89 +58,54 @@ impl From<std::io::Error> for ModelError {
 #[must_use]
 pub fn encode(model: &RankingModel) -> Vec<u8> {
     let mut payload = Vec::with_capacity(24 + 8 * model.weights.len());
-    payload.extend_from_slice(&model.feature_version.to_le_bytes());
-    payload.extend_from_slice(&(model.weights.len() as u32).to_le_bytes());
-    payload.extend_from_slice(&model.epochs.to_le_bytes());
-    payload.extend_from_slice(&0u32.to_le_bytes()); // reserved
-    payload.extend_from_slice(&model.train_loss.to_le_bytes());
-    for w in &model.weights {
-        payload.extend_from_slice(&w.to_le_bytes());
+    put_u32(&mut payload, model.feature_version);
+    put_u32(&mut payload, model.weights.len() as u32);
+    put_u32(&mut payload, model.epochs);
+    put_u32(&mut payload, 0); // reserved
+    put_f64(&mut payload, model.train_loss);
+    for &w in &model.weights {
+        put_f64(&mut payload, w);
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + FRAME_PROLOGUE_LEN + payload.len());
-    out.extend_from_slice(MODEL_MAGIC);
-    out.extend_from_slice(&MODEL_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&frame(&payload));
-    out
+    blob::encode(MODEL_MAGIC, MODEL_FORMAT_VERSION, &payload)
 }
 
 /// Decodes a model from a full file image. Total: returns `None` for any
 /// malformed, truncated, bit-flipped, or schema-incompatible input.
 #[must_use]
 pub fn decode(bytes: &[u8]) -> Option<RankingModel> {
-    if bytes.len() < HEADER_LEN
-        || &bytes[..8] != MODEL_MAGIC
-        || u32::from_le_bytes(bytes[8..12].try_into().ok()?) != MODEL_FORMAT_VERSION
-    {
-        return None;
-    }
-    let rest = &bytes[HEADER_LEN..];
-    if rest.len() < FRAME_PROLOGUE_LEN {
-        return None;
-    }
-    if u32::from_le_bytes(rest[0..4].try_into().ok()?) != REC_MAGIC {
-        return None;
-    }
-    let len = u32::from_le_bytes(rest[4..8].try_into().ok()?);
-    if len > MAX_PAYLOAD_LEN {
-        return None;
-    }
-    let payload = rest.get(FRAME_PROLOGUE_LEN..FRAME_PROLOGUE_LEN + len as usize)?;
-    // Trailing garbage after the single frame is corruption too.
-    if rest.len() != FRAME_PROLOGUE_LEN + len as usize {
-        return None;
-    }
-    let checksum = u64::from_le_bytes(rest[8..16].try_into().ok()?);
-    if fnv1a64(payload) != checksum {
-        return None;
-    }
-    decode_payload(payload)
+    let payload = blob::decode(bytes, MODEL_MAGIC, MODEL_FORMAT_VERSION).ok()?;
+    decode_payload(payload).ok()
 }
 
 /// Decodes the fixed-layout payload, enforcing the feature schema.
-fn decode_payload(payload: &[u8]) -> Option<RankingModel> {
-    if payload.len() < 24 {
-        return None;
+fn decode_payload(payload: &[u8]) -> Result<RankingModel, DecodeError> {
+    let mut r = Reader::new(payload);
+    let feature_version = r.u32("feature version")?;
+    let dim = r.u32("weight dimension")?;
+    let epochs = r.u32("epochs")?;
+    r.u32("reserved word")?;
+    let train_loss = r.f64("train loss")?;
+    if feature_version != FEATURE_VERSION || dim as usize != FEATURE_DIM {
+        return Err(r.fail("current feature schema"));
     }
-    let feature_version = u32::from_le_bytes(payload[0..4].try_into().ok()?);
-    let dim = u32::from_le_bytes(payload[4..8].try_into().ok()?) as usize;
-    let epochs = u32::from_le_bytes(payload[8..12].try_into().ok()?);
-    let train_loss = f64::from_le_bytes(payload[16..24].try_into().ok()?);
-    if feature_version != FEATURE_VERSION || dim != FEATURE_DIM {
-        return None;
+    let weights = (0..FEATURE_DIM).map(|_| r.f64("weight")).collect::<Result<Vec<_>, _>>()?;
+    if !r.done() || weights.iter().any(|w| !w.is_finite()) || !train_loss.is_finite() {
+        return Err(r.fail("finite weights, then end of payload"));
     }
-    if payload.len() != 24 + 8 * dim {
-        return None;
-    }
-    let weights: Vec<f64> = (0..dim)
-        .map(|i| {
-            let start = 24 + 8 * i;
-            f64::from_le_bytes(payload[start..start + 8].try_into().expect("8 bytes"))
-        })
-        .collect();
-    if weights.iter().any(|w| !w.is_finite()) || !train_loss.is_finite() {
-        return None;
-    }
-    Some(RankingModel { feature_version, weights, epochs, train_loss })
+    Ok(RankingModel { feature_version, weights, epochs, train_loss })
 }
 
-/// Writes `model` to `path` (atomically: temp file + rename, so a crash
-/// mid-save never leaves a torn model where a valid one stood).
+/// Writes `model` to `path` atomically: the bytes go to
+/// [`tmp_path`]`(path)` and are fsynced before the rename, so a crash or
+/// power loss mid-save never leaves a torn model where a valid one
+/// stood. (The model is the only framed file that fsyncs: it is written
+/// once per training run, not on the scheduling path.)
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::Io`] on filesystem failures.
 pub fn save(path: &Path, model: &RankingModel) -> Result<(), ModelError> {
-    let tmp = path.with_extension("tmp");
+    let tmp = tmp_path(path);
     {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(&encode(model))?;
@@ -183,6 +142,7 @@ pub fn load_or_zeroed(path: &Path) -> (RankingModel, Option<ModelError>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clite_store::log::{FRAME_PROLOGUE_LEN, HEADER_LEN};
 
     fn sample_model() -> RankingModel {
         RankingModel {
@@ -209,9 +169,9 @@ mod tests {
         assert!(decode(&[]).is_none());
         assert!(decode(b"CLITELRN").is_none(), "header only");
         assert!(decode(&good[..good.len() - 1]).is_none(), "torn tail");
-        assert!(decode(&good[..HEADER_LEN + 3]).is_none(), "torn prologue");
+        assert!(decode(&good[..HEADER_LEN as usize + 3]).is_none(), "torn prologue");
         let mut flipped = good.clone();
-        let mid = HEADER_LEN + FRAME_PROLOGUE_LEN + 10;
+        let mid = HEADER_LEN as usize + FRAME_PROLOGUE_LEN + 10;
         flipped[mid] ^= 0x40;
         assert!(decode(&flipped).is_none(), "bit flip fails the checksum");
         let mut wrong_magic = good.clone();
@@ -259,6 +219,20 @@ mod tests {
         let (fallback, err) = load_or_zeroed(&dir.join("absent.clite"));
         assert!(fallback.is_zero());
         assert!(matches!(err, Some(ModelError::Io(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_leaves_an_unrelated_tmp_sibling_untouched() {
+        let dir = std::env::temp_dir().join(format!("clite-learn-tmp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let unrelated = dir.join("x.tmp");
+        std::fs::write(&unrelated, b"not a model").unwrap();
+        let path = dir.join("x.model");
+        save(&path, &sample_model()).unwrap();
+        assert_eq!(load(&path).unwrap(), sample_model());
+        assert_eq!(std::fs::read(&unrelated).unwrap(), b"not a model", "x.tmp was clobbered");
+        assert!(!tmp_path(&path).exists(), "the temp file is renamed away");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

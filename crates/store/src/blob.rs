@@ -1,22 +1,17 @@
-//! Atomic checksummed single-blob files: the checkpoint codec.
+//! Atomic checksummed single-blob files: the checkpoint and model codec.
 //!
-//! A blob file is `[magic: 8 bytes][version: u32 LE][frame(payload)]`,
-//! with the frame borrowed from the record log ([`crate::log::frame`]:
-//! record magic, length, FNV-1a 64 checksum, payload). Writes go through
-//! a `.tmp` sibling and a rename, so a crash leaves either the old blob
-//! or the new one — never a mix — and reads treat *any* malformed byte
-//! as "no usable blob" rather than an error, because a checkpoint that
-//! fails its checksum must degrade to full-journal replay, not abort
-//! recovery.
+//! A blob file is a [`crate::log::header`] followed by exactly one
+//! [`crate::log::frame`] — the record log's layout with one record.
+//! [`save`] writes it through [`crate::log::write_atomic`], so a crash
+//! leaves either the old blob or the new one — never a mix — and [`read`]
+//! treats *any* malformed byte as "no usable blob" rather than an error,
+//! because a checkpoint that fails its checksum must degrade to
+//! full-journal replay, not abort recovery.
 
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::log::{fnv1a64, FRAME_PROLOGUE_LEN, MAX_PAYLOAD_LEN, REC_MAGIC};
+use crate::log::{header, read_frame, write_atomic};
 use crate::{StoreError, StoreResult};
-
-/// Blob header length: magic + version.
-const BLOB_HEADER_LEN: usize = 12;
 
 /// What reading a blob file found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,38 +28,44 @@ pub enum BlobRead {
     Valid(Vec<u8>),
 }
 
-/// Atomically writes `payload` as a checksummed blob at `path`.
+/// The whole file image of a blob holding `payload`.
+#[must_use]
+pub fn encode(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = header(magic, version).to_vec();
+    bytes.extend_from_slice(&crate::log::frame(payload));
+    bytes
+}
+
+/// The payload of a whole blob file image, checking magic, version,
+/// framing and checksum. Total: never panics on any input.
 ///
-/// The `.tmp` suffix is appended to the full file name, mirroring
-/// [`crate::log::LogFile::rewrite`].
+/// # Errors
+///
+/// Names the failed check; bytes after the single frame are corruption.
+pub fn decode<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    version: u32,
+) -> Result<&'a [u8], &'static str> {
+    let rest = bytes.strip_prefix(&header(magic, version)).ok_or("bad header")?;
+    let (payload, len) = read_frame(rest)?;
+    if len != rest.len() {
+        return Err("trailing bytes");
+    }
+    Ok(payload)
+}
+
+/// Atomically writes `payload` as a checksummed blob at `path`.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Io`] on filesystem failures.
 pub fn save(path: &Path, magic: &[u8; 8], version: u32, payload: &[u8]) -> StoreResult<()> {
-    let io =
-        |op: &'static str| move |e: std::io::Error| StoreError::Io { op, message: e.to_string() };
-    let tmp = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        PathBuf::from(os)
-    };
-    {
-        let mut out = std::fs::File::create(&tmp).map_err(io("create tmp"))?;
-        let mut bytes = Vec::with_capacity(BLOB_HEADER_LEN + FRAME_PROLOGUE_LEN + payload.len());
-        bytes.extend_from_slice(magic);
-        bytes.extend_from_slice(&version.to_le_bytes());
-        bytes.extend_from_slice(&crate::log::frame(payload));
-        out.write_all(&bytes).map_err(io("write tmp"))?;
-        out.flush().map_err(io("flush tmp"))?;
-    }
-    std::fs::rename(&tmp, path).map_err(io("rename"))?;
-    Ok(())
+    write_atomic(path, &encode(magic, version, payload))
 }
 
-/// Reads the blob at `path`, verifying magic, version, framing, and
-/// checksum. Total on content: corruption maps to [`BlobRead::Corrupt`],
-/// never a panic or an error.
+/// Reads the blob at `path` through [`decode`]. Total on content:
+/// corruption maps to [`BlobRead::Corrupt`], never a panic or an error.
 ///
 /// # Errors
 ///
@@ -76,39 +77,10 @@ pub fn read(path: &Path, magic: &[u8; 8], version: u32) -> StoreResult<BlobRead>
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BlobRead::Missing),
         Err(e) => return Err(StoreError::Io { op: "read blob", message: e.to_string() }),
     };
-    Ok(parse(&bytes, magic, version))
-}
-
-fn parse(bytes: &[u8], magic: &[u8; 8], version: u32) -> BlobRead {
-    let corrupt = |reason| BlobRead::Corrupt { reason };
-    if bytes.len() < BLOB_HEADER_LEN + FRAME_PROLOGUE_LEN {
-        return corrupt("truncated header");
-    }
-    if &bytes[..8] != magic {
-        return corrupt("bad magic");
-    }
-    if u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) != version {
-        return corrupt("bad version");
-    }
-    let frame = &bytes[BLOB_HEADER_LEN..];
-    if u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) != REC_MAGIC {
-        return corrupt("bad frame magic");
-    }
-    let len = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-    if len > MAX_PAYLOAD_LEN {
-        return corrupt("absurd length");
-    }
-    let checksum = u64::from_le_bytes(frame[8..16].try_into().expect("8 bytes"));
-    let Some(payload) = frame.get(FRAME_PROLOGUE_LEN..FRAME_PROLOGUE_LEN + len as usize) else {
-        return corrupt("truncated payload");
-    };
-    if frame.len() != FRAME_PROLOGUE_LEN + len as usize {
-        return corrupt("trailing bytes");
-    }
-    if fnv1a64(payload) != checksum {
-        return corrupt("checksum mismatch");
-    }
-    BlobRead::Valid(payload.to_vec())
+    Ok(match decode(&bytes, magic, version) {
+        Ok(payload) => BlobRead::Valid(payload.to_vec()),
+        Err(reason) => BlobRead::Corrupt { reason },
+    })
 }
 
 #[cfg(test)]
@@ -117,7 +89,7 @@ mod tests {
 
     const MAGIC: &[u8; 8] = b"CLITETST";
 
-    fn tmp_dir(tag: &str) -> PathBuf {
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("clite-blob-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -147,18 +119,13 @@ mod tests {
         for at in 0..img.len() {
             let mut bad = img.clone();
             bad[at] ^= 0x40;
-            match parse(&bad, MAGIC, 1) {
-                BlobRead::Valid(p) => panic!("flip at {at} still read valid: {p:?}"),
-                BlobRead::Missing => unreachable!(),
-                BlobRead::Corrupt { .. } => {}
+            if let Ok(p) = decode(&bad, MAGIC, 1) {
+                panic!("flip at {at} still read valid: {p:?}");
             }
         }
         // Truncation at every offset is equally non-fatal.
         for cut in 0..img.len() {
-            assert!(
-                matches!(parse(&img[..cut], MAGIC, 1), BlobRead::Corrupt { .. }),
-                "cut at {cut}"
-            );
+            assert!(decode(&img[..cut], MAGIC, 1).is_err(), "cut at {cut}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -68,14 +68,25 @@ pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends an optional `f64` as a presence byte plus the value.
-pub fn put_opt_f64(buf: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => put_u8(buf, 0),
-        Some(x) => {
-            put_u8(buf, 1);
-            put_f64(buf, x);
-        }
+/// Appends a flag as one byte: `0` or `1`.
+pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
+    put_u8(buf, u8::from(v));
+}
+
+/// Appends an optional value as a presence flag plus, when present, the
+/// value written by `put`.
+pub fn put_opt<T>(buf: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    put_bool(buf, v.is_some());
+    if let Some(x) = v {
+        put(buf, x);
+    }
+}
+
+/// Appends a sequence as a `u32` count plus each item written by `put`.
+pub fn put_seq<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(buf, items.len() as u32);
+    for x in items {
+        put(buf, x);
     }
 }
 
@@ -155,17 +166,58 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.bytes(8, expected)?.try_into().expect("8 bytes")))
     }
 
-    /// Reads an optional `f64` (presence byte plus value).
+    /// Reads a flag written by [`put_bool`].
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] on a malformed presence byte or short input.
-    pub fn opt_f64(&mut self, expected: &'static str) -> Result<Option<f64>, DecodeError> {
+    /// Returns [`DecodeError`] at end of input or on a byte other than
+    /// `0` or `1`.
+    pub fn bool(&mut self, expected: &'static str) -> Result<bool, DecodeError> {
         match self.u8(expected)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64(expected)?)),
+            0 => Ok(false),
+            1 => Ok(true),
             _ => Err(self.fail(expected)),
         }
+    }
+
+    /// Reads an optional value written by [`put_opt`], decoding a present
+    /// value with `read`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] on a malformed presence flag or whatever
+    /// `read` rejects.
+    pub fn opt<T>(
+        &mut self,
+        expected: &'static str,
+        read: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Option<T>, DecodeError> {
+        Ok(if self.bool(expected)? { Some(read(self)?) } else { None })
+    }
+
+    /// Reads a sequence written by [`put_seq`], decoding each item with
+    /// `read`. A count above `max` can only come from flipped bits and is
+    /// rejected before anything is allocated for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] on a count above `max`, short input, or
+    /// whatever `read` rejects.
+    pub fn seq<T>(
+        &mut self,
+        max: usize,
+        expected: &'static str,
+        mut read: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.u32(expected)? as usize;
+        if n > max {
+            return Err(self.fail(expected));
+        }
+        let mut items = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            items.push(read(self)?);
+        }
+        Ok(items)
     }
 
     /// True once the whole slice has been consumed (decoders require this
@@ -233,12 +285,11 @@ fn read_counters(r: &mut Reader<'_>) -> Result<CounterSample, DecodeError> {
 
 /// Encodes partition rows (units only; the catalog travels separately).
 pub fn put_partition_rows(buf: &mut Vec<u8>, partition: &Partition) {
-    put_u32(buf, partition.job_count() as u32);
-    for row in partition.rows() {
+    put_seq(buf, partition.rows(), |buf, row| {
         for u in row.all_units() {
             put_u32(buf, u);
         }
-    }
+    });
 }
 
 /// Reads partition rows back under `catalog`, validating feasibility.
@@ -251,15 +302,13 @@ pub fn read_partition_rows(
     r: &mut Reader<'_>,
     catalog: ResourceCatalog,
 ) -> Result<Partition, DecodeError> {
-    let n_rows = job_count(r, "partition row count")?;
-    let mut rows = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
+    let rows = jobs(r, "partition row count", |r| {
         let mut units = [0u32; NUM_RESOURCES];
         for u in &mut units {
             *u = r.u32("partition units")?;
         }
-        rows.push(JobAllocation::from_units(units));
-    }
+        Ok(JobAllocation::from_units(units))
+    })?;
     Partition::from_rows(catalog, rows).map_err(|_| r.fail("feasible partition rows"))
 }
 
@@ -267,8 +316,7 @@ pub fn read_partition_rows(
 pub fn put_observation(buf: &mut Vec<u8>, observation: &Observation) {
     put_f64(buf, observation.time_s);
     put_f64(buf, observation.window_s);
-    put_u32(buf, observation.jobs.len() as u32);
-    for j in &observation.jobs {
+    put_seq(buf, &observation.jobs, |buf, j| {
         put_u8(buf, workload_code(j.workload));
         put_u8(buf, class_code(j.class));
         put_f64(buf, j.latency_p95_us);
@@ -282,10 +330,10 @@ pub fn put_observation(buf: &mut Vec<u8>, observation: &Observation) {
                 Some(true) => 2,
             },
         );
-        put_opt_f64(buf, j.qos_target_us);
-        put_opt_f64(buf, j.iso_latency_p95_us);
+        put_opt(buf, j.qos_target_us, put_f64);
+        put_opt(buf, j.iso_latency_p95_us, put_f64);
         put_counters(buf, &j.counters);
-    }
+    });
 }
 
 /// Reads one observation window back.
@@ -296,44 +344,38 @@ pub fn put_observation(buf: &mut Vec<u8>, observation: &Observation) {
 pub fn read_observation(r: &mut Reader<'_>) -> Result<Observation, DecodeError> {
     let time_s = r.f64("observation time")?;
     let window_s = r.f64("observation window")?;
-    let n_obs = job_count(r, "observation job count")?;
-    let mut obs_jobs = Vec::with_capacity(n_obs);
-    for _ in 0..n_obs {
-        let workload = workload_from_code(r)?;
-        let class = class_from_code(r)?;
-        let latency_p95_us = r.f64("latency")?;
-        let offered_qps = r.f64("offered qps")?;
-        let normalized_perf = r.f64("normalized perf")?;
-        let qos_met = match r.u8("qos met flag")? {
-            0 => None,
-            1 => Some(false),
-            2 => Some(true),
-            _ => return Err(r.fail("qos met flag")),
-        };
-        let qos_target_us = r.opt_f64("qos target")?;
-        let iso_latency_p95_us = r.opt_f64("iso latency")?;
-        let counters = read_counters(r)?;
-        obs_jobs.push(JobObservation {
-            workload,
-            class,
-            latency_p95_us,
-            offered_qps,
-            normalized_perf,
-            qos_met,
-            qos_target_us,
-            iso_latency_p95_us,
-            counters,
-        });
-    }
-    Ok(Observation { time_s, window_s, jobs: obs_jobs })
+    let jobs = jobs(r, "observation job count", |r| {
+        Ok(JobObservation {
+            workload: workload_from_code(r)?,
+            class: class_from_code(r)?,
+            latency_p95_us: r.f64("latency")?,
+            offered_qps: r.f64("offered qps")?,
+            normalized_perf: r.f64("normalized perf")?,
+            qos_met: match r.u8("qos met flag")? {
+                0 => None,
+                1 => Some(false),
+                2 => Some(true),
+                _ => return Err(r.fail("qos met flag")),
+            },
+            qos_target_us: r.opt("qos target", |r| r.f64("qos target"))?,
+            iso_latency_p95_us: r.opt("iso latency", |r| r.f64("iso latency"))?,
+            counters: read_counters(r)?,
+        })
+    })?;
+    Ok(Observation { time_s, window_s, jobs })
 }
 
-fn job_count(r: &mut Reader<'_>, expected: &'static str) -> Result<usize, DecodeError> {
-    let n = r.u32(expected)? as usize;
-    if n == 0 || n > MAX_JOBS {
+/// A per-job sequence: at least one and at most [`MAX_JOBS`] items.
+fn jobs<T>(
+    r: &mut Reader<'_>,
+    expected: &'static str,
+    read: impl FnMut(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let items = r.seq(MAX_JOBS, expected, read)?;
+    if items.is_empty() {
         return Err(r.fail(expected));
     }
-    Ok(n)
+    Ok(items)
 }
 
 /// Encodes one record into the payload byte form framed by the log.
@@ -345,13 +387,12 @@ pub fn encode_record(record: &StoreRecord) -> Vec<u8> {
     for u in record.signature.catalog {
         put_u32(&mut buf, u);
     }
-    put_u32(&mut buf, record.signature.jobs.len() as u32);
-    for j in &record.signature.jobs {
-        put_u8(&mut buf, workload_code(j.workload));
-        put_u8(&mut buf, class_code(j.class));
-        put_u64(&mut buf, j.qos_decius);
-        put_u32(&mut buf, j.load_pct);
-    }
+    put_seq(&mut buf, &record.signature.jobs, |buf, j| {
+        put_u8(buf, workload_code(j.workload));
+        put_u8(buf, class_code(j.class));
+        put_u64(buf, j.qos_decius);
+        put_u32(buf, j.load_pct);
+    });
 
     // Partition rows (the catalog is the signature's), then observation.
     put_partition_rows(&mut buf, &record.partition);
@@ -375,16 +416,14 @@ pub fn decode_record(payload: &[u8]) -> Result<StoreRecord, DecodeError> {
     for u in &mut catalog {
         *u = r.u32("catalog units")?;
     }
-    let n_jobs = job_count(&mut r, "signature job count")?;
-    let mut jobs = Vec::with_capacity(n_jobs);
-    for _ in 0..n_jobs {
-        jobs.push(JobSignature {
-            workload: workload_from_code(&mut r)?,
-            class: class_from_code(&mut r)?,
+    let jobs = jobs(&mut r, "signature job count", |r| {
+        Ok(JobSignature {
+            workload: workload_from_code(r)?,
+            class: class_from_code(r)?,
             qos_decius: r.u64("qos target")?,
             load_pct: r.u32("load percent")?,
-        });
-    }
+        })
+    })?;
     let signature = MixSignature { catalog, jobs };
 
     let cat = ResourceCatalog::new(catalog).map_err(|_| r.fail("valid catalog"))?;
@@ -437,6 +476,27 @@ mod tests {
         for cut in 0..payload.len() {
             assert!(decode_record(&payload[..cut]).is_err(), "cut at {cut} must not decode");
         }
+    }
+
+    #[test]
+    fn flags_optionals_and_sequences_round_trip_and_stay_strict() {
+        let mut buf = Vec::new();
+        put_bool(&mut buf, true);
+        put_opt(&mut buf, Some(7u64), put_u64);
+        put_opt(&mut buf, None::<u64>, put_u64);
+        put_seq(&mut buf, &[1.5f64, -2.0], |buf, &x| put_f64(buf, x));
+        let mut r = Reader::new(&buf);
+        assert!(r.bool("flag").unwrap());
+        assert_eq!(r.opt("some", |r| r.u64("some")).unwrap(), Some(7));
+        assert_eq!(r.opt("none", |r| r.u64("none")).unwrap(), None);
+        assert_eq!(r.seq(2, "seq", |r| r.f64("seq")).unwrap(), vec![1.5, -2.0]);
+        assert!(r.done());
+
+        assert!(Reader::new(&[2]).bool("flag").is_err(), "a flag is 0 or 1");
+        assert!(Reader::new(&[2, 0]).opt("opt", |r| r.u8("x")).is_err());
+        let over = u32::MAX.to_le_bytes();
+        let err = Reader::new(&over).seq(2, "seq count", |r| r.u8("x")).unwrap_err();
+        assert_eq!((err.offset, err.expected), (4, "seq count"), "over-cap count rejected");
     }
 
     #[test]

@@ -77,11 +77,12 @@ impl EventJournal {
         let (log, rec) = LogFile::open(path)?;
         let mut records = Vec::with_capacity(rec.payloads.len());
         for (i, payload) in rec.payloads.iter().enumerate() {
-            let Some(seqno) = decode_seqno(payload) else { break };
-            if seqno != i as u64 {
-                break;
+            match payload.split_first_chunk::<SEQNO_LEN>() {
+                Some((seqno, body)) if u64::from_le_bytes(*seqno) == i as u64 => {
+                    records.push(JournalRecord { seqno: i as u64, payload: body.to_vec() });
+                }
+                _ => break,
             }
-            records.push(JournalRecord { seqno, payload: payload[SEQNO_LEN..].to_vec() });
         }
         let dropped_records = (rec.payloads.len() - records.len()) as u64;
         let log = if dropped_records > 0 {
@@ -109,7 +110,9 @@ impl EventJournal {
         self.next_seqno
     }
 
-    /// Appends one event payload under `seqno` and flushes it.
+    /// Appends one event payload under `seqno` through
+    /// [`LogFile::append`]: handed to the OS, not fsynced, so it survives
+    /// a process crash but is not claimed to survive power loss.
     ///
     /// The frame is written with a single `write_all`, so a crash
     /// mid-append tears at most this record — which the next open drops.
@@ -134,11 +137,6 @@ impl EventJournal {
         self.next_seqno += 1;
         Ok(())
     }
-}
-
-fn decode_seqno(payload: &[u8]) -> Option<u64> {
-    let bytes = payload.get(..SEQNO_LEN)?;
-    Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
 }
 
 #[cfg(test)]
@@ -211,9 +209,7 @@ mod tests {
         let dir = tmp_dir("gap");
         let path = dir.join("fleet.journal");
         // Hand-build a log whose second record skips seqno 1.
-        let mut img = Vec::new();
-        img.extend_from_slice(log::FILE_MAGIC);
-        img.extend_from_slice(&log::FORMAT_VERSION.to_le_bytes());
+        let mut img = log::header(log::FILE_MAGIC, log::FORMAT_VERSION).to_vec();
         for (seqno, body) in [(0u64, b"alpha".as_slice()), (2, b"gamma")] {
             let mut p = seqno.to_le_bytes().to_vec();
             p.extend_from_slice(body);
@@ -236,9 +232,7 @@ mod tests {
     fn short_payload_is_dropped_not_panicked() {
         let dir = tmp_dir("short");
         let path = dir.join("fleet.journal");
-        let mut img = Vec::new();
-        img.extend_from_slice(log::FILE_MAGIC);
-        img.extend_from_slice(&log::FORMAT_VERSION.to_le_bytes());
+        let mut img = log::header(log::FILE_MAGIC, log::FORMAT_VERSION).to_vec();
         img.extend_from_slice(&log::frame(b"abc")); // < 8 bytes: no seqno
         std::fs::write(&path, &img).unwrap();
         let (j, rec) = EventJournal::open(&path).unwrap();

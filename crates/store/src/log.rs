@@ -1,25 +1,37 @@
-//! The append-only record log: framing, checksums, crash recovery.
+//! The framed-file format: one header, one frame, one atomic writer.
 //!
-//! On-disk layout:
+//! Every durable file in the workspace — the observation log, the fleet
+//! journal, the fleet checkpoint and the placement model — is a 12-byte
+//! header followed by frames:
 //!
 //! ```text
-//! [ b"CLITESTO" ][ version: u32 LE ]            file header, 12 bytes
+//! [ magic: 8 bytes ][ version: u32 LE ]         file header, 12 bytes
 //! [ REC_MAGIC: u32 LE ][ len: u32 LE ]
-//! [ fnv1a64(payload): u64 LE ][ payload ]       one frame per record
+//! [ fnv1a64(payload): u64 LE ][ payload ]       one frame
 //! ...
 //! ```
 //!
-//! A crash can leave the file with a torn final frame (short header, short
+//! The record log (`CLITESTO`) and the journal are any number of frames;
+//! a blob ([`crate::blob`]: checkpoint, model) is exactly one. This
+//! module is the only code that knows the layout: [`header`] and
+//! [`frame`] write it, [`read_frame`] checks it, and [`write_atomic`]
+//! replaces a whole file through its [`tmp_path`] sibling.
+//!
+//! A crash can leave a log with a torn final frame (short header, short
 //! payload, or a payload whose checksum no longer matches). Recovery scans
 //! frames from the front and keeps the longest prefix of intact records;
 //! everything from the first bad byte on is truncated away, so the next
 //! append lands on a clean frame boundary. A file whose *header* is bad is
 //! treated as empty and rewritten. Nothing in this module panics on any
 //! input byte sequence.
+//!
+//! Durability: appends and rewrites hand their bytes to the OS with one
+//! `write_all` and no fsync, so they survive a process crash but are not
+//! claimed to survive power loss.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::{StoreError, StoreResult};
 
@@ -47,6 +59,15 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The file header: `magic` then `version` little-endian.
+#[must_use]
+pub fn header(magic: &[u8; 8], version: u32) -> [u8; HEADER_LEN as usize] {
+    let mut out = [0; HEADER_LEN as usize];
+    out[..8].copy_from_slice(magic);
+    out[8..].copy_from_slice(&version.to_le_bytes());
+    out
+}
+
 /// Frames `payload` into the on-disk byte form.
 #[must_use]
 pub fn frame(payload: &[u8]) -> Vec<u8> {
@@ -56,6 +77,54 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// Reads the frame at the start of `bytes`: its payload and the frame's
+/// whole length (prologue + payload), or what check failed.
+///
+/// # Errors
+///
+/// Names the failed check: a short prologue, a bad frame magic, a length
+/// above [`MAX_PAYLOAD_LEN`], a short payload, or a checksum mismatch.
+pub fn read_frame(bytes: &[u8]) -> Result<(&[u8], usize), &'static str> {
+    let (prologue, rest) =
+        bytes.split_first_chunk::<FRAME_PROLOGUE_LEN>().ok_or("truncated frame prologue")?;
+    let word = |at: usize| u32::from_le_bytes(prologue[at..at + 4].try_into().expect("4 bytes"));
+    if word(0) != REC_MAGIC {
+        return Err("bad frame magic");
+    }
+    if word(4) > MAX_PAYLOAD_LEN {
+        return Err("absurd length");
+    }
+    let payload = rest.get(..word(4) as usize).ok_or("truncated payload")?;
+    if fnv1a64(payload) != u64::from_le_bytes(prologue[8..].try_into().expect("8 bytes")) {
+        return Err("checksum mismatch");
+    }
+    Ok((payload, FRAME_PROLOGUE_LEN + payload.len()))
+}
+
+/// The temp sibling [`write_atomic`] writes before its rename: `.tmp`
+/// appended to the full file name, not swapped in for the extension, so
+/// `obs.log.shard0` and `obs.log.shard1` never share a temp file and a
+/// save never clobbers an unrelated `<stem>.tmp`.
+#[must_use]
+pub fn tmp_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(".tmp");
+    PathBuf::from(os)
+}
+
+/// Replaces the file at `path` with `bytes`: written to [`tmp_path`],
+/// then renamed over `path`, so a crash leaves either the old file or the
+/// new one — never a mix. No fsync (see the module docs).
+///
+/// # Errors
+///
+/// Returns [`StoreError::Io`] on filesystem failures.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> StoreResult<()> {
+    let tmp = tmp_path(path);
+    std::fs::write(&tmp, bytes).map_err(|e| io_err("write tmp", &e))?;
+    std::fs::rename(&tmp, path).map_err(|e| io_err("rename", &e))
 }
 
 /// What a recovery scan found in an existing log file.
@@ -77,49 +146,20 @@ pub struct Recovery {
 #[must_use]
 pub fn scan(bytes: &[u8]) -> Recovery {
     let total = bytes.len() as u64;
-    if bytes.len() < HEADER_LEN as usize
-        || &bytes[..8] != FILE_MAGIC
-        || u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) != FORMAT_VERSION
-    {
+    let Some(mut rest) = bytes.strip_prefix(&header(FILE_MAGIC, FORMAT_VERSION)) else {
         return Recovery {
             payloads: Vec::new(),
             valid_len: 0,
             dropped_bytes: total,
             header_rewritten: true,
         };
-    }
-
+    };
     let mut payloads = Vec::new();
-    let mut pos = HEADER_LEN as usize;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.is_empty() {
-            break;
-        }
-        if rest.len() < FRAME_PROLOGUE_LEN {
-            break;
-        }
-        let magic = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-        if magic != REC_MAGIC {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if len > MAX_PAYLOAD_LEN {
-            break;
-        }
-        let len = len as usize;
-        let Some(payload) = rest.get(FRAME_PROLOGUE_LEN..FRAME_PROLOGUE_LEN + len) else {
-            break;
-        };
-        let checksum = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
-        if fnv1a64(payload) != checksum {
-            break;
-        }
+    while let Ok((payload, len)) = read_frame(rest) {
         payloads.push(payload.to_vec());
-        pos += FRAME_PROLOGUE_LEN + len;
+        rest = &rest[len..];
     }
-
-    let valid_len = pos as u64;
+    let valid_len = total - rest.len() as u64;
     Recovery { payloads, valid_len, dropped_bytes: total - valid_len, header_rewritten: false }
 }
 
@@ -158,11 +198,8 @@ impl LogFile {
         if recovery.header_rewritten {
             file.set_len(0).map_err(|e| io_err("truncate", &e))?;
             file.seek(SeekFrom::Start(0)).map_err(|e| io_err("seek", &e))?;
-            let mut header = Vec::with_capacity(HEADER_LEN as usize);
-            header.extend_from_slice(FILE_MAGIC);
-            header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            file.write_all(&header).map_err(|e| io_err("write header", &e))?;
-            file.flush().map_err(|e| io_err("flush", &e))?;
+            file.write_all(&header(FILE_MAGIC, FORMAT_VERSION))
+                .map_err(|e| io_err("write header", &e))?;
         } else if recovery.dropped_bytes > 0 {
             file.set_len(recovery.valid_len).map_err(|e| io_err("truncate", &e))?;
         }
@@ -170,7 +207,7 @@ impl LogFile {
         Ok((Self { file }, recovery))
     }
 
-    /// Appends one framed payload and flushes it to the OS.
+    /// Appends one framed payload (handed to the OS, not fsynced).
     ///
     /// # Errors
     ///
@@ -178,43 +215,21 @@ impl LogFile {
     /// with a single `write_all` so a crash mid-append tears at most the
     /// final frame, which the next open recovers past.
     pub fn append(&mut self, payload: &[u8]) -> StoreResult<()> {
-        let framed = frame(payload);
-        self.file.write_all(&framed).map_err(|e| io_err("append", &e))?;
-        self.file.flush().map_err(|e| io_err("flush", &e))?;
-        Ok(())
+        self.file.write_all(&frame(payload)).map_err(|e| io_err("append", &e))
     }
 
-    /// Atomically replaces the log contents with `payloads` (compaction).
-    ///
-    /// Writes a fresh header + frames to `<path>.tmp`, then renames over
-    /// `path`, so a crash leaves either the old or the new log — never a
-    /// mix.
-    ///
-    /// The `.tmp` suffix is appended to the full file name (not swapped in
-    /// for the extension): sharded stores name their logs `obs.log.shardN`
-    /// and must not share one temp file across shards.
+    /// Atomically replaces the log contents with `payloads` (compaction)
+    /// through [`write_atomic`], then reopens it for appends.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on filesystem failures.
     pub fn rewrite(path: &Path, payloads: &[Vec<u8>]) -> StoreResult<Self> {
-        let tmp = {
-            let mut os = path.as_os_str().to_os_string();
-            os.push(".tmp");
-            std::path::PathBuf::from(os)
-        };
-        {
-            let mut out = File::create(&tmp).map_err(|e| io_err("create tmp", &e))?;
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(FILE_MAGIC);
-            bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            for p in payloads {
-                bytes.extend_from_slice(&frame(p));
-            }
-            out.write_all(&bytes).map_err(|e| io_err("write tmp", &e))?;
-            out.flush().map_err(|e| io_err("flush tmp", &e))?;
+        let mut bytes = header(FILE_MAGIC, FORMAT_VERSION).to_vec();
+        for p in payloads {
+            bytes.extend_from_slice(&frame(p));
         }
-        std::fs::rename(&tmp, path).map_err(|e| io_err("rename", &e))?;
+        write_atomic(path, &bytes)?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -230,9 +245,7 @@ mod tests {
     use super::*;
 
     fn image(payloads: &[&[u8]]) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(FILE_MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        let mut bytes = header(FILE_MAGIC, FORMAT_VERSION).to_vec();
         for p in payloads {
             bytes.extend_from_slice(&frame(p));
         }
@@ -297,6 +310,28 @@ mod tests {
         let rec = scan(&img);
         assert!(rec.payloads.is_empty());
         assert_eq!(rec.valid_len, HEADER_LEN);
+    }
+
+    #[test]
+    fn read_frame_names_each_failed_check() {
+        let good = frame(b"payload");
+        assert_eq!(read_frame(&good), Ok((&b"payload"[..], good.len())));
+        assert_eq!(read_frame(&good[..15]), Err("truncated frame prologue"));
+        assert_eq!(read_frame(&good[..good.len() - 1]), Err("truncated payload"));
+        let flip = |at: usize, mask: u8| {
+            let mut bad = good.clone();
+            bad[at] ^= mask;
+            read_frame(&bad).err()
+        };
+        assert_eq!(flip(0, 0x01), Some("bad frame magic"));
+        assert_eq!(flip(7, 0x80), Some("absurd length"));
+        assert_eq!(flip(good.len() - 1, 0x01), Some("checksum mismatch"));
+    }
+
+    #[test]
+    fn tmp_path_appends_to_the_full_file_name() {
+        assert_eq!(tmp_path(Path::new("d/obs.log.shard0")), PathBuf::from("d/obs.log.shard0.tmp"));
+        assert_eq!(tmp_path(Path::new("placement.model")), PathBuf::from("placement.model.tmp"));
     }
 
     #[test]
