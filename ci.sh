@@ -201,6 +201,12 @@ if [[ "${1:-}" != "quick" ]]; then
     step "cargo test -p clite-cluster --test format_pins --release -q"
     cargo test -p clite-cluster --test format_pins --release -q
 
+    # Checkpoints share each node's committed outcome and reuse its
+    # memoized bytes: every checkpoint on crash-laden generated traces
+    # must round-trip, match a fresh encoding and share, not copy.
+    step "cargo test -p clite-cluster --test checkpoint_memo --release -q"
+    cargo test -p clite-cluster --test checkpoint_memo --release -q
+
     # Kill-and-recover CLI smoke test: journal a fleet run, kill it
     # mid-trace, then resume from the journal — the recovered run must
     # report the replayed suffix and still reach the completion marker.

@@ -1,5 +1,7 @@
 //! A single server in the fleet and its committed job set.
 
+use std::sync::Arc;
+
 use clite::config::CliteConfig;
 use clite::controller::CliteController;
 use clite::trace::CliteOutcome;
@@ -8,7 +10,7 @@ use clite_sim::testbed::{ServerFactory, TestbedFactory};
 use clite_store::{MixSignature, StoreHandle};
 use clite_telemetry::Telemetry;
 
-use crate::wire::NodeSnapshot;
+use crate::wire::{CommittedOutcome, NodeSnapshot};
 use crate::ClusterError;
 
 /// A placed job: cluster-wide id plus its spec.
@@ -71,7 +73,9 @@ pub struct Node<F: TestbedFactory = ServerFactory> {
     seed: u64,
     factory: F,
     jobs: Vec<PlacedJob>,
-    last_outcome: Option<CliteOutcome>,
+    /// The committed outcome, shared with every snapshot taken since the
+    /// commit that installed it; replaced, never mutated.
+    last_outcome: Option<Arc<CommittedOutcome>>,
     searches_run: usize,
     samples_spent: u64,
     commits: u64,
@@ -108,9 +112,8 @@ impl<F: TestbedFactory> Node<F> {
     }
 
     /// Captures the node's restorable state for a fleet checkpoint: jobs,
-    /// the committed outcome (minus its wall-clock overhead report, which
-    /// no witness reads), and the seed/commit bookkeeping future search
-    /// seeds derive from.
+    /// the committed outcome (shared, not copied), and the seed/commit
+    /// bookkeeping future search seeds derive from.
     #[must_use]
     pub fn snapshot(&self) -> NodeSnapshot {
         NodeSnapshot {
@@ -121,10 +124,7 @@ impl<F: TestbedFactory> Node<F> {
             searches_run: self.searches_run,
             samples_spent: self.samples_spent,
             jobs: self.jobs.iter().map(|j| (j.id, j.spec.clone())).collect(),
-            last_outcome: self.last_outcome.clone().map(|mut o| {
-                o.overhead = None;
-                o
-            }),
+            last_outcome: self.last_outcome.clone(),
         }
     }
 
@@ -207,10 +207,10 @@ impl<F: TestbedFactory> Node<F> {
     }
 
     /// The most recent CLITE outcome for the committed job set (`None`
-    /// while the node is empty).
+    /// while the node is empty), without its wall-clock overhead report.
     #[must_use]
     pub fn last_outcome(&self) -> Option<&CliteOutcome> {
-        self.last_outcome.as_ref()
+        self.last_outcome.as_deref().map(CommittedOutcome::outcome)
     }
 
     /// Number of CLITE searches this node has been charged for
@@ -253,7 +253,7 @@ impl<F: TestbedFactory> Node<F> {
     /// Propagates factory failures building the testbed and simulator
     /// failures enforcing the committed partition.
     pub fn loaded_testbed(&self) -> Result<Option<F::Output>, ClusterError> {
-        let Some(outcome) = (self.alive).then_some(()).and(self.last_outcome.as_ref()) else {
+        let Some(outcome) = (self.alive).then_some(()).and(self.last_outcome()) else {
             return Ok(None);
         };
         let specs: Vec<JobSpec> = self.jobs.iter().map(|j| j.spec.clone()).collect();
@@ -346,6 +346,12 @@ impl<F: TestbedFactory> Node<F> {
         }
     }
 
+    /// Installs `outcome` as the committed outcome, replacing (not
+    /// mutating) the shared record snapshots may still hold.
+    fn install(&mut self, outcome: CliteOutcome) {
+        self.last_outcome = Some(Arc::new(CommittedOutcome::new(outcome)));
+    }
+
     /// Charges a produced plan against this node's search/sample
     /// bookkeeping. The scheduler calls this exactly for the probes a
     /// serial scan would have paid for.
@@ -361,7 +367,7 @@ impl<F: TestbedFactory> Node<F> {
     pub fn commit_admission(&mut self, plan: AdmissionPlan) {
         self.store_samples(plan.signature.as_ref(), &plan.outcome);
         self.jobs.push(plan.job);
-        self.last_outcome = Some(plan.outcome);
+        self.install(plan.outcome);
         self.commits += 1;
     }
 
@@ -443,7 +449,7 @@ impl<F: TestbedFactory> Node<F> {
         self.store_samples(signature.as_ref(), &outcome);
         self.searches_run += 1;
         self.samples_spent += outcome.samples_used() as u64;
-        self.last_outcome = Some(outcome);
+        self.install(outcome);
         Ok(())
     }
 
@@ -477,7 +483,7 @@ impl<F: TestbedFactory> Node<F> {
         self.store_samples(signature.as_ref(), &outcome);
         self.searches_run += 1;
         self.samples_spent += outcome.samples_used() as u64;
-        self.last_outcome = Some(outcome);
+        self.install(outcome);
         Ok(())
     }
 }

@@ -29,6 +29,7 @@
 //! bounded restart budget is exhausted.
 
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use clite::config::capped_backoff;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
@@ -82,6 +83,10 @@ pub struct RecoveryInfo {
     /// Whether the journal had a torn tail or other damage that recovery
     /// truncated away.
     pub journal_damaged: bool,
+}
+
+fn elapsed_nanos(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn io_err(op: &'static str, e: &std::io::Error) -> ClusterError {
@@ -175,6 +180,7 @@ impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
         store: Option<StoreHandle>,
         telemetry: &Telemetry<'_>,
     ) -> Result<Self, ClusterError> {
+        let start = Instant::now();
         let (journal, journal_rec) = EventJournal::open(&journal_path(dir))?;
         let ckpt_path = checkpoint_path(dir);
         let checkpoint = match blob::read(&ckpt_path, CKPT_MAGIC, CKPT_VERSION)? {
@@ -227,7 +233,11 @@ impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
             fleet.applied += 1;
             replayed += 1;
         }
-        telemetry.emit(Event::RecoveryReplayed { checkpoint_seqno, replayed });
+        telemetry.emit(Event::RecoveryReplayed {
+            checkpoint_seqno,
+            replayed,
+            nanos: elapsed_nanos(start),
+        });
         fleet.recovery = Some(RecoveryInfo {
             checkpoint_seqno,
             replayed,
@@ -296,11 +306,17 @@ impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
     }
 
     fn write_checkpoint(&self, telemetry: &Telemetry<'_>) -> Result<(), ClusterError> {
+        let start = Instant::now();
         let checkpoint = self.service.checkpoint(self.applied, &self.placements);
         let payload = encode_checkpoint(&checkpoint);
         blob::save(&self.checkpoint_path, CKPT_MAGIC, CKPT_VERSION, &payload)?;
-        telemetry
-            .emit(Event::CheckpointWritten { seqno: self.applied, bytes: payload.len() as u64 });
+        // Freeing the snapshot is part of the write.
+        drop(checkpoint);
+        telemetry.emit(Event::CheckpointWritten {
+            seqno: self.applied,
+            bytes: payload.len() as u64,
+            nanos: elapsed_nanos(start),
+        });
         Ok(())
     }
 

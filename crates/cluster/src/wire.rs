@@ -15,13 +15,18 @@
 //!   scheduler, and every node, written atomically via
 //!   [`clite_store::blob`]. Recovery loads the newest valid checkpoint and
 //!   replays the journal suffix; a corrupt checkpoint degrades to a full
-//!   replay, never an abort.
+//!   replay, never an abort. A node's committed outcome — most of a
+//!   checkpoint's bytes — is a shared, immutable [`CommittedOutcome`]
+//!   that encodes itself once, so a checkpoint copies bytes instead of
+//!   re-encoding nodes that have not changed since the last one.
 //!
 //! Every decoder is total and strict: it returns a [`DecodeError`] naming
 //! the offset and expectation, never panics, never reads past its slice,
 //! and accepts only canonical bytes — whatever it decodes re-encodes to
 //! exactly the bytes it read. These bytes are read exactly when something
 //! already went wrong.
+
+use std::sync::{Arc, OnceLock};
 
 use clite::score::{ScoreBreakdown, ScoreMode};
 use clite::trace::{CliteOutcome, SampleRecord};
@@ -288,7 +293,8 @@ fn read_sample(r: &mut Reader<'_>, catalog: ResourceCatalog) -> Result<SampleRec
 ///
 /// Wall-clock phase timings are observability, not scheduler state: no
 /// byte-identity witness reads them, and serializing nanoseconds would
-/// make checkpoints nondeterministic. Restored outcomes carry
+/// make checkpoints nondeterministic. [`CommittedOutcome`] drops the
+/// report at commit, so live and restored outcomes both carry
 /// `overhead: None`.
 fn put_outcome(buf: &mut Vec<u8>, o: &CliteOutcome) {
     put_partition_rows(buf, &o.best_partition);
@@ -315,6 +321,55 @@ fn read_outcome(r: &mut Reader<'_>, catalog: ResourceCatalog) -> Result<CliteOut
 
 // ── snapshots ────────────────────────────────────────────────────────────
 
+/// A node's committed search outcome as the node and its checkpoints
+/// hold it: the [`CliteOutcome`] minus its wall-clock overhead report,
+/// plus its checkpoint bytes, encoded on first use and kept.
+///
+/// A record is immutable once built — a commit installs a new one — so
+/// the node and every [`NodeSnapshot`] of it share one `Arc` and the
+/// memoized bytes can never go stale.
+pub struct CommittedOutcome {
+    outcome: CliteOutcome,
+    wire: OnceLock<Vec<u8>>,
+}
+
+impl CommittedOutcome {
+    /// Wraps a search outcome, dropping its overhead report.
+    #[must_use]
+    pub fn new(mut outcome: CliteOutcome) -> Self {
+        outcome.overhead = None;
+        Self { outcome, wire: OnceLock::new() }
+    }
+
+    /// The committed outcome (`overhead` is always `None`).
+    #[must_use]
+    pub fn outcome(&self) -> &CliteOutcome {
+        &self.outcome
+    }
+
+    /// The outcome's checkpoint encoding, computed once.
+    fn wire_bytes(&self) -> &[u8] {
+        self.wire.get_or_init(|| {
+            let mut buf = Vec::new();
+            put_outcome(&mut buf, &self.outcome);
+            buf
+        })
+    }
+}
+
+/// Records are equal when their outcomes are: the memo is a cache.
+impl PartialEq for CommittedOutcome {
+    fn eq(&self, other: &Self) -> bool {
+        self.outcome == other.outcome
+    }
+}
+
+impl std::fmt::Debug for CommittedOutcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CommittedOutcome").field("outcome", &self.outcome).finish_non_exhaustive()
+    }
+}
+
 /// Restorable state of one node: everything future admissions and the
 /// statistics witness depend on. The testbed factory, catalog, and store
 /// handle are reattached by the restoring scheduler.
@@ -334,8 +389,8 @@ pub struct NodeSnapshot {
     pub samples_spent: u64,
     /// Committed jobs in placement order, as `(id, spec)` pairs.
     pub jobs: Vec<(u64, JobSpec)>,
-    /// The committed outcome (minus overhead), if any.
-    pub last_outcome: Option<CliteOutcome>,
+    /// The committed outcome, if any, shared with the node.
+    pub last_outcome: Option<Arc<CommittedOutcome>>,
 }
 
 /// Restorable state of the scheduler: its id counters plus every node.
@@ -378,10 +433,19 @@ pub struct FleetCheckpoint {
 }
 
 /// Encodes a checkpoint payload (wrap in [`clite_store::blob::save`] with
-/// [`CKPT_MAGIC`]/[`CKPT_VERSION`] for the durable file).
+/// [`CKPT_MAGIC`]/[`CKPT_VERSION`] for the durable file). Each outcome's
+/// bytes come from its [`CommittedOutcome`] memo.
 #[must_use]
 pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4096);
+    // Size the buffer once: the memoized outcomes exactly (encoding any
+    // not yet memoized), everything else by a per-item bound.
+    let nodes = &c.scheduler.nodes;
+    let outcomes: usize =
+        nodes.iter().filter_map(|n| n.last_outcome.as_ref()).map(|o| o.wire_bytes().len()).sum();
+    let jobs: usize = nodes.iter().map(|n| n.jobs.len()).sum();
+    let mut buf = Vec::with_capacity(
+        256 + 9 * c.placements.len() + 8 * c.debt.len() + 64 * nodes.len() + 128 * jobs + outcomes,
+    );
     put_u64(&mut buf, c.seqno);
     put_u64(&mut buf, c.clock_now);
     put_opt(&mut buf, c.solved_epoch, put_u64);
@@ -418,7 +482,7 @@ pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
             put_u64(buf, *id);
             put_job_spec(buf, spec);
         });
-        put_opt(buf, n.last_outcome.as_ref(), put_outcome);
+        put_opt(buf, n.last_outcome.as_ref(), |buf, o| buf.extend_from_slice(o.wire_bytes()));
     });
     buf
 }
@@ -468,7 +532,9 @@ pub fn decode_checkpoint(payload: &[u8]) -> Result<FleetCheckpoint, DecodeError>
                 searches_run: read_usize(r, "searches run")?,
                 samples_spent: r.u64("samples spent")?,
                 jobs: r.seq(MAX_VEC, "job count", |r| Ok((r.u64("job id")?, read_job_spec(r)?)))?,
-                last_outcome: r.opt("outcome presence", |r| read_outcome(r, catalog))?,
+                last_outcome: r.opt("outcome presence", |r| {
+                    Ok(Arc::new(CommittedOutcome::new(read_outcome(r, catalog)?)))
+                })?,
             })
         })?,
     };

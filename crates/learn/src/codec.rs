@@ -55,8 +55,12 @@ impl From<std::io::Error> for ModelError {
 }
 
 /// Serializes a model to its on-disk byte form.
-#[must_use]
-pub fn encode(model: &RankingModel) -> Vec<u8> {
+///
+/// # Errors
+///
+/// Returns [`ModelError::Io`] for a model too large for one frame (over
+/// two million weights), which could never be read back.
+pub fn encode(model: &RankingModel) -> Result<Vec<u8>, ModelError> {
     let mut payload = Vec::with_capacity(24 + 8 * model.weights.len());
     put_u32(&mut payload, model.feature_version);
     put_u32(&mut payload, model.weights.len() as u32);
@@ -67,6 +71,7 @@ pub fn encode(model: &RankingModel) -> Vec<u8> {
         put_f64(&mut payload, w);
     }
     blob::encode(MODEL_MAGIC, MODEL_FORMAT_VERSION, &payload)
+        .map_err(|e| ModelError::Io(std::io::Error::other(e)))
 }
 
 /// Decodes a model from a full file image. Total: returns `None` for any
@@ -103,12 +108,13 @@ fn decode_payload(payload: &[u8]) -> Result<RankingModel, DecodeError> {
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::Io`] on filesystem failures.
+/// Returns [`ModelError::Io`] on filesystem failures or an unframeable
+/// model (see [`encode`]).
 pub fn save(path: &Path, model: &RankingModel) -> Result<(), ModelError> {
     let tmp = tmp_path(path);
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&encode(model))?;
+        f.write_all(&encode(model)?)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -156,7 +162,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trips_bit_exactly() {
         let model = sample_model();
-        let decoded = decode(&encode(&model)).expect("round trip");
+        let decoded = decode(&encode(&model).unwrap()).expect("round trip");
         assert_eq!(model, decoded);
         for (a, b) in model.weights.iter().zip(&decoded.weights) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -165,7 +171,7 @@ mod tests {
 
     #[test]
     fn decode_is_total_on_corrupt_inputs() {
-        let good = encode(&sample_model());
+        let good = encode(&sample_model()).unwrap();
         assert!(decode(&[]).is_none());
         assert!(decode(b"CLITELRN").is_none(), "header only");
         assert!(decode(&good[..good.len() - 1]).is_none(), "torn tail");
@@ -188,13 +194,13 @@ mod tests {
     fn schema_drift_is_rejected() {
         let mut model = sample_model();
         model.feature_version = FEATURE_VERSION + 1;
-        assert!(decode(&encode(&model)).is_none(), "future feature version");
+        assert!(decode(&encode(&model).unwrap()).is_none(), "future feature version");
         let mut short = sample_model();
         short.weights.pop();
-        assert!(decode(&encode(&short)).is_none(), "dimension mismatch");
+        assert!(decode(&encode(&short).unwrap()).is_none(), "dimension mismatch");
         let mut nan = sample_model();
         nan.weights[0] = f64::NAN;
-        assert!(decode(&encode(&nan)).is_none(), "non-finite weights rejected");
+        assert!(decode(&encode(&nan).unwrap()).is_none(), "non-finite weights rejected");
     }
 
     #[test]

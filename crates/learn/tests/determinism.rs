@@ -41,6 +41,6 @@ fn different_seeds_train_different_models() {
 fn trained_model_survives_codec_round_trip_bit_exactly() {
     let t = Telemetry::disabled();
     let model = train_with_slots(&config(), 4, &t);
-    let back = clite_learn::decode(&clite_learn::encode(&model)).expect("round trip");
+    let back = clite_learn::decode(&clite_learn::encode(&model).unwrap()).expect("round trip");
     assert_eq!(weights_bits(&model), weights_bits(&back));
 }

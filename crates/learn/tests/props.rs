@@ -112,7 +112,7 @@ proptest! {
             epochs,
             train_loss: f64::from(loss_cents) / 1000.0,
         };
-        let bytes = encode(&model);
+        let bytes = encode(&model).unwrap();
         let back = decode(&bytes);
         prop_assert_eq!(back.as_ref(), Some(&model));
 

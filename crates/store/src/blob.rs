@@ -1,7 +1,7 @@
 //! Atomic checksummed single-blob files: the checkpoint and model codec.
 //!
-//! A blob file is a [`crate::log::header`] followed by exactly one
-//! [`crate::log::frame`] — the record log's layout with one record.
+//! A blob file is a [`crate::log::header`] followed by exactly one frame
+//! ([`crate::log::put_frame`]) — the record log's layout with one record.
 //! [`save`] writes it through [`crate::log::write_atomic`], so a crash
 //! leaves either the old blob or the new one — never a mix — and [`read`]
 //! treats *any* malformed byte as "no usable blob" rather than an error,
@@ -10,7 +10,7 @@
 
 use std::path::Path;
 
-use crate::log::{header, read_frame, write_atomic};
+use crate::log::{header, put_frame, read_frame, write_atomic, FRAME_PROLOGUE_LEN, HEADER_LEN};
 use crate::{StoreError, StoreResult};
 
 /// What reading a blob file found.
@@ -28,12 +28,18 @@ pub enum BlobRead {
     Valid(Vec<u8>),
 }
 
-/// The whole file image of a blob holding `payload`.
-#[must_use]
-pub fn encode(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut bytes = header(magic, version).to_vec();
-    bytes.extend_from_slice(&crate::log::frame(payload));
-    bytes
+/// The whole file image of a blob holding `payload`, built with one copy
+/// of the payload into a buffer sized once.
+///
+/// # Errors
+///
+/// Returns [`StoreError::Io`] (op `"frame"`) for a payload too long to
+/// frame (see [`put_frame`]).
+pub fn encode(magic: &[u8; 8], version: u32, payload: &[u8]) -> StoreResult<Vec<u8>> {
+    let mut bytes = Vec::with_capacity(HEADER_LEN as usize + FRAME_PROLOGUE_LEN + payload.len());
+    bytes.extend_from_slice(&header(magic, version));
+    put_frame(&mut bytes, payload)?;
+    Ok(bytes)
 }
 
 /// The payload of a whole blob file image, checking magic, version,
@@ -59,9 +65,10 @@ pub fn decode<'a>(
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Io`] on filesystem failures.
+/// Returns [`StoreError::Io`] on filesystem failures, or for a payload
+/// too long to frame — then nothing is written and the old blob stays.
 pub fn save(path: &Path, magic: &[u8; 8], version: u32, payload: &[u8]) -> StoreResult<()> {
-    write_atomic(path, &encode(magic, version, payload))
+    write_atomic(path, &encode(magic, version, payload)?)
 }
 
 /// Reads the blob at `path` through [`decode`]. Total on content:
@@ -137,6 +144,19 @@ mod tests {
         save(&path, MAGIC, 1, b"x").unwrap();
         assert!(matches!(read(&path, b"CLITEOTH", 1).unwrap(), BlobRead::Corrupt { .. }));
         assert!(matches!(read(&path, MAGIC, 2).unwrap(), BlobRead::Corrupt { .. }));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn oversize_save_fails_and_leaves_the_old_blob_readable() {
+        let dir = tmp_dir("oversize");
+        let path = dir.join("state.ckpt");
+        save(&path, MAGIC, 1, b"old").unwrap();
+        let oversize = vec![0u8; crate::log::MAX_PAYLOAD_LEN as usize + 1];
+        let err = save(&path, MAGIC, 1, &oversize).unwrap_err();
+        assert!(matches!(err, StoreError::Io { op: "frame", .. }), "{err}");
+        assert_eq!(read(&path, MAGIC, 1).unwrap(), BlobRead::Valid(b"old".to_vec()));
+        assert!(!crate::log::tmp_path(&path).exists(), "no temp file left behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

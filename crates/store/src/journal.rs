@@ -213,7 +213,7 @@ mod tests {
         for (seqno, body) in [(0u64, b"alpha".as_slice()), (2, b"gamma")] {
             let mut p = seqno.to_le_bytes().to_vec();
             p.extend_from_slice(body);
-            img.extend_from_slice(&log::frame(&p));
+            log::put_frame(&mut img, &p).unwrap();
         }
         std::fs::write(&path, &img).unwrap();
 
@@ -233,12 +233,31 @@ mod tests {
         let dir = tmp_dir("short");
         let path = dir.join("fleet.journal");
         let mut img = log::header(log::FILE_MAGIC, log::FORMAT_VERSION).to_vec();
-        img.extend_from_slice(&log::frame(b"abc")); // < 8 bytes: no seqno
+        log::put_frame(&mut img, b"abc").unwrap(); // < 8 bytes: no seqno
         std::fs::write(&path, &img).unwrap();
         let (j, rec) = EventJournal::open(&path).unwrap();
         assert!(rec.records.is_empty());
         assert_eq!(rec.dropped_records, 1);
         assert_eq!(j.next_seqno(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn oversize_append_is_refused_and_the_seqno_stays_free() {
+        let dir = tmp_dir("oversize");
+        let path = dir.join("fleet.journal");
+        {
+            let (mut j, _) = EventJournal::open(&path).unwrap();
+            j.append(0, b"alpha").unwrap();
+            let err = j.append(1, &vec![0u8; log::MAX_PAYLOAD_LEN as usize]).unwrap_err();
+            assert!(matches!(err, StoreError::Io { op: "frame", .. }), "{err}");
+            assert_eq!(j.next_seqno(), 1);
+            j.append(1, b"beta").unwrap();
+        }
+        let (_, rec) = EventJournal::open(&path).unwrap();
+        assert!(!rec.damaged());
+        let payloads: Vec<&[u8]> = rec.records.iter().map(|r| r.payload.as_slice()).collect();
+        assert_eq!(payloads, [b"alpha".as_slice(), b"beta"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

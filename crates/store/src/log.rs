@@ -14,7 +14,7 @@
 //! The record log (`CLITESTO`) and the journal are any number of frames;
 //! a blob ([`crate::blob`]: checkpoint, model) is exactly one. This
 //! module is the only code that knows the layout: [`header`] and
-//! [`frame`] write it, [`read_frame`] checks it, and [`write_atomic`]
+//! [`put_frame`] write it, [`read_frame`] checks it, and [`write_atomic`]
 //! replaces a whole file through its [`tmp_path`] sibling.
 //!
 //! A crash can leave a log with a torn final frame (short header, short
@@ -68,15 +68,29 @@ pub fn header(magic: &[u8; 8], version: u32) -> [u8; HEADER_LEN as usize] {
     out
 }
 
-/// Frames `payload` into the on-disk byte form.
-#[must_use]
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_PROLOGUE_LEN + payload.len());
+/// Appends `payload`, framed, to `out`: the one frame writer.
+///
+/// # Errors
+///
+/// Returns [`StoreError::Io`] (op `"frame"`) for a payload longer than
+/// [`MAX_PAYLOAD_LEN`], leaving `out` unchanged: [`read_frame`] rejects
+/// such a frame, so writing it would save a file that reads back corrupt.
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> StoreResult<()> {
+    if payload.len() > MAX_PAYLOAD_LEN as usize {
+        return Err(StoreError::Io {
+            op: "frame",
+            message: format!(
+                "payload of {} bytes exceeds the {MAX_PAYLOAD_LEN}-byte frame limit",
+                payload.len()
+            ),
+        });
+    }
+    out.reserve(FRAME_PROLOGUE_LEN + payload.len());
     out.extend_from_slice(&REC_MAGIC.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
+    Ok(())
 }
 
 /// Reads the frame at the start of `bytes`: its payload and the frame's
@@ -211,11 +225,14 @@ impl LogFile {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] if the write fails; the frame is written
-    /// with a single `write_all` so a crash mid-append tears at most the
-    /// final frame, which the next open recovers past.
+    /// Returns [`StoreError::Io`] if the payload is too long to frame
+    /// (nothing is written) or the write fails; the frame is written with
+    /// a single `write_all` so a crash mid-append tears at most the final
+    /// frame, which the next open recovers past.
     pub fn append(&mut self, payload: &[u8]) -> StoreResult<()> {
-        self.file.write_all(&frame(payload)).map_err(|e| io_err("append", &e))
+        let mut bytes = Vec::new();
+        put_frame(&mut bytes, payload)?;
+        self.file.write_all(&bytes).map_err(|e| io_err("append", &e))
     }
 
     /// Atomically replaces the log contents with `payloads` (compaction)
@@ -223,11 +240,14 @@ impl LogFile {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on filesystem failures.
+    /// Returns [`StoreError::Io`] on filesystem failures or a payload too
+    /// long to frame (the file is then left as it was).
     pub fn rewrite(path: &Path, payloads: &[Vec<u8>]) -> StoreResult<Self> {
-        let mut bytes = header(FILE_MAGIC, FORMAT_VERSION).to_vec();
+        let framed: usize = payloads.iter().map(|p| FRAME_PROLOGUE_LEN + p.len()).sum();
+        let mut bytes = Vec::with_capacity(HEADER_LEN as usize + framed);
+        bytes.extend_from_slice(&header(FILE_MAGIC, FORMAT_VERSION));
         for p in payloads {
-            bytes.extend_from_slice(&frame(p));
+            put_frame(&mut bytes, p)?;
         }
         write_atomic(path, &bytes)?;
         let mut file = OpenOptions::new()
@@ -247,7 +267,7 @@ mod tests {
     fn image(payloads: &[&[u8]]) -> Vec<u8> {
         let mut bytes = header(FILE_MAGIC, FORMAT_VERSION).to_vec();
         for p in payloads {
-            bytes.extend_from_slice(&frame(p));
+            put_frame(&mut bytes, p).unwrap();
         }
         bytes
     }
@@ -314,7 +334,8 @@ mod tests {
 
     #[test]
     fn read_frame_names_each_failed_check() {
-        let good = frame(b"payload");
+        let mut good = Vec::new();
+        put_frame(&mut good, b"payload").unwrap();
         assert_eq!(read_frame(&good), Ok((&b"payload"[..], good.len())));
         assert_eq!(read_frame(&good[..15]), Err("truncated frame prologue"));
         assert_eq!(read_frame(&good[..good.len() - 1]), Err("truncated payload"));
@@ -351,6 +372,37 @@ mod tests {
         let (_, rec2) = LogFile::open(&path).unwrap();
         assert_eq!(rec2.payloads, vec![b"alpha".to_vec(), b"gamma".to_vec()]);
         assert_eq!(rec2.dropped_bytes, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn put_frame_refuses_what_read_frame_rejects() {
+        let at_limit = vec![7u8; MAX_PAYLOAD_LEN as usize];
+        let mut out = b"kept".to_vec();
+        put_frame(&mut out, &at_limit).unwrap();
+        assert_eq!(read_frame(&out[4..]).map(|(p, _)| p.len()), Ok(at_limit.len()));
+
+        let mut out = b"kept".to_vec();
+        let err = put_frame(&mut out, &vec![7u8; MAX_PAYLOAD_LEN as usize + 1]).unwrap_err();
+        assert!(matches!(err, StoreError::Io { op: "frame", .. }), "{err}");
+        assert_eq!(out, b"kept", "a refused frame writes nothing");
+    }
+
+    #[test]
+    fn oversize_append_keeps_earlier_records_and_the_log_appendable() {
+        let dir = std::env::temp_dir().join(format!("clite-store-oversize-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("oversize.log");
+        let (mut log, _) = LogFile::open(&path).unwrap();
+        log.append(b"alpha").unwrap();
+        let err = log.append(&vec![0u8; MAX_PAYLOAD_LEN as usize + 1]).unwrap_err();
+        assert!(matches!(err, StoreError::Io { op: "frame", .. }), "{err}");
+        log.append(b"beta").unwrap();
+        drop(log);
+
+        let (_, rec) = LogFile::open(&path).unwrap();
+        assert_eq!(rec.payloads, vec![b"alpha".to_vec(), b"beta".to_vec()]);
+        assert_eq!(rec.dropped_bytes, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -44,7 +44,7 @@ fn log_image(records: &[StoreRecord]) -> Vec<u8> {
     bytes.extend_from_slice(log::FILE_MAGIC);
     bytes.extend_from_slice(&log::FORMAT_VERSION.to_le_bytes());
     for r in records {
-        bytes.extend_from_slice(&log::frame(&encode_record(r)));
+        log::put_frame(&mut bytes, &encode_record(r)).unwrap();
     }
     bytes
 }

@@ -248,6 +248,9 @@ pub enum Event {
         seqno: u64,
         /// Checkpoint payload size in bytes.
         bytes: u64,
+        /// Wall time of the whole write (snapshot, encode, atomic save),
+        /// in nanoseconds. Observability only: no witness reads it.
+        nanos: u64,
     },
     /// Recovery loaded a checkpoint (or started cold) and replayed the
     /// journal suffix.
@@ -256,6 +259,9 @@ pub enum Event {
         checkpoint_seqno: u64,
         /// Journaled events re-applied on top of it.
         replayed: u64,
+        /// Wall time of the whole recovery (journal and checkpoint load,
+        /// restore, replay), in nanoseconds. Observability only.
+        nanos: u64,
     },
     /// The supervisor restarted the fleet loop after a failure.
     RestartAttempted {
@@ -354,8 +360,8 @@ mod tests {
             Event::ModelLoaded { feature_version: 1, epochs: 12, train_loss: 0.31 },
             Event::TrainingEpoch { epoch: 3, loss: 0.52 },
             Event::JournalAppended { seqno: 17, bytes: 64 },
-            Event::CheckpointWritten { seqno: 16, bytes: 4096 },
-            Event::RecoveryReplayed { checkpoint_seqno: 16, replayed: 2 },
+            Event::CheckpointWritten { seqno: 16, bytes: 4096, nanos: 1_250_000 },
+            Event::RecoveryReplayed { checkpoint_seqno: 16, replayed: 2, nanos: 3_500_000 },
             Event::RestartAttempted { attempt: 2, backoff_ticks: 3 },
             Event::ArrivalShed { job: 23, backlog: 5 },
         ];

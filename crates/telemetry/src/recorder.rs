@@ -156,12 +156,13 @@ pub fn apply_event(metrics: &MetricsRegistry, event: &Event) {
             metrics.set_gauge("clite_fleet_journal_seqno", &[], *seqno as f64);
             metrics.observe("clite_fleet_journal_record_bytes", &[], *bytes as f64);
         }
-        Event::CheckpointWritten { seqno, bytes } => {
+        Event::CheckpointWritten { seqno, bytes, nanos } => {
             metrics.inc_counter("clite_fleet_checkpoints_total", &[], 1);
             metrics.set_gauge("clite_fleet_checkpoint_seqno", &[], *seqno as f64);
             metrics.observe("clite_fleet_checkpoint_bytes", &[], *bytes as f64);
+            metrics.observe("clite_fleet_checkpoint_seconds", &[], *nanos as f64 * 1e-9);
         }
-        Event::RecoveryReplayed { checkpoint_seqno, replayed } => {
+        Event::RecoveryReplayed { checkpoint_seqno, replayed, nanos } => {
             metrics.inc_counter("clite_fleet_recoveries_total", &[], 1);
             metrics.set_gauge(
                 "clite_fleet_recovery_checkpoint_seqno",
@@ -169,6 +170,7 @@ pub fn apply_event(metrics: &MetricsRegistry, event: &Event) {
                 *checkpoint_seqno as f64,
             );
             metrics.set_gauge("clite_fleet_recovery_replayed", &[], *replayed as f64);
+            metrics.observe("clite_fleet_recovery_seconds", &[], *nanos as f64 * 1e-9);
         }
         Event::RestartAttempted { attempt, backoff_ticks } => {
             metrics.inc_counter("clite_fleet_restarts_total", &[], 1);
@@ -356,6 +358,20 @@ mod tests {
             Some(1)
         );
         assert_eq!(recorder.metrics().gauge_value("clite_best_score", &[]), Some(0.6));
+    }
+
+    #[test]
+    fn checkpoint_and_recovery_times_land_in_seconds_histograms() {
+        let recorder = JsonlRecorder::from_writer(SharedBuf::default());
+        recorder.record(&Event::CheckpointWritten { seqno: 8, bytes: 4096, nanos: 1_500_000 });
+        recorder.record(&Event::RecoveryReplayed {
+            checkpoint_seqno: 8,
+            replayed: 3,
+            nanos: 2_000_000_000,
+        });
+        let seconds = |name| recorder.metrics().histogram_snapshot(name, &[]).map(|h| h.sum);
+        assert_eq!(seconds("clite_fleet_checkpoint_seconds"), Some(1.5e-3));
+        assert_eq!(seconds("clite_fleet_recovery_seconds"), Some(2.0));
     }
 
     #[test]
