@@ -6,10 +6,19 @@
 //!
 //! ```text
 //! [ magic: 8 bytes ][ version: u32 LE ]         file header, 12 bytes
-//! [ REC_MAGIC: u32 LE ][ len: u32 LE ]
-//! [ fnv1a64(payload): u64 LE ][ payload ]       one frame
+//! [ frame magic: u32 LE ][ len: u32 LE ]
+//! [ checksum(payload): u64 LE ][ payload ]      one frame
 //! ...
 //! ```
+//!
+//! The frame magic names the checksum. [`REC_MAGIC`] (`"CSB2"`) frames
+//! carry [`xxh64`] of the payload, and every frame written today is one.
+//! [`REC_MAGIC_V1`] (`"CSBO"`) frames carry [`fnv1a64`]: they are still
+//! read, so files written before the switch need no migration and a v1
+//! log that takes v2 appends stays valid. An older reader stops at the
+//! first v2 frame with "bad frame magic" — it drops the tail as torn,
+//! never misreads it. The file header's version describes the payload
+//! codec, not the frame, and did not change.
 //!
 //! The record log (`CLITESTO`) and the journal are any number of frames;
 //! a blob ([`crate::blob`]: checkpoint, model) is exactly one. This
@@ -39,8 +48,11 @@ use crate::{StoreError, StoreResult};
 pub const FILE_MAGIC: &[u8; 8] = b"CLITESTO";
 /// Current format version (header + payload layout).
 pub const FORMAT_VERSION: u32 = 1;
-/// Per-record frame magic (guards against mid-file seeks landing on data).
-pub const REC_MAGIC: u32 = 0x4F42_5343; // "CSBO"
+/// Frame magic of the frames [`put_frame`] writes: an [`xxh64`] checksum
+/// follows (and the magic guards against mid-file seeks landing on data).
+pub const REC_MAGIC: u32 = 0x3242_5343; // "CSB2"
+/// Frame magic of v1 frames, still read: an [`fnv1a64`] checksum follows.
+pub const REC_MAGIC_V1: u32 = 0x4F42_5343; // "CSBO"
 /// Header length in bytes.
 pub const HEADER_LEN: u64 = 12;
 /// Frame prologue length: magic + len + checksum.
@@ -48,7 +60,9 @@ pub const FRAME_PROLOGUE_LEN: usize = 16;
 /// Longest payload accepted; larger length prefixes are corruption.
 pub const MAX_PAYLOAD_LEN: u32 = 1 << 24;
 
-/// FNV-1a 64-bit hash of `bytes`.
+/// FNV-1a 64-bit hash of `bytes`: the checksum of [`REC_MAGIC_V1`]
+/// frames, and the stable hash behind store keys
+/// ([`crate::MixSignature::shard_hash`]).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -57,6 +71,69 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+// xxHash64's primes, PRIME64_1 to PRIME64_5 in its specification.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// xxHash64 of `bytes` with seed 0: the checksum of [`REC_MAGIC`] frames.
+///
+/// Four independent lanes consume 32-byte stripes, so the multiplies
+/// overlap instead of forming one serial chain as in [`fnv1a64`].
+#[must_use]
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+    let mut stripes = bytes.chunks_exact(32);
+    let mut acc = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            v = [0, 1, 2, 3].map(|i| xxh_round(v[i], word(stripe, 8 * i)));
+        }
+        let acc = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.into_iter().fold(acc, xxh_merge)
+    } else {
+        P5
+    };
+    acc = acc.wrapping_add(bytes.len() as u64);
+    let mut tail = stripes.remainder();
+    while let Some((lane, rest)) = tail.split_first_chunk::<8>() {
+        acc = (acc ^ xxh_round(0, u64::from_le_bytes(*lane)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+        tail = rest;
+    }
+    if let Some((lane, rest)) = tail.split_first_chunk::<4>() {
+        acc = (acc ^ u64::from(u32::from_le_bytes(*lane)).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = rest;
+    }
+    for &b in tail {
+        acc = (acc ^ u64::from(b).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+    }
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(P2);
+    acc ^= acc >> 29;
+    acc = acc.wrapping_mul(P3);
+    acc ^ (acc >> 32)
 }
 
 /// The file header: `magic` then `version` little-endian.
@@ -68,7 +145,8 @@ pub fn header(magic: &[u8; 8], version: u32) -> [u8; HEADER_LEN as usize] {
     out
 }
 
-/// Appends `payload`, framed, to `out`: the one frame writer.
+/// Appends `payload`, framed, to `out`: the one frame writer. It writes
+/// only [`REC_MAGIC`] frames.
 ///
 /// # Errors
 ///
@@ -88,7 +166,7 @@ pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> StoreResult<()> {
     out.reserve(FRAME_PROLOGUE_LEN + payload.len());
     out.extend_from_slice(&REC_MAGIC.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(&xxh64(payload).to_le_bytes());
     out.extend_from_slice(payload);
     Ok(())
 }
@@ -98,20 +176,24 @@ pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> StoreResult<()> {
 ///
 /// # Errors
 ///
-/// Names the failed check: a short prologue, a bad frame magic, a length
-/// above [`MAX_PAYLOAD_LEN`], a short payload, or a checksum mismatch.
+/// Names the failed check: a short prologue, a frame magic that is
+/// neither [`REC_MAGIC`] nor [`REC_MAGIC_V1`], a length above
+/// [`MAX_PAYLOAD_LEN`], a short payload, or a mismatch of the checksum
+/// the magic names.
 pub fn read_frame(bytes: &[u8]) -> Result<(&[u8], usize), &'static str> {
     let (prologue, rest) =
         bytes.split_first_chunk::<FRAME_PROLOGUE_LEN>().ok_or("truncated frame prologue")?;
     let word = |at: usize| u32::from_le_bytes(prologue[at..at + 4].try_into().expect("4 bytes"));
-    if word(0) != REC_MAGIC {
-        return Err("bad frame magic");
-    }
+    let checksum: fn(&[u8]) -> u64 = match word(0) {
+        REC_MAGIC => xxh64,
+        REC_MAGIC_V1 => fnv1a64,
+        _ => return Err("bad frame magic"),
+    };
     if word(4) > MAX_PAYLOAD_LEN {
         return Err("absurd length");
     }
     let payload = rest.get(..word(4) as usize).ok_or("truncated payload")?;
-    if fnv1a64(payload) != u64::from_le_bytes(prologue[8..].try_into().expect("8 bytes")) {
+    if checksum(payload) != u64::from_le_bytes(prologue[8..].try_into().expect("8 bytes")) {
         return Err("checksum mismatch");
     }
     Ok((payload, FRAME_PROLOGUE_LEN + payload.len()))
@@ -278,6 +360,168 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    /// A v1 frame: [`REC_MAGIC_V1`] and the FNV-1a checksum.
+    fn put_frame_v1(out: &mut Vec<u8>, payload: &[u8]) {
+        out.extend_from_slice(&REC_MAGIC_V1.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+
+    /// xxHash64 transcribed statement by statement from the
+    /// specification (doc/xxhash_spec.md in the xxHash repository), with
+    /// a seed: the reference [`xxh64`] is checked against.
+    fn xxh64_spec(input: &[u8], seed: u64) -> u64 {
+        fn read64(input: &[u8], at: usize) -> u64 {
+            let mut v = 0u64;
+            for k in (0..8).rev() {
+                v = (v << 8) | u64::from(input[at + k]);
+            }
+            v
+        }
+        fn round(acc: u64, lane: u64) -> u64 {
+            let acc = acc.wrapping_add(lane.wrapping_mul(P2));
+            let acc = acc.rotate_left(31);
+            acc.wrapping_mul(P1)
+        }
+        fn merge_accumulator(acc: u64, acc_n: u64) -> u64 {
+            let acc = acc ^ round(0, acc_n);
+            acc.wrapping_mul(P1).wrapping_add(P4)
+        }
+        let len = input.len();
+        let mut p = 0;
+        // Step 1 and 2: initialize and process stripes.
+        let mut acc = if len < 32 {
+            seed.wrapping_add(P5)
+        } else {
+            let mut acc1 = seed.wrapping_add(P1).wrapping_add(P2);
+            let mut acc2 = seed.wrapping_add(P2);
+            let mut acc3 = seed;
+            let mut acc4 = seed.wrapping_sub(P1);
+            while p + 32 <= len {
+                acc1 = round(acc1, read64(input, p));
+                acc2 = round(acc2, read64(input, p + 8));
+                acc3 = round(acc3, read64(input, p + 16));
+                acc4 = round(acc4, read64(input, p + 24));
+                p += 32;
+            }
+            // Step 3: accumulator convergence.
+            let mut acc = acc1
+                .rotate_left(1)
+                .wrapping_add(acc2.rotate_left(7))
+                .wrapping_add(acc3.rotate_left(12))
+                .wrapping_add(acc4.rotate_left(18));
+            acc = merge_accumulator(acc, acc1);
+            acc = merge_accumulator(acc, acc2);
+            acc = merge_accumulator(acc, acc3);
+            merge_accumulator(acc, acc4)
+        };
+        // Step 4: add the input length.
+        acc = acc.wrapping_add(len as u64);
+        // Step 5: consume the remaining input.
+        while len - p >= 8 {
+            acc ^= round(0, read64(input, p));
+            acc = acc.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+            p += 8;
+        }
+        if len - p >= 4 {
+            let lane = (0..4).rev().fold(0u64, |v, k| (v << 8) | u64::from(input[p + k]));
+            acc ^= lane.wrapping_mul(P1);
+            acc = acc.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            p += 4;
+        }
+        while p < len {
+            acc ^= u64::from(input[p]).wrapping_mul(P5);
+            acc = acc.rotate_left(11).wrapping_mul(P1);
+            p += 1;
+        }
+        // Step 6: final mix (avalanche).
+        acc ^= acc >> 33;
+        acc = acc.wrapping_mul(P2);
+        acc ^= acc >> 29;
+        acc = acc.wrapping_mul(P3);
+        acc ^= acc >> 32;
+        acc
+    }
+
+    #[test]
+    fn xxh64_matches_published_vectors() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xFBCE_A83C_8A37_8BF1);
+        for v in [&b""[..], b"a", b"abc", b"Nobody inspects the spammish repetition"] {
+            assert_eq!(xxh64_spec(v, 0), xxh64(v), "the transcription agrees on {v:?}");
+        }
+    }
+
+    #[test]
+    fn xxh64_matches_the_spec_at_every_length_and_tail() {
+        // Lengths 0..=256 cover every stripe count up to 8 with every
+        // 8-byte/4-byte/1-byte tail combination.
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        let mut bytes = vec![0u8; 256];
+        for round in 0..4 {
+            rng.fill_bytes(&mut bytes);
+            for len in 0..=bytes.len() {
+                let input = &bytes[..len];
+                assert_eq!(xxh64(input), xxh64_spec(input, 0), "round {round}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn both_frame_versions_read_and_name_a_checksum_mismatch() {
+        let mut v1 = Vec::new();
+        put_frame_v1(&mut v1, b"payload");
+        let mut v2 = Vec::new();
+        put_frame(&mut v2, b"payload").unwrap();
+        assert_eq!(v2[..4], *b"CSB2");
+        assert_eq!(v1[..4], *b"CSBO");
+        assert_eq!(v2[8..16], xxh64(b"payload").to_le_bytes());
+        for frame in [&v1, &v2] {
+            assert_eq!(read_frame(frame), Ok((&b"payload"[..], frame.len())));
+            let mut bad = frame.clone();
+            *bad.last_mut().unwrap() ^= 0x01;
+            assert_eq!(read_frame(&bad), Err("checksum mismatch"));
+            let mut bad = frame.clone();
+            bad[8] ^= 0x01; // the stored checksum itself
+            assert_eq!(read_frame(&bad), Err("checksum mismatch"));
+        }
+        // A magic names its own checksum, never the other one.
+        let mut swapped = v1.clone();
+        swapped[..4].copy_from_slice(&REC_MAGIC.to_le_bytes());
+        assert_eq!(read_frame(&swapped), Err("checksum mismatch"));
+        let mut swapped = v2.clone();
+        swapped[..4].copy_from_slice(&REC_MAGIC_V1.to_le_bytes());
+        assert_eq!(read_frame(&swapped), Err("checksum mismatch"));
+    }
+
+    #[test]
+    fn a_v1_log_takes_v2_appends_and_stays_valid() {
+        let dir = std::env::temp_dir().join(format!("clite-store-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v1.log");
+        let mut img = header(FILE_MAGIC, FORMAT_VERSION).to_vec();
+        put_frame_v1(&mut img, b"alpha");
+        put_frame_v1(&mut img, b"beta");
+        std::fs::write(&path, &img).unwrap();
+
+        let (mut log, rec) = LogFile::open(&path).unwrap();
+        assert_eq!(rec.payloads, vec![b"alpha".to_vec(), b"beta".to_vec()]);
+        assert_eq!(rec.dropped_bytes, 0);
+        log.append(b"gamma").unwrap();
+        drop(log);
+
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[..img.len()], img[..], "the v1 frames are left as they were");
+        let (_, rec) = LogFile::open(&path).unwrap();
+        assert_eq!(rec.payloads, vec![b"alpha".to_vec(), b"beta".to_vec(), b"gamma".to_vec()]);
+        assert_eq!(rec.dropped_bytes, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
