@@ -46,8 +46,9 @@ if [[ "${1:-}" != "quick" ]]; then
     # CLITE_PAR_THREADS loop below, at both pool sizes.)
 
     # Fleet loop byte-identity (serial == threaded, single-lock == any
-    # shard count, incremental == scratch stats) at 256 nodes with
-    # injected crashes must hold under release codegen too.
+    # shard count, incremental == scratch stats) at 256 nodes, with and
+    # without injected crashes (which must kill nodes), must hold under
+    # release codegen too.
     step "cargo test -p clite-cluster --test fleet --release -q"
     cargo test -p clite-cluster --test fleet --release -q
 
@@ -151,24 +152,6 @@ if [[ "${1:-}" != "quick" ]]; then
         --faults crash_prob=0.35,crash_max=20 > "$store_tmp/fleet2.txt"
     grep -q "without panic" "$store_tmp/fleet2.txt"
 
-    # Fleet scale experiment: regenerate the committed benchmark artifact
-    # (nodes-vs-admission-latency + sharded-vs-mutex store curves). The
-    # experiment itself asserts serial == threaded byte-identity at every
-    # scale point and that injected crashes actually kill nodes.
-    step "fleet experiment (results/BENCH_pr7.json)"
-    ./target/release/experiments fleet --quick --seed 42 > "$store_tmp/fleet_exp.txt"
-    grep -q "benchmark artifact written" "$store_tmp/fleet_exp.txt"
-
-    # Parallel-substrate scaling: regenerate the committed speedup-curve
-    # artifact. The experiment asserts byte-identical suggestions at every
-    # slot count and fails (pass=false) if the modeled 4-worker speedup
-    # drops below 2x or the pooled 1-worker scan loses to the pre-PR
-    # scoped-spawn baseline.
-    step "par experiment (results/BENCH_pr8.json)"
-    ./target/release/experiments par --full --seed 42 > "$store_tmp/par_exp.txt"
-    grep -q "benchmark artifact written" "$store_tmp/par_exp.txt"
-    grep -q "PASS" "$store_tmp/par_exp.txt"
-
     # Placement-model training smoke test: fit a smoke-scale model,
     # verify its checksummed round trip (colocate train does both), and
     # serve it through the fleet CLI — the learned path must finish with
@@ -183,9 +166,11 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -q "without panic" "$store_tmp/fleet_learned.txt"
 
     # Durable-recovery byte-identity: the kill-at-every-event replay
-    # sweep at 64 nodes and the journal torn-tail/bit-flip proptests
-    # must hold under release codegen (the witness comparison is
-    # float-codegen-sensitive, like the other identity suites).
+    # sweep at 64 nodes (which must restore checkpoints), threaded
+    # recovery, journaled sheds, the deadline-bounded burst, and the
+    # journal torn-tail/bit-flip proptests must hold under release codegen
+    # (the witness comparison is float-codegen-sensitive, like the other
+    # identity suites).
     step "cargo test -p clite-cluster --test recovery --release -q"
     cargo test -p clite-cluster --test recovery --release -q
 
@@ -220,23 +205,12 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -q "recovery: replayed" "$store_tmp/fleet_recover.txt"
     grep -q "without panic" "$store_tmp/fleet_recover.txt"
 
-    # Recovery experiment: regenerate the committed benchmark artifact.
-    # The experiment asserts byte-identical recovery at every kill point
-    # (both WAL boundaries), threaded == serial across a crash, and the
-    # overload gates (deadline-bounded admission tail, journaled sheds).
-    step "recovery experiment (results/BENCH_pr10.json)"
-    ./target/release/experiments recovery --quick --seed 42 > "$store_tmp/recovery_exp.txt"
-    grep -q "benchmark artifact written" "$store_tmp/recovery_exp.txt"
-    grep -q "recovery: PASS" "$store_tmp/recovery_exp.txt"
-
-    # Placement A/B experiment: regenerate the committed benchmark
-    # artifact. The experiment asserts serial == threaded byte-identity
+    # Placement A/B experiment: asserts serial == threaded byte-identity
     # in both arms and fails the gate unless the learned ordering
     # matches or beats the heuristic QoS-safe fraction at every scale
     # point with admission within 2 pp.
-    step "placement experiment (results/BENCH_pr9.json)"
+    step "placement experiment"
     ./target/release/experiments placement --quick --seed 42 > "$store_tmp/placement_exp.txt"
-    grep -q "benchmark artifact written" "$store_tmp/placement_exp.txt"
     grep -q "placement: PASS" "$store_tmp/placement_exp.txt"
 
     # Traced layered-benchmark smoke test on the learned-placement fleet:

@@ -2,9 +2,8 @@
 //! end-to-end `suggest()` and the hyper-grid `fit_best` scan at 1/2/4/8
 //! pool slots on the 2-job and 5-job mixes. All slot counts produce
 //! byte-identical results (see `crates/bo/tests/parallel_determinism.rs`);
-//! these benches measure only where the wall-clock goes. The committed
-//! speedup curve lives in `results/BENCH_pr8.json` (the `par` experiment);
-//! run these with `CLITE_PAR_THREADS` set to the pool size under test.
+//! these benches measure only where the wall-clock goes. Run them with
+//! `CLITE_PAR_THREADS` set to the pool size under test.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 

@@ -56,25 +56,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--placement" => match it.next().as_deref() {
-                Some("heuristic") => opts.learned_placement = false,
-                Some("learned") => opts.learned_placement = true,
-                Some(other) => {
-                    eprintln!("unknown placement '{other}' (expected 'heuristic' or 'learned')");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("--placement requires 'heuristic' or 'learned'");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--model" => match it.next() {
-                Some(p) => opts.model = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("--model requires a path argument");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--telemetry-out" => match it.next() {
                 Some(p) => {
                     if let Err(e) = install_jsonl_sink(&p) {
@@ -146,12 +127,11 @@ fn main() -> ExitCode {
 }
 
 fn print_usage() {
+    let ids: Vec<&str> = registry().into_iter().map(|(id, _)| id).collect();
     eprintln!(
         "usage: experiments <id>... | all [--full] [--seed N] [--save DIR] \
-         [--telemetry-out PATH] [--store PATH] \
-         [--placement heuristic|learned] [--model PATH] [--list]\n\
-         ids: table1 table2 table3 fig1 fig2 fig6 fig7 fig8 fig9a fig9b fig10\n\
-         \x20     fig11 fig12 fig13 fig14 fig15a fig15b fig16 summary ablations\n\
-         \x20     frontier cluster chaos loadtest fleet placement par"
+         [--telemetry-out PATH] [--store PATH] [--list]\n\
+         ids: {}",
+        ids.join(" ")
     );
 }

@@ -163,12 +163,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("clite_fig16_store_{}.log", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let opts = ExpOptions {
-            quick: true,
-            seed: 71,
-            store: Some(path.clone()),
-            ..ExpOptions::default()
-        };
+        let opts = ExpOptions { quick: true, seed: 71, store: Some(path.clone()) };
         let _ = run(&opts);
         let r = run(&opts);
         let _ = std::fs::remove_file(&path);

@@ -6,9 +6,8 @@
 //! Not a paper figure: this is the repo's own observability pipeline.
 //! Every run writes the versioned JSON report (`results/reports/
 //! loadtest.json`, or `$CLITE_LOAD_REPORT` when set — ci.sh points it at
-//! a scratch file for the smoke gate); `--full` additionally writes the
-//! machine-readable `results/BENCH_pr6.json` artifact. The `loadgate`
-//! binary diffs two such reports and fails CI on tail regressions.
+//! a scratch file for the smoke gate). The `loadgate` binary diffs two
+//! such reports and fails CI on tail regressions.
 
 use std::path::PathBuf;
 
@@ -23,8 +22,6 @@ use crate::{ExpOptions, Report};
 
 /// Default report destination, overridable via `$CLITE_LOAD_REPORT`.
 const DEFAULT_REPORT: &str = "results/reports/loadtest.json";
-/// The `--full` run's committed benchmark artifact.
-const BENCH_ARTIFACT: &str = "results/BENCH_pr6.json";
 
 /// The two load-tested mixes: a congested 2-LC pair (where partitioning
 /// quality shows up directly in the tail) and a 5-job mix with three LC
@@ -154,12 +151,6 @@ pub fn run(opts: &ExpOptions) -> Report {
         Ok(()) => body.push_str(&format!("load report written to {}\n", path.display())),
         Err(e) => {
             body.push_str(&format!("WARNING: cannot write load report {}: {e}\n", path.display()))
-        }
-    }
-    if !opts.quick {
-        match report.save(&PathBuf::from(BENCH_ARTIFACT)) {
-            Ok(()) => body.push_str(&format!("benchmark artifact written to {BENCH_ARTIFACT}\n")),
-            Err(e) => body.push_str(&format!("WARNING: cannot write {BENCH_ARTIFACT}: {e}\n")),
         }
     }
     Report {

@@ -16,12 +16,9 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig16;
-pub mod fleet;
 pub mod frontier;
 pub mod loadtest;
-pub mod par;
 pub mod placement;
-pub mod recovery;
 pub mod summary;
 pub mod tables;
 
@@ -58,10 +55,7 @@ pub fn registry() -> Vec<(&'static str, ExperimentFn)> {
         ("cluster", cluster::run),
         ("chaos", chaos::run),
         ("loadtest", loadtest::run),
-        ("fleet", fleet::run),
         ("placement", placement::run),
-        ("par", par::run),
-        ("recovery", recovery::run),
     ]
 }
 

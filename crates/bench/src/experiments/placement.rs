@@ -4,65 +4,35 @@
 //! simulator rollouts, then runs the same crash-chaos fleet trace twice at
 //! every scale point: once with the least-loaded heuristic ordering, once
 //! with the trained model ordering. Both arms run serial AND threaded
-//! admission and must be byte-identical — the experiment asserts it, same
-//! contract as the `fleet` experiment. The committed artifact
-//! (`results/BENCH_pr9.json`) records, per scale point and arm: the
-//! QoS-safe fraction of alive nodes, the admission rate, observation
-//! windows spent, and orphan re-placements.
+//! admission and must be byte-identical — the experiment asserts it. The
+//! table records, per scale point and arm: the QoS-safe fraction of alive
+//! nodes, the admission rate, observation windows spent, and orphan
+//! re-placements.
 //!
 //! The gate: the learned arm must match or beat the heuristic's QoS-safe
 //! fraction at every scale point and never lose more than 2 percentage
 //! points of admission rate. The report ends in a `placement: PASS`/`FAIL`
 //! marker line (the CI gate greps for it).
 
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 use clite_cluster::fleet::{FleetConfig, FleetRun, FleetService};
 use clite_cluster::scheduler::AdmissionMode;
 use clite_cluster::trace::{generate, TraceConfig};
 use clite_faults::{FaultSpec, FaultyFactory};
 use clite_learn::{RankingModel, TrainConfig};
-use serde::Serialize;
 
-use crate::export::save_json;
 use crate::render::{pct, Table};
 use crate::runner::ambient_telemetry;
 use crate::{ExpOptions, Report};
-
-/// Default artifact destination, overridable via `$CLITE_PLACEMENT_REPORT`.
-const BENCH_ARTIFACT: &str = "results/BENCH_pr9.json";
 
 /// Admission-rate slack the learned arm is allowed (2 percentage points):
 /// a model that keeps every node QoS-safe by rejecting work wholesale
 /// would be a degenerate win.
 const ADMISSION_SLACK: f64 = 0.02;
 
-/// The committed benchmark artifact.
-#[derive(Debug, Serialize)]
-struct PlacementBench {
-    version: u32,
-    seed: u64,
-    /// Final pairwise training loss (untrained level is ln 2 ≈ 0.693).
-    train_loss: f64,
-    train_epochs: u32,
-    scale: Vec<ScalePoint>,
-    pass: bool,
-}
-
-/// One fleet size on the A/B curve.
-#[derive(Debug, Serialize)]
-struct ScalePoint {
-    nodes: usize,
-    events: usize,
-    heuristic: ArmMetrics,
-    learned: ArmMetrics,
-    pass: bool,
-}
-
 /// One arm (policy) at one scale point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 struct ArmMetrics {
     /// Fraction of alive nodes whose committed jobs all meet QoS.
     qos_safe_frac: f64,
@@ -71,25 +41,23 @@ struct ArmMetrics {
     windows_spent: u64,
     /// Orphaned jobs successfully re-homed after node crashes.
     replacements: u64,
-    placed: usize,
     dead_nodes: usize,
-    wall_ms: f64,
 }
 
-/// The same crash plan as the `fleet` experiment: probes die mid-search
-/// often enough that nodes are evicted and orphans re-home at every scale.
+/// The crash plan: probes die mid-search often enough that nodes are
+/// evicted and orphans re-home at every scale.
 fn crash_spec() -> FaultSpec {
     FaultSpec { crash_prob: 0.35, crash_window_max: 20, ..FaultSpec::none() }
 }
 
-/// Runs one trace through one fleet arm and times it.
+/// Runs one trace through one fleet arm.
 fn run_arm(
     nodes: usize,
     events: usize,
     mode: AdmissionMode,
     seed: u64,
     model: Option<&Arc<RankingModel>>,
-) -> (FleetRun, std::time::Duration) {
+) -> FleetRun {
     let mut config = match model {
         Some(m) => FleetConfig::mean_field_learned(8, 4, Arc::clone(m)),
         None => FleetConfig::mean_field(8, 4),
@@ -99,10 +67,7 @@ fn run_arm(
     let mut fleet =
         FleetService::with_factory(nodes, config, seed, factory).expect("non-empty fleet");
     let trace = generate(&TraceConfig { events, ..TraceConfig::default() }, seed);
-    let telemetry = ambient_telemetry();
-    let start = Instant::now();
-    let run = fleet.run(&trace, &telemetry).expect("fleet loop healthy");
-    (run, start.elapsed())
+    fleet.run(&trace, &ambient_telemetry()).expect("fleet loop healthy")
 }
 
 /// Runs one arm serial and threaded, asserts byte-identity, and distills
@@ -113,8 +78,8 @@ fn measure_arm(
     seed: u64,
     model: Option<&Arc<RankingModel>>,
 ) -> ArmMetrics {
-    let (serial, wall) = run_arm(nodes, events, AdmissionMode::Serial, seed, model);
-    let (threaded, _) = run_arm(nodes, events, AdmissionMode::Threaded, seed, model);
+    let serial = run_arm(nodes, events, AdmissionMode::Serial, seed, model);
+    let threaded = run_arm(nodes, events, AdmissionMode::Threaded, seed, model);
     assert_eq!(
         serial,
         threaded,
@@ -129,9 +94,7 @@ fn measure_arm(
         admission_rate: stats.admission_rate(),
         windows_spent: stats.nodes.iter().map(|n| n.samples_spent).sum(),
         replacements: serial.counters.replacements,
-        placed: stats.placed,
         dead_nodes: stats.dead_nodes,
-        wall_ms: wall.as_secs_f64() * 1e3,
     }
 }
 
@@ -140,13 +103,6 @@ fn measure_arm(
 fn point_passes(heuristic: &ArmMetrics, learned: &ArmMetrics) -> bool {
     learned.qos_safe_frac >= heuristic.qos_safe_frac - 1e-12
         && learned.admission_rate >= heuristic.admission_rate - ADMISSION_SLACK
-}
-
-/// The artifact destination: `$CLITE_PLACEMENT_REPORT` or the default.
-#[must_use]
-pub fn report_path() -> PathBuf {
-    std::env::var_os("CLITE_PLACEMENT_REPORT")
-        .map_or_else(|| PathBuf::from(BENCH_ARTIFACT), PathBuf::from)
 }
 
 /// Experiment entry point.
@@ -158,21 +114,16 @@ pub fn report_path() -> PathBuf {
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Report {
     let train_config = TrainConfig::smoke(opts.seed);
-    let train_start = Instant::now();
     let model = clite_learn::train(&train_config, &ambient_telemetry());
-    let train_wall = train_start.elapsed();
     let mut body = format!(
         "trained ranking model: {} rollout groups x {} candidates, {} epochs,\n\
-         final pairwise loss {:.4} (untrained level {:.4}) in {:.1} ms\n\n",
+         final pairwise loss {:.4} (untrained level {:.4})\n\n",
         train_config.groups,
         train_config.candidates,
         train_config.epochs,
         model.train_loss,
         std::f64::consts::LN_2,
-        train_wall.as_secs_f64() * 1e3
     );
-    let train_loss = model.train_loss;
-    let train_epochs = model.epochs;
     let model = Arc::new(model);
 
     let node_counts: &[usize] = if opts.quick { &[32, 64, 128] } else { &[32, 64, 128, 256] };
@@ -185,14 +136,14 @@ pub fn run(opts: &ExpOptions) -> Report {
         "windows",
         "re-placed",
         "dead",
-        "wall (ms)",
         "point",
     ]);
-    let mut scale = Vec::new();
+    let mut any_dead = false;
+    let mut pass = true;
     for &nodes in node_counts {
         let heuristic = measure_arm(nodes, events, opts.seed, None);
         let learned = measure_arm(nodes, events, opts.seed, Some(&model));
-        let pass = point_passes(&heuristic, &learned);
+        let point_pass = point_passes(&heuristic, &learned);
         for (arm, m) in [("heuristic", &heuristic), ("learned", &learned)] {
             t.row(vec![
                 nodes.to_string(),
@@ -202,21 +153,17 @@ pub fn run(opts: &ExpOptions) -> Report {
                 m.windows_spent.to_string(),
                 m.replacements.to_string(),
                 m.dead_nodes.to_string(),
-                format!("{:.1}", m.wall_ms),
                 if arm == "learned" {
-                    if pass { "ok" } else { "REGRESSED" }.to_owned()
+                    if point_pass { "ok" } else { "REGRESSED" }.to_owned()
                 } else {
                     "-".to_owned()
                 },
             ]);
         }
-        scale.push(ScalePoint { nodes, events, heuristic, learned, pass });
+        any_dead |= heuristic.dead_nodes > 0;
+        pass &= point_pass;
     }
-    assert!(
-        scale.iter().any(|p| p.heuristic.dead_nodes > 0),
-        "the crash plan must actually kill nodes, or the A/B proves nothing"
-    );
-    let pass = scale.iter().all(|p| p.pass);
+    assert!(any_dead, "the crash plan must actually kill nodes, or the A/B proves nothing");
     body.push_str(&format!(
         "A/B under crash chaos (prob {}), {events} events/trace, serial == threaded\n\
          asserted in both arms at every scale point:\n\n{}\n\
@@ -226,14 +173,6 @@ pub fn run(opts: &ExpOptions) -> Report {
         t.render(),
         ADMISSION_SLACK * 100.0
     ));
-
-    let bench =
-        PlacementBench { version: 1, seed: opts.seed, train_loss, train_epochs, scale, pass };
-    let path = report_path();
-    match save_json(&path, &bench) {
-        Ok(()) => body.push_str(&format!("\nbenchmark artifact written to {}\n", path.display())),
-        Err(e) => body.push_str(&format!("\nWARNING: cannot write {}: {e}\n", path.display())),
-    }
     body.push_str(&format!("\nplacement: {}\n", if pass { "PASS" } else { "FAIL" }));
     Report {
         id: "placement",
@@ -253,9 +192,7 @@ mod tests {
             admission_rate: 0.8,
             windows_spent: 100,
             replacements: 2,
-            placed: 20,
             dead_nodes: 1,
-            wall_ms: 1.0,
         };
         let better = ArmMetrics { qos_safe_frac: 0.95, admission_rate: 0.79, ..base.clone() };
         assert!(point_passes(&base, &better), "within slack, better QoS");

@@ -1,12 +1,11 @@
 //! Structured export of experiment artifacts: reports to text files,
-//! policy outcomes and observations to JSON, tables to CSV.
+//! policy outcomes to CSV.
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
 use clite_policies::policy::PolicyOutcome;
-use serde::Serialize;
 
 use crate::Report;
 
@@ -25,21 +24,6 @@ pub fn save_reports(dir: &Path, reports: &[Report]) -> io::Result<()> {
         index.push_str(&format!("{}\t{}\n", r.id, r.title));
     }
     fs::write(dir.join("index.txt"), index)
-}
-
-/// Serializes any `Serialize` value (policy outcomes, observations,
-/// traces) to pretty JSON at `path`.
-///
-/// # Errors
-///
-/// Propagates filesystem and serialization errors.
-pub fn save_json<T: Serialize>(path: &Path, value: &T) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    let json = serde_json::to_string_pretty(value)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    fs::write(path, json)
 }
 
 /// Flattens a policy outcome into per-sample CSV rows:
@@ -80,17 +64,6 @@ mod tests {
         assert_eq!(lines[0], "index,score,qos_met,mean_bg_perf,mean_lc_perf");
         assert_eq!(lines.len(), o.samples_used() + 1);
         assert!(lines[1].starts_with("0,"));
-    }
-
-    #[test]
-    fn json_roundtrips_outcome() {
-        let dir = std::env::temp_dir().join("clite_export_test");
-        let path = dir.join("outcome.json");
-        let o = outcome();
-        save_json(&path, &o).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"policy\": \"PARTIES\""));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

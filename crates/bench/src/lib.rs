@@ -44,17 +44,11 @@ pub struct ExpOptions {
     /// CLITE search (fig16's adaptive loop) persist their observations
     /// here and warm-start from them on re-invocation.
     pub store: Option<std::path::PathBuf>,
-    /// Serve the learned candidate-ordering model (`--placement learned`)
-    /// instead of the least-loaded heuristic in fleet-style experiments.
-    pub learned_placement: bool,
-    /// Ranking-model path (`--model`) for learned placement; the zero
-    /// model (heuristic-fallback order) when absent.
-    pub model: Option<std::path::PathBuf>,
 }
 
 impl Default for ExpOptions {
     fn default() -> Self {
-        Self { quick: true, seed: 42, store: None, learned_placement: false, model: None }
+        Self { quick: true, seed: 42, store: None }
     }
 }
 

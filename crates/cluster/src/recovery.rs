@@ -274,8 +274,8 @@ impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
     }
 
     /// Shed arrivals accounted in the journal so far: records whose
-    /// pre-apply disposition byte says "shed". The overload experiment
-    /// audits this against the service counter.
+    /// pre-apply disposition byte says "shed". The recovery tests audit
+    /// this against the service counter.
     ///
     /// # Errors
     ///

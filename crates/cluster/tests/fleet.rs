@@ -2,7 +2,8 @@
 //! placements, counters, and statistics must be byte-identical across
 //! serial vs threaded admission, across store shard counts, and across
 //! repeated runs — at a fleet size (≥256 nodes) where a naive
-//! parallelization or shard-dependent lookup would actually diverge.
+//! parallelization or shard-dependent lookup would actually diverge, with
+//! and without injected node crashes.
 
 use std::sync::Arc;
 
@@ -11,7 +12,9 @@ use clite_cluster::learned;
 use clite_cluster::scheduler::AdmissionMode;
 use clite_cluster::stats::ClusterStats;
 use clite_cluster::trace::{generate, TraceConfig};
+use clite_faults::{FaultSpec, FaultyFactory};
 use clite_sim::prelude::*;
+use clite_sim::testbed::{ServerFactory, TestbedFactory};
 use clite_store::log::fnv1a64;
 use clite_store::{ObservationStore, ShardPolicy, ShardedStore, StoreHandle};
 use clite_telemetry::Telemetry;
@@ -45,8 +48,12 @@ fn config(mode: AdmissionMode) -> FleetConfig {
     config
 }
 
-fn run(mode: AdmissionMode, store: Option<StoreHandle>) -> FleetRun {
-    let mut fleet = FleetService::new(NODES, config(mode), SEED).expect("fleet");
+fn run<F: TestbedFactory + Sync + Clone>(
+    mode: AdmissionMode,
+    store: Option<StoreHandle>,
+    factory: F,
+) -> FleetRun {
+    let mut fleet = FleetService::with_factory(NODES, config(mode), SEED, factory).expect("fleet");
     if let Some(store) = store {
         fleet = fleet.with_store(store);
     }
@@ -96,8 +103,8 @@ fn learned_fleet_is_byte_identical_across_admission_modes() {
 
 #[test]
 fn serial_and_threaded_fleets_are_byte_identical_at_256_nodes() {
-    let serial = run(AdmissionMode::Serial, None);
-    let threaded = run(AdmissionMode::Threaded, None);
+    let serial = run(AdmissionMode::Serial, None, ServerFactory);
+    let threaded = run(AdmissionMode::Threaded, None, ServerFactory);
     assert_eq!(serial.placements, threaded.placements, "placements diverged");
     assert_eq!(serial.counters, threaded.counters, "counters diverged");
     assert_eq!(serial.stats, threaded.stats, "statistics diverged");
@@ -113,25 +120,41 @@ fn serial_and_threaded_fleets_are_byte_identical_at_256_nodes() {
 #[test]
 fn shard_count_does_not_change_fleet_outcomes() {
     let single: StoreHandle = ObservationStore::in_memory().into_shared().into();
-    let reference = run(AdmissionMode::Serial, Some(single));
+    let reference = run(AdmissionMode::Serial, Some(single), ServerFactory);
     for shards in [1usize, 4, 16] {
         let store: Arc<ShardedStore> = ShardedStore::in_memory(ShardPolicy::with_shards(shards));
-        let got = run(AdmissionMode::Serial, Some(store.clone().into()));
+        let got = run(AdmissionMode::Serial, Some(store.clone().into()), ServerFactory);
         assert_eq!(got, reference, "{shards}-shard fleet diverged from the single-lock store");
         assert!(store.stats().appends > 0, "committed searches must reach the store");
     }
 }
 
+/// Serial over one mutex-guarded store vs threaded over an 8-shard store
+/// — every layer swapped at once — must stay byte-identical; returns the
+/// serial run.
+fn assert_threaded_sharded_matches_serial_single_lock<F: TestbedFactory + Sync + Clone>(
+    factory: F,
+) -> FleetRun {
+    let single: StoreHandle = ObservationStore::in_memory().into_shared().into();
+    let serial = run(AdmissionMode::Serial, Some(single), factory.clone());
+    let sharded: Arc<ShardedStore> = ShardedStore::in_memory(ShardPolicy::with_shards(8));
+    let threaded = run(AdmissionMode::Threaded, Some(sharded.into()), factory);
+    assert_eq!(serial, threaded);
+    serial
+}
+
 #[test]
 fn threaded_sharded_fleet_matches_serial_single_lock() {
-    // The headline contract from the issue: serial over one mutex-guarded
-    // store vs threaded over a sharded store — every layer swapped at
-    // once, still byte-identical.
-    let single: StoreHandle = ObservationStore::in_memory().into_shared().into();
-    let serial = run(AdmissionMode::Serial, Some(single));
-    let sharded: Arc<ShardedStore> = ShardedStore::in_memory(ShardPolicy::with_shards(8));
-    let threaded = run(AdmissionMode::Threaded, Some(sharded.into()));
-    assert_eq!(serial, threaded);
+    assert_threaded_sharded_matches_serial_single_lock(ServerFactory);
+    // Probes die mid-search often enough that nodes are evicted and their
+    // jobs re-placed: eviction order must not depend on admission mode or
+    // shard routing either.
+    let crashes = FaultSpec { crash_prob: 0.35, crash_window_max: 20, ..FaultSpec::none() };
+    let crashed = assert_threaded_sharded_matches_serial_single_lock(FaultyFactory::new(
+        ServerFactory,
+        crashes,
+    ));
+    assert!(crashed.stats.dead_nodes > 0, "the crash plan must actually kill nodes");
 }
 
 #[test]
@@ -149,8 +172,8 @@ fn incremental_stats_match_from_scratch_recompute() {
 
 #[test]
 fn fleet_runs_are_self_deterministic() {
-    let a = run(AdmissionMode::Threaded, None);
-    let b = run(AdmissionMode::Threaded, None);
+    let a = run(AdmissionMode::Threaded, None, ServerFactory);
+    let b = run(AdmissionMode::Threaded, None, ServerFactory);
     assert_eq!(a, b);
 }
 

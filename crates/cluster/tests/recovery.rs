@@ -3,12 +3,15 @@
 //! recover from checkpoint + journal suffix, finish the trace, and demand
 //! the [`FleetRun`] witness be byte-identical to a never-crashed run. Also
 //! pins the overload path: shedding decisions survive kill/recover because
-//! the disposition and backlog ride in the journal.
+//! the disposition and backlog ride in the journal, and the deadline
+//! budget bounds every protected admission under a burst.
 
 use std::path::PathBuf;
 
-use clite_cluster::event::TimedEvent;
-use clite_cluster::fleet::{FleetConfig, FleetRun, FleetService, OverloadConfig};
+use clite_cluster::event::{FleetEvent, TimedEvent};
+use clite_cluster::fleet::{
+    backlog_at, EventOutcome, FleetConfig, FleetRun, FleetService, OverloadConfig,
+};
 use clite_cluster::recovery::{CrashPlan, CrashPoint, DurableConfig, DurableFleet, DurableOutcome};
 use clite_cluster::scheduler::AdmissionMode;
 use clite_cluster::trace::{generate, TraceConfig};
@@ -44,6 +47,25 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// An arrival-heavy trace of `events` events all landing on the same
+/// tick, so the backlog trigger sees every later event as queue depth.
+fn burst(events: usize) -> Vec<TimedEvent> {
+    generate(
+        &TraceConfig {
+            events,
+            arrival_weight: 8,
+            departure_weight: 1,
+            load_shift_weight: 1,
+            onboard_every: None,
+            onboard_nodes: 0,
+        },
+        SEED,
+    )
+    .into_iter()
+    .map(|e| TimedEvent::new(1, e.event))
+    .collect()
+}
+
 fn baseline(mode: AdmissionMode, trace: &[TimedEvent]) -> FleetRun {
     let mut service = FleetService::new(NODES, config(mode), SEED).expect("fleet");
     service.run(trace, &Telemetry::disabled()).expect("baseline runs")
@@ -58,6 +80,7 @@ fn kill_at_every_event_recovers_byte_identically() {
     let want = baseline(AdmissionMode::Serial, &trace);
     let durable = DurableConfig { checkpoint_every: 4 };
     let dir = tempdir("sweep");
+    let mut from_checkpoint = 0;
     for k in 0..trace.len() as u64 {
         for point in [CrashPoint::Journaled, CrashPoint::Applied] {
             let mut fleet = DurableFleet::create(
@@ -86,6 +109,8 @@ fn kill_at_every_event_recovers_byte_identically() {
                 &Telemetry::disabled(),
             )
             .expect("recover");
+            let info = recovered.recovery_info().expect("recovered fleets carry info");
+            from_checkpoint += usize::from(info.checkpoint_seqno > 0);
             let DurableOutcome::Completed(got) =
                 recovered.run(&trace, None, &Telemetry::disabled()).expect("finish")
             else {
@@ -95,6 +120,7 @@ fn kill_at_every_event_recovers_byte_identically() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+    assert!(from_checkpoint > 0, "the sweep must exercise checkpoint restores, not only replay");
 }
 
 /// Serial and threaded admission recover to the same witness: the WAL
@@ -144,23 +170,9 @@ fn recovered_threaded_fleet_matches_serial() {
 /// every one of them.
 #[test]
 fn shedding_decisions_survive_recovery_and_are_journaled() {
-    // A burst: every event lands on the same tick, so the backlog trigger
-    // fires for background arrivals while LC arrivals always probe. Use an
-    // arrival-heavy trace so the fixture reliably contains BG arrivals.
-    let burst: Vec<TimedEvent> = generate(
-        &TraceConfig {
-            events: 20,
-            arrival_weight: 8,
-            departure_weight: 1,
-            load_shift_weight: 1,
-            onboard_every: None,
-            onboard_nodes: 0,
-        },
-        SEED,
-    )
-    .into_iter()
-    .map(|e| TimedEvent::new(1, e.event))
-    .collect();
+    // The backlog trigger fires for background arrivals while LC arrivals
+    // always probe; the arrival-heavy burst reliably contains BG arrivals.
+    let burst = burst(20);
     let mut shedding_config = config(AdmissionMode::Serial);
     shedding_config.overload =
         OverloadConfig { shed_backlog: Some(4), shed_window_debt: None, debt_horizon: 8 };
@@ -207,4 +219,55 @@ fn shedding_decisions_survive_recovery_and_are_journaled() {
         "every shed arrival must be accounted in the journal"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Streams `trace` event by event at its same-tick backlog over a 4-node
+/// fleet, returning each arrival's sample cost and whether it was shed,
+/// plus the service's shed counter.
+fn arrival_costs(config: FleetConfig, trace: &[TimedEvent]) -> (Vec<(u64, bool)>, u64) {
+    let mut service = FleetService::new(4, config, SEED).expect("fleet");
+    let mut costs = Vec::new();
+    for (index, timed) in trace.iter().enumerate() {
+        let before = service.scheduler().total_samples_spent();
+        let outcome = service
+            .handle_with_backlog(timed, backlog_at(trace, index), &Telemetry::disabled())
+            .expect("event applies");
+        if matches!(timed.event, FleetEvent::Arrival { .. }) {
+            let spent = service.scheduler().total_samples_spent() - before;
+            costs.push((spent, matches!(outcome, EventOutcome::Shed { .. })));
+        }
+    }
+    (costs, service.counters().arrivals_shed)
+}
+
+/// A same-tick burst saturates a 4-node fleet, so late arrivals would scan
+/// several candidates whose searches all come back infeasible — the scans
+/// the deadline budget exists to stop — and the backlog trigger sheds
+/// background arrivals before they probe at all.
+#[test]
+fn deadline_bounds_every_protected_admission_under_a_burst() {
+    let trace = burst(24);
+    // Below one search's typical cost, so admission stops scanning once
+    // its first search has finished.
+    let deadline = 4;
+    let mut protected = config(AdmissionMode::Serial);
+    protected.overload =
+        OverloadConfig { shed_backlog: Some(4), shed_window_debt: None, debt_horizon: 8 };
+    protected.scheduler.deadline_samples = Some(deadline);
+    // The deadline is checked before each candidate, so one in-flight
+    // search may finish past it. A search is capped at `max_iterations`
+    // plus a bootstrap no longer than that, so this is a structural worst
+    // case, not a tuned constant.
+    let bound = deadline + 2 * protected.scheduler.clite.termination.max_iterations as u64;
+
+    let (costs, shed) = arrival_costs(protected, &trace);
+    for &(cost, was_shed) in &costs {
+        assert!(cost <= bound, "an admission blew the deadline budget (bound {bound}): {costs:?}");
+        assert!(!was_shed || cost == 0, "a shed arrival must cost no samples: {costs:?}");
+    }
+    assert!(shed > 0, "the burst must actually trigger shedding");
+    assert_eq!(costs.iter().filter(|&&(_, was_shed)| was_shed).count() as u64, shed);
+
+    let (_, control_shed) = arrival_costs(config(AdmissionMode::Serial), &trace);
+    assert_eq!(control_shed, 0, "the trace must not shed without overload settings");
 }

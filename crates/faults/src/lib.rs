@@ -301,7 +301,7 @@ impl std::error::Error for FaultSpecError {}
 /// dies immediately after handling its `after_event`-th journaled event
 /// (0-based seqno), at one of two instruction boundaries. Sweeping
 /// `after_event` over every seqno — at both boundaries — is how the
-/// recovery experiment proves checkpoint+journal replay byte-identical
+/// recovery tests prove checkpoint+journal replay byte-identical
 /// to a never-crashed run at *any* kill point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPlan {
