@@ -55,6 +55,15 @@ if [[ "${1:-}" != "quick" ]]; then
     step "cargo test -p clite-gp --test incremental --release -q"
     cargo test -p clite-gp --test incremental --release -q
 
+    # The admission path's allocation-free forms (in-place Cholesky solve,
+    # one-pass BG/LC performance means) must equal the forms they replaced
+    # bit for bit under release float codegen, where they could diverge.
+    step "cargo test -p clite-gp --test solve_in_place --release -q"
+    cargo test -p clite-gp --test solve_in_place --release -q
+
+    step "cargo test -p clite-sim --test mean_perf --release -q"
+    cargo test -p clite-sim --test mean_perf --release -q
+
     # Shared-pool byte-identity at two pool sizes: the determinism suites
     # must produce bit-identical suggestions whether the global pool has
     # one executor (everything inline) or four (work actually handed to

@@ -85,11 +85,20 @@ impl PlacementPolicy {
         job: &JobSpec,
         stats: &ClusterStats,
     ) -> CandidateOrder {
-        let mut ids: Vec<usize> =
-            nodes.iter().filter(|n| n.has_capacity_for_one_more()).map(|n| n.id()).collect();
-        let mut scored = None;
+        let capacity = nodes.iter().filter(|n| n.has_capacity_for_one_more()).map(Node::id);
+        if let PlacementPolicy::Learned { model } = self {
+            // Scored straight off the capacity filter: one scored `Vec`
+            // and the id order are all an arrival allocates.
+            let ranked = learned::ranked(model, job, nodes, capacity, stats);
+            let scored = ranked.first().map(|&(_, best, _)| (ranked.len(), best));
+            return CandidateOrder {
+                order: ranked.into_iter().map(|(id, ..)| id).collect(),
+                scored,
+            };
+        }
+        let mut ids: Vec<usize> = capacity.collect();
         match self {
-            PlacementPolicy::FirstFit => {}
+            PlacementPolicy::FirstFit | PlacementPolicy::Learned { .. } => {}
             PlacementPolicy::LeastLoaded => {
                 ids.sort_by(|&a, &b| {
                     nodes[a].committed_lc_load().total_cmp(&nodes[b].committed_lc_load())
@@ -108,15 +117,8 @@ impl PlacementPolicy {
                     (la >= target).cmp(&(lb >= target)).then_with(|| la.total_cmp(&lb))
                 });
             }
-            PlacementPolicy::Learned { model } => {
-                let ranked = learned::rank(model, job, nodes, &ids, stats);
-                if let Some(&(_, best)) = ranked.first() {
-                    scored = Some((ranked.len(), best));
-                }
-                ids = ranked.into_iter().map(|(id, _)| id).collect();
-            }
         }
-        CandidateOrder { order: ids, scored }
+        CandidateOrder { order: ids, scored: None }
     }
 }
 

@@ -9,9 +9,11 @@ use std::sync::Arc;
 
 use clite_cluster::fleet::{FleetConfig, FleetCounters, FleetRun, FleetService};
 use clite_cluster::learned;
+use clite_cluster::node::Node;
 use clite_cluster::scheduler::AdmissionMode;
 use clite_cluster::stats::ClusterStats;
 use clite_cluster::trace::{generate, TraceConfig};
+use clite_cluster::wire::CommittedOutcome;
 use clite_faults::{FaultSpec, FaultyFactory};
 use clite_sim::prelude::*;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
@@ -228,4 +230,131 @@ fn learned_placements_match_the_pinned_record() {
     }
     let digest = fnv1a64(&bytes);
     assert_eq!(digest, LEARNED_64_RANKING_DIGEST, "learned ranking changed: {digest:#x}");
+}
+
+/// `learned::rank` as it was built before the allocation-free rewrite:
+/// every input collected into a `Vec`, the trace included, and a stable
+/// sort. The reference for traces the memo does not cover.
+fn vec_path_rank(
+    model: &clite_learn::RankingModel,
+    spec: &JobSpec,
+    nodes: &[Node],
+    candidates: &[usize],
+    stats: &ClusterStats,
+) -> Vec<(usize, f64)> {
+    let signature_load = |s: &JobSpec| match s.class() {
+        JobClass::LatencyCritical => s.load.at(0.0),
+        JobClass::Background => 1.0,
+    };
+    let lc = spec.class() == JobClass::LatencyCritical;
+    let job = clite_learn::JobInput {
+        latency_critical: lc,
+        load: if lc { spec.load.at(0.0) } else { 0.0 },
+        qos_target_us: if lc {
+            QosSpec::derive(spec.workload, &ResourceCatalog::testbed()).target_us
+        } else {
+            0.0
+        },
+    };
+    let alive: Vec<_> = stats.nodes.iter().filter(|n| n.alive).collect();
+    let fleet = clite_learn::FleetInput {
+        alive_nodes: alive.len(),
+        mean_lc_load: alive.iter().map(|n| n.lc_load).sum::<f64>() / alive.len() as f64,
+        admission_rate: stats.admission_rate(),
+    };
+    let mut scored: Vec<(usize, f64, f64)> = candidates
+        .iter()
+        .map(|&id| {
+            let node = &nodes[id];
+            let loads: Vec<f64> = node.jobs().iter().map(|j| signature_load(&j.spec)).collect();
+            let (mix_mean, mix_max) =
+                clite_learn::features::mix_load_pcts(loads, signature_load(spec));
+            let headroom = node.last_outcome().map_or_else(clite_learn::Headroom::prior, |o| {
+                let n = o.samples.len();
+                let trace: Vec<(f64, f64)> = o
+                    .samples
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| (i as f64 / (n - 1).max(1) as f64, s.score.value))
+                    .collect();
+                clite_learn::headroom::predict(&trace)
+            });
+            let input = clite_learn::NodeInput {
+                jobs: node.job_count(),
+                lc_jobs: node
+                    .jobs()
+                    .iter()
+                    .filter(|j| j.spec.class() == JobClass::LatencyCritical)
+                    .count(),
+                lc_load: node.committed_lc_load(),
+                bg_perf: node.last_outcome().and_then(|o| {
+                    o.samples
+                        .iter()
+                        .max_by(|a, b| a.score.value.total_cmp(&b.score.value))
+                        .and_then(|s| {
+                            let perfs: Vec<f64> =
+                                s.observation.bg_jobs().map(|j| j.normalized_perf).collect();
+                            (!perfs.is_empty())
+                                .then(|| perfs.iter().sum::<f64>() / perfs.len() as f64)
+                        })
+                }),
+                qos_met: node.last_outcome().is_none_or(|o| o.qos_met()),
+                mix_mean_load_pct: mix_mean,
+                mix_max_load_pct: mix_max,
+                headroom,
+            };
+            let features = clite_learn::extract(&job, &input, &fleet);
+            (id, model.score(&features), input.lc_load)
+        })
+        .collect();
+    scored.sort_by(|&(a, sa, la), &(b, sb, lb)| {
+        sb.total_cmp(&sa).then_with(|| la.total_cmp(&lb)).then_with(|| a.cmp(&b))
+    });
+    scored.into_iter().map(|(id, score, _)| (id, score)).collect()
+}
+
+#[test]
+fn ranking_past_the_headroom_memo_cap_matches_the_vec_path() {
+    let mut fleet =
+        FleetService::new(64, learned_config(AdmissionMode::Serial), SEED).expect("fleet");
+    fleet.run(&fleet_trace(), &Telemetry::disabled()).expect("trace runs");
+    let mut nodes: Vec<Node> = fleet
+        .scheduler()
+        .nodes()
+        .iter()
+        .map(|n| Node::from_snapshot(n.snapshot(), ResourceCatalog::testbed(), ServerFactory))
+        .collect();
+
+    // Stretch one node's committed trace past the memo cap: its samples
+    // cycled, each score nudged so the trace is not flat.
+    let long = clite_learn::headroom::MEMO_CAP + 9;
+    let id = nodes.iter().position(|n| n.last_outcome().is_some()).expect("a committed node");
+    let mut snap = nodes[id].snapshot();
+    let mut outcome = nodes[id].last_outcome().expect("committed").clone();
+    outcome.samples = (0..long)
+        .map(|i| {
+            let mut sample = outcome.samples[i % outcome.samples.len()].clone();
+            sample.index = i;
+            sample.score.value = (sample.score.value + 0.003 * (i % 7) as f64).min(1.0);
+            sample
+        })
+        .collect();
+    snap.last_outcome = Some(Arc::new(CommittedOutcome::new(outcome)));
+    nodes[id] = Node::from_snapshot(snap, ResourceCatalog::testbed(), ServerFactory);
+    assert_eq!(nodes[id].last_outcome().expect("stretched").samples.len(), long);
+
+    let stats = ClusterStats::collect(&nodes, 0);
+    let candidates: Vec<usize> = (0..nodes.len()).collect();
+    let model = learned_model();
+    for spec in [
+        JobSpec::latency_critical(WorkloadId::Memcached, 0.3),
+        JobSpec::latency_critical(WorkloadId::ImgDnn, 0.6),
+        JobSpec::background(WorkloadId::Streamcluster),
+    ] {
+        let ranked = learned::rank(&model, &spec, &nodes, &candidates, &stats);
+        let reference = vec_path_rank(&model, &spec, &nodes, &candidates, &stats);
+        let bits =
+            |r: &[(usize, f64)]| r.iter().map(|&(id, s)| (id, s.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&ranked), bits(&reference), "{spec:?}");
+    }
 }

@@ -1,23 +1,31 @@
-//! Auto-vectorizable transcendental kernels for the GP hot paths.
+//! Branch-free transcendental kernels for the GP hot paths.
 //!
 //! `libm`'s `exp` is accurate to <1 ulp but is an opaque scalar call, so a
-//! loop that evaluates a covariance row stays scalar and the row cost is
-//! dominated by the `exp` latency. [`fast_exp`] trades the last two digits
-//! (relative error ≤ ~3e-13 — far below the GP's observation-noise floor
-//! and the factorization jitter) for a branch-free body of multiplies,
-//! adds, and bit manipulation that LLVM vectorizes on the baseline x86-64
-//! target. Covariance-row loops built on it run several elements per cycle
-//! instead of one `exp` call per element.
+//! loop that evaluates a covariance row makes one call per element and
+//! the row cost is dominated by the `exp` latency. [`fast_exp`] trades
+//! the last two digits (relative error ≤ ~3e-13 — far below the GP's
+//! observation-noise floor and the factorization jitter) for a
+//! branch-free body of multiplies, adds, and bit manipulation that
+//! inlines into the row loop.
+//!
+//! On the baseline x86-64 target (SSE2: 128-bit registers, two `f64`
+//! lanes) a release build runs that loop two elements at a time — packed
+//! `sqrtpd`/`mulpd`/`addpd` plus a scalar remainder (see
+//! [`crate::kernel::Kernel::eval_scaled_sq_append`]). The loop is bound
+//! by SSE2 arithmetic throughput, not by missing vectorization: a
+//! bit-identical four-lane chunked form is no faster, and wider lanes
+//! need a target the baseline does not assume.
 
 /// `exp(x)` with relative error ≤ ~3e-13 on the kernels' operating range,
-/// written so a loop over a slice auto-vectorizes.
+/// written without calls or branches so it inlines into a slice loop.
 ///
 /// Standard range reduction: `exp(x) = 2^k · exp(r)` with
 /// `k = round(x/ln 2)` and `|r| ≤ (ln 2)/2`, where `exp(r)` is a
 /// degree-10 Horner polynomial. The rounding uses the `1.5·2^52` magic
 /// constant (adding it forces the sum into a binade whose ulp is 1, so the
 /// rounded integer sits in the low mantissa bits) instead of
-/// `f64::round`/`as i64`, which do not vectorize on the baseline target.
+/// `f64::round`/`as i64`: on the baseline target `round` is a `libm` call
+/// and the conversion has no packed form.
 /// `ln 2` is split into a high/low pair so `x − k·ln 2` stays exact.
 ///
 /// Inputs below `-700` return `0.0` exactly (the true value is `< 1e-304`;

@@ -310,6 +310,39 @@ impl Cholesky {
         self.solve_upper(&y)
     }
 
+    /// [`solve`](Cholesky::solve) in place: `b` is overwritten with `x`.
+    /// Both substitutions read each solved element back from `b` right
+    /// where the two-buffer form reads it from its own vectors, so the
+    /// result is bit-identical — the allocation-free twin for callers
+    /// that solve once per candidate on an admission path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpError::ShapeMismatch`] if `b.len()` differs from the
+    /// matrix order.
+    #[allow(clippy::needless_range_loop)] // index form mirrors the math
+    pub fn solve_in_place(&self, b: &mut [f64]) -> Result<(), GpError> {
+        let n = self.l.rows;
+        if b.len() != n {
+            return Err(GpError::ShapeMismatch { op: "solve_in_place" });
+        }
+        for i in 0..n {
+            let mut sum = b[i];
+            for j in 0..i {
+                sum -= self.l[(i, j)] * b[j];
+            }
+            b[i] = sum / self.l[(i, i)];
+        }
+        for i in (0..n).rev() {
+            let mut sum = b[i];
+            for j in (i + 1)..n {
+                sum -= self.l[(j, i)] * b[j];
+            }
+            b[i] = sum / self.l[(i, i)];
+        }
+        Ok(())
+    }
+
     /// `log|A| = 2·Σ log L_ii`, needed by the log marginal likelihood.
     #[must_use]
     pub fn log_determinant(&self) -> f64 {

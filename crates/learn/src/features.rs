@@ -94,15 +94,20 @@ pub fn unit(x: f64) -> f64 {
 
 /// Mean/max quantized load (whole percent) of a post-placement mix given
 /// the node's committed per-job loads plus the incoming job's load, all as
-/// fractions. Convenience for callers assembling a [`NodeInput`].
+/// fractions. Convenience for callers assembling a [`NodeInput`]; one
+/// pass over the loads, which need not be collected first.
 #[must_use]
-pub fn mix_load_pcts(committed_loads: &[f64], incoming_load: f64) -> (u32, u32) {
-    let (sum, max) = committed_loads
-        .iter()
-        .chain(std::iter::once(&incoming_load))
-        .map(|&load| quantize_load(load))
-        .fold((0u64, 0u32), |(sum, max), p| (sum + u64::from(p), max.max(p)));
-    let count = committed_loads.len() as u64 + 1;
+pub fn mix_load_pcts(
+    committed_loads: impl IntoIterator<Item = f64>,
+    incoming_load: f64,
+) -> (u32, u32) {
+    let (sum, max, count) = committed_loads
+        .into_iter()
+        .chain(std::iter::once(incoming_load))
+        .map(quantize_load)
+        .fold((0u64, 0u32, 0u64), |(sum, max, count), p| {
+            (sum + u64::from(p), max.max(p), count + 1)
+        });
     ((sum / count) as u32, max)
 }
 
@@ -190,11 +195,35 @@ mod tests {
 
     #[test]
     fn mix_load_pcts_quantize_like_the_store() {
-        let (mean, max) = mix_load_pcts(&[0.2, 0.6], 0.4);
+        let (mean, max) = mix_load_pcts([0.2, 0.6], 0.4);
         assert_eq!(max, 60);
         assert_eq!(mean, 40);
-        let (mean, max) = mix_load_pcts(&[], 0.0);
+        let (mean, max) = mix_load_pcts([], 0.0);
         assert_eq!((mean, max), (0, 0));
+    }
+
+    #[test]
+    fn iterator_form_of_mix_load_pcts_matches_the_slice_form() {
+        // The slice form this function replaced: quantize, sum, divide by
+        // the slice length plus the incoming job.
+        fn slice_form(committed: &[f64], incoming: f64) -> (u32, u32) {
+            let (sum, max) = committed
+                .iter()
+                .chain(std::iter::once(&incoming))
+                .map(|&load| quantize_load(load))
+                .fold((0u64, 0u32), |(sum, max), p| (sum + u64::from(p), max.max(p)));
+            ((sum / (committed.len() as u64 + 1)) as u32, max)
+        }
+        let odd = [f64::NAN, f64::INFINITY, -0.3, 0.0, 0.004_999, 0.005, 1.0, 2.5];
+        for len in 0..12 {
+            let committed: Vec<f64> =
+                (0..len).map(|i| odd[(i * 5 + len) % odd.len()] + 0.07 * i as f64).collect();
+            for incoming in odd {
+                let expected = slice_form(&committed, incoming);
+                assert_eq!(mix_load_pcts(committed.iter().copied(), incoming), expected);
+                assert_eq!(mix_load_pcts(committed.clone(), incoming), expected);
+            }
+        }
     }
 
     #[test]

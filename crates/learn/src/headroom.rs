@@ -21,8 +21,9 @@
 //! positions: the Cholesky factor of `K + σₙ²I`, the cross-covariance row
 //! `k*` at `x = 1` and the posterior variance there. Each on-grid length
 //! up to [`MEMO_CAP`] builds that design once per process; a prediction
-//! then only centres the scores, solves for `α` with the same
-//! [`Cholesky::solve`] and takes `ȳ + k*·α` — the same operations on the
+//! then only centres the scores, solves for `α` with
+//! [`Cholesky::solve_in_place`] (bit-identical to the fit's
+//! [`Cholesky::solve`]) and takes `ȳ + k*·α` — the same operations on the
 //! same operands as a fresh fit, so the result is bit-identical. Traces
 //! whose finite points are off the grid (compared bit for bit), or longer
 //! than the cap, take the general [`GaussianProcess::fit`] path.
@@ -119,12 +120,15 @@ impl Design {
         Some(Self { chol, k_star, variance })
     }
 
-    /// Posterior mean and variance at `x = 1` for targets `ys`.
-    fn posterior(&self, ys: &[f64]) -> Option<(f64, f64)> {
+    /// Posterior mean and variance at `x = 1` for targets `ys`, which are
+    /// centred and solved in place (`ys` holds `α` afterwards).
+    fn posterior(&self, ys: &mut [f64]) -> Option<(f64, f64)> {
         let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
-        let centered: Vec<f64> = ys.iter().map(|y| y - mean_y).collect();
-        let alpha = self.chol.solve(&centered).ok()?;
-        Some((mean_y + dot(&self.k_star, &alpha), self.variance))
+        for y in ys.iter_mut() {
+            *y -= mean_y;
+        }
+        self.chol.solve_in_place(ys).ok()?;
+        Some((mean_y + dot(&self.k_star, ys), self.variance))
     }
 }
 
@@ -137,9 +141,10 @@ fn design(n: usize) -> Option<&'static Option<Design>> {
     DESIGNS.get(n).map(|cell| cell.get_or_init(|| Design::build(n)))
 }
 
-/// Posterior mean and variance at `x = 1` from a fresh GP fit.
-fn fitted_posterior(clean: &[(f64, f64)], ys: Vec<f64>) -> Option<(f64, f64)> {
-    let xs: Vec<Vec<f64>> = clean.iter().map(|&(x, _)| vec![x]).collect();
+/// Posterior mean and variance at `x = 1` from a fresh GP fit over the
+/// finite points.
+fn fitted_posterior(clean: impl Iterator<Item = (f64, f64)>) -> Option<(f64, f64)> {
+    let (xs, ys): (Vec<Vec<f64>>, Vec<f64>) = clean.map(|(x, y)| (vec![x], y)).unzip();
     let gp = GaussianProcess::fit(kernel(), config(), xs, ys).ok()?;
     Some(gp.predict(&[1.0]))
 }
@@ -148,20 +153,30 @@ fn fitted_posterior(clean: &[(f64, f64)], ys: Vec<f64>) -> Option<(f64, f64)> {
 /// `position` is the sample index normalized to `[0, 1]` and `score` the
 /// Eq. 3 value observed there. Needs at least two finite points; anything
 /// less (or a failed factorization) returns [`Headroom::prior`].
+///
+/// A memoized on-grid trace allocates nothing: its scores are copied to a
+/// stack buffer of [`MEMO_CAP`] entries and solved there in place.
 #[must_use]
 pub fn predict(trace: &[(f64, f64)]) -> Headroom {
-    let clean: Vec<(f64, f64)> =
-        trace.iter().copied().filter(|(x, y)| x.is_finite() && y.is_finite()).collect();
-    let n = clean.len();
+    let clean = trace.iter().copied().filter(|(x, y)| x.is_finite() && y.is_finite());
+    let n = clean.clone().count();
     if n < 2 {
         return Headroom::prior();
     }
-    let ys: Vec<f64> = clean.iter().map(|&(_, y)| y).collect();
-    let on_grid =
-        clean.iter().enumerate().all(|(i, &(x, _))| x.to_bits() == grid_position(i, n).to_bits());
     let posterior = match design(n) {
-        Some(memo) if on_grid => memo.as_ref().and_then(|d| d.posterior(&ys)),
-        _ => fitted_posterior(&clean, ys),
+        Some(memo) => {
+            let mut ys = [0.0; MEMO_CAP];
+            let on_grid = clean.clone().zip(&mut ys).enumerate().all(|(i, ((x, y), slot))| {
+                *slot = y;
+                x.to_bits() == grid_position(i, n).to_bits()
+            });
+            if on_grid {
+                memo.as_ref().and_then(|d| d.posterior(&mut ys[..n]))
+            } else {
+                fitted_posterior(clean)
+            }
+        }
+        None => fitted_posterior(clean),
     };
     match posterior {
         Some((mean, var)) if mean.is_finite() && var.is_finite() => {

@@ -197,14 +197,11 @@ fn build_group(config: &TrainConfig, group: usize) -> Group {
             .filter(|j| j.class() == JobClass::LatencyCritical)
             .map(|j| j.load.at(0.0))
             .collect();
-        let committed_loads: Vec<f64> = mix
-            .iter()
-            .map(|j| match j.class() {
-                JobClass::LatencyCritical => j.load.at(0.0),
-                JobClass::Background => 1.0,
-            })
-            .collect();
-        let (mix_mean, mix_max) = mix_load_pcts(&committed_loads, incoming_load);
+        let committed_loads = mix.iter().map(|j| match j.class() {
+            JobClass::LatencyCritical => j.load.at(0.0),
+            JobClass::Background => 1.0,
+        });
+        let (mix_mean, mix_max) = mix_load_pcts(committed_loads, incoming_load);
 
         // Pre-placement node state: observe the committed mix (if any)
         // through ground truth to synthesize what the node's incremental

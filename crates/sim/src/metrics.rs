@@ -93,23 +93,27 @@ impl Observation {
     /// are no BG jobs).
     #[must_use]
     pub fn mean_bg_perf(&self) -> Option<f64> {
-        let perfs: Vec<f64> = self.bg_jobs().map(|j| j.normalized_perf).collect();
-        if perfs.is_empty() {
-            None
-        } else {
-            Some(perfs.iter().sum::<f64>() / perfs.len() as f64)
-        }
+        mean_perf(self.bg_jobs())
     }
 
     /// Arithmetic mean of LC jobs' normalized performance (`None` if there
     /// are no LC jobs).
     #[must_use]
     pub fn mean_lc_perf(&self) -> Option<f64> {
-        let perfs: Vec<f64> = self.lc_jobs().map(|j| j.normalized_perf).collect();
-        if perfs.is_empty() {
-            None
-        } else {
-            Some(perfs.iter().sum::<f64>() / perfs.len() as f64)
-        }
+        mean_perf(self.lc_jobs())
     }
+}
+
+/// Mean normalized performance of `jobs` (`None` when empty), in one pass
+/// without collecting: the sum folds the same values in the same order as
+/// summing a collected `Vec`, so the bits are the same.
+fn mean_perf<'a>(jobs: impl Iterator<Item = &'a JobObservation>) -> Option<f64> {
+    let mut count = 0_usize;
+    let sum: f64 = jobs
+        .map(|j| {
+            count += 1;
+            j.normalized_perf
+        })
+        .sum();
+    (count > 0).then(|| sum / count as f64)
 }

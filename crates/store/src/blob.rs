@@ -2,7 +2,7 @@
 //!
 //! A blob file is a [`crate::log::header`] followed by exactly one frame
 //! ([`crate::log::put_frame`]) — the record log's layout with one record.
-//! [`save`] writes it through [`crate::log::write_atomic`], so a crash
+//! [`save`] streams it through [`crate::log::write_atomic`], so a crash
 //! leaves either the old blob or the new one — never a mix — and [`read`]
 //! treats *any* malformed byte as "no usable blob" rather than an error,
 //! because a checkpoint that fails its checksum must degrade to
@@ -10,7 +10,9 @@
 
 use std::path::Path;
 
-use crate::log::{header, put_frame, read_frame, write_atomic, FRAME_PROLOGUE_LEN, HEADER_LEN};
+use crate::log::{
+    frame_prologue, header, put_frame, read_frame, write_atomic, FRAME_PROLOGUE_LEN, HEADER_LEN,
+};
 use crate::{StoreError, StoreResult};
 
 /// What reading a blob file found.
@@ -61,14 +63,21 @@ pub fn decode<'a>(
     Ok(payload)
 }
 
-/// Atomically writes `payload` as a checksummed blob at `path`.
+/// Atomically writes `payload` as a checksummed blob at `path`: the
+/// 28-byte header and frame prologue, then the caller's payload straight
+/// from its slice — the bytes [`encode`] would build, without building
+/// a second image of the payload.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Io`] on filesystem failures, or for a payload
 /// too long to frame — then nothing is written and the old blob stays.
 pub fn save(path: &Path, magic: &[u8; 8], version: u32, payload: &[u8]) -> StoreResult<()> {
-    write_atomic(path, &encode(magic, version, payload)?)
+    const H: usize = HEADER_LEN as usize;
+    let mut prefix = [0; H + FRAME_PROLOGUE_LEN];
+    prefix[H..].copy_from_slice(&frame_prologue(payload)?);
+    prefix[..H].copy_from_slice(&header(magic, version));
+    write_atomic(path, &[&prefix, payload])
 }
 
 /// Reads the blob at `path` through [`decode`]. Total on content:
@@ -144,6 +153,23 @@ mod tests {
         save(&path, MAGIC, 1, b"x").unwrap();
         assert!(matches!(read(&path, b"CLITEOTH", 1).unwrap(), BlobRead::Corrupt { .. }));
         assert!(matches!(read(&path, MAGIC, 2).unwrap(), BlobRead::Corrupt { .. }));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn saved_files_equal_the_encoded_image() {
+        // `save` streams the payload after a prefix; the bytes on disk must
+        // be exactly what `encode` builds in memory, at any payload size.
+        let dir = tmp_dir("stream");
+        let path = dir.join("state.ckpt");
+        let large: Vec<u8> =
+            (0..300_017u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        for payload in [&b""[..], b"x", &large] {
+            save(&path, MAGIC, 3, payload).unwrap();
+            let on_disk = std::fs::read(&path).unwrap();
+            assert!(on_disk == encode(MAGIC, 3, payload).unwrap(), "{} bytes", payload.len());
+            assert_eq!(decode(&on_disk, MAGIC, 3), Ok(payload));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -23,8 +23,10 @@
 //! The record log (`CLITESTO`) and the journal are any number of frames;
 //! a blob ([`crate::blob`]: checkpoint, model) is exactly one. This
 //! module is the only code that knows the layout: [`header`] and
-//! [`put_frame`] write it, [`read_frame`] checks it, and [`write_atomic`]
-//! replaces a whole file through its [`tmp_path`] sibling.
+//! `frame_prologue` (through [`put_frame`], or beside a payload the
+//! caller writes itself) write it, [`read_frame`] checks it, and
+//! [`write_atomic`] replaces a whole file through its [`tmp_path`]
+//! sibling.
 //!
 //! A crash can leave a log with a torn final frame (short header, short
 //! payload, or a payload whose checksum no longer matches). Recovery scans
@@ -145,15 +147,16 @@ pub fn header(magic: &[u8; 8], version: u32) -> [u8; HEADER_LEN as usize] {
     out
 }
 
-/// Appends `payload`, framed, to `out`: the one frame writer. It writes
-/// only [`REC_MAGIC`] frames.
+/// The prologue of `payload`'s frame: the one frame writer, for callers
+/// that write the payload after it themselves. It writes only
+/// [`REC_MAGIC`] frames.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Io`] (op `"frame"`) for a payload longer than
-/// [`MAX_PAYLOAD_LEN`], leaving `out` unchanged: [`read_frame`] rejects
-/// such a frame, so writing it would save a file that reads back corrupt.
-pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> StoreResult<()> {
+/// [`MAX_PAYLOAD_LEN`]: [`read_frame`] rejects such a frame, so writing
+/// it would save a file that reads back corrupt.
+pub(crate) fn frame_prologue(payload: &[u8]) -> StoreResult<[u8; FRAME_PROLOGUE_LEN]> {
     if payload.len() > MAX_PAYLOAD_LEN as usize {
         return Err(StoreError::Io {
             op: "frame",
@@ -163,10 +166,25 @@ pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> StoreResult<()> {
             ),
         });
     }
+    let mut out = [0; FRAME_PROLOGUE_LEN];
+    out[..4].copy_from_slice(&REC_MAGIC.to_le_bytes());
+    out[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    out[8..].copy_from_slice(&xxh64(payload).to_le_bytes());
+    Ok(out)
+}
+
+/// Appends `payload`, framed, to `out`: its prologue, then the payload.
+/// It writes only [`REC_MAGIC`] frames.
+///
+/// # Errors
+///
+/// Returns [`StoreError::Io`] (op `"frame"`) for a payload longer than
+/// [`MAX_PAYLOAD_LEN`], leaving `out` unchanged: [`read_frame`] rejects
+/// such a frame, so writing it would save a file that reads back corrupt.
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> StoreResult<()> {
+    let prologue = frame_prologue(payload)?;
     out.reserve(FRAME_PROLOGUE_LEN + payload.len());
-    out.extend_from_slice(&REC_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&xxh64(payload).to_le_bytes());
+    out.extend_from_slice(&prologue);
     out.extend_from_slice(payload);
     Ok(())
 }
@@ -210,16 +228,22 @@ pub fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Replaces the file at `path` with `bytes`: written to [`tmp_path`],
-/// then renamed over `path`, so a crash leaves either the old file or the
-/// new one — never a mix. No fsync (see the module docs).
+/// Replaces the file at `path` with the concatenation of `parts`: written
+/// in order to [`tmp_path`], then renamed over `path`, so a crash leaves
+/// either the old file or the new one — never a mix. Writing the parts
+/// one after another spares callers a copy into one image. No fsync (see
+/// the module docs).
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Io`] on filesystem failures.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> StoreResult<()> {
+pub fn write_atomic(path: &Path, parts: &[&[u8]]) -> StoreResult<()> {
     let tmp = tmp_path(path);
-    std::fs::write(&tmp, bytes).map_err(|e| io_err("write tmp", &e))?;
+    let write = || {
+        let mut file = File::create(&tmp)?;
+        parts.iter().try_for_each(|part| file.write_all(part))
+    };
+    write().map_err(|e| io_err("write tmp", &e))?;
     std::fs::rename(&tmp, path).map_err(|e| io_err("rename", &e))
 }
 
@@ -331,7 +355,7 @@ impl LogFile {
         for p in payloads {
             put_frame(&mut bytes, p)?;
         }
-        write_atomic(path, &bytes)?;
+        write_atomic(path, &[&bytes])?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
