@@ -106,15 +106,26 @@ if [[ "${1:-}" != "quick" ]]; then
 
     # End-to-end warm-start smoke test: a second colocate run against the
     # same store path must warm-start from the first run's samples.
+    # Between the runs every shard log grows a torn tail: the second run
+    # must recover it with a warning on stderr and still hit. Every
+    # --store shares one layout (PATH.shard<i>), so a fleet run must then
+    # open the same path.
     step "colocate --store smoke test"
     store_tmp="$(mktemp -d)"
     trap 'rm -rf "$store_tmp"' EXIT
     ./target/release/colocate run --store "$store_tmp/obs.clite" \
         memcached:30 xapian:30 streamcluster > "$store_tmp/first.txt"
     grep -q "store: miss" "$store_tmp/first.txt"
+    for shard in "$store_tmp"/obs.clite.shard*; do
+        printf 'torn tail garbage' >> "$shard"
+    done
     ./target/release/colocate run --store "$store_tmp/obs.clite" \
-        memcached:30 xapian:30 streamcluster > "$store_tmp/second.txt"
+        memcached:30 xapian:30 streamcluster > "$store_tmp/second.txt" 2>&1
+    grep -q "had a corrupt tail" "$store_tmp/second.txt"
     grep -q "store: hit" "$store_tmp/second.txt"
+    ./target/release/colocate fleet --nodes 16 --events 8 \
+        --store "$store_tmp/obs.clite" > "$store_tmp/fleet_store.txt"
+    grep -q "without panic" "$store_tmp/fleet_store.txt"
 
     # Chaos smoke test: a forced node crash must degrade gracefully —
     # fallback engaged, marker printed, exit 0 — never panic.

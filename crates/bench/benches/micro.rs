@@ -22,7 +22,7 @@ use clite_sim::alloc::Partition;
 use clite_sim::prelude::*;
 use clite_sim::resource::ResourceKind;
 use clite_sim::testbed::{MemoizedTestbed, Testbed};
-use clite_store::{MixSignature, ObservationStore};
+use clite_store::{MixSignature, ShardPolicy, ShardedStore};
 use clite_telemetry::{Event, MemoryRecorder, Phase, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -215,9 +215,9 @@ fn bench_simulator(c: &mut Criterion) {
     // entry, so every iteration replays the cached observation (compare
     // against `server_observe_3jobs` for the hit-path speedup).
     let mut memo = MemoizedTestbed::new(Server::new(ResourceCatalog::testbed(), jobs, 1).unwrap());
-    let _ = Testbed::observe(&mut memo, &p);
+    let _ = memo.try_observe(&p);
     c.bench_function("memoized_observe_hit_3jobs", |b| {
-        b.iter(|| Testbed::observe(&mut memo, black_box(&p)))
+        b.iter(|| memo.try_observe(black_box(&p)).expect("memoized window"))
     });
 
     // Same pair at a paper-sized mix (4 LC + 1 BG): the simulator's window
@@ -235,9 +235,9 @@ fn bench_simulator(c: &mut Criterion) {
     c.bench_function("server_observe_5jobs", |b| b.iter(|| server5.observe(black_box(&p5))));
     let mut memo5 =
         MemoizedTestbed::new(Server::new(ResourceCatalog::testbed(), jobs5, 1).unwrap());
-    let _ = Testbed::observe(&mut memo5, &p5);
+    let _ = memo5.try_observe(&p5);
     c.bench_function("memoized_observe_hit_5jobs", |b| {
-        b.iter(|| Testbed::observe(&mut memo5, black_box(&p5)))
+        b.iter(|| memo5.try_observe(black_box(&p5)).expect("memoized window"))
     });
 
     let obs = server.observe(&p);
@@ -323,7 +323,7 @@ fn bench_warm_start(c: &mut Criterion) {
 
         // One cold pass primes the store; the warm start is snapshotted
         // once so every warm iteration replays the same stored samples.
-        let store = ObservationStore::in_memory().into_shared();
+        let store = ShardedStore::in_memory(ShardPolicy::with_shards(1));
         let cold = {
             let mut server = fresh();
             controller.run_with_store(&mut server, &store, &Telemetry::disabled()).unwrap()
@@ -331,7 +331,7 @@ fn bench_warm_start(c: &mut Criterion) {
         let warm = {
             let server = fresh();
             let signature = MixSignature::capture(&server);
-            store.lock().unwrap().warm_start(&signature).expect("primed store must hit")
+            store.warm_start(&signature).expect("primed store must hit")
         };
         let warmed = {
             let mut server = fresh();

@@ -10,6 +10,7 @@
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use clite_bench::cli::{parse, usage, Command};
 use clite_bench::loadrun::policy_vs_equal_share;
@@ -22,7 +23,7 @@ use clite_load::{LoadReport, ScenarioReport};
 use clite_policies::policy::PolicyOutcome;
 use clite_sim::prelude::*;
 use clite_sim::resource::ResourceKind;
-use clite_store::{ObservationStore, SharedStore, StorePolicy};
+use clite_store::{ShardPolicy, ShardedStore};
 use clite_telemetry::{JsonlRecorder, OverheadReport, Telemetry};
 
 fn main() -> ExitCode {
@@ -94,7 +95,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let shared = match open_store(policy, store.as_deref(), &recorder) {
+            let shared = match clite_store(policy, store.as_deref(), &recorder) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -106,7 +107,7 @@ fn main() -> ExitCode {
                     &mix,
                     seed,
                     &spec,
-                    shared.as_ref(),
+                    shared.as_deref(),
                     &recorder,
                     telemetry_out.as_deref(),
                 );
@@ -228,7 +229,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let shared = match open_store(policy, store.as_deref(), &recorder) {
+            let shared = match clite_store(policy, store.as_deref(), &recorder) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -314,25 +315,16 @@ fn run_fleet(
     use clite_cluster::trace::{generate, TraceConfig};
     use clite_faults::{FaultSpec, FaultyFactory};
     use clite_sim::testbed::ServerFactory;
-    use clite_store::{ShardPolicy, ShardedStore};
 
     let shard_policy = ShardPolicy::with_shards(shards);
     let store = match &store_path {
-        Some(path) => {
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("error: cannot create store directory {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
+        Some(path) => match open_store(path, shard_policy, &Telemetry::disabled()) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
             }
-            match ShardedStore::open(path, shard_policy) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot open sharded store {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+        },
         None => ShardedStore::in_memory(shard_policy),
     };
     let mut config = match placement {
@@ -391,7 +383,7 @@ fn run_fleet(
                     factory,
                     dir,
                     durable,
-                    Some(store.clone().into()),
+                    Some(store.clone()),
                     &Telemetry::disabled(),
                 ) {
                     Ok(f) => f,
@@ -567,16 +559,16 @@ fn run_train(out: &Path, seed: u64, epochs: u32, groups: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Opens the observation store at `path` (when requested). The store only
-/// makes sense for CLITE — it feeds `BoEngine` warm starts — so any other
-/// policy is rejected up front. Reopen-time recovery is observed: a torn
-/// or corrupt tail emits a `store_recovered` telemetry event (when a
-/// recorder is installed) and a stderr warning.
-fn open_store(
+/// The `--store` of `colocate run` and `sweep`: the store only makes
+/// sense for CLITE — it feeds `BoEngine` warm starts — so any other policy
+/// is rejected up front. Reopen-time recovery is observed: a torn or
+/// corrupt tail emits a `store_recovered` telemetry event when a recorder
+/// is installed.
+fn clite_store(
     policy: PolicyKind,
     path: Option<&Path>,
     recorder: &Option<JsonlRecorder>,
-) -> Result<Option<SharedStore>, String> {
+) -> Result<Option<Arc<ShardedStore>>, String> {
     let Some(path) = path else { return Ok(None) };
     if policy != PolicyKind::Clite {
         return Err(format!("--store only supports --policy CLITE (got {})", policy.name()));
@@ -585,7 +577,23 @@ fn open_store(
         Some(sink) => Telemetry::new(sink),
         None => Telemetry::disabled(),
     };
-    let store = ObservationStore::open_observed(path, StorePolicy::default(), &telemetry)
+    open_store(path, ShardPolicy::default(), &telemetry).map(Some)
+}
+
+/// Opens (or creates) the sharded observation store at `path` — shard
+/// `i` in `<path>.shard<i>`, the one layout every `--store` shares —
+/// creating its directory first. A shard with a torn or corrupt tail is
+/// recovered, with a stderr warning.
+fn open_store(
+    path: &Path,
+    policy: ShardPolicy,
+    telemetry: &Telemetry<'_>,
+) -> Result<Arc<ShardedStore>, String> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create store directory {}: {e}", dir.display()))?;
+    }
+    let store = ShardedStore::open(path, policy, telemetry)
         .map_err(|e| format!("cannot open observation store {}: {e}", path.display()))?;
     let stats = store.stats();
     if stats.dropped_bytes > 0 || stats.undecodable_records > 0 {
@@ -597,7 +605,7 @@ fn open_store(
             stats.undecodable_records
         );
     }
-    Ok(Some(store.into_shared()))
+    Ok(store)
 }
 
 /// Prints the run summary line and per-job partition table for a
@@ -700,7 +708,7 @@ fn run_chaos(
     mix: &Mix,
     seed: u64,
     spec: &clite_faults::FaultSpec,
-    shared: Option<&SharedStore>,
+    shared: Option<&ShardedStore>,
     recorder: &Option<JsonlRecorder>,
     telemetry_path: Option<&Path>,
 ) -> ExitCode {
@@ -753,13 +761,12 @@ fn run_chaos(
 /// Prints the one-line store summary the CI smoke test greps for:
 /// `store: hit` when at least one search warm-started from stored
 /// samples, `store: miss` when every lookup came up cold.
-fn report_store(store: &SharedStore) {
-    let guard = store.lock().expect("observation store lock");
-    let stats = guard.stats();
+fn report_store(store: &ShardedStore) {
+    let stats = store.stats();
     let detail = format!(
         "{} mixes, {} records kept, {} samples appended",
-        guard.mix_count(),
-        guard.record_count(),
+        store.mix_count(),
+        store.record_count(),
         stats.appends
     );
     if stats.hits > 0 {

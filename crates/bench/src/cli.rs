@@ -120,8 +120,8 @@ pub enum Command {
         probe_limit: usize,
         /// Crash/fault plan injected into every node's testbeds.
         faults: Option<FaultSpec>,
-        /// Sharded observation-store path (`<path>.shard<i>` per shard);
-        /// in-memory when absent.
+        /// Observation-store path (`<path>.shard<i>` per shard, like every
+        /// `--store`); in-memory when absent.
         store: Option<PathBuf>,
         /// Candidate-ordering policy: heuristic (least-loaded) or learned.
         placement: PlacementChoice,
@@ -325,7 +325,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut nodes = 64usize;
             let mut events = 48usize;
             let mut seed = 42u64;
-            let mut shards = 8usize;
+            let mut shards = clite_store::ShardPolicy::default().shards;
             let mut admission = AdmissionMode::Serial;
             let mut epoch = 8u64;
             let mut probe_limit = 4usize;
@@ -600,8 +600,12 @@ TELEMETRY:
 
 STORE:
   --store PATH (CLITE only) appends every evaluated sample to a crash-safe
-  observation log at PATH and warm-starts repeat searches on the same (or
-  nearby-load) mix from it. The run prints 'store: hit' or 'store: miss'.
+  sharded observation store and warm-starts repeat searches on the same
+  (or nearby-load) mix from it. The run prints 'store: hit' or
+  'store: miss'. Every --store (run, sweep, fleet, experiments fig16)
+  keeps one log per shard at PATH.shard<i>, 8 shards unless
+  'colocate fleet --shards' says otherwise, so they can share one PATH.
+  A shard with a corrupt tail is recovered with a warning on stderr.
 
 LOAD (latency percentiles under a trace):
   colocate load searches a partition with --policy, enforces it, then fires
@@ -627,7 +631,7 @@ FLEET (long-running event-driven scheduler):
   every N ticks and --probe-limit caps CLITE searches per admission.
   --threaded probes candidates concurrently (byte-identical to serial by
   construction). --faults injects node crashes; --store persists the
-  sharded observation log at <path>.shard<i>. --placement learned orders
+  observation store (see STORE). --placement learned orders
   candidate nodes with the trained ranking model from --model (a missing
   or corrupt file degrades to the zero model, whose order matches the
   least-loaded heuristic).

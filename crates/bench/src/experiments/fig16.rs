@@ -19,7 +19,7 @@ use clite_sim::load::LoadSchedule;
 use clite_sim::prelude::*;
 use clite_sim::resource::ResourceKind;
 use clite_sim::testbed::MemoizedTestbed;
-use clite_store::ObservationStore;
+use clite_store::{ShardPolicy, ShardedStore};
 
 use crate::render::{pct, Table};
 use crate::runner::ambient_telemetry;
@@ -52,9 +52,10 @@ pub fn run(opts: &ExpOptions) -> Report {
     let mut store_line = None;
     let trace = match &opts.store {
         Some(path) => {
-            let store = ObservationStore::open(path)
-                .unwrap_or_else(|e| panic!("cannot open observation store {}: {e}", path.display()))
-                .into_shared();
+            let store = ShardedStore::open(path, ShardPolicy::default(), &ambient_telemetry())
+                .unwrap_or_else(|e| {
+                    panic!("cannot open observation store {}: {e}", path.display())
+                });
             let trace = run_adaptive_with_store(
                 &CliteController::default(),
                 &mut testbed,
@@ -64,16 +65,15 @@ pub fn run(opts: &ExpOptions) -> Report {
                 &ambient_telemetry(),
             )
             .expect("adaptive run succeeds");
-            let guard = store.lock().expect("observation store lock");
-            let stats = guard.stats();
+            let stats = store.stats();
             store_line = Some(format!(
                 "observation store: {} warm hits, {} misses, {} samples appended; \
                  {} mixes, {} records kept at {}\n",
                 stats.hits,
                 stats.misses,
                 stats.appends,
-                guard.mix_count(),
-                guard.record_count(),
+                store.mix_count(),
+                store.record_count(),
                 path.display()
             ));
             trace
@@ -160,13 +160,13 @@ mod tests {
 
     #[test]
     fn store_option_warm_starts_repeat_runs() {
-        let path =
-            std::env::temp_dir().join(format!("clite_fig16_store_{}.log", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let opts = ExpOptions { quick: true, seed: 71, store: Some(path.clone()) };
+        let dir = std::env::temp_dir().join(format!("clite_fig16_store_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = ExpOptions { quick: true, seed: 71, store: Some(dir.join("obs.log")) };
         let _ = run(&opts);
         let r = run(&opts);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
         let line = r
             .body
             .lines()

@@ -30,10 +30,11 @@
 //! scale.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
 use clite_sim::workload::JobClass;
-use clite_store::StoreHandle;
+use clite_store::ShardedStore;
 use clite_telemetry::{Event, MetricsRegistry, Telemetry};
 
 use crate::clock::SimClock;
@@ -144,7 +145,7 @@ impl FleetConfig {
     pub fn mean_field_learned(
         epoch_ticks: u64,
         probe_limit: usize,
-        model: std::sync::Arc<clite_learn::RankingModel>,
+        model: Arc<clite_learn::RankingModel>,
     ) -> Self {
         Self {
             scheduler: SchedulerConfig {
@@ -302,7 +303,7 @@ impl<F: TestbedFactory + Sync + Clone> FleetService<F> {
         checkpoint: FleetCheckpoint,
         config: FleetConfig,
         factory: F,
-        store: Option<StoreHandle>,
+        store: Option<Arc<ShardedStore>>,
     ) -> Result<(Self, Vec<Option<usize>>), ClusterError> {
         let scheduler = ClusterScheduler::restore(
             checkpoint.scheduler,
@@ -345,10 +346,9 @@ impl<F: TestbedFactory + Sync + Clone> FleetService<F> {
         }
     }
 
-    /// Attaches an observation store (single-lock or sharded) to every
-    /// node, current and future.
+    /// Attaches an observation store to every node, current and future.
     #[must_use]
-    pub fn with_store(mut self, store: impl Into<StoreHandle>) -> Self {
+    pub fn with_store(mut self, store: Arc<ShardedStore>) -> Self {
         self.scheduler = self.scheduler.with_store(store);
         self
     }

@@ -7,7 +7,7 @@ use clite::controller::CliteController;
 use clite::trace::CliteOutcome;
 use clite_sim::prelude::*;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
-use clite_store::{MixSignature, StoreHandle};
+use clite_store::{MixSignature, ShardedStore};
 use clite_telemetry::Telemetry;
 
 use crate::wire::{CommittedOutcome, NodeSnapshot};
@@ -79,7 +79,7 @@ pub struct Node<F: TestbedFactory = ServerFactory> {
     searches_run: usize,
     samples_spent: u64,
     commits: u64,
-    store: Option<StoreHandle>,
+    store: Option<Arc<ShardedStore>>,
     alive: bool,
 }
 
@@ -148,20 +148,18 @@ impl<F: TestbedFactory> Node<F> {
         }
     }
 
-    /// Attaches a shared observation store — either a
-    /// [`clite_store::SharedStore`] or a [`clite_store::ShardedStore`]
-    /// handle: admission probes and re-partitioning searches warm-start
-    /// from it, and committed searches append their samples back (see
-    /// [`Node::commit_admission`]).
+    /// Attaches a shared observation store: admission probes and
+    /// re-partitioning searches warm-start from it, and committed searches
+    /// append their samples back (see [`Node::commit_admission`]).
     #[must_use]
-    pub fn with_store(mut self, store: impl Into<StoreHandle>) -> Self {
-        self.store = Some(store.into());
+    pub fn with_store(mut self, store: Arc<ShardedStore>) -> Self {
+        self.store = Some(store);
         self
     }
 
     /// Installs (or replaces) the shared observation store in place.
-    pub fn set_store(&mut self, store: impl Into<StoreHandle>) {
-        self.store = Some(store.into());
+    pub fn set_store(&mut self, store: Arc<ShardedStore>) {
+        self.store = Some(store);
     }
 
     /// Node id within the cluster.
@@ -336,13 +334,7 @@ impl<F: TestbedFactory> Node<F> {
             return;
         };
         for rec in &outcome.samples {
-            let _ = store.append_with(
-                signature,
-                &rec.partition,
-                &rec.observation,
-                rec.score.value,
-                &Telemetry::disabled(),
-            );
+            let _ = store.append(signature, &rec.partition, &rec.observation, rec.score.value);
         }
     }
 
@@ -623,9 +615,9 @@ mod tests {
 
     #[test]
     fn store_backed_node_warm_starts_repeat_mixes() {
-        use clite_store::ObservationStore;
+        use clite_store::{ShardPolicy, ShardedStore};
 
-        let store = ObservationStore::in_memory().into_shared();
+        let store = ShardedStore::in_memory(ShardPolicy::with_shards(1));
         let mut n = node().with_store(store.clone());
         let base = JobSpec::latency_critical(WorkloadId::Memcached, 0.3);
         let spec = JobSpec::latency_critical(WorkloadId::Xapian, 0.3);
@@ -636,11 +628,8 @@ mod tests {
         let after_first = n.samples_spent();
         assert!(n.try_admit(PlacedJob { id: 2, spec: spec.clone() }, &quick_config()).unwrap());
         let cold_two_job = n.samples_spent() - after_first;
-        {
-            let guard = store.lock().unwrap();
-            assert_eq!(guard.stats().misses, 2, "both cold probes miss");
-            assert!(guard.stats().appends > 0);
-        }
+        assert_eq!(store.stats().misses, 2, "both cold probes miss");
+        assert!(store.stats().appends > 0);
 
         // Departure + identical re-admission probes the same 2-job mix:
         // the plan warm-starts from the committed samples and spends
@@ -649,7 +638,7 @@ mod tests {
         let before_warm = n.samples_spent();
         assert!(n.try_admit(PlacedJob { id: 3, spec }, &quick_config()).unwrap());
         let warm_two_job = n.samples_spent() - before_warm;
-        assert!(store.lock().unwrap().stats().hits >= 1);
+        assert!(store.stats().hits >= 1);
         assert!(
             warm_two_job < cold_two_job,
             "warm re-admission spent {warm_two_job} windows, cold spent {cold_two_job}"

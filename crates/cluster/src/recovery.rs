@@ -29,11 +29,12 @@
 //! bounded restart budget is exhausted.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use clite::config::capped_backoff;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
-use clite_store::{blob, BlobRead, EventJournal, StoreError, StoreHandle};
+use clite_store::{blob, BlobRead, EventJournal, ShardedStore, StoreError};
 use clite_telemetry::{Event, Telemetry};
 
 use crate::event::TimedEvent;
@@ -177,7 +178,7 @@ impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
         factory: F,
         dir: &Path,
         durable: DurableConfig,
-        store: Option<StoreHandle>,
+        store: Option<Arc<ShardedStore>>,
         telemetry: &Telemetry<'_>,
     ) -> Result<Self, ClusterError> {
         let start = Instant::now();
@@ -249,7 +250,7 @@ impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
     /// Attaches an observation store to every node (see the module docs:
     /// the byte-identity guarantee is storeless).
     #[must_use]
-    pub fn with_store(mut self, store: impl Into<StoreHandle>) -> Self {
+    pub fn with_store(mut self, store: Arc<ShardedStore>) -> Self {
         self.service = self.service.with_store(store);
         self
     }

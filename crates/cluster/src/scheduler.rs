@@ -1,12 +1,13 @@
 //! Cluster-level admission control.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use clite::config::CliteConfig;
 use clite_bo::termination::Termination;
 use clite_sim::prelude::*;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
-use clite_store::StoreHandle;
+use clite_store::ShardedStore;
 use clite_telemetry::{Event, Phase, Telemetry};
 
 use crate::node::{AdmissionPlan, Node, PlacedJob};
@@ -123,7 +124,7 @@ pub struct ClusterScheduler<F: TestbedFactory = ServerFactory> {
     /// Base seed; node `i` searches from `base_seed + 1000·i`.
     base_seed: u64,
     /// Store handle handed to onboarded nodes.
-    store: Option<StoreHandle>,
+    store: Option<Arc<ShardedStore>>,
     /// job id → node id for O(1) departures and load shifts.
     job_index: HashMap<u64, usize>,
     /// Fleet statistics maintained incrementally: every probe, commit,
@@ -189,21 +190,19 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         })
     }
 
-    /// Attaches one shared observation store to every node in the fleet —
-    /// a [`clite_store::SharedStore`] or a [`clite_store::ShardedStore`]
-    /// handle: admission probes and re-partitioning searches warm-start
+    /// Attaches one shared observation store to every node in the fleet:
+    /// admission probes and re-partitioning searches warm-start
     /// from the pooled samples, and committed searches append back to it.
     /// Because probes only read the store and appends happen at commit,
     /// serial and threaded admission still place identical fleets, and
     /// because lookups depend only on per-mix bucket content, so does
     /// every shard count.
     #[must_use]
-    pub fn with_store(mut self, store: impl Into<StoreHandle>) -> Self {
-        let handle = store.into();
+    pub fn with_store(mut self, store: Arc<ShardedStore>) -> Self {
         for node in &mut self.nodes {
-            node.set_store(handle.clone());
+            node.set_store(Arc::clone(&store));
         }
-        self.store = Some(handle);
+        self.store = Some(store);
         self
     }
 
@@ -347,7 +346,7 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         snap: SchedulerSnapshot,
         config: SchedulerConfig,
         factory: F,
-        store: Option<StoreHandle>,
+        store: Option<Arc<ShardedStore>>,
     ) -> Result<Self, ClusterError>
     where
         F: Clone,

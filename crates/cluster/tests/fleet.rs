@@ -18,7 +18,7 @@ use clite_faults::{FaultSpec, FaultyFactory};
 use clite_sim::prelude::*;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
 use clite_store::log::fnv1a64;
-use clite_store::{ObservationStore, ShardPolicy, ShardedStore, StoreHandle};
+use clite_store::{ShardPolicy, ShardedStore};
 use clite_telemetry::Telemetry;
 
 const NODES: usize = 256;
@@ -52,7 +52,7 @@ fn config(mode: AdmissionMode) -> FleetConfig {
 
 fn run<F: TestbedFactory + Sync + Clone>(
     mode: AdmissionMode,
-    store: Option<StoreHandle>,
+    store: Option<Arc<ShardedStore>>,
     factory: F,
 ) -> FleetRun {
     let mut fleet = FleetService::with_factory(NODES, config(mode), SEED, factory).expect("fleet");
@@ -121,26 +121,27 @@ fn serial_and_threaded_fleets_are_byte_identical_at_256_nodes() {
 
 #[test]
 fn shard_count_does_not_change_fleet_outcomes() {
-    let single: StoreHandle = ObservationStore::in_memory().into_shared().into();
+    // A one-shard store is one lock: the single-lock reference.
+    let single = ShardedStore::in_memory(ShardPolicy::with_shards(1));
     let reference = run(AdmissionMode::Serial, Some(single), ServerFactory);
     for shards in [1usize, 4, 16] {
-        let store: Arc<ShardedStore> = ShardedStore::in_memory(ShardPolicy::with_shards(shards));
-        let got = run(AdmissionMode::Serial, Some(store.clone().into()), ServerFactory);
+        let store = ShardedStore::in_memory(ShardPolicy::with_shards(shards));
+        let got = run(AdmissionMode::Serial, Some(Arc::clone(&store)), ServerFactory);
         assert_eq!(got, reference, "{shards}-shard fleet diverged from the single-lock store");
         assert!(store.stats().appends > 0, "committed searches must reach the store");
     }
 }
 
-/// Serial over one mutex-guarded store vs threaded over an 8-shard store
-/// — every layer swapped at once — must stay byte-identical; returns the
-/// serial run.
+/// Serial over a one-shard (single-lock) store vs threaded over an
+/// 8-shard store — every layer swapped at once — must stay
+/// byte-identical; returns the serial run.
 fn assert_threaded_sharded_matches_serial_single_lock<F: TestbedFactory + Sync + Clone>(
     factory: F,
 ) -> FleetRun {
-    let single: StoreHandle = ObservationStore::in_memory().into_shared().into();
+    let single = ShardedStore::in_memory(ShardPolicy::with_shards(1));
     let serial = run(AdmissionMode::Serial, Some(single), factory.clone());
-    let sharded: Arc<ShardedStore> = ShardedStore::in_memory(ShardPolicy::with_shards(8));
-    let threaded = run(AdmissionMode::Threaded, Some(sharded.into()), factory);
+    let sharded = ShardedStore::in_memory(ShardPolicy::with_shards(8));
+    let threaded = run(AdmissionMode::Threaded, Some(sharded), factory);
     assert_eq!(serial, threaded);
     serial
 }

@@ -208,7 +208,7 @@ fn record(seed: u64, jobs: usize) -> StoreRecord {
         .collect();
     let mut server = Server::new(ResourceCatalog::testbed(), specs, seed).expect("server");
     let partition = Partition::equal_share(Testbed::catalog(&server), jobs).expect("partition");
-    let observation = Testbed::observe(&mut server, &partition);
+    let observation = server.observe(&partition);
     let signature = MixSignature::capture(&server);
     StoreRecord { signature, partition, observation, score: 0.125 * seed as f64 }
 }

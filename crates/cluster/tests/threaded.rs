@@ -10,7 +10,7 @@ use std::sync::Arc;
 use clite_cluster::placement::PlacementPolicy;
 use clite_cluster::scheduler::{AdmissionMode, ClusterScheduler, SchedulerConfig};
 use clite_sim::prelude::*;
-use clite_store::ObservationStore;
+use clite_store::{ShardPolicy, ShardedStore};
 
 /// A deterministic non-zero ranking model, so the learned policy's
 /// byte-identity is tested with weights that actually reorder candidates.
@@ -91,14 +91,14 @@ fn run_with_store(
     seed: u64,
 ) -> (Vec<Option<usize>>, clite_cluster::stats::ClusterStats, u64) {
     let config = SchedulerConfig { placement, admission: mode, ..SchedulerConfig::default() };
-    let store = ObservationStore::in_memory().into_shared();
+    let store = ShardedStore::in_memory(ShardPolicy::with_shards(1));
     let mut cluster =
         ClusterScheduler::new(2, config, seed).expect("2-node cluster").with_store(store.clone());
     let placements: Vec<Option<usize>> = job_stream()
         .into_iter()
         .map(|spec| cluster.submit(spec).expect("submit").map(|p| p.node))
         .collect();
-    let appends = store.lock().unwrap().stats().appends;
+    let appends = store.stats().appends;
     (placements, cluster.stats(), appends)
 }
 

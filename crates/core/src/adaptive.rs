@@ -15,7 +15,7 @@ use serde::Serialize;
 use clite_sim::alloc::Partition;
 use clite_sim::metrics::Observation;
 use clite_sim::testbed::Testbed;
-use clite_store::SharedStore;
+use clite_store::ShardedStore;
 use clite_telemetry::{Event, Telemetry};
 
 use crate::controller::{fault_kind, CliteController};
@@ -117,7 +117,7 @@ pub fn run_adaptive_with_store<T: Testbed>(
     server: &mut T,
     duration_s: f64,
     config: AdaptiveConfig,
-    store: &SharedStore,
+    store: &ShardedStore,
     telemetry: &Telemetry<'_>,
 ) -> Result<AdaptiveTrace, CliteError> {
     run_adaptive_inner(controller, server, duration_s, config, Some(store), telemetry)
@@ -128,7 +128,7 @@ fn run_adaptive_inner<T: Testbed>(
     server: &mut T,
     duration_s: f64,
     config: AdaptiveConfig,
-    store: Option<&SharedStore>,
+    store: Option<&ShardedStore>,
     telemetry: &Telemetry<'_>,
 ) -> Result<AdaptiveTrace, CliteError> {
     let mut points: Vec<AdaptivePoint> = Vec::new();
@@ -310,7 +310,7 @@ mod tests {
 
     #[test]
     fn warm_reinvocation_on_unchanged_mix_uses_fewer_search_windows() {
-        use clite_store::ObservationStore;
+        use clite_store::{ShardPolicy, ShardedStore};
 
         // Complementary load swaps: memcached and img-dnn trade places at
         // t=250 s and trade back at t=500 s. Each swap breaks the partition
@@ -330,7 +330,7 @@ mod tests {
             JobSpec::background(WorkloadId::Fluidanimate),
         ];
         let mut server = Server::new(ResourceCatalog::testbed(), jobs, 21).unwrap();
-        let store = ObservationStore::in_memory().into_shared();
+        let store = ShardedStore::in_memory(ShardPolicy::with_shards(1));
         let trace = run_adaptive_with_store(
             &CliteController::default(),
             &mut server,
@@ -351,10 +351,7 @@ mod tests {
         let cold = segments[0];
         let warm = segments[2];
         assert!(warm < cold, "warm re-invocation used {warm} search windows, cold used {cold}");
-        {
-            let guard = store.lock().unwrap();
-            assert!(guard.stats().hits >= 1, "third invocation must hit the store");
-        }
+        assert!(store.stats().hits >= 1, "third invocation must hit the store");
         // Store or not, the trace stays time-ordered.
         for w in trace.points.windows(2) {
             assert!(w[1].time_s >= w[0].time_s);

@@ -27,7 +27,7 @@ use clite_sim::metrics::Observation;
 use clite_sim::testbed::Testbed;
 use clite_sim::workload::JobClass;
 use clite_sim::SimError;
-use clite_store::{MixSignature, SharedStore, WarmStart};
+use clite_store::{MixSignature, ShardedStore, WarmStart};
 use clite_telemetry::{Event, Phase, StopReason, Telemetry};
 
 use crate::config::{CliteConfig, DropoutPolicy, RecoveryConfig};
@@ -123,29 +123,22 @@ impl CliteController {
     pub fn run_with_store<T: Testbed>(
         &self,
         server: &mut T,
-        store: &SharedStore,
+        store: &ShardedStore,
         telemetry: &Telemetry<'_>,
     ) -> Result<CliteOutcome, CliteError> {
         let signature = MixSignature::capture(server);
-        let warm = {
-            let mut guard = store.lock().expect("observation store lock");
-            guard.warm_start_with(&signature, telemetry)
-        };
-        let outcome = match &warm {
-            Some(warm) => self.run_warmed(server, warm, telemetry)?,
+        let outcome = match store.warm_start_with(&signature, telemetry) {
+            Some(warm) => self.run_warmed(server, &warm, telemetry)?,
             None => self.run_with(server, telemetry)?,
         };
-        {
-            let mut guard = store.lock().expect("observation store lock");
-            for rec in &outcome.samples {
-                guard.append_with(
-                    &signature,
-                    &rec.partition,
-                    &rec.observation,
-                    rec.score.value,
-                    telemetry,
-                )?;
-            }
+        for rec in &outcome.samples {
+            store.append_with(
+                &signature,
+                &rec.partition,
+                &rec.observation,
+                rec.score.value,
+                telemetry,
+            )?;
         }
         Ok(outcome)
     }
@@ -984,9 +977,9 @@ mod tests {
 
     #[test]
     fn warm_run_reaches_qos_in_fewer_windows_than_cold() {
-        use clite_store::ObservationStore;
+        use clite_store::{ShardPolicy, ShardedStore};
 
-        let store = ObservationStore::in_memory().into_shared();
+        let store = ShardedStore::in_memory(ShardPolicy::with_shards(1));
         let controller = CliteController::default();
         let telemetry = Telemetry::disabled();
 
@@ -999,11 +992,8 @@ mod tests {
         let mut s2 = server(easy_mix(), 9);
         let warm = controller.run_with_store(&mut s2, &store, &telemetry).unwrap();
         assert!(warm.qos_met());
-        {
-            let guard = store.lock().unwrap();
-            assert_eq!(guard.stats().hits, 1);
-            assert_eq!(guard.stats().misses, 1);
-        }
+        assert_eq!(store.stats().hits, 1);
+        assert_eq!(store.stats().misses, 1);
         assert!(
             warm.samples_used() < cold.samples_used(),
             "warm {} windows must beat cold {}",
@@ -1016,32 +1006,41 @@ mod tests {
 
     #[test]
     fn warm_runs_are_deterministic() {
-        use clite_store::ObservationStore;
+        use clite_store::{ShardPolicy, ShardedStore};
 
-        let run_pair = || {
-            let store = ObservationStore::in_memory().into_shared();
+        // A cold run then a warm one on the same store; the pair must
+        // repeat exactly (wall-clock overhead aside), and must not depend
+        // on how the store is sharded.
+        let run_pair = |shards: usize| {
+            let store = ShardedStore::in_memory(ShardPolicy::with_shards(shards));
             let controller = CliteController::default();
             let telemetry = Telemetry::disabled();
-            let mut s1 = server(easy_mix(), 12);
-            controller.run_with_store(&mut s1, &store, &telemetry).unwrap();
-            let mut s2 = server(easy_mix(), 12);
-            controller.run_with_store(&mut s2, &store, &telemetry).unwrap()
+            let run = |seed| {
+                let mut s = server(easy_mix(), seed);
+                let outcome = controller.run_with_store(&mut s, &store, &telemetry).unwrap();
+                CliteOutcome { overhead: None, ..outcome }
+            };
+            (run(12), run(12))
         };
-        let a = run_pair();
-        let b = run_pair();
-        assert_eq!(a.best_partition, b.best_partition);
-        assert_eq!(a.samples_used(), b.samples_used());
-        assert_eq!(
-            a.samples.iter().map(|r| r.partition.clone()).collect::<Vec<_>>(),
-            b.samples.iter().map(|r| r.partition.clone()).collect::<Vec<_>>()
-        );
+        let (reference_cold, a) = run_pair(1);
+        for shards in [1usize, 8] {
+            let (cold, b) = run_pair(shards);
+            assert_eq!(a.best_partition, b.best_partition);
+            assert_eq!(a.samples_used(), b.samples_used());
+            assert_eq!(
+                a.samples.iter().map(|r| r.partition.clone()).collect::<Vec<_>>(),
+                b.samples.iter().map(|r| r.partition.clone()).collect::<Vec<_>>()
+            );
+            assert_eq!(cold, reference_cold, "{shards}-shard cold run diverged");
+            assert_eq!(b, a, "{shards}-shard warm run diverged");
+        }
     }
 
     #[test]
     fn store_misses_on_different_mix_and_runs_cold() {
-        use clite_store::ObservationStore;
+        use clite_store::{ShardPolicy, ShardedStore};
 
-        let store = ObservationStore::in_memory().into_shared();
+        let store = ShardedStore::in_memory(ShardPolicy::with_shards(1));
         let controller = CliteController::default();
         let telemetry = Telemetry::disabled();
         let mut s1 = server(easy_mix(), 10);
@@ -1055,10 +1054,9 @@ mod tests {
         let outcome = controller.run_with_store(&mut s2, &store, &telemetry).unwrap();
         // Cold path: full bootstrap ran (N_jobs + 1 bootstrap samples).
         assert_eq!(outcome.samples.iter().filter(|r| r.bootstrap).count(), 3);
-        let guard = store.lock().unwrap();
-        assert_eq!(guard.stats().hits, 0);
-        assert_eq!(guard.stats().misses, 2);
-        assert_eq!(guard.mix_count(), 2);
+        assert_eq!(store.stats().hits, 0);
+        assert_eq!(store.stats().misses, 2);
+        assert_eq!(store.mix_count(), 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use clite::adaptive::{run_adaptive, AdaptiveConfig, AdaptiveTrace, Phase};
 use clite::config::CliteConfig;
 use clite::controller::CliteController;
-use clite::{CliteError, ObservationStore};
+use clite::{CliteError, ShardPolicy, ShardedStore};
 use clite_faults::{FaultSpec, FaultyTestbed};
 use clite_sim::prelude::*;
 use clite_telemetry::{MemoryRecorder, Telemetry};
@@ -70,7 +70,7 @@ fn default_chaos_completes_or_degrades_without_panic() {
     for seed in 0..8u64 {
         let recorder = MemoryRecorder::new();
         let telemetry = Telemetry::new(&recorder);
-        let store = ObservationStore::in_memory().into_shared();
+        let store = ShardedStore::in_memory(ShardPolicy::with_shards(1));
         let mut faulty = FaultyTestbed::new(server(seed), FaultSpec::default_chaos(), seed);
 
         match controller.run_with_store(&mut faulty, &store, &telemetry) {
@@ -86,9 +86,8 @@ fn default_chaos_completes_or_degrades_without_panic() {
                     outcome.quarantined,
                     "every quarantine must be reported"
                 );
-                let guard = store.lock().unwrap();
                 assert_eq!(
-                    guard.stats().appends as usize,
+                    store.stats().appends as usize,
                     outcome.samples.len(),
                     "quarantined windows must never reach the store"
                 );

@@ -25,7 +25,7 @@ use clite_sim::testbed::Testbed;
 use clite_telemetry::Telemetry;
 
 use crate::policy::{
-    observe_and_record_with, outcome_from_samples, Policy, PolicyOutcome, PolicySample,
+    observe_and_record, outcome_from_samples, Policy, PolicyOutcome, PolicySample,
 };
 use crate::PolicyError;
 
@@ -93,11 +93,11 @@ impl<T: Testbed> Policy<T> for Genetic {
         // Initial population: equal share + random partitions.
         let mut scored: Vec<(Partition, f64)> = Vec::new();
         let equal = Partition::equal_share(server.catalog(), jobs)?;
-        let idx = observe_and_record_with(server, &equal, &mut samples, telemetry);
+        let idx = observe_and_record(server, &equal, &mut samples, telemetry)?;
         scored.push((equal, samples[idx].score));
         while scored.len() < self.config.population && samples.len() < self.config.budget {
             let p = Partition::random(server.catalog(), jobs, &mut rng)?;
-            let idx = observe_and_record_with(server, &p, &mut samples, telemetry);
+            let idx = observe_and_record(server, &p, &mut samples, telemetry)?;
             scored.push((p, samples[idx].score));
         }
 
@@ -110,7 +110,7 @@ impl<T: Testbed> Policy<T> for Genetic {
         let parent_b = scored.get(1).map_or_else(|| scored[0].0.clone(), |p| p.0.clone());
         while samples.len() < self.config.budget {
             let child = mutate(&crossover(&parent_a, &parent_b, &mut rng), &mut rng);
-            observe_and_record_with(server, &child, &mut samples, telemetry);
+            observe_and_record(server, &child, &mut samples, telemetry)?;
         }
         Ok(outcome_from_samples(Policy::<T>::name(self), samples, false))
     }

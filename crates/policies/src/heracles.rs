@@ -21,7 +21,7 @@ use clite_sim::testbed::Testbed;
 use clite_telemetry::Telemetry;
 
 use crate::policy::{
-    observe_and_record_with, outcome_from_samples, Policy, PolicyOutcome, PolicySample,
+    observe_and_record, outcome_from_samples, Policy, PolicyOutcome, PolicySample,
 };
 use crate::PolicyError;
 
@@ -69,7 +69,7 @@ impl<T: Testbed> Policy<T> for Heracles {
         let protected = server.lc_indices().first().copied();
         let mut samples: Vec<PolicySample> = Vec::new();
         let mut current = Partition::equal_share(server.catalog(), jobs)?;
-        observe_and_record_with(server, &current, &mut samples, telemetry);
+        observe_and_record(server, &current, &mut samples, telemetry)?;
 
         let Some(protected) = protected else {
             // No LC job at all: Heracles has nothing to protect.
@@ -105,7 +105,7 @@ impl<T: Testbed> Policy<T> for Heracles {
             current = current
                 .transfer(resource, donor, protected, 1)
                 .expect("donor validated to hold more than one unit");
-            observe_and_record_with(server, &current, &mut samples, telemetry);
+            observe_and_record(server, &current, &mut samples, telemetry)?;
             let after_slack = samples.last().expect("just recorded").observation.jobs[protected]
                 .qos_slack()
                 .unwrap_or(0.0);

@@ -29,7 +29,7 @@ use clite_sim::workload::JobClass;
 use clite_telemetry::Telemetry;
 
 use crate::policy::{
-    observe_and_record_with, outcome_from_samples, Policy, PolicyOutcome, PolicySample,
+    observe_and_record, outcome_from_samples, Policy, PolicyOutcome, PolicySample,
 };
 use crate::PolicyError;
 
@@ -90,7 +90,7 @@ impl<T: Testbed> Policy<T> for Parties {
         let jobs = server.job_count();
         let mut samples: Vec<PolicySample> = Vec::new();
         let mut current = Partition::equal_share(server.catalog(), jobs)?;
-        observe_and_record_with(server, &current, &mut samples, telemetry);
+        observe_and_record(server, &current, &mut samples, telemetry)?;
 
         // Per-job FSM position in the resource cycle; the starting
         // resource is randomized per run (trial-and-error path dependence).
@@ -133,7 +133,7 @@ impl<T: Testbed> Policy<T> for Parties {
             let candidate = current
                 .transfer(resource, donor, job, 1)
                 .expect("donor validated to have more than one unit");
-            observe_and_record_with(server, &candidate, &mut samples, telemetry);
+            observe_and_record(server, &candidate, &mut samples, telemetry)?;
             let after = samples.last().expect("just recorded");
             let after_slack = after.observation.jobs[job].qos_slack().unwrap_or(0.0);
 
@@ -178,7 +178,7 @@ impl<T: Testbed> Policy<T> for Parties {
                 let candidate = current
                     .transfer(resource, job, recipient, 1)
                     .expect("shrink candidate validated");
-                observe_and_record_with(server, &candidate, &mut samples, telemetry);
+                observe_and_record(server, &candidate, &mut samples, telemetry)?;
                 let after = samples.last().expect("just recorded");
                 // PARTIES returns leftovers conservatively: the donor must
                 // stay comfortably above its target (slack >= 1.45), not
@@ -191,7 +191,7 @@ impl<T: Testbed> Policy<T> for Parties {
                     // Revert (the revert re-observation is counted too:
                     // PARTIES pays for its trial-and-error).
                     blocked[job][resource.index()] = true;
-                    observe_and_record_with(server, &current, &mut samples, telemetry);
+                    observe_and_record(server, &current, &mut samples, telemetry)?;
                 }
             }
         }
@@ -391,7 +391,8 @@ mod tests {
         // masstree-starved partition.
         let p = Partition::max_for_job(s.catalog(), 2, 1).unwrap();
         let mut samples = Vec::new();
-        crate::policy::observe_and_record(&mut s, &p, &mut samples);
+        crate::policy::observe_and_record(&mut s, &p, &mut samples, &Telemetry::disabled())
+            .unwrap();
         assert_eq!(worst_violator(&samples[0]), Some(0));
     }
 }

@@ -6,6 +6,7 @@ use clite::score::score_value;
 use clite_sim::alloc::Partition;
 use clite_sim::metrics::Observation;
 use clite_sim::testbed::Testbed;
+use clite_sim::SimError;
 use clite_telemetry::{Event, Phase, Telemetry};
 
 use crate::PolicyError;
@@ -111,25 +112,21 @@ pub trait Policy<T: Testbed> {
 }
 
 /// Shared helper: observe `partition` on `server`, score it, and append a
-/// [`PolicySample`]. Returns the sample's index.
+/// [`PolicySample`]. Times the observation window and the scoring as their
+/// profiling phases and emits one [`Event::QosViolation`] per LC job
+/// missing its target. Returns the sample's index.
+///
+/// # Errors
+///
+/// Returns the [`SimError`] of a rejected partition or a faulted window
+/// (a node crash, a dropped or stuck window); nothing is recorded then.
 pub fn observe_and_record<T: Testbed>(
     server: &mut T,
     partition: &Partition,
     samples: &mut Vec<PolicySample>,
-) -> usize {
-    observe_and_record_with(server, partition, samples, &Telemetry::disabled())
-}
-
-/// [`observe_and_record`] with telemetry: times the observation window and
-/// the scoring as their profiling phases and emits one
-/// [`Event::QosViolation`] per LC job missing its target.
-pub fn observe_and_record_with<T: Testbed>(
-    server: &mut T,
-    partition: &Partition,
-    samples: &mut Vec<PolicySample>,
     telemetry: &Telemetry<'_>,
-) -> usize {
-    let observation = telemetry.time(Phase::Observe, || server.observe(partition));
+) -> Result<usize, SimError> {
+    let observation = telemetry.time(Phase::Observe, || server.try_observe(partition))?;
     let score = telemetry.time(Phase::Score, || score_value(&observation));
     let index = samples.len();
     for (job, obs) in observation.jobs.iter().enumerate() {
@@ -142,7 +139,7 @@ pub fn observe_and_record_with<T: Testbed>(
         }
     }
     samples.push(PolicySample { index, partition: partition.clone(), observation, score });
-    index
+    Ok(index)
 }
 
 /// Shared helper: assemble a [`PolicyOutcome`] from recorded samples.
@@ -188,8 +185,9 @@ mod tests {
         let mut samples = Vec::new();
         let p = Partition::equal_share(server.catalog(), 2).unwrap();
         let q = Partition::max_for_job(server.catalog(), 2, 0).unwrap();
-        assert_eq!(observe_and_record(&mut server, &p, &mut samples), 0);
-        assert_eq!(observe_and_record(&mut server, &q, &mut samples), 1);
+        let none = Telemetry::disabled();
+        assert_eq!(observe_and_record(&mut server, &p, &mut samples, &none), Ok(0));
+        assert_eq!(observe_and_record(&mut server, &q, &mut samples, &none), Ok(1));
         let outcome = outcome_from_samples("TEST", samples, false);
         assert_eq!(outcome.policy, "TEST");
         assert_eq!(outcome.samples_used(), 2);

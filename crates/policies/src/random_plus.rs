@@ -17,7 +17,7 @@ use clite_sim::testbed::Testbed;
 use clite_telemetry::Telemetry;
 
 use crate::policy::{
-    observe_and_record_with, outcome_from_samples, Policy, PolicyOutcome, PolicySample,
+    observe_and_record, outcome_from_samples, Policy, PolicyOutcome, PolicySample,
 };
 use crate::PolicyError;
 
@@ -93,7 +93,7 @@ impl<T: Testbed> Policy<T> for RandomPlus {
                 }
                 candidate = Partition::random(server.catalog(), jobs, &mut rng)?;
             }
-            observe_and_record_with(server, &candidate, &mut samples, telemetry);
+            observe_and_record(server, &candidate, &mut samples, telemetry)?;
             kept.push(candidate);
         }
         Ok(outcome_from_samples(Policy::<T>::name(self), samples, false))

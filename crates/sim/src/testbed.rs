@@ -39,8 +39,8 @@ use crate::SimError;
 /// backends can intercept each half: [`Testbed::enforce`] applies a
 /// partition through the isolation layer, [`Testbed::observe_window`] runs
 /// one observation window and reads the (noisy) counters. The provided
-/// [`Testbed::observe`] composes them with the legacy panic-on-misuse
-/// contract that controllers rely on.
+/// [`Testbed::try_observe`] composes them, surfacing a mismatched
+/// partition or a faulted window as a typed error.
 pub trait Testbed {
     /// The resource catalog of this machine.
     fn catalog(&self) -> &ResourceCatalog;
@@ -142,18 +142,6 @@ pub trait Testbed {
     fn try_observe(&mut self, partition: &Partition) -> Result<Observation, SimError> {
         self.enforce(partition)?;
         self.try_observe_window()
-    }
-
-    /// Applies `partition` and runs one observation window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` does not have one row per co-located job or
-    /// was built against a different catalog (a controller bug, not a
-    /// runtime condition), **or** if the backend faults the window — use
-    /// [`Testbed::try_observe`] anywhere faults are survivable.
-    fn observe(&mut self, partition: &Partition) -> Observation {
-        self.try_observe(partition).expect("observe: partition must match and window must measure")
     }
 
     /// Indices of the latency-critical jobs.
@@ -617,7 +605,7 @@ mod tests {
     }
 
     fn observe_via_trait<T: Testbed>(t: &mut T, p: &Partition) -> Observation {
-        t.observe(p)
+        t.try_observe(p).unwrap()
     }
 
     #[test]
@@ -635,10 +623,10 @@ mod tests {
     fn memoized_replays_identical_observation_and_advances_time() {
         let mut m = MemoizedTestbed::new(server(2));
         let p = Partition::equal_share(m.catalog(), 2).unwrap();
-        let first = m.observe(&p);
+        let first = m.try_observe(&p).unwrap();
         assert_eq!((m.hits(), m.misses()), (0, 1));
         let t1 = m.time_s();
-        let second = m.observe(&p);
+        let second = m.try_observe(&p).unwrap();
         assert_eq!((m.hits(), m.misses()), (1, 1));
         // Same measurements, patched timestamp, clock still moving.
         assert_eq!(first.jobs, second.jobs);
@@ -651,17 +639,17 @@ mod tests {
     fn memoized_misses_on_changed_partition_or_load() {
         let mut m = MemoizedTestbed::new(server(3));
         let p = Partition::equal_share(m.catalog(), 2).unwrap();
-        m.observe(&p);
+        m.try_observe(&p).unwrap();
         let q = p.transfer(ResourceKind::Cores, 1, 0, 2).unwrap();
-        m.observe(&q);
+        m.try_observe(&q).unwrap();
         assert_eq!((m.hits(), m.misses()), (0, 2));
         // Back to the first partition: hit through the shared map even
         // though the one-entry fast path moved on.
-        m.observe(&p);
+        m.try_observe(&p).unwrap();
         assert_eq!((m.hits(), m.misses()), (1, 2));
         // A load change means a different configuration entirely.
         m.set_load(0, 0.7).unwrap();
-        m.observe(&p);
+        m.try_observe(&p).unwrap();
         assert_eq!((m.hits(), m.misses()), (1, 3));
     }
 

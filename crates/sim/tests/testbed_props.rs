@@ -130,7 +130,7 @@ proptest! {
         prop_assert!(matches!(memo.enforce(&foreign), Err(SimError::CatalogMismatch)));
     }
 
-    /// `Testbed::observe` advances the sample counter and simulated time
+    /// `Testbed::try_observe` advances the sample counter and simulated time
     /// identically on both backends for a first (cache-miss) observation.
     #[test]
     fn observe_accounting_matches_across_backends(
@@ -142,8 +142,8 @@ proptest! {
         let p = Partition::random(&catalog, jobs, &mut rng).unwrap();
         let mut server = Server::new(catalog, specs(jobs), seed).unwrap();
         let mut memo = MemoizedTestbed::new(Server::new(catalog, specs(jobs), seed).unwrap());
-        let direct = Testbed::observe(&mut server, &p);
-        let through_cache = memo.observe(&p);
+        let direct = Testbed::try_observe(&mut server, &p).unwrap();
+        let through_cache = memo.try_observe(&p).unwrap();
         prop_assert_eq!(server.samples_observed(), 1);
         prop_assert_eq!(memo.samples_observed(), 1);
         prop_assert!((server.time_s() - memo.time_s()).abs() < 1e-9);

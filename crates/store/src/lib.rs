@@ -13,6 +13,9 @@
 //! * an **in-memory index** keyed by [`MixSignature`] — workloads, QoS
 //!   targets, catalog, and quantized per-job load — with a load-distance
 //!   reuse policy and per-mix best-K eviction ([`store`]);
+//! * one **front end**, [`ShardedStore`], that splits the index and log
+//!   across independently locked shards (`<path>.shard<i>` on disk) and
+//!   counts hits and misses ([`shard`]);
 //! * a **[`WarmStart`] API** that hands stored samples back to the search
 //!   so a re-invocation on a seen (or nearby-load) mix primes its
 //!   surrogate instead of bootstrapping from scratch.
@@ -35,7 +38,7 @@ pub use codec::DecodeError;
 pub use journal::{EventJournal, JournalRecord, JournalRecovery};
 pub use shard::{ShardPolicy, ShardedStore, StoreHandle};
 pub use signature::{JobSignature, MixKey, MixSignature};
-pub use store::{ObservationStore, SharedStore, StorePolicy, StoreStats, WarmEntry, WarmStart};
+pub use store::{ObservationStore, StorePolicy, StoreStats, WarmEntry, WarmStart};
 
 use clite_sim::alloc::Partition;
 use clite_sim::metrics::Observation;

@@ -1,13 +1,15 @@
-//! Sharded store front-end: per-shard locks, a read fast path, and
-//! background compaction.
+//! The observation store's one front end: per-shard locks, a read fast
+//! path, and background compaction.
 //!
-//! One fleet-wide `Arc<Mutex<ObservationStore>>` serializes every probe's
-//! warm-start lookup behind every commit's append. [`ShardedStore`] splits
-//! the store into `N` independent [`ObservationStore`]s and routes each
-//! signature by [`MixSignature::shard_hash`] — a stable FNV-1a hash of the
-//! mix *key* (catalog, workloads, classes, QoS; load excluded), so every
-//! load point of one mix lands on the same shard and nearby-load reuse
-//! never crosses a shard boundary.
+//! Every caller — the controller, the adaptive loop, the `colocate` and
+//! `experiments` `--store` paths, and the fleet — holds an
+//! `Arc<ShardedStore>`. It splits the store into `N` independent
+//! [`ObservationStore`]s, each behind its own lock, so a probe's
+//! warm-start lookup never waits behind an append to another mix. Each
+//! signature is routed by [`MixSignature::shard_hash`] — a stable FNV-1a
+//! hash of the mix *key* (catalog, workloads, classes, QoS; load
+//! excluded), so every load point of one mix lands on the same shard and
+//! nearby-load reuse never crosses a shard boundary.
 //!
 //! Because the underlying index is keyed by mix key and buckets never
 //! interact, **every lookup and eviction decision is a pure function of
@@ -44,7 +46,7 @@ use clite_sim::metrics::Observation;
 use clite_telemetry::{Event, Telemetry};
 
 use crate::signature::MixSignature;
-use crate::store::{ObservationStore, SharedStore, StorePolicy, StoreStats, WarmStart};
+use crate::store::{ObservationStore, StorePolicy, StoreStats, WarmStart};
 use crate::StoreResult;
 
 /// Tunables for the sharded front-end.
@@ -95,7 +97,10 @@ struct Shard {
     misses: AtomicU64,
     lock_waits: AtomicU64,
     /// Set while a compaction for this shard is queued or running, so the
-    /// append path schedules each shard at most once at a time.
+    /// append path schedules each shard at most once at a time. With no
+    /// worker to take the job (background compaction disabled, an
+    /// in-memory store, or a worker that is exiting) the flag stays set,
+    /// and [`ShardedStore::compact_pending`] picks the shard up.
     compaction_queued: AtomicBool,
 }
 
@@ -149,24 +154,15 @@ pub struct ShardedStore {
 impl ShardedStore {
     /// Opens (or creates) a sharded store rooted at `path`: shard `i`
     /// lives in `<path>.shard<i>`. Spawns the background compactor when
-    /// the policy asks for one.
+    /// the policy asks for one. A shard whose reopen had to discard a
+    /// torn or corrupt tail emits its own recovery event.
     ///
     /// # Errors
     ///
     /// Returns [`crate::StoreError::Io`] on filesystem failures. Torn or
     /// corrupt shard tails are recovered, not errors (see
     /// [`ObservationStore::open`]).
-    pub fn open(path: impl AsRef<Path>, policy: ShardPolicy) -> StoreResult<Arc<Self>> {
-        Self::open_observed(path, policy, &Telemetry::disabled())
-    }
-
-    /// [`ShardedStore::open`] with telemetry for per-shard recovery
-    /// events.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::StoreError::Io`] on filesystem failures.
-    pub fn open_observed(
+    pub fn open(
         path: impl AsRef<Path>,
         policy: ShardPolicy,
         telemetry: &Telemetry<'_>,
@@ -175,8 +171,7 @@ impl ShardedStore {
         let path = path.as_ref();
         let mut shards = Vec::with_capacity(policy.shards);
         for i in 0..policy.shards {
-            let store =
-                ObservationStore::open_observed(shard_path(path, i), policy.store, telemetry)?;
+            let store = ObservationStore::open(shard_path(path, i), policy.store, telemetry)?;
             shards.push(Shard::new(store));
         }
         let store = Arc::new(Self { shards, policy, compactor: Mutex::new(None) });
@@ -192,7 +187,7 @@ impl ShardedStore {
     pub fn in_memory(policy: ShardPolicy) -> Arc<Self> {
         let policy = ShardPolicy { shards: policy.shards.max(1), ..policy };
         let shards = (0..policy.shards)
-            .map(|_| Shard::new(ObservationStore::in_memory_with(policy.store)))
+            .map(|_| Shard::new(ObservationStore::in_memory(policy.store)))
             .collect();
         Arc::new(Self { shards, policy, compactor: Mutex::new(None) })
     }
@@ -224,9 +219,9 @@ impl ShardedStore {
         self.warm_start_with(signature, &Telemetry::disabled())
     }
 
-    /// [`ShardedStore::warm_start`] with telemetry (same
-    /// `StoreHit`/`StoreMiss` events as the unsharded store; miss events
-    /// report the owning shard's mix count).
+    /// [`ShardedStore::warm_start`] with telemetry: a `StoreHit` or
+    /// `StoreMiss` event (miss events report the owning shard's mix
+    /// count).
     pub fn warm_start_with(
         &self,
         signature: &MixSignature,
@@ -287,19 +282,13 @@ impl ShardedStore {
         let idx = self.shard_for(signature);
         let shard = &self.shards[idx];
         let mut guard = shard.write();
-        let result = guard.append_with(signature, partition, observation, score, telemetry);
+        let result = guard.append(signature, partition, observation, score, telemetry);
         let wants_compaction = result.is_ok() && self.wants_compaction(&guard);
         drop(guard);
         if wants_compaction {
             self.schedule_compaction(idx);
         }
         result
-    }
-
-    /// Records an append failure observed by a best-effort caller (e.g. a
-    /// cluster commit that logged the error and moved on).
-    pub fn note_append_error(&self, signature: &MixSignature) {
-        self.shards[self.shard_for(signature)].write().note_append_error();
     }
 
     fn wants_compaction(&self, store: &ObservationStore) -> bool {
@@ -312,14 +301,9 @@ impl ShardedStore {
         if shard.compaction_queued.swap(true, Ordering::AcqRel) {
             return; // already queued or running
         }
-        let queued =
-            match &*self.compactor.lock().unwrap_or_else(std::sync::PoisonError::into_inner) {
-                Some(tx) => tx.send(idx).is_ok(),
-                None => false,
-            };
-        if !queued {
-            // No worker (disabled, in-memory, or exiting): leave the flag
-            // set so compact_pending() picks the shard up synchronously.
+        if let Some(tx) = &*self.compactor.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        {
+            let _ = tx.send(idx);
         }
     }
 
@@ -466,87 +450,8 @@ fn shard_path(path: &Path, i: usize) -> std::path::PathBuf {
     std::path::PathBuf::from(os)
 }
 
-/// A handle to either store shape, so call sites (the cluster `Node`)
-/// stay agnostic: one mutex-guarded [`ObservationStore`] (the PR 4
-/// layout, still used by the controller CLI) or a [`ShardedStore`].
-#[derive(Debug, Clone)]
-pub enum StoreHandle {
-    /// One store behind one exclusive lock.
-    Single(SharedStore),
-    /// Sharded front-end.
-    Sharded(Arc<ShardedStore>),
-}
-
-impl StoreHandle {
-    /// Warm-start lookup (shared read on the sharded path).
-    pub fn warm_start_with(
-        &self,
-        signature: &MixSignature,
-        telemetry: &Telemetry<'_>,
-    ) -> Option<WarmStart> {
-        match self {
-            StoreHandle::Single(store) => store
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .warm_start_with(signature, telemetry),
-            StoreHandle::Sharded(store) => store.warm_start_with(signature, telemetry),
-        }
-    }
-
-    /// Appends one sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::StoreError::Io`] if the log write fails.
-    pub fn append_with(
-        &self,
-        signature: &MixSignature,
-        partition: &Partition,
-        observation: &Observation,
-        score: f64,
-        telemetry: &Telemetry<'_>,
-    ) -> StoreResult<()> {
-        match self {
-            StoreHandle::Single(store) => store
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .append_with(signature, partition, observation, score, telemetry),
-            StoreHandle::Sharded(store) => {
-                store.append_with(signature, partition, observation, score, telemetry)
-            }
-        }
-    }
-
-    /// Records an append failure observed by a best-effort caller.
-    pub fn note_append_error(&self, signature: &MixSignature) {
-        match self {
-            StoreHandle::Single(store) => {
-                store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).note_append_error();
-            }
-            StoreHandle::Sharded(store) => store.note_append_error(signature),
-        }
-    }
-
-    /// Aggregate counters (across shards on the sharded path).
-    #[must_use]
-    pub fn stats(&self) -> StoreStats {
-        match self {
-            StoreHandle::Single(store) => {
-                store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).stats()
-            }
-            StoreHandle::Sharded(store) => store.stats(),
-        }
-    }
-}
-
-impl From<SharedStore> for StoreHandle {
-    fn from(store: SharedStore) -> Self {
-        StoreHandle::Single(store)
-    }
-}
-
-impl From<Arc<ShardedStore>> for StoreHandle {
-    fn from(store: Arc<ShardedStore>) -> Self {
-        StoreHandle::Sharded(store)
-    }
-}
+/// The store handle nodes, schedulers and fleets hold. An alias, not a
+/// type of its own: `layerbench` names it, and
+/// `StoreHandle::from(Arc::clone(&store))` still compiles through the
+/// reflexive `From`.
+pub type StoreHandle = Arc<ShardedStore>;

@@ -1,5 +1,6 @@
 //! The observation store: durable log + in-memory index + warm-start
-//! lookup.
+//! lookup. It is the per-shard engine behind [`crate::ShardedStore`],
+//! the one front end every caller uses.
 //!
 //! Appends go to the crash-safe log (see [`crate::log`]) and into an index
 //! keyed by [`MixKey`] — catalog, workloads, classes, QoS targets — with a
@@ -12,7 +13,6 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use clite_sim::alloc::Partition;
 use clite_sim::metrics::Observation;
@@ -47,7 +47,8 @@ impl Default for StorePolicy {
 pub struct StoreStats {
     /// Records appended this session.
     pub appends: u64,
-    /// Warm-start lookups that returned entries.
+    /// Warm-start lookups that returned entries (counted by
+    /// [`crate::ShardedStore`]; a bare [`ObservationStore`] only peeks).
     pub hits: u64,
     /// Warm-start lookups that returned nothing.
     pub misses: u64,
@@ -64,9 +65,8 @@ pub struct StoreStats {
     /// Append attempts that failed at the I/O layer (cluster best-effort
     /// appends count here instead of failing the search).
     pub append_errors: u64,
-    /// Lock acquisitions that found the store busy and had to wait
-    /// (bumped by the sharded front-end; always 0 for a store accessed
-    /// through one exclusive lock). Contention-tuning signal only: never
+    /// Lock acquisitions that found a shard busy and had to wait (bumped
+    /// by [`crate::ShardedStore`]). Contention-tuning signal only: never
     /// part of any determinism contract.
     pub lock_waits: u64,
     /// Log compactions completed (manual or background).
@@ -129,57 +129,26 @@ pub struct ObservationStore {
     retained_records: u64,
 }
 
-/// A store shared across controllers and cluster nodes.
-pub type SharedStore = Arc<Mutex<ObservationStore>>;
-
 impl ObservationStore {
-    /// Opens (or creates) the store at `path` with the default policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::StoreError::Io`] on filesystem failures. A torn or
-    /// bit-flipped tail is not an error: the valid prefix is recovered and
-    /// the damage reported in [`ObservationStore::stats`].
-    pub fn open(path: impl AsRef<Path>) -> StoreResult<Self> {
-        Self::open_with(path, StorePolicy::default())
-    }
-
-    /// Opens (or creates) the store at `path` with an explicit policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::StoreError::Io`] on filesystem failures.
-    pub fn open_with(path: impl AsRef<Path>, policy: StorePolicy) -> StoreResult<Self> {
-        Self::open_observed(path, policy, &Telemetry::disabled())
-    }
-
-    /// [`ObservationStore::open_with`] with telemetry: when reopen-time
-    /// recovery had to discard anything — a torn/corrupt tail, a bad
-    /// header, or frames that framed correctly but no longer decode — an
+    /// Opens (or creates) the store at `path`. When reopen-time recovery
+    /// had to discard anything — a torn/corrupt tail, a bad header, or
+    /// frames that framed correctly but no longer decode — an
     /// [`Event::StoreRecovered`] is emitted instead of truncating
     /// silently. The same counts are surfaced in
     /// [`ObservationStore::stats`].
     ///
     /// # Errors
     ///
-    /// Returns [`crate::StoreError::Io`] on filesystem failures.
-    pub fn open_observed(
+    /// Returns [`crate::StoreError::Io`] on filesystem failures. A torn or
+    /// bit-flipped tail is not an error: the valid prefix is recovered.
+    pub fn open(
         path: impl AsRef<Path>,
         policy: StorePolicy,
         telemetry: &Telemetry<'_>,
     ) -> StoreResult<Self> {
         let path = path.as_ref().to_path_buf();
         let (log, recovery) = LogFile::open(&path)?;
-        let mut store = Self {
-            path: Some(path),
-            log: Some(log),
-            index: HashMap::new(),
-            policy,
-            stats: StoreStats::default(),
-            next_seq: 0,
-            log_records: 0,
-            retained_records: 0,
-        };
+        let mut store = Self { path: Some(path), log: Some(log), ..Self::in_memory(policy) };
         store.load_recovery(&recovery);
         let damaged = store.stats.dropped_bytes > 0
             || store.stats.undecodable_records > 0
@@ -194,15 +163,10 @@ impl ObservationStore {
         Ok(store)
     }
 
-    /// A store with no backing file; useful for tests and one-shot runs.
+    /// A store with no backing file: an in-memory shard, or a test's plain
+    /// reference store.
     #[must_use]
-    pub fn in_memory() -> Self {
-        Self::in_memory_with(StorePolicy::default())
-    }
-
-    /// An in-memory store with an explicit policy.
-    #[must_use]
-    pub fn in_memory_with(policy: StorePolicy) -> Self {
+    pub fn in_memory(policy: StorePolicy) -> Self {
         Self {
             path: None,
             log: None,
@@ -213,12 +177,6 @@ impl ObservationStore {
             log_records: 0,
             retained_records: 0,
         }
-    }
-
-    /// Wraps a store for `Arc`-wide sharing across nodes/controllers.
-    #[must_use]
-    pub fn into_shared(self) -> SharedStore {
-        Arc::new(Mutex::new(self))
     }
 
     fn load_recovery(&mut self, recovery: &Recovery) {
@@ -293,21 +251,6 @@ impl ObservationStore {
         partition: &Partition,
         observation: &Observation,
         score: f64,
-    ) -> StoreResult<()> {
-        self.append_with(signature, partition, observation, score, &Telemetry::disabled())
-    }
-
-    /// [`ObservationStore::append`] with telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::StoreError::Io`] if the log write fails.
-    pub fn append_with(
-        &mut self,
-        signature: &MixSignature,
-        partition: &Partition,
-        observation: &Observation,
-        score: f64,
         telemetry: &Telemetry<'_>,
     ) -> StoreResult<()> {
         let record = StoreRecord {
@@ -330,11 +273,6 @@ impl ObservationStore {
         Ok(())
     }
 
-    /// Records an append failure observed by a best-effort caller.
-    pub fn note_append_error(&mut self) {
-        self.stats.append_errors += 1;
-    }
-
     fn index_record(&mut self, record: StoreRecord) {
         let key = record.signature.key();
         let loads = record.signature.loads();
@@ -348,50 +286,16 @@ impl ObservationStore {
         self.retained_records -= evicted;
     }
 
-    /// Read-only warm-start lookup: identical results to
-    /// [`ObservationStore::warm_start`] but without touching the hit/miss
-    /// counters, so it needs only `&self`. This is the sharded store's
-    /// read fast path — many concurrent lookups can run under one shared
-    /// (read) lock while the counters live outside as atomics.
-    #[must_use]
-    pub fn peek(&self, signature: &MixSignature) -> Option<WarmStart> {
-        self.lookup(signature)
-    }
-
     /// Looks up warm-start samples for `signature`.
     ///
     /// Returns the exact-load bucket if present, otherwise the nearest
     /// bucket within [`StorePolicy::max_load_distance`] (ties broken by
     /// the lexicographically smallest load vector), or `None` on a miss.
-    pub fn warm_start(&mut self, signature: &MixSignature) -> Option<WarmStart> {
-        self.warm_start_with(signature, &Telemetry::disabled())
-    }
-
-    /// [`ObservationStore::warm_start`] with telemetry.
-    pub fn warm_start_with(
-        &mut self,
-        signature: &MixSignature,
-        telemetry: &Telemetry<'_>,
-    ) -> Option<WarmStart> {
-        let found = self.lookup(signature);
-        match &found {
-            Some(warm) => {
-                self.stats.hits += 1;
-                telemetry.emit(Event::StoreHit {
-                    entries: warm.entries.len(),
-                    load_distance: warm.load_distance,
-                    exact: warm.exact,
-                });
-            }
-            None => {
-                self.stats.misses += 1;
-                telemetry.emit(Event::StoreMiss { mixes: self.index.len() });
-            }
-        }
-        found
-    }
-
-    fn lookup(&self, signature: &MixSignature) -> Option<WarmStart> {
+    /// Read-only: hit/miss counting and events belong to
+    /// [`crate::ShardedStore::warm_start_with`], which calls this under a
+    /// shared read lock.
+    #[must_use]
+    pub fn peek(&self, signature: &MixSignature) -> Option<WarmStart> {
         let buckets = self.index.get(&signature.key())?;
         let query = signature.loads();
 
@@ -484,6 +388,7 @@ fn evict(bucket: &mut Vec<Retained>, keep: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{ShardPolicy, ShardedStore};
     use clite_sim::prelude::*;
     use clite_sim::testbed::Testbed;
     use clite_telemetry::MemoryRecorder;
@@ -497,13 +402,18 @@ mod tests {
     }
 
     fn sample(server: &mut Server, partition: &Partition) -> (MixSignature, Observation) {
-        let obs = Testbed::observe(server, partition);
+        let obs = server.observe(partition);
         (MixSignature::capture(server), obs)
+    }
+
+    /// One shard: the front end that counts hits and misses.
+    fn counted() -> std::sync::Arc<ShardedStore> {
+        ShardedStore::in_memory(ShardPolicy::with_shards(1))
     }
 
     #[test]
     fn exact_hit_returns_best_first() {
-        let mut store = ObservationStore::in_memory();
+        let store = counted();
         let mut s = server(0.5);
         let cat = *Testbed::catalog(&s);
         let p1 = Partition::equal_share(&cat, 2).unwrap();
@@ -524,7 +434,7 @@ mod tests {
 
     #[test]
     fn nearby_load_hits_distant_load_misses() {
-        let mut store = ObservationStore::in_memory();
+        let store = counted();
         let mut s = server(0.50);
         let cat = *Testbed::catalog(&s);
         let p = Partition::equal_share(&cat, 2).unwrap();
@@ -546,25 +456,27 @@ mod tests {
 
     #[test]
     fn different_mix_never_hits() {
-        let mut store = ObservationStore::in_memory();
+        let none = Telemetry::disabled();
+        let mut store = ObservationStore::in_memory(StorePolicy::default());
         let mut s = server(0.5);
         let cat = *Testbed::catalog(&s);
         let p = Partition::equal_share(&cat, 2).unwrap();
         let (sig, obs) = sample(&mut s, &p);
-        store.append(&sig, &p, &obs, 0.5).unwrap();
+        store.append(&sig, &p, &obs, 0.5, &none).unwrap();
 
         let jobs = vec![
             JobSpec::latency_critical(WorkloadId::Xapian, 0.5),
             JobSpec::background(WorkloadId::Swaptions),
         ];
         let other = Server::new(ResourceCatalog::testbed(), jobs, 11).unwrap();
-        assert!(store.warm_start(&MixSignature::capture(&other)).is_none());
+        assert!(store.peek(&MixSignature::capture(&other)).is_none());
     }
 
     #[test]
     fn eviction_keeps_best_and_dedupes() {
+        let none = Telemetry::disabled();
         let policy = StorePolicy { entries_per_mix: 3, ..StorePolicy::default() };
-        let mut store = ObservationStore::in_memory_with(policy);
+        let mut store = ObservationStore::in_memory(policy);
         let mut s = server(0.5);
         let cat = *Testbed::catalog(&s);
         let p = Partition::equal_share(&cat, 2).unwrap();
@@ -572,17 +484,18 @@ mod tests {
 
         // Same partition at rising scores: dedupe keeps only the best.
         for k in 0..5 {
-            store.append(&sig, &p, &obs, 0.1 * f64::from(k)).unwrap();
+            store.append(&sig, &p, &obs, 0.1 * f64::from(k), &none).unwrap();
         }
         assert_eq!(store.record_count(), 1);
-        let warm = store.warm_start(&sig).unwrap();
+        let warm = store.peek(&sig).unwrap();
         assert_eq!(warm.entries[0].score, 0.4);
 
         // Distinct partitions: best `entries_per_mix` retained.
         for j in 0..2 {
             let pj = Partition::max_for_job(&cat, 2, j).unwrap();
             let (_, oj) = sample(&mut s, &pj);
-            store.append(&sig, &pj, &oj, 0.6 + f64::from(u32::try_from(j).unwrap())).unwrap();
+            let score = 0.6 + f64::from(u32::try_from(j).unwrap());
+            store.append(&sig, &pj, &oj, score, &none).unwrap();
         }
         assert_eq!(store.record_count(), 3);
         assert!(store.stats().evictions >= 4);
@@ -590,17 +503,18 @@ mod tests {
 
     #[test]
     fn warm_entries_capped_by_policy() {
+        let none = Telemetry::disabled();
         let policy = StorePolicy { max_warm_entries: 1, ..StorePolicy::default() };
-        let mut store = ObservationStore::in_memory_with(policy);
+        let mut store = ObservationStore::in_memory(policy);
         let mut s = server(0.5);
         let cat = *Testbed::catalog(&s);
         let p1 = Partition::equal_share(&cat, 2).unwrap();
         let p2 = Partition::max_for_job(&cat, 2, 0).unwrap();
         let (sig, o1) = sample(&mut s, &p1);
         let (_, o2) = sample(&mut s, &p2);
-        store.append(&sig, &p1, &o1, 0.2).unwrap();
-        store.append(&sig, &p2, &o2, 0.8).unwrap();
-        let warm = store.warm_start(&sig).unwrap();
+        store.append(&sig, &p1, &o1, 0.2, &none).unwrap();
+        store.append(&sig, &p2, &o2, 0.8, &none).unwrap();
+        let warm = store.peek(&sig).unwrap();
         assert_eq!(warm.entries.len(), 1);
         assert_eq!(warm.entries[0].score, 0.8);
     }
@@ -609,7 +523,7 @@ mod tests {
     fn lookup_emits_hit_and_miss_events() {
         let sink = MemoryRecorder::new();
         let telemetry = Telemetry::new(&sink);
-        let mut store = ObservationStore::in_memory();
+        let store = counted();
         let mut s = server(0.5);
         let cat = *Testbed::catalog(&s);
         let p = Partition::equal_share(&cat, 2).unwrap();
@@ -624,6 +538,7 @@ mod tests {
 
     #[test]
     fn persists_across_reopen_and_compacts() {
+        let none = Telemetry::disabled();
         let dir = std::env::temp_dir().join(format!("clite-store-reopen-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("obs.log");
@@ -634,18 +549,18 @@ mod tests {
         let (sig, obs) = sample(&mut s, &p);
         {
             let policy = StorePolicy { entries_per_mix: 1, ..StorePolicy::default() };
-            let mut store = ObservationStore::open_with(&path, policy).unwrap();
-            store.append(&sig, &p, &obs, 0.3).unwrap();
+            let mut store = ObservationStore::open(&path, policy, &none).unwrap();
+            store.append(&sig, &p, &obs, 0.3, &none).unwrap();
             let p2 = Partition::max_for_job(&cat, 2, 0).unwrap();
             let (_, o2) = sample(&mut s, &p2);
-            store.append(&sig, &p2, &o2, 0.7).unwrap();
+            store.append(&sig, &p2, &o2, 0.7, &none).unwrap();
             store.compact().unwrap();
         }
 
-        let mut store = ObservationStore::open(&path).unwrap();
+        let store = ObservationStore::open(&path, StorePolicy::default(), &none).unwrap();
         assert_eq!(store.stats().recovered_records, 1, "compaction kept only the best");
         assert_eq!(store.stats().dropped_bytes, 0);
-        let warm = store.warm_start(&sig).expect("recovered hit");
+        let warm = store.peek(&sig).expect("recovered hit");
         assert_eq!(warm.entries[0].score, 0.7);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -654,6 +569,7 @@ mod tests {
     fn torn_tail_recovery_emits_store_recovered_event() {
         use std::io::Write;
 
+        let none = Telemetry::disabled();
         let dir = std::env::temp_dir().join(format!("clite-store-torn-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("obs.log");
@@ -663,8 +579,8 @@ mod tests {
         let p = Partition::equal_share(&cat, 2).unwrap();
         let (sig, obs) = sample(&mut s, &p);
         {
-            let mut store = ObservationStore::open(&path).unwrap();
-            store.append(&sig, &p, &obs, 0.4).unwrap();
+            let mut store = ObservationStore::open(&path, StorePolicy::default(), &none).unwrap();
+            store.append(&sig, &p, &obs, 0.4, &none).unwrap();
         }
         // Tear the log: half a frame of garbage at the tail.
         {
@@ -674,22 +590,21 @@ mod tests {
 
         let sink = MemoryRecorder::new();
         let telemetry = Telemetry::new(&sink);
-        let mut store =
-            ObservationStore::open_observed(&path, StorePolicy::default(), &telemetry).unwrap();
+        let store = ObservationStore::open(&path, StorePolicy::default(), &telemetry).unwrap();
         assert_eq!(store.stats().recovered_records, 1, "valid prefix survives");
         assert!(store.stats().dropped_bytes > 0, "torn tail must be counted");
         assert_eq!(sink.count_kind("store_recovered"), 1, "damage must be reported, not silent");
-        assert!(store.warm_start(&sig).is_some());
+        assert!(store.peek(&sig).is_some());
 
         // A clean log reports nothing.
         {
-            let mut clean = ObservationStore::open(&path).unwrap();
-            clean.append(&sig, &p, &obs, 0.5).unwrap();
+            let mut clean = ObservationStore::open(&path, StorePolicy::default(), &none).unwrap();
+            clean.append(&sig, &p, &obs, 0.5, &none).unwrap();
             clean.compact().unwrap();
         }
         let quiet = MemoryRecorder::new();
         let t2 = Telemetry::new(&quiet);
-        let reopened = ObservationStore::open_observed(&path, StorePolicy::default(), &t2).unwrap();
+        let reopened = ObservationStore::open(&path, StorePolicy::default(), &t2).unwrap();
         assert_eq!(reopened.stats().dropped_bytes, 0);
         assert_eq!(quiet.count_kind("store_recovered"), 0, "clean reopen stays silent");
         std::fs::remove_dir_all(&dir).ok();

@@ -8,10 +8,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use clite_sim::prelude::*;
-use clite_sim::testbed::Testbed;
 use clite_store::codec::{decode_record, encode_record};
 use clite_store::log;
-use clite_store::{MixSignature, ObservationStore, StoreRecord};
+use clite_store::{MixSignature, ObservationStore, StorePolicy, StoreRecord};
+use clite_telemetry::Telemetry;
 
 /// An alternating LC/BG mix of `jobs` co-located jobs.
 fn specs(jobs: usize, load: f64) -> Vec<JobSpec> {
@@ -33,7 +33,7 @@ fn arb_record(seed: u64, jobs: usize, load: f64) -> StoreRecord {
     let mut server = Server::new(catalog, specs(jobs, load), seed).unwrap();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE);
     let partition = Partition::random(&catalog, jobs, &mut rng).unwrap();
-    let observation = Testbed::observe(&mut server, &partition);
+    let observation = server.observe(&partition);
     let signature = MixSignature::capture(&server);
     let score = rng.gen_range(-1.0..1.0);
     StoreRecord { signature, partition, observation, score }
@@ -47,6 +47,11 @@ fn log_image(records: &[StoreRecord]) -> Vec<u8> {
         log::put_frame(&mut bytes, &encode_record(r)).unwrap();
     }
     bytes
+}
+
+/// Opens the log at `path` with the default policy and no telemetry.
+fn open(path: &std::path::Path) -> clite_store::StoreResult<ObservationStore> {
+    ObservationStore::open(path, StorePolicy::default(), &Telemetry::disabled())
 }
 
 proptest! {
@@ -112,14 +117,14 @@ proptest! {
         let path = dir.join("flipped.log");
         std::fs::write(&path, &img).unwrap();
 
-        let store = ObservationStore::open(&path).expect("open never fails on corruption");
+        let store = open(&path).expect("open never fails on corruption");
         let recovered = store.stats().recovered_records as usize;
         prop_assert!(recovered <= records.len());
         drop(store);
 
         // The recovered file must itself be a clean log: reopen sees the
         // same records and no further dropped bytes.
-        let store2 = ObservationStore::open(&path).unwrap();
+        let store2 = open(&path).unwrap();
         prop_assert_eq!(store2.stats().recovered_records as usize, recovered);
         prop_assert_eq!(store2.stats().dropped_bytes, 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -139,7 +144,7 @@ fn open_survives_truncation_at_every_offset() {
 
     for cut in 0..=img.len() {
         std::fs::write(&path, &img[..cut]).unwrap();
-        let store = ObservationStore::open(&path).unwrap();
+        let store = open(&path).unwrap();
         let n = store.stats().recovered_records as usize;
         assert!(n <= records.len(), "cut at {cut}");
         if cut == img.len() {

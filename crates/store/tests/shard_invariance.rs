@@ -1,19 +1,21 @@
 //! Shard-count invariance and compaction crash-safety.
 //!
 //! The sharded front-end routes by mix key and its per-key buckets never
-//! interact, so 1, 4, or 16 shards (and the unsharded store) must produce
+//! interact, so 1, 4, or 16 shards (and a plain `ObservationStore`) must produce
 //! byte-identical warm starts for the same append history. Compaction
 //! rewrites each shard's log tmp+rename; a crash between the tmp write
 //! and the rename must leave the original log fully recoverable.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use clite_sim::prelude::*;
-use clite_sim::testbed::Testbed;
 use clite_store::{
     MixSignature, ObservationStore, ShardPolicy, ShardedStore, StorePolicy, WarmStart,
 };
+use clite_telemetry::Telemetry;
 
 /// An alternating LC/BG mix of `jobs` co-located jobs.
 fn specs(jobs: usize, load: f64) -> Vec<JobSpec> {
@@ -46,7 +48,7 @@ fn corpus(seed: u64) -> Vec<Sample> {
             let signature = MixSignature::capture(&server);
             for _ in 0..3 {
                 let partition = Partition::random(&catalog, jobs, &mut rng).unwrap();
-                let observation = Testbed::observe(&mut server, &partition);
+                let observation = server.observe(&partition);
                 let score = rng.gen_range(-1.0..1.0);
                 samples.push((signature.clone(), partition, observation, score));
             }
@@ -79,12 +81,11 @@ fn shard_counts_are_byte_identical_to_the_plain_store() {
     let samples = corpus(42);
     let probes = probes(&samples);
 
-    let mut plain = ObservationStore::in_memory();
+    let mut plain = ObservationStore::in_memory(StorePolicy::default());
     for (sig, p, o, score) in &samples {
-        plain.append(sig, p, o, *score).unwrap();
+        plain.append(sig, p, o, *score, &Telemetry::disabled()).unwrap();
     }
-    let reference: Vec<Option<WarmStart>> =
-        probes.iter().map(|sig| plain.warm_start(sig)).collect();
+    let reference: Vec<Option<WarmStart>> = probes.iter().map(|sig| plain.peek(sig)).collect();
     assert!(
         reference.iter().any(|w| matches!(w, Some(w) if w.exact))
             && reference.iter().any(|w| matches!(w, Some(w) if !w.exact)),
@@ -143,11 +144,19 @@ fn append_rising(store: &ShardedStore, n: u32) -> MixSignature {
     let mut server = Server::new(catalog, specs(2, 0.5), 7).unwrap();
     let signature = MixSignature::capture(&server);
     let partition = Partition::equal_share(&catalog, 2).unwrap();
-    let observation = Testbed::observe(&mut server, &partition);
+    let observation = server.observe(&partition);
     for k in 0..n {
         store.append(&signature, &partition, &observation, 0.01 * f64::from(k)).unwrap();
     }
     signature
+}
+
+/// Opens the sharded store at `path` without telemetry.
+fn open(
+    path: &std::path::Path,
+    policy: ShardPolicy,
+) -> clite_store::StoreResult<Arc<ShardedStore>> {
+    ShardedStore::open(path, policy, &Telemetry::disabled())
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -163,7 +172,7 @@ fn killed_compaction_keeps_the_original_log_intact() {
     let policy = ShardPolicy { shards: 2, background_compaction: false, ..ShardPolicy::default() };
 
     let (signature, reference) = {
-        let store = ShardedStore::open(&path, policy).unwrap();
+        let store = open(&path, policy).unwrap();
         let signature = append_rising(&store, 12);
         (signature.clone(), store.warm_start(&signature))
     };
@@ -195,7 +204,7 @@ fn killed_compaction_keeps_the_original_log_intact() {
 
     // Reopen after the "crash": every record of the original log is the
     // longest valid prefix; the stale tmp is inert.
-    let store = ShardedStore::open(&path, policy).unwrap();
+    let store = open(&path, policy).unwrap();
     assert_eq!(store.warm_start(&signature), reference, "crash lost committed records");
     let stats = store.stats();
     assert_eq!(stats.dropped_bytes, 0, "original logs must be fully valid");
@@ -206,7 +215,7 @@ fn killed_compaction_keeps_the_original_log_intact() {
     store.compact_all().unwrap();
     assert_eq!(store.stats().compactions, 2, "compact_all touches every shard");
     drop(store);
-    let reopened = ShardedStore::open(&path, policy).unwrap();
+    let reopened = open(&path, policy).unwrap();
     assert_eq!(reopened.warm_start(&signature), reference, "compaction changed lookup results");
     assert_eq!(
         reopened.stats().recovered_records as usize,
@@ -232,12 +241,12 @@ fn torn_shard_tail_recovers_longest_valid_prefix() {
     let catalog = ResourceCatalog::testbed();
     let mut rng = StdRng::seed_from_u64(9);
     let signature = {
-        let store = ShardedStore::open(&path, policy).unwrap();
+        let store = open(&path, policy).unwrap();
         let mut server = Server::new(catalog, specs(2, 0.4), 9).unwrap();
         let signature = MixSignature::capture(&server);
         for k in 0..6 {
             let partition = Partition::random(&catalog, 2, &mut rng).unwrap();
-            let observation = Testbed::observe(&mut server, &partition);
+            let observation = server.observe(&partition);
             store.append(&signature, &partition, &observation, 0.1 * f64::from(k)).unwrap();
         }
         signature
@@ -258,7 +267,7 @@ fn torn_shard_tail_recovers_longest_valid_prefix() {
     let bytes = std::fs::read(live).unwrap();
     std::fs::write(live, &bytes[..bytes.len() - 7]).unwrap();
 
-    let store = ShardedStore::open(&path, policy).unwrap();
+    let store = open(&path, policy).unwrap();
     let stats = store.stats();
     assert!(stats.dropped_bytes > 0, "torn tail must be detected");
     assert_eq!(stats.recovered_records, 5, "longest valid prefix is all but the torn frame");
@@ -280,7 +289,7 @@ fn garbage_threshold_schedules_compaction() {
         ..ShardPolicy::default()
     };
 
-    let store = ShardedStore::open(&path, policy).unwrap();
+    let store = open(&path, policy).unwrap();
     let signature = append_rising(&store, 16); // retained 1, log 16 → 94% garbage
     assert_eq!(store.stats().compactions, 0, "synchronous mode must only queue");
     store.compact_pending().unwrap();
@@ -288,7 +297,7 @@ fn garbage_threshold_schedules_compaction() {
     drop(store);
 
     // The compacted shard reopens with just the retained record.
-    let store = ShardedStore::open(&path, policy).unwrap();
+    let store = open(&path, policy).unwrap();
     assert_eq!(store.stats().recovered_records, 1);
     assert!(store.warm_start(&signature).is_some());
 
@@ -307,7 +316,7 @@ fn background_compactor_rewrites_dirty_shards() {
         ..ShardPolicy::default()
     };
 
-    let store = ShardedStore::open(&path, policy).unwrap();
+    let store = open(&path, policy).unwrap();
     let signature = append_rising(&store, 16);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     while store.stats().compactions == 0 {
@@ -322,7 +331,7 @@ fn background_compactor_rewrites_dirty_shards() {
     // The rewrite may have landed anywhere in the append stream, so the
     // exact log length is timing-dependent — but it must have shrunk below
     // the 16 appended frames, and recovery dedupes back to one record.
-    let reopened = ShardedStore::open(&path, policy).unwrap();
+    let reopened = open(&path, policy).unwrap();
     assert!(reopened.stats().recovered_records < 16, "background rewrite shrank the log");
     assert_eq!(reopened.record_count(), 1, "dedupe retains the single best sample");
     assert_eq!(reopened.warm_start(&signature).unwrap().entries[0].score, 0.15);
