@@ -225,6 +225,20 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -q "recovery: replayed" "$store_tmp/fleet_recover.txt"
     grep -q "without panic" "$store_tmp/fleet_recover.txt"
 
+    # The same with a checkpoint before the kill (default cadence 8), then
+    # the checkpoint truncated as a kill during its write would leave it:
+    # recovery must start from the side copy, not replay from seq 0.
+    step "colocate fleet --journal torn-checkpoint recovery smoke test"
+    ckpt_journal_tmp="$store_tmp/fleet-journal-ckpt"
+    ./target/release/colocate fleet --nodes 32 --events 24 \
+        --journal "$ckpt_journal_tmp" --kill-after 18 > "$store_tmp/fleet_kill_ckpt.txt"
+    grep -q "fleet: killed after journaling event 18" "$store_tmp/fleet_kill_ckpt.txt"
+    truncate -s 5 "$ckpt_journal_tmp/fleet.ckpt"
+    ./target/release/colocate fleet --nodes 32 --events 24 \
+        --journal "$ckpt_journal_tmp" --recover > "$store_tmp/fleet_recover_ckpt.txt"
+    grep -Eq "recovery: replayed .* from checkpoint seq [1-9]" "$store_tmp/fleet_recover_ckpt.txt"
+    grep -q "without panic" "$store_tmp/fleet_recover_ckpt.txt"
+
     # Placement A/B experiment: asserts serial == threaded byte-identity
     # in both arms and fails the gate unless the learned ordering
     # matches or beats the heuristic QoS-safe fraction at every scale

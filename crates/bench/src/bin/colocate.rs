@@ -15,6 +15,7 @@ use std::sync::Arc;
 use clite_bench::cli::{parse, usage, Command};
 use clite_bench::loadrun::policy_vs_equal_share;
 use clite_bench::mixes::Mix;
+use clite_bench::open_store;
 use clite_bench::render::{pct, Table};
 use clite_bench::runner::{
     final_eval, run_clite_chaos, run_clite_with_store, run_policy, run_policy_with, PolicyKind,
@@ -578,34 +579,6 @@ fn clite_store(
         None => Telemetry::disabled(),
     };
     open_store(path, ShardPolicy::default(), &telemetry).map(Some)
-}
-
-/// Opens (or creates) the sharded observation store at `path` — shard
-/// `i` in `<path>.shard<i>`, the one layout every `--store` shares —
-/// creating its directory first. A shard with a torn or corrupt tail is
-/// recovered, with a stderr warning.
-fn open_store(
-    path: &Path,
-    policy: ShardPolicy,
-    telemetry: &Telemetry<'_>,
-) -> Result<Arc<ShardedStore>, String> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create store directory {}: {e}", dir.display()))?;
-    }
-    let store = ShardedStore::open(path, policy, telemetry)
-        .map_err(|e| format!("cannot open observation store {}: {e}", path.display()))?;
-    let stats = store.stats();
-    if stats.dropped_bytes > 0 || stats.undecodable_records > 0 {
-        eprintln!(
-            "warning: store {} had a corrupt tail; recovered {} records, dropped {} bytes, {} undecodable",
-            path.display(),
-            stats.recovered_records,
-            stats.dropped_bytes,
-            stats.undecodable_records
-        );
-    }
-    Ok(store)
 }
 
 /// Prints the run summary line and per-job partition table for a

@@ -19,8 +19,9 @@ use std::time::Instant;
 
 use clite_bench::experiments::{registry, run_by_id};
 use clite_bench::export::save_reports;
-use clite_bench::runner::{ambient_sink, install_jsonl_sink};
-use clite_bench::ExpOptions;
+use clite_bench::runner::{ambient_sink, ambient_telemetry, install_jsonl_sink};
+use clite_bench::{open_store, ExpOptions};
+use clite_store::ShardPolicy;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,6 +94,15 @@ fn main() -> ExitCode {
     }
     if ids.iter().any(|i| i == "all") {
         ids = registry().into_iter().map(|(id, _)| id.to_owned()).collect();
+    }
+
+    // Opened once up front with the shared opener, so a path that cannot
+    // hold a store is an error here rather than a panic mid-experiment.
+    if let Some(path) = &opts.store {
+        if let Err(e) = open_store(path, ShardPolicy::default(), &ambient_telemetry()) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     let mut reports = Vec::new();

@@ -19,7 +19,7 @@ use clite_sim::load::LoadSchedule;
 use clite_sim::prelude::*;
 use clite_sim::resource::ResourceKind;
 use clite_sim::testbed::MemoizedTestbed;
-use clite_store::{ShardPolicy, ShardedStore};
+use clite_store::ShardPolicy;
 
 use crate::render::{pct, Table};
 use crate::runner::ambient_telemetry;
@@ -33,7 +33,8 @@ use crate::{ExpOptions, Report};
 /// # Panics
 ///
 /// Panics if the adaptive run fails or the store cannot be opened
-/// (treated as harness bugs).
+/// (treated as harness bugs; the `experiments` binary opens `--store`
+/// before it runs anything, so a bad path is an error there).
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Report {
     let step_s = if opts.quick { 200.0 } else { 300.0 };
@@ -52,10 +53,8 @@ pub fn run(opts: &ExpOptions) -> Report {
     let mut store_line = None;
     let trace = match &opts.store {
         Some(path) => {
-            let store = ShardedStore::open(path, ShardPolicy::default(), &ambient_telemetry())
-                .unwrap_or_else(|e| {
-                    panic!("cannot open observation store {}: {e}", path.display())
-                });
+            let store = crate::open_store(path, ShardPolicy::default(), &ambient_telemetry())
+                .unwrap_or_else(|e| panic!("{e}"));
             let trace = run_adaptive_with_store(
                 &CliteController::default(),
                 &mut testbed,

@@ -32,6 +32,45 @@ pub mod mixes;
 pub mod render;
 pub mod runner;
 
+use std::path::Path;
+use std::sync::Arc;
+
+use clite_store::{ShardPolicy, ShardedStore};
+use clite_telemetry::Telemetry;
+
+/// Opens (or creates) the sharded observation store of a `--store PATH`
+/// option — shard `i` in `<path>.shard<i>`, the one layout every
+/// `--store` shares — creating its directory first. A shard with a torn
+/// or corrupt tail is recovered, with a stderr warning.
+///
+/// # Errors
+///
+/// A message starting `cannot open observation store <path>` when the
+/// directory cannot be created or the store cannot be opened.
+pub fn open_store(
+    path: &Path,
+    policy: ShardPolicy,
+    telemetry: &Telemetry<'_>,
+) -> Result<Arc<ShardedStore>, String> {
+    let cannot = |e: String| format!("cannot open observation store {}: {e}", path.display());
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| cannot(format!("cannot create directory {}: {e}", dir.display())))?;
+    }
+    let store = ShardedStore::open(path, policy, telemetry).map_err(|e| cannot(e.to_string()))?;
+    let stats = store.stats();
+    if stats.dropped_bytes > 0 || stats.undecodable_records > 0 {
+        eprintln!(
+            "warning: store {} had a corrupt tail; recovered {} records, dropped {} bytes, {} undecodable",
+            path.display(),
+            stats.recovered_records,
+            stats.dropped_bytes,
+            stats.undecodable_records
+        );
+    }
+    Ok(store)
+}
+
 /// Options shared by every experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpOptions {

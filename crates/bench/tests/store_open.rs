@@ -1,0 +1,39 @@
+//! A `--store` path that cannot hold a store is a clean CLI error: exit
+//! code 1 and a message, never a panic (exit code 101).
+
+use std::path::PathBuf;
+use std::process::Command;
+
+/// A regular file standing where the store's directory should be.
+fn file_as_parent(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("clite-store-open-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, b"a regular file").unwrap();
+    file
+}
+
+fn assert_clean_failure(bin: &str, args: &[&str], tag: &str) {
+    let parent = file_as_parent(tag);
+    let store = parent.join("obs");
+    let out = Command::new(bin).args(args).arg("--store").arg(&store).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains("cannot open observation store"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(parent.parent().unwrap()).ok();
+}
+
+#[test]
+fn experiments_fig16_with_an_unopenable_store_exits_1() {
+    assert_clean_failure(env!("CARGO_BIN_EXE_experiments"), &["fig16", "--quick"], "fig16");
+}
+
+#[test]
+fn colocate_run_with_an_unopenable_store_exits_1() {
+    assert_clean_failure(
+        env!("CARGO_BIN_EXE_colocate"),
+        &["run", "memcached:40", "img-dnn:30", "streamcluster"],
+        "run",
+    );
+}

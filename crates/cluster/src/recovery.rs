@@ -5,9 +5,11 @@
 //! store's log already proved out: every event is framed, checksummed, and
 //! written to the **event journal** *before* it mutates scheduler state,
 //! and every `checkpoint_every` applied events the whole service is
-//! snapshotted to an atomically-replaced **checkpoint** blob. Neither
-//! write is fsynced: both survive a process crash, not a power loss
-//! (DESIGN.md §8, "Durability, exactly"). Recovery is
+//! snapshotted to a **checkpoint** blob, written in place to a side copy
+//! and then to the checkpoint itself, so a crash leaves one complete
+//! copy ([`blob::save`]). Neither write is fsynced: both survive a
+//! process crash, not a power loss (DESIGN.md §8, "Durability,
+//! exactly"). Recovery is
 //! then mechanical: load the newest valid checkpoint (a corrupt or missing
 //! one degrades to an empty fleet), replay the journal suffix through the
 //! exact same event-handling code, and continue. Because every input to
@@ -120,8 +122,9 @@ fn checkpoint_path(dir: &Path) -> PathBuf {
 }
 
 impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
-    /// Creates a fresh durable fleet in `dir`, truncating any journal or
-    /// checkpoint left by a previous run.
+    /// Creates a fresh durable fleet in `dir`, removing any journal left
+    /// by a previous run and invalidating its checkpoint pair in place
+    /// ([`blob::invalidate`]), so neither copy can be recovered from.
     ///
     /// # Errors
     ///
@@ -136,13 +139,12 @@ impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
         durable: DurableConfig,
     ) -> Result<Self, ClusterError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create journal dir", &e))?;
-        for stale in [journal_path(dir), checkpoint_path(dir)] {
-            match std::fs::remove_file(&stale) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(io_err("truncate journal dir", &e)),
-            }
+        match std::fs::remove_file(journal_path(dir)) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(io_err("truncate journal dir", &e)),
         }
+        blob::invalidate(&checkpoint_path(dir))?;
         let (journal, _) = EventJournal::open(&journal_path(dir))?;
         let service = FleetService::with_factory(nodes, config, seed, factory)?;
         Ok(Self {
@@ -634,9 +636,10 @@ mod tests {
         let plan = CrashPlan { after_event: 6, point: CrashPoint::Applied };
         fleet.run(&trace, Some(&plan), &Telemetry::disabled()).unwrap();
         drop(fleet);
-        // Smash the checkpoint: recovery must fall back to replaying the
-        // whole journal, not abort.
+        // Smash both checkpoint copies: recovery must fall back to
+        // replaying the whole journal, not abort.
         std::fs::write(dir.join("fleet.ckpt"), b"garbage").unwrap();
+        std::fs::write(blob::side_path(&dir.join("fleet.ckpt")), b"garbage").unwrap();
         let mut recovered = DurableFleet::recover(
             3,
             config(),
@@ -657,6 +660,89 @@ mod tests {
             panic!("must complete");
         };
         assert_eq!(run, baseline);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_main_checkpoint_recovers_from_the_side_copy() {
+        let dir = tempdir("torn-ckpt");
+        let trace = small_trace();
+        let baseline = {
+            let mut service = FleetService::new(3, config(), 42).unwrap();
+            service.run(&trace, &Telemetry::disabled()).unwrap()
+        };
+        let durable = DurableConfig { checkpoint_every: 2 };
+        let mut fleet =
+            DurableFleet::create(3, config(), 42, ServerFactory, &dir, durable).unwrap();
+        let plan = CrashPlan { after_event: 6, point: CrashPoint::Applied };
+        fleet.run(&trace, Some(&plan), &Telemetry::disabled()).unwrap();
+        drop(fleet);
+        // A kill during the checkpoint's own write leaves it torn; the
+        // side copy written just before it is complete.
+        std::fs::write(dir.join("fleet.ckpt"), b"garbage").unwrap();
+        let mut recovered = DurableFleet::recover(
+            3,
+            config(),
+            42,
+            ServerFactory,
+            &dir,
+            durable,
+            None,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
+        let info = recovered.recovery_info().unwrap();
+        assert_eq!(info.checkpoint_seqno, 6, "recovered from the side copy");
+        assert_eq!(info.replayed, 1, "only the event after the checkpoint replayed");
+        let DurableOutcome::Completed(run) =
+            recovered.run(&trace, None, &Telemetry::disabled()).unwrap()
+        else {
+            panic!("must complete");
+        };
+        assert_eq!(run, baseline);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn create_invalidates_a_previous_runs_checkpoint_pair() {
+        let dir = tempdir("stale-ckpt");
+        let trace = small_trace();
+        let recover = |durable| {
+            DurableFleet::recover(
+                3,
+                config(),
+                42,
+                ServerFactory,
+                &dir,
+                durable,
+                None,
+                &Telemetry::disabled(),
+            )
+            .unwrap()
+        };
+        // A previous run leaves a valid checkpoint pair at seqno 10.
+        let every_two = DurableConfig { checkpoint_every: 2 };
+        let mut previous =
+            DurableFleet::create(3, config(), 42, ServerFactory, &dir, every_two).unwrap();
+        previous.run(&trace, None, &Telemetry::disabled()).unwrap();
+        drop(previous);
+        assert_eq!(recover(every_two).recovery_info().unwrap().checkpoint_seqno, 10);
+
+        let journal_only = DurableConfig { checkpoint_every: 0 };
+        let fresh =
+            DurableFleet::create(3, config(), 42, ServerFactory, &dir, journal_only).unwrap();
+        drop(fresh);
+        assert_eq!(recover(journal_only).recovery_info().unwrap().checkpoint_seqno, 0);
+
+        // Once this run has journaled as many events, the stale seqno-10
+        // checkpoint would pass the journal-length check if either copy
+        // were still readable.
+        let mut fresh =
+            DurableFleet::create(3, config(), 42, ServerFactory, &dir, journal_only).unwrap();
+        fresh.run(&trace, None, &Telemetry::disabled()).unwrap();
+        drop(fresh);
+        let info = recover(journal_only).recovery_info().unwrap();
+        assert_eq!((info.checkpoint_seqno, info.replayed), (0, 10));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,8 +12,8 @@
 //!   arrival-burst backlog the decision was made under, so replay re-derives
 //!   the exact same admission sequence without the original trace.
 //! * **Checkpoints** — a full [`FleetCheckpoint`] snapshot of the service,
-//!   scheduler, and every node, written atomically via
-//!   [`clite_store::blob`]. Recovery loads the newest valid checkpoint and
+//!   scheduler, and every node, written crash-safely (side copy first)
+//!   via [`clite_store::blob`]. Recovery loads the newest valid checkpoint and
 //!   replays the journal suffix; a corrupt checkpoint degrades to a full
 //!   replay, never an abort. A node's committed outcome — most of a
 //!   checkpoint's bytes — is a shared, immutable [`CommittedOutcome`]

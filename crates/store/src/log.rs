@@ -25,8 +25,9 @@
 //! module is the only code that knows the layout: [`header`] and
 //! `frame_prologue` (through [`put_frame`], or beside a payload the
 //! caller writes itself) write it, [`read_frame`] checks it, and
-//! [`write_atomic`] replaces a whole file through its [`tmp_path`]
-//! sibling.
+//! [`write_atomic`] replaces a whole log (compaction) through its
+//! [`tmp_path`] sibling. Blobs are written in place instead (see
+//! [`crate::blob`]).
 //!
 //! A crash can leave a log with a torn final frame (short header, short
 //! payload, or a payload whose checksum no longer matches). Recovery scans
@@ -36,9 +37,9 @@
 //! treated as empty and rewritten. Nothing in this module panics on any
 //! input byte sequence.
 //!
-//! Durability: appends and rewrites hand their bytes to the OS with one
-//! `write_all` and no fsync, so they survive a process crash but are not
-//! claimed to survive power loss.
+//! Durability: appends, rewrites and blob saves hand their bytes to the
+//! OS with no fsync, so they survive a process crash but are not claimed
+//! to survive power loss.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -228,22 +229,16 @@ pub fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Replaces the file at `path` with the concatenation of `parts`: written
-/// in order to [`tmp_path`], then renamed over `path`, so a crash leaves
-/// either the old file or the new one — never a mix. Writing the parts
-/// one after another spares callers a copy into one image. No fsync (see
-/// the module docs).
+/// Replaces the file at `path` with `bytes`: written to [`tmp_path`],
+/// then renamed over `path`, so a crash leaves either the old file or
+/// the new one — never a mix. No fsync (see the module docs).
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Io`] on filesystem failures.
-pub fn write_atomic(path: &Path, parts: &[&[u8]]) -> StoreResult<()> {
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> StoreResult<()> {
     let tmp = tmp_path(path);
-    let write = || {
-        let mut file = File::create(&tmp)?;
-        parts.iter().try_for_each(|part| file.write_all(part))
-    };
-    write().map_err(|e| io_err("write tmp", &e))?;
+    std::fs::write(&tmp, bytes).map_err(|e| io_err("write tmp", &e))?;
     std::fs::rename(&tmp, path).map_err(|e| io_err("rename", &e))
 }
 
@@ -355,7 +350,7 @@ impl LogFile {
         for p in payloads {
             put_frame(&mut bytes, p)?;
         }
-        write_atomic(path, &[&bytes])?;
+        write_atomic(path, &bytes)?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
