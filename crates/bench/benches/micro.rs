@@ -72,9 +72,11 @@ fn bench_learned(c: &mut Criterion) {
     let config = SchedulerConfig { placement: PlacementPolicy::LeastLoaded, ..Default::default() };
     let mut scheduler = ClusterScheduler::new(512, config, 42).unwrap();
     let lc = WorkloadId::LATENCY_CRITICAL;
+    let telemetry = Telemetry::disabled();
     for i in 0..512 {
         let load = 0.1 + 0.05 * (i % 5) as f64;
-        scheduler.submit(JobSpec::latency_critical(lc[i % lc.len()], load)).unwrap();
+        let spec = JobSpec::latency_critical(lc[i % lc.len()], load);
+        scheduler.submit(spec, &telemetry).unwrap();
     }
     let mut model = clite_learn::RankingModel::zeroed();
     for (i, w) in model.weights.iter_mut().enumerate() {
@@ -145,14 +147,15 @@ fn suggest_objective(p: &Partition) -> f64 {
 fn prepared_engine(jobs: usize, n: usize) -> BoEngine {
     let space = SearchSpace::new(ResourceCatalog::testbed(), jobs).unwrap();
     let mut engine = BoEngine::new(space, BoConfig::default(), 11);
+    let telemetry = Telemetry::disabled();
     for p in engine.bootstrap_samples().unwrap() {
         let y = suggest_objective(&p);
-        engine.record(p, y);
+        engine.record(p, y, &telemetry);
     }
     while engine.len() < n {
-        let s = engine.suggest(None).unwrap();
+        let s = engine.suggest(None, &telemetry).unwrap();
         let y = suggest_objective(&s.partition);
-        engine.record(s.partition, y);
+        engine.record(s.partition, y, &telemetry);
     }
     engine
 }
@@ -160,13 +163,14 @@ fn prepared_engine(jobs: usize, n: usize) -> BoEngine {
 /// End-to-end `suggest()` at growing history sizes on a small and a
 /// paper-sized job mix, on the maintained-surrogate fast path.
 fn bench_suggest(c: &mut Criterion) {
+    let telemetry = Telemetry::disabled();
     for &jobs in &[2usize, 5] {
         for &n in &[10usize, 30, 60] {
             let engine = prepared_engine(jobs, n);
             c.bench_function(&format!("suggest_{jobs}jobs_n{n}"), |b| {
                 b.iter_batched(
                     || engine.clone(),
-                    |mut e| e.suggest(None).unwrap(),
+                    |mut e| e.suggest(None, &telemetry).unwrap(),
                     BatchSize::SmallInput,
                 )
             });

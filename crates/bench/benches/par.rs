@@ -15,6 +15,7 @@ use clite_gp::kernel::Kernel;
 use clite_sim::alloc::Partition;
 use clite_sim::prelude::*;
 use clite_sim::resource::ResourceKind;
+use clite_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,14 +33,15 @@ fn prepared_engine(jobs: usize, n: usize, threads: usize) -> BoEngine {
     let space = SearchSpace::new(ResourceCatalog::testbed(), jobs).unwrap();
     let config = BoConfig { hyper_refresh_every: 1, ..BoConfig::default() }.with_threads(threads);
     let mut engine = BoEngine::new(space, config, 11);
+    let telemetry = Telemetry::disabled();
     for p in engine.bootstrap_samples().unwrap() {
         let y = objective(&p);
-        engine.record(p, y);
+        engine.record(p, y, &telemetry);
     }
     while engine.len() < n {
-        let s = engine.suggest(None).unwrap();
+        let s = engine.suggest(None, &telemetry).unwrap();
         let y = objective(&s.partition);
-        engine.record(s.partition, y);
+        engine.record(s.partition, y, &telemetry);
     }
     engine
 }
@@ -55,13 +57,14 @@ fn training_data(n: usize, jobs: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
 }
 
 fn bench_suggest_threads(c: &mut Criterion) {
+    let telemetry = Telemetry::disabled();
     for &jobs in &[2usize, 5] {
         for &threads in &[1usize, 2, 4, 8] {
             let engine = prepared_engine(jobs, 60, threads);
             c.bench_function(&format!("suggest_{jobs}jobs_n60_t{threads}"), |b| {
                 b.iter_batched(
                     || engine.clone(),
-                    |mut e| e.suggest(None).unwrap(),
+                    |mut e| e.suggest(None, &telemetry).unwrap(),
                     BatchSize::SmallInput,
                 )
             });

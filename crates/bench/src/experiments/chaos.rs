@@ -158,7 +158,7 @@ pub fn run(opts: &ExpOptions) -> Report {
             ClusterScheduler::with_factory(3, config, opts.seed, factory).expect("3-node cluster");
         let telemetry = ambient_telemetry();
         for job in stream.iter().cloned() {
-            cluster.submit_with(job, &telemetry).expect("submission survives crashes");
+            cluster.submit(job, &telemetry).expect("submission survives crashes");
         }
         fleets.push((mode, cluster.stats()));
     }

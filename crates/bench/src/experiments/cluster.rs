@@ -63,7 +63,7 @@ pub fn run(opts: &ExpOptions) -> Report {
         .expect("non-empty cluster");
         let telemetry = ambient_telemetry();
         for spec in stream.clone() {
-            cluster.submit_with(spec, &telemetry).expect("scheduler healthy");
+            cluster.submit(spec, &telemetry).expect("scheduler healthy");
         }
         let stats = cluster.stats();
         let qos_ok = stats.nodes.iter().filter(|n| n.qos_met).count();
@@ -106,7 +106,7 @@ pub fn run(opts: &ExpOptions) -> Report {
         let telemetry = ambient_telemetry();
         let start = Instant::now();
         for spec in stream.clone() {
-            cluster.submit_with(spec, &telemetry).expect("scheduler healthy");
+            cluster.submit(spec, &telemetry).expect("scheduler healthy");
         }
         wall.push((mode, start.elapsed(), cluster.stats()));
     }

@@ -1,5 +1,6 @@
-//! A `--store` path that cannot hold a store is a clean CLI error: exit
-//! code 1 and a message, never a panic (exit code 101).
+//! A `--store` or `--journal` path that cannot be opened is a clean CLI
+//! error: exit code 1 and a message naming the file, never a panic (exit
+//! code 101).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -36,4 +37,22 @@ fn colocate_run_with_an_unopenable_store_exits_1() {
         &["run", "memcached:40", "img-dnn:30", "streamcluster"],
         "run",
     );
+}
+
+#[test]
+fn colocate_fleet_recover_from_a_missing_journal_exits_1_naming_it() {
+    let dir = std::env::temp_dir()
+        .join(format!("clite-journal-open-{}", std::process::id()))
+        .join("missing");
+    let out = Command::new(env!("CARGO_BIN_EXE_colocate"))
+        .args(["fleet", "--nodes", "4", "--events", "4", "--recover", "--journal"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let journal = dir.join("fleet.journal");
+    assert!(stderr.contains(&*journal.to_string_lossy()), "{stderr}");
+    assert!(!stderr.contains("observation store"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -314,17 +314,12 @@ impl BoEngine {
         bootstrap_partitions(&self.space)
     }
 
-    /// Records one evaluated configuration.
-    pub fn record(&mut self, partition: Partition, score: f64) {
-        self.record_with(partition, score, &Telemetry::disabled());
-    }
-
-    /// [`record`](BoEngine::record) with telemetry: when a surrogate is
-    /// maintained and the next suggestion will not re-scan the hyper grid
-    /// anyway, the surrogate is extended in place by a rank-1 Cholesky
-    /// update (O(n²), timed as [`Phase::GpExtend`]) instead of being
-    /// refitted from scratch (O(n³)) on the next `suggest`.
-    pub fn record_with(&mut self, partition: Partition, score: f64, telemetry: &Telemetry<'_>) {
+    /// Records one evaluated configuration. When a surrogate is maintained
+    /// and the next suggestion will not re-scan the hyper grid anyway, the
+    /// surrogate is extended in place by a rank-1 Cholesky update (O(n²),
+    /// timed as [`Phase::GpExtend`]) instead of being refitted from
+    /// scratch (O(n³)) on the next `suggest`.
+    pub fn record(&mut self, partition: Partition, score: f64, telemetry: &Telemetry<'_>) {
         let refresh_next = self.kernel.is_none()
             || self.records_since_refresh + 1 >= self.config.hyper_refresh_every;
         if refresh_next {
@@ -350,8 +345,9 @@ impl BoEngine {
     /// pass a deterministic order for reproducible runs); each marks its
     /// partition visited, so the engine never re-proposes a stored point.
     pub fn warm_start(&mut self, entries: impl IntoIterator<Item = (Partition, f64)>) {
+        let telemetry = Telemetry::disabled();
         for (partition, score) in entries {
-            self.record(partition, score);
+            self.record(partition, score, &telemetry);
         }
     }
 
@@ -405,7 +401,9 @@ impl BoEngine {
 
     /// Runs one iteration of Algorithm 1: refresh the surrogate, maximize
     /// the acquisition (optionally with a frozen dropout row), and return
-    /// the next configuration to evaluate.
+    /// the next configuration to evaluate. The GP fit and the acquisition
+    /// maximization are timed as their Fig. 15b phases, and hyper-grid
+    /// refreshes emit [`Event::GpRefit`].
     ///
     /// # Errors
     ///
@@ -415,23 +413,9 @@ impl BoEngine {
     pub fn suggest(
         &mut self,
         frozen: Option<(usize, JobAllocation)>,
-    ) -> Result<Suggestion, BoError> {
-        self.suggest_with(frozen, &Telemetry::disabled())
-    }
-
-    /// [`suggest`](BoEngine::suggest) with telemetry: the GP fit and the
-    /// acquisition maximization are timed as their Fig. 15b phases, and
-    /// hyper-grid refreshes emit [`Event::GpRefit`].
-    ///
-    /// # Errors
-    ///
-    /// See [`BoEngine::suggest`].
-    pub fn suggest_with(
-        &mut self,
-        frozen: Option<(usize, JobAllocation)>,
         telemetry: &Telemetry<'_>,
     ) -> Result<Suggestion, BoError> {
-        let gp = self.fit_surrogate_with(telemetry)?;
+        let gp = self.fit_surrogate(telemetry)?;
 
         let best_score = self.best().map(|(_, s)| s).unwrap_or(0.0);
         let acq = SurrogateAcq::new(&gp, self.space, self.config.acquisition, best_score);
@@ -481,21 +465,9 @@ impl BoEngine {
     pub fn suggest_among(
         &mut self,
         candidates: &[Partition],
-    ) -> Result<Option<Suggestion>, BoError> {
-        self.suggest_among_with(candidates, &Telemetry::disabled())
-    }
-
-    /// [`suggest_among`](BoEngine::suggest_among) with telemetry.
-    ///
-    /// # Errors
-    ///
-    /// See [`BoEngine::suggest_among`].
-    pub fn suggest_among_with(
-        &mut self,
-        candidates: &[Partition],
         telemetry: &Telemetry<'_>,
     ) -> Result<Option<Suggestion>, BoError> {
-        let gp = self.fit_surrogate_with(telemetry)?;
+        let gp = self.fit_surrogate(telemetry)?;
         let best_score = self.best().map(|(_, s)| s).ok_or(BoError::NoHistory)?;
         let mut features = Vec::new();
         let mut scratch = PredictScratch::default();
@@ -531,24 +503,12 @@ impl BoEngine {
     pub fn suggest_ordered(
         &mut self,
         candidates: &[Partition],
-    ) -> Result<Option<Suggestion>, BoError> {
-        self.suggest_ordered_with(candidates, &Telemetry::disabled())
-    }
-
-    /// [`suggest_ordered`](BoEngine::suggest_ordered) with telemetry.
-    ///
-    /// # Errors
-    ///
-    /// See [`BoEngine::suggest_ordered`].
-    pub fn suggest_ordered_with(
-        &mut self,
-        candidates: &[Partition],
         telemetry: &Telemetry<'_>,
     ) -> Result<Option<Suggestion>, BoError> {
         let Some(partition) = candidates.iter().find(|p| !self.visited.contains(*p)) else {
             return Ok(None);
         };
-        let gp = self.fit_surrogate_with(telemetry)?;
+        let gp = self.fit_surrogate(telemetry)?;
         let best_score = self.best().map(|(_, s)| s).ok_or(BoError::NoHistory)?;
         let (posterior_mean, posterior_std) = gp.predict_std(&self.space.encode(partition));
         Ok(Some(Suggestion {
@@ -568,18 +528,6 @@ impl BoEngine {
     pub fn suggest_polish(
         &mut self,
         frozen: Option<(usize, JobAllocation)>,
-    ) -> Result<Option<Suggestion>, BoError> {
-        self.suggest_polish_with(frozen, &Telemetry::disabled())
-    }
-
-    /// [`suggest_polish`](BoEngine::suggest_polish) with telemetry.
-    ///
-    /// # Errors
-    ///
-    /// See [`BoEngine::suggest_among`].
-    pub fn suggest_polish_with(
-        &mut self,
-        frozen: Option<(usize, JobAllocation)>,
         telemetry: &Telemetry<'_>,
     ) -> Result<Option<Suggestion>, BoError> {
         let incumbent = self.best().ok_or(BoError::NoHistory)?.0.clone();
@@ -588,14 +536,14 @@ impl BoEngine {
             _ => None,
         };
         let candidates = incumbent.neighbors(frozen_job);
-        self.suggest_among_with(&candidates, telemetry)
+        self.suggest_among(&candidates, telemetry)
     }
 
     /// Fits (or refreshes) the GP surrogate on the recorded history.
     ///
     /// Three paths, cheapest first:
     /// 1. between refreshes, the surrogate maintained by
-    ///    [`record_with`](BoEngine::record_with)'s rank-1 extensions is
+    ///    [`record`](BoEngine::record)'s rank-1 extensions is
     ///    served directly (no linear algebra at all);
     /// 2. if that surrogate was lost (extension failure, deserialized
     ///    state), the history is refitted under the cached kernel
@@ -603,10 +551,7 @@ impl BoEngine {
     /// 3. on hyper refresh, the full grid is re-scanned over a shared
     ///    pairwise-distance matrix ([`fit_best_threaded`]), timed as
     ///    [`Phase::GpFit`] and emitting [`Event::GpRefit`].
-    fn fit_surrogate_with(
-        &mut self,
-        telemetry: &Telemetry<'_>,
-    ) -> Result<GaussianProcess, BoError> {
+    fn fit_surrogate(&mut self, telemetry: &Telemetry<'_>) -> Result<GaussianProcess, BoError> {
         if self.history.is_empty() {
             return Err(BoError::NoHistory);
         }
@@ -660,6 +605,10 @@ impl BoEngine {
 mod tests {
     use super::*;
     use clite_sim::resource::{ResourceCatalog, ResourceKind};
+    use std::sync::LazyLock;
+
+    /// One disabled context shared by every test here.
+    static OFF: LazyLock<Telemetry<'static>> = LazyLock::new(Telemetry::disabled);
 
     fn engine(jobs: usize, seed: u64) -> BoEngine {
         let space = SearchSpace::new(ResourceCatalog::testbed(), jobs).unwrap();
@@ -675,7 +624,7 @@ mod tests {
     #[test]
     fn suggest_before_record_errors() {
         let mut e = engine(2, 1);
-        assert!(matches!(e.suggest(None), Err(BoError::NoHistory)));
+        assert!(matches!(e.suggest(None, &OFF), Err(BoError::NoHistory)));
     }
 
     #[test]
@@ -696,15 +645,15 @@ mod tests {
 
         // A warm engine can suggest immediately, and never re-proposes a
         // stored partition.
-        let s = warm.suggest(None).unwrap();
+        let s = warm.suggest(None, &OFF).unwrap();
         assert!(seeds.iter().all(|(p, _)| *p != s.partition));
 
         // Warm-started and manually-recorded engines are byte-equivalent.
         let mut cold = engine(2, 3);
         for (p, y) in seeds {
-            cold.record(p, y);
+            cold.record(p, y, &OFF);
         }
-        let s2 = cold.suggest(None).unwrap();
+        let s2 = cold.suggest(None, &OFF).unwrap();
         assert_eq!(s.partition, s2.partition);
     }
 
@@ -713,13 +662,13 @@ mod tests {
         let mut e = engine(2, 2);
         for p in e.bootstrap_samples().unwrap() {
             let y = objective(&p);
-            e.record(p, y);
+            e.record(p, y, &OFF);
         }
         let bootstrap_best = e.best().unwrap().1;
         for _ in 0..15 {
-            let s = e.suggest(None).unwrap();
+            let s = e.suggest(None, &OFF).unwrap();
             let y = objective(&s.partition);
-            e.record(s.partition, y);
+            e.record(s.partition, y, &OFF);
         }
         let final_best = e.best().unwrap().1;
         assert!(final_best >= bootstrap_best);
@@ -733,15 +682,15 @@ mod tests {
         let mut e = engine(2, 3);
         for p in e.bootstrap_samples().unwrap() {
             let y = objective(&p);
-            e.record(p, y);
+            e.record(p, y, &OFF);
         }
         let mut seen: HashSet<Partition> = e.history().iter().map(|(p, _)| p.clone()).collect();
         for _ in 0..10 {
-            let s = e.suggest(None).unwrap();
+            let s = e.suggest(None, &OFF).unwrap();
             assert!(!seen.contains(&s.partition), "suggested an already-sampled partition");
             seen.insert(s.partition.clone());
             let y = objective(&s.partition);
-            e.record(s.partition, y);
+            e.record(s.partition, y, &OFF);
         }
     }
 
@@ -750,14 +699,14 @@ mod tests {
         let mut e = engine(3, 4);
         for p in e.bootstrap_samples().unwrap() {
             let y = objective(&p);
-            e.record(p, y);
+            e.record(p, y, &OFF);
         }
         let frozen_row = *e.space().equal_share().unwrap().job(2);
         for _ in 0..5 {
-            let s = e.suggest(Some((2, frozen_row))).unwrap();
+            let s = e.suggest(Some((2, frozen_row)), &OFF).unwrap();
             assert_eq!(s.partition.job(2), &frozen_row);
             let y = objective(&s.partition);
-            e.record(s.partition, y);
+            e.record(s.partition, y, &OFF);
         }
     }
 
@@ -766,9 +715,9 @@ mod tests {
         let mut e = engine(2, 5);
         for p in e.bootstrap_samples().unwrap() {
             let y = objective(&p);
-            e.record(p, y);
+            e.record(p, y, &OFF);
         }
-        let s = e.suggest(None).unwrap();
+        let s = e.suggest(None, &OFF).unwrap();
         assert!(s.expected_improvement.is_finite() && s.expected_improvement >= 0.0);
         assert!(s.posterior_std >= 0.0);
         assert!(s.posterior_mean.is_finite());
@@ -780,14 +729,14 @@ mod tests {
             let mut e = engine(2, seed);
             for p in e.bootstrap_samples().unwrap() {
                 let y = objective(&p);
-                e.record(p, y);
+                e.record(p, y, &OFF);
             }
             let mut trace = Vec::new();
             for _ in 0..5 {
-                let s = e.suggest(None).unwrap();
+                let s = e.suggest(None, &OFF).unwrap();
                 trace.push(s.partition.clone());
                 let y = objective(&s.partition);
-                e.record(s.partition, y);
+                e.record(s.partition, y, &OFF);
             }
             trace
         };
@@ -799,7 +748,7 @@ mod tests {
         let mut e = engine(2, 6);
         for p in e.bootstrap_samples().unwrap() {
             let y = objective(&p);
-            e.record(p, y);
+            e.record(p, y, &OFF);
         }
         let all_best = e.best().unwrap().1;
         let constrained = e.best_where(|p, _| p.units(0, ResourceKind::Cores) <= 2).map(|(_, s)| s);

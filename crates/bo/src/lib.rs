@@ -28,6 +28,7 @@
 //! use clite_bo::engine::{BoConfig, BoEngine};
 //! use clite_bo::space::SearchSpace;
 //! use clite_sim::prelude::*;
+//! use clite_telemetry::Telemetry;
 //!
 //! let space = SearchSpace::new(ResourceCatalog::testbed(), 2)?;
 //! let mut engine = BoEngine::new(space, BoConfig::default(), 7);
@@ -35,14 +36,15 @@
 //! // Objective: favor job 0 hoarding cores (a stand-in for a real score).
 //! let objective = |p: &Partition| p.fraction(0, ResourceKind::Cores);
 //!
+//! let telemetry = Telemetry::disabled();
 //! for p in engine.bootstrap_samples()? {
 //!     let y = objective(&p);
-//!     engine.record(p, y);
+//!     engine.record(p, y, &telemetry);
 //! }
 //! for _ in 0..10 {
-//!     let s = engine.suggest(None)?;
+//!     let s = engine.suggest(None, &telemetry)?;
 //!     let y = objective(&s.partition);
-//!     engine.record(s.partition, y);
+//!     engine.record(s.partition, y, &telemetry);
 //! }
 //! let (best, _) = engine.best().expect("history is non-empty");
 //! assert!(best.units(0, ResourceKind::Cores) >= 8);

@@ -8,6 +8,7 @@ use clite_bo::engine::{BoConfig, BoEngine, Suggestion};
 use clite_bo::space::SearchSpace;
 use clite_sim::alloc::Partition;
 use clite_sim::resource::{ResourceCatalog, ResourceKind};
+use clite_telemetry::Telemetry;
 
 /// Deterministic synthetic objective rewarding an uneven split, so the
 /// search has real structure to climb.
@@ -26,9 +27,10 @@ fn objective(p: &Partition) -> f64 {
 fn run(jobs: usize, seed: u64, config: BoConfig, rounds: usize) -> Vec<Suggestion> {
     let space = SearchSpace::new(ResourceCatalog::testbed(), jobs).unwrap();
     let mut engine = BoEngine::new(space, config, seed);
+    let telemetry = Telemetry::disabled();
     for p in engine.bootstrap_samples().unwrap() {
         let y = objective(&p);
-        engine.record(p, y);
+        engine.record(p, y, &telemetry);
     }
     let mut trace = Vec::with_capacity(rounds);
     for round in 0..rounds {
@@ -40,9 +42,9 @@ fn run(jobs: usize, seed: u64, config: BoConfig, rounds: usize) -> Vec<Suggestio
         } else {
             None
         };
-        let s = engine.suggest(frozen).unwrap();
+        let s = engine.suggest(frozen, &telemetry).unwrap();
         let y = objective(&s.partition);
-        engine.record(s.partition.clone(), y);
+        engine.record(s.partition.clone(), y, &telemetry);
         trace.push(s);
     }
     trace

@@ -448,7 +448,7 @@ impl<F: TestbedFactory + Sync + Clone> FleetService<F> {
                     return Ok(EventOutcome::Shed { job });
                 }
                 let spent_before = self.scheduler.total_samples_spent();
-                let placed = self.scheduler.submit_with(spec.clone(), telemetry)?;
+                let placed = self.scheduler.submit(spec.clone(), telemetry)?;
                 self.note_admission_debt(
                     self.scheduler.total_samples_spent().saturating_sub(spent_before),
                 );
@@ -467,7 +467,7 @@ impl<F: TestbedFactory + Sync + Clone> FleetService<F> {
                     }
                 }
             }
-            FleetEvent::Departure { job } => match self.scheduler.remove_with(*job, telemetry) {
+            FleetEvent::Departure { job } => match self.scheduler.remove(*job, telemetry) {
                 Ok(()) => {
                     self.counters.departures += 1;
                     telemetry.emit(Event::JobDeparted { job: *job });
@@ -480,7 +480,7 @@ impl<F: TestbedFactory + Sync + Clone> FleetService<F> {
                 Err(e) => Err(e),
             },
             FleetEvent::LoadShift { job, load } => {
-                match self.scheduler.update_load_with(*job, load.clone(), telemetry) {
+                match self.scheduler.update_load(*job, load.clone(), telemetry) {
                     Ok(()) => {
                         self.counters.load_shifts += 1;
                         let load_pct = (load.at(0.0) * 100.0).round().max(0.0) as u32;
@@ -631,6 +631,10 @@ mod tests {
     use super::*;
     use crate::trace::{generate, TraceConfig};
     use clite_sim::prelude::*;
+    use std::sync::LazyLock;
+
+    /// One disabled context shared by every test here.
+    static OFF: LazyLock<Telemetry<'static>> = LazyLock::new(Telemetry::disabled);
 
     fn small_trace() -> Vec<TimedEvent> {
         generate(
@@ -648,7 +652,7 @@ mod tests {
     #[test]
     fn fleet_processes_mixed_trace() {
         let mut fleet = FleetService::new(3, FleetConfig::default(), 5).unwrap();
-        let run = fleet.run(&small_trace(), &Telemetry::disabled()).unwrap();
+        let run = fleet.run(&small_trace(), &OFF).unwrap();
         assert_eq!(run.counters.arrivals as usize, run.placements.len());
         assert!(run.counters.arrivals > 0);
         assert_eq!(
@@ -661,9 +665,8 @@ mod tests {
     #[test]
     fn onboarding_grows_the_fleet() {
         let mut fleet = FleetService::new(2, FleetConfig::default(), 5).unwrap();
-        let outcome = fleet
-            .handle(&TimedEvent::new(1, FleetEvent::Onboard { nodes: 3 }), &Telemetry::disabled())
-            .unwrap();
+        let outcome =
+            fleet.handle(&TimedEvent::new(1, FleetEvent::Onboard { nodes: 3 }), &OFF).unwrap();
         assert_eq!(outcome, EventOutcome::Onboarded { nodes: vec![2, 3, 4] });
         assert_eq!(fleet.scheduler().nodes().len(), 5);
         assert_eq!(fleet.stats().nodes.len(), 5, "stats track onboarded nodes");
@@ -672,9 +675,8 @@ mod tests {
     #[test]
     fn stale_departure_is_a_noop() {
         let mut fleet = FleetService::new(2, FleetConfig::default(), 5).unwrap();
-        let outcome = fleet
-            .handle(&TimedEvent::new(1, FleetEvent::Departure { job: 99 }), &Telemetry::disabled())
-            .unwrap();
+        let outcome =
+            fleet.handle(&TimedEvent::new(1, FleetEvent::Departure { job: 99 }), &OFF).unwrap();
         assert_eq!(outcome, EventOutcome::Stale { job: 99 });
         assert_eq!(fleet.counters().stale_events, 1);
     }
@@ -684,15 +686,10 @@ mod tests {
         let mut fleet = FleetService::new(2, FleetConfig::mean_field(4, 2), 5).unwrap();
         let spec = JobSpec::latency_critical(WorkloadId::Memcached, 0.3);
         fleet
-            .handle(
-                &TimedEvent::new(1, FleetEvent::Arrival { spec: spec.clone() }),
-                &Telemetry::disabled(),
-            )
+            .handle(&TimedEvent::new(1, FleetEvent::Arrival { spec: spec.clone() }), &OFF)
             .unwrap();
         assert_eq!(fleet.counters().epoch_solves, 1, "first event solves epoch 0");
-        fleet
-            .handle(&TimedEvent::new(5, FleetEvent::Arrival { spec }), &Telemetry::disabled())
-            .unwrap();
+        fleet.handle(&TimedEvent::new(5, FleetEvent::Arrival { spec }), &OFF).unwrap();
         assert_eq!(fleet.counters().epoch_solves, 2, "tick 5 crosses into epoch 1");
         assert!(matches!(fleet.scheduler().config().placement, PlacementPolicy::TargetLoad { .. }));
     }
@@ -701,9 +698,8 @@ mod tests {
     fn load_shift_repartitions_live_job() {
         let mut fleet = FleetService::new(1, FleetConfig::default(), 5).unwrap();
         let spec = JobSpec::latency_critical(WorkloadId::Memcached, 0.2);
-        let outcome = fleet
-            .handle(&TimedEvent::new(1, FleetEvent::Arrival { spec }), &Telemetry::disabled())
-            .unwrap();
+        let outcome =
+            fleet.handle(&TimedEvent::new(1, FleetEvent::Arrival { spec }), &OFF).unwrap();
         let EventOutcome::Placed(p) = outcome else { panic!("arrival must place") };
         let before = fleet.scheduler().nodes()[p.node].commits();
         let outcome = fleet
@@ -712,7 +708,7 @@ mod tests {
                     2,
                     FleetEvent::LoadShift { job: p.job_id, load: LoadSchedule::Constant(0.5) },
                 ),
-                &Telemetry::disabled(),
+                &OFF,
             )
             .unwrap();
         assert_eq!(outcome, EventOutcome::Applied { job: p.job_id });

@@ -165,12 +165,14 @@ pub(crate) fn ranked<F: TestbedFactory>(
 mod tests {
     use super::*;
     use clite::config::CliteConfig;
+    use clite_telemetry::Telemetry;
 
     use crate::node::PlacedJob;
 
     #[test]
     fn one_pass_node_input_matches_the_node_accessors() {
         let mut busy = Node::new(1, ResourceCatalog::testbed(), 1);
+        let telemetry = Telemetry::disabled();
         for (id, spec) in [
             JobSpec::latency_critical(WorkloadId::Memcached, 0.3),
             JobSpec::background(WorkloadId::Swaptions),
@@ -179,7 +181,8 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            busy.try_admit(PlacedJob { id: id as u64, spec }, &CliteConfig::default()).unwrap();
+            let job = PlacedJob { id: id as u64, spec };
+            busy.try_admit(job, &CliteConfig::default(), &telemetry).unwrap();
         }
         let spec = JobSpec::latency_critical(WorkloadId::ImgDnn, 0.2);
         for node in [Node::new(0, ResourceCatalog::testbed(), 0), busy] {

@@ -31,9 +31,11 @@
 //! use clite_cluster::placement::PlacementPolicy;
 //! use clite_cluster::scheduler::{ClusterScheduler, SchedulerConfig};
 //! use clite_sim::prelude::*;
+//! use clite_telemetry::Telemetry;
 //!
 //! let mut cluster = ClusterScheduler::new(2, SchedulerConfig::default(), 7)?;
-//! let placed = cluster.submit(JobSpec::latency_critical(WorkloadId::Memcached, 0.3))?;
+//! let job = JobSpec::latency_critical(WorkloadId::Memcached, 0.3);
+//! let placed = cluster.submit(job, &Telemetry::disabled())?;
 //! assert!(placed.is_some(), "an empty cluster must admit a 30% memcached");
 //! # Ok::<(), clite_cluster::ClusterError>(())
 //! ```

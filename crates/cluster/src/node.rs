@@ -364,7 +364,9 @@ impl<F: TestbedFactory> Node<F> {
     }
 
     /// Tries to admit `job`: runs a CLITE search on the tentative job set
-    /// and commits only if every LC job (old and new) meets QoS.
+    /// and commits only if every LC job (old and new) meets QoS. The
+    /// admission search's events and phase timings flow through
+    /// `telemetry`.
     ///
     /// Returns `Ok(true)` and keeps the job (plus the found partition) on
     /// success; returns `Ok(false)` and leaves the node unchanged when the
@@ -374,20 +376,6 @@ impl<F: TestbedFactory> Node<F> {
     ///
     /// Propagates controller/simulator failures.
     pub fn try_admit(
-        &mut self,
-        job: PlacedJob,
-        config: &CliteConfig,
-    ) -> Result<bool, ClusterError> {
-        self.try_admit_with(job, config, &Telemetry::disabled())
-    }
-
-    /// [`try_admit`](Node::try_admit) with telemetry forwarded to the
-    /// admission search.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller/simulator failures.
-    pub fn try_admit_with(
         &mut self,
         job: PlacedJob,
         config: &CliteConfig,
@@ -408,41 +396,23 @@ impl<F: TestbedFactory> Node<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::UnknownJob`] if the id is not on this node.
-    pub fn remove(&mut self, job_id: u64, config: &CliteConfig) -> Result<(), ClusterError> {
-        self.remove_with(job_id, config, &Telemetry::disabled())
-    }
-
-    /// [`remove`](Node::remove) with telemetry forwarded to the
-    /// re-partitioning search.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownJob`] if the id is not on this node.
-    pub fn remove_with(
+    /// Returns [`ClusterError::UnknownJob`] if the id is not on this node;
+    /// propagates controller/simulator failures from the re-partitioning
+    /// search.
+    pub fn remove(
         &mut self,
         job_id: u64,
         config: &CliteConfig,
         telemetry: &Telemetry<'_>,
     ) -> Result<(), ClusterError> {
-        let idx = self
-            .jobs
-            .iter()
-            .position(|j| j.id == job_id)
-            .ok_or(ClusterError::UnknownJob { job: job_id })?;
+        let idx = self.job_position(job_id)?;
         self.jobs.remove(idx);
         self.commits += 1;
         if self.jobs.is_empty() {
             self.last_outcome = None;
             return Ok(());
         }
-        let specs: Vec<JobSpec> = self.jobs.iter().map(|j| j.spec.clone()).collect();
-        let (outcome, signature) = self.run_search(specs, config, telemetry)?;
-        self.store_samples(signature.as_ref(), &outcome);
-        self.searches_run += 1;
-        self.samples_spent += outcome.samples_used() as u64;
-        self.install(outcome);
-        Ok(())
+        self.repartition(config, telemetry)
     }
 
     /// Replaces a committed job's load schedule (the fleet's `load_shift`
@@ -456,20 +426,35 @@ impl<F: TestbedFactory> Node<F> {
     /// Returns [`ClusterError::UnknownJob`] if the id is not on this node;
     /// propagates controller/simulator failures from the re-partitioning
     /// search.
-    pub fn update_load_with(
+    pub fn update_load(
         &mut self,
         job_id: u64,
         load: LoadSchedule,
         config: &CliteConfig,
         telemetry: &Telemetry<'_>,
     ) -> Result<(), ClusterError> {
-        let idx = self
-            .jobs
-            .iter()
-            .position(|j| j.id == job_id)
-            .ok_or(ClusterError::UnknownJob { job: job_id })?;
+        let idx = self.job_position(job_id)?;
         self.jobs[idx].spec.load = load;
         self.commits += 1;
+        self.repartition(config, telemetry)
+    }
+
+    /// Index of committed job `job_id`.
+    fn job_position(&self, job_id: u64) -> Result<usize, ClusterError> {
+        self.jobs
+            .iter()
+            .position(|j| j.id == job_id)
+            .ok_or(ClusterError::UnknownJob { job: job_id })
+    }
+
+    /// Re-partitions the committed job set after a departure or load
+    /// change: searches it, stores the samples, charges the search and
+    /// installs its outcome.
+    fn repartition(
+        &mut self,
+        config: &CliteConfig,
+        telemetry: &Telemetry<'_>,
+    ) -> Result<(), ClusterError> {
         let specs: Vec<JobSpec> = self.jobs.iter().map(|j| j.spec.clone()).collect();
         let (outcome, signature) = self.run_search(specs, config, telemetry)?;
         self.store_samples(signature.as_ref(), &outcome);
@@ -483,25 +468,37 @@ impl<F: TestbedFactory> Node<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::LazyLock;
+
+    /// One disabled context shared by every test here.
+    static OFF: LazyLock<Telemetry<'static>> = LazyLock::new(Telemetry::disabled);
 
     fn node() -> Node {
         Node::new(0, ResourceCatalog::testbed(), 1)
     }
 
-    fn quick_config() -> CliteConfig {
-        CliteConfig::default()
+    fn lc(workload: WorkloadId, load: f64) -> JobSpec {
+        JobSpec::latency_critical(workload, load)
+    }
+
+    /// [`Node::try_admit`] under the default CLITE config.
+    fn admit(n: &mut Node, id: u64, spec: JobSpec) -> bool {
+        n.try_admit(PlacedJob { id, spec }, &CliteConfig::default(), &OFF).unwrap()
+    }
+
+    /// [`Node::plan_admission`] under the default CLITE config.
+    fn plan(n: &Node, id: u64, spec: JobSpec) -> AdmissionPlan {
+        n.plan_admission(PlacedJob { id, spec }, &CliteConfig::default(), &OFF).unwrap().unwrap()
+    }
+
+    fn remove(n: &mut Node, id: u64) -> Result<(), ClusterError> {
+        n.remove(id, &CliteConfig::default(), &OFF)
     }
 
     #[test]
     fn empty_node_admits_light_job() {
         let mut n = node();
-        let admitted = n
-            .try_admit(
-                PlacedJob { id: 1, spec: JobSpec::latency_critical(WorkloadId::Memcached, 0.2) },
-                &quick_config(),
-            )
-            .unwrap();
-        assert!(admitted);
+        assert!(admit(&mut n, 1, lc(WorkloadId::Memcached, 0.2)));
         assert_eq!(n.job_count(), 1);
         assert!(n.last_outcome().is_some());
         assert!(n.searches_run() >= 1);
@@ -512,22 +509,11 @@ mod tests {
     fn rejects_infeasible_addition_and_stays_unchanged() {
         let mut n = node();
         for (i, w) in [WorkloadId::ImgDnn, WorkloadId::Masstree].iter().enumerate() {
-            assert!(n
-                .try_admit(
-                    PlacedJob { id: i as u64, spec: JobSpec::latency_critical(*w, 0.8) },
-                    &quick_config()
-                )
-                .unwrap());
+            assert!(admit(&mut n, i as u64, lc(*w, 0.8)));
         }
         let before = n.job_count();
         // A third heavily-loaded job cannot fit.
-        let admitted = n
-            .try_admit(
-                PlacedJob { id: 99, spec: JobSpec::latency_critical(WorkloadId::Specjbb, 0.9) },
-                &quick_config(),
-            )
-            .unwrap();
-        assert!(!admitted);
+        assert!(!admit(&mut n, 99, lc(WorkloadId::Specjbb, 0.9)));
         assert_eq!(n.job_count(), before, "rejected job must not linger");
         assert_eq!(n.commits(), 2, "failed probes are not commits");
     }
@@ -535,14 +521,7 @@ mod tests {
     #[test]
     fn plan_admission_leaves_node_untouched() {
         let n = node();
-        let plan = n
-            .plan_admission(
-                PlacedJob { id: 7, spec: JobSpec::latency_critical(WorkloadId::Memcached, 0.2) },
-                &quick_config(),
-                &Telemetry::disabled(),
-            )
-            .unwrap()
-            .unwrap();
+        let plan = plan(&n, 7, lc(WorkloadId::Memcached, 0.2));
         assert!(plan.feasible());
         assert_eq!(plan.job().id, 7);
         assert_eq!(n.job_count(), 0);
@@ -555,17 +534,8 @@ mod tests {
         // Probing is pure: the same committed state yields byte-identical
         // plans no matter how many times (or on which thread) it runs.
         let n = node();
-        let probe = || {
-            n.plan_admission(
-                PlacedJob { id: 3, spec: JobSpec::latency_critical(WorkloadId::Xapian, 0.3) },
-                &quick_config(),
-                &Telemetry::disabled(),
-            )
-            .unwrap()
-            .unwrap()
-        };
-        let a = probe();
-        let b = probe();
+        let a = plan(&n, 3, lc(WorkloadId::Xapian, 0.3));
+        let b = plan(&n, 3, lc(WorkloadId::Xapian, 0.3));
         assert_eq!(a.outcome().best_partition, b.outcome().best_partition);
         assert_eq!(a.outcome().samples_used(), b.outcome().samples_used());
     }
@@ -574,12 +544,7 @@ mod tests {
     fn loaded_testbed_reflects_committed_partition() {
         let mut n = node();
         assert!(n.loaded_testbed().unwrap().is_none(), "empty node has nothing to load");
-        assert!(n
-            .try_admit(
-                PlacedJob { id: 1, spec: JobSpec::latency_critical(WorkloadId::Memcached, 0.3) },
-                &quick_config(),
-            )
-            .unwrap());
+        assert!(admit(&mut n, 1, lc(WorkloadId::Memcached, 0.3)));
         let testbed = n.loaded_testbed().unwrap().expect("committed node builds a testbed");
         assert_eq!(testbed.job_count(), 1);
         assert_eq!(testbed.workload(0), WorkloadId::Memcached);
@@ -591,25 +556,20 @@ mod tests {
     #[test]
     fn remove_unknown_job_errors() {
         let mut n = node();
-        assert!(matches!(n.remove(42, &quick_config()), Err(ClusterError::UnknownJob { job: 42 })));
+        assert!(matches!(remove(&mut n, 42), Err(ClusterError::UnknownJob { job: 42 })));
     }
 
     #[test]
     fn remove_repartitions_remainder() {
         let mut n = node();
         for (i, w) in [WorkloadId::Memcached, WorkloadId::Xapian].iter().enumerate() {
-            assert!(n
-                .try_admit(
-                    PlacedJob { id: i as u64, spec: JobSpec::latency_critical(*w, 0.2) },
-                    &quick_config()
-                )
-                .unwrap());
+            assert!(admit(&mut n, i as u64, lc(*w, 0.2)));
         }
-        n.remove(0, &quick_config()).unwrap();
+        remove(&mut n, 0).unwrap();
         assert_eq!(n.job_count(), 1);
         assert_eq!(n.jobs()[0].id, 1);
         assert!(n.last_outcome().unwrap().qos_met());
-        n.remove(1, &quick_config()).unwrap();
+        remove(&mut n, 1).unwrap();
         assert!(n.last_outcome().is_none());
     }
 
@@ -619,14 +579,14 @@ mod tests {
 
         let store = ShardedStore::in_memory(ShardPolicy::with_shards(1));
         let mut n = node().with_store(store.clone());
-        let base = JobSpec::latency_critical(WorkloadId::Memcached, 0.3);
-        let spec = JobSpec::latency_critical(WorkloadId::Xapian, 0.3);
+        let base = lc(WorkloadId::Memcached, 0.3);
+        let spec = lc(WorkloadId::Xapian, 0.3);
 
         // Two cold admissions (1-job mix, then 2-job mix); each commit
         // appends its samples to the store.
-        assert!(n.try_admit(PlacedJob { id: 1, spec: base }, &quick_config()).unwrap());
+        assert!(admit(&mut n, 1, base));
         let after_first = n.samples_spent();
-        assert!(n.try_admit(PlacedJob { id: 2, spec: spec.clone() }, &quick_config()).unwrap());
+        assert!(admit(&mut n, 2, spec.clone()));
         let cold_two_job = n.samples_spent() - after_first;
         assert_eq!(store.stats().misses, 2, "both cold probes miss");
         assert!(store.stats().appends > 0);
@@ -634,9 +594,9 @@ mod tests {
         // Departure + identical re-admission probes the same 2-job mix:
         // the plan warm-starts from the committed samples and spends
         // strictly fewer windows than the cold 2-job search did.
-        n.remove(2, &quick_config()).unwrap();
+        remove(&mut n, 2).unwrap();
         let before_warm = n.samples_spent();
-        assert!(n.try_admit(PlacedJob { id: 3, spec }, &quick_config()).unwrap());
+        assert!(admit(&mut n, 3, spec));
         let warm_two_job = n.samples_spent() - before_warm;
         assert!(store.stats().hits >= 1);
         assert!(
@@ -648,16 +608,8 @@ mod tests {
     #[test]
     fn committed_lc_load_sums_lc_only() {
         let mut n = node();
-        n.try_admit(
-            PlacedJob { id: 1, spec: JobSpec::latency_critical(WorkloadId::Memcached, 0.3) },
-            &quick_config(),
-        )
-        .unwrap();
-        n.try_admit(
-            PlacedJob { id: 2, spec: JobSpec::background(WorkloadId::Swaptions) },
-            &quick_config(),
-        )
-        .unwrap();
+        admit(&mut n, 1, lc(WorkloadId::Memcached, 0.3));
+        admit(&mut n, 2, JobSpec::background(WorkloadId::Swaptions));
         assert!((n.committed_lc_load() - 0.3).abs() < 1e-12);
     }
 }

@@ -153,32 +153,23 @@ mod tests {
     use super::*;
     use clite::config::CliteConfig;
     use clite_sim::prelude::*;
+    use clite_telemetry::Telemetry;
 
     use crate::node::PlacedJob;
+
+    /// Admits `spec` as job `id` under the default CLITE config.
+    fn admit(node: &mut Node, id: u64, spec: JobSpec) -> bool {
+        let job = PlacedJob { id, spec };
+        node.try_admit(job, &CliteConfig::default(), &Telemetry::disabled()).unwrap()
+    }
 
     fn fleet() -> Vec<Node> {
         let mut nodes: Vec<Node> =
             (0..3).map(|i| Node::new(i, ResourceCatalog::testbed(), i as u64)).collect();
         // Put one 40% job on node 1, two on node 2.
-        let cfg = CliteConfig::default();
-        nodes[1]
-            .try_admit(
-                PlacedJob { id: 1, spec: JobSpec::latency_critical(WorkloadId::Memcached, 0.4) },
-                &cfg,
-            )
-            .unwrap();
-        nodes[2]
-            .try_admit(
-                PlacedJob { id: 2, spec: JobSpec::latency_critical(WorkloadId::Memcached, 0.4) },
-                &cfg,
-            )
-            .unwrap();
-        nodes[2]
-            .try_admit(
-                PlacedJob { id: 3, spec: JobSpec::latency_critical(WorkloadId::Xapian, 0.4) },
-                &cfg,
-            )
-            .unwrap();
+        admit(&mut nodes[1], 1, JobSpec::latency_critical(WorkloadId::Memcached, 0.4));
+        admit(&mut nodes[2], 2, JobSpec::latency_critical(WorkloadId::Memcached, 0.4));
+        admit(&mut nodes[2], 3, JobSpec::latency_critical(WorkloadId::Xapian, 0.4));
         nodes
     }
 
@@ -200,14 +191,8 @@ mod tests {
     fn full_nodes_are_excluded() {
         // A node hosting 10 jobs (cores exhausted) cannot take an 11th.
         let mut nodes = vec![Node::new(0, ResourceCatalog::testbed(), 0)];
-        let cfg = CliteConfig::default();
         for i in 0..10 {
-            let admitted = nodes[0]
-                .try_admit(
-                    PlacedJob { id: i, spec: JobSpec::background(WorkloadId::Swaptions) },
-                    &cfg,
-                )
-                .unwrap();
+            let admitted = admit(&mut nodes[0], i, JobSpec::background(WorkloadId::Swaptions));
             assert!(admitted, "BG jobs are always feasible");
         }
         assert!(order(&PlacementPolicy::FirstFit, &nodes).is_empty());

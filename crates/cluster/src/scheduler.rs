@@ -266,23 +266,14 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
     /// Submits a job: tries nodes in the placement policy's order and
     /// commits to the first where a CLITE search finds a QoS-feasible
     /// partition. Returns the placement, or `None` if every node rejected
-    /// the job (the caller would queue or scale out).
+    /// the job (the caller would queue or scale out). A successful commit
+    /// emits [`Event::Placement`], and the admission searches' events and
+    /// phase timings flow through `telemetry`.
     ///
     /// # Errors
     ///
     /// Propagates controller/simulator failures.
-    pub fn submit(&mut self, spec: JobSpec) -> Result<Option<Placement>, ClusterError> {
-        self.submit_with(spec, &Telemetry::disabled())
-    }
-
-    /// [`submit`](ClusterScheduler::submit) with telemetry: a successful
-    /// commit emits [`Event::Placement`], and the admission searches'
-    /// events and phase timings flow through `telemetry`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller/simulator failures.
-    pub fn submit_with(
+    pub fn submit(
         &mut self,
         spec: JobSpec,
         telemetry: &Telemetry<'_>,
@@ -411,13 +402,24 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         if let Some(limit) = self.config.probe_limit {
             order.truncate(limit.max(1));
         }
-        let (winner, orphans) = match self.config.admission {
-            AdmissionMode::Serial => self.admit_serial(&order, &job, telemetry)?,
-            AdmissionMode::Threaded => self.admit_threaded(&order, &job, telemetry)?,
-        };
+        let (winner, orphans) = self.admit_scan(&order, &job, telemetry)?;
         if let Some(node_id) = winner {
             self.job_index.insert(job_id, node_id);
         }
+        self.rehome(orphans, telemetry)?;
+        Ok(winner.map(|node_id| {
+            telemetry.emit(Event::Placement { node: node_id, job: workload });
+            Placement { job_id, node: node_id }
+        }))
+    }
+
+    /// Re-places jobs orphaned by a node crash, counting each as replaced
+    /// or rejected.
+    fn rehome(
+        &mut self,
+        orphans: Vec<PlacedJob>,
+        telemetry: &Telemetry<'_>,
+    ) -> Result<(), ClusterError> {
         for orphan in orphans {
             if self.admit_job(orphan, telemetry)?.is_none() {
                 self.note_rejected();
@@ -425,10 +427,7 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
                 self.replaced += 1;
             }
         }
-        Ok(winner.map(|node_id| {
-            telemetry.emit(Event::Placement { node: node_id, job: workload });
-            Placement { job_id, node: node_id }
-        }))
+        Ok(())
     }
 
     /// Evicts a crashed node: takes it out of service, drains its
@@ -443,91 +442,45 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         orphans
     }
 
-    /// Serial admission: probe candidates one at a time, committing to
-    /// the first feasible node. A probe that surfaces a node crash evicts
-    /// that node (its drained jobs are returned for re-placement) and the
-    /// scan continues on the remaining candidates. The per-admission
-    /// deadline budget is checked *before* each probe: once the windows
-    /// recorded for this admission reach it, remaining candidates are
-    /// skipped entirely.
-    fn admit_serial(
+    /// Walks the candidates in placement order, charging each probed node
+    /// and committing the first feasible plan. A probe that surfaces a
+    /// node crash evicts that node (its drained jobs are returned for
+    /// re-placement) and the scan continues. The per-admission deadline
+    /// budget is checked *before* each candidate: once the windows
+    /// recorded for this admission reach it, the rest are skipped.
+    ///
+    /// Serial mode probes each candidate when the scan reaches it.
+    /// Threaded mode probes every candidate up front, concurrently, and
+    /// the scan consumes those plans: results past the winner or the
+    /// deadline are discarded *unrecorded* — a serial scan would never
+    /// have run them — and that includes crashes, so such a node stays
+    /// alive. Probe seeds and fault streams are a pure function of each
+    /// node's committed state, so both modes see identical plans and
+    /// crashes and produce identical fleets and statistics under a fixed
+    /// seed. Every probe shares the caller's `telemetry`, so the probes'
+    /// phase timings reach its report.
+    fn admit_scan(
         &mut self,
         order: &[usize],
         job: &PlacedJob,
         telemetry: &Telemetry<'_>,
     ) -> Result<(Option<usize>, Vec<PlacedJob>), ClusterError> {
+        let mut planned = match self.config.admission {
+            AdmissionMode::Serial => None,
+            AdmissionMode::Threaded => Some(self.probe_all(order, job, telemetry).into_iter()),
+        };
         let mut orphans = Vec::new();
         let mut spent: u64 = 0;
         for &node_id in order {
             if self.config.deadline_samples.is_some_and(|budget| spent >= budget) {
                 break;
             }
-            let before = self.nodes[node_id].samples_spent();
-            match self.nodes[node_id].try_admit_with(job.clone(), &self.config.clite, telemetry) {
-                Ok(admitted) => {
-                    spent += self.nodes[node_id].samples_spent() - before;
-                    self.stats.refresh_node(&self.nodes[node_id]);
-                    if admitted {
-                        return Ok((Some(node_id), orphans));
-                    }
+            let result = match &mut planned {
+                Some(plans) => plans.next().expect("one plan per candidate"),
+                None => {
+                    self.nodes[node_id].plan_admission(job.clone(), &self.config.clite, telemetry)
                 }
-                Err(e) if e.is_node_crash() => {
-                    orphans.extend(self.evict_node(node_id, telemetry));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((None, orphans))
-    }
-
-    /// Threaded admission: probe every candidate concurrently, then walk
-    /// the results in placement order, charging each probed node and
-    /// committing the first feasible plan. Results past the winner are
-    /// discarded *unrecorded* — a serial scan would never have run them —
-    /// and that includes crashes: a node whose probe crashed after the
-    /// winner's position stays alive, exactly as if it had never been
-    /// probed. Crashes at or before the winner evict the node just as the
-    /// serial scan would. Fault streams are a pure function of each node's
-    /// committed state (seeded per probe), so serial and threaded runs see
-    /// identical crashes and produce identical fleets and statistics under
-    /// a fixed seed.
-    fn admit_threaded(
-        &mut self,
-        order: &[usize],
-        job: &PlacedJob,
-        telemetry: &Telemetry<'_>,
-    ) -> Result<(Option<usize>, Vec<PlacedJob>), ClusterError> {
-        let recorder = telemetry.recorder();
-        let config = &self.config.clite;
-        let nodes = &self.nodes;
-        // One pool slot per candidate: probes are independent and pure
-        // given each node's committed state, so results depend only on
-        // the candidate order, never on which pool thread ran a probe.
-        let results: Vec<Result<Option<AdmissionPlan>, ClusterError>> =
-            telemetry.time(Phase::ParDispatch, || {
-                clite_par::map_indexed(
-                    clite_par::WorkerPool::global(),
-                    order.len(),
-                    order,
-                    || (),
-                    |(), _, &node_id| {
-                        // Telemetry contexts are single-threaded (interior
-                        // phase-timer state), so each slot wraps the shared
-                        // thread-safe recorder in its own.
-                        let local = Telemetry::new(recorder);
-                        nodes[node_id].plan_admission(job.clone(), config, &local)
-                    },
-                )
-            });
-        let mut orphans = Vec::new();
-        let mut spent: u64 = 0;
-        for (result, &node_id) in results.into_iter().zip(order) {
-            // Deadline check mirrors the serial scan's: a candidate the
-            // serial loop would never have probed is discarded unrecorded
-            // here, crashes included.
-            if self.config.deadline_samples.is_some_and(|budget| spent >= budget) {
-                break;
-            }
+            };
             match result {
                 Ok(Some(plan)) => {
                     spent += plan.outcome().samples_used() as u64;
@@ -553,26 +506,35 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         Ok((None, orphans))
     }
 
-    /// Removes a placed job (departure) and re-partitions its node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownJob`] if no node hosts `job_id`.
-    pub fn remove(&mut self, job_id: u64) -> Result<(), ClusterError> {
-        self.remove_with(job_id, &Telemetry::disabled())
+    /// Probes every candidate concurrently on the shared pool, one slot
+    /// per candidate: probes are independent and pure given each node's
+    /// committed state, so results depend only on the candidate order,
+    /// never on which pool thread ran a probe.
+    fn probe_all(
+        &self,
+        order: &[usize],
+        job: &PlacedJob,
+        telemetry: &Telemetry<'_>,
+    ) -> Vec<Result<Option<AdmissionPlan>, ClusterError>> {
+        let (config, nodes) = (&self.config.clite, &self.nodes);
+        telemetry.time(Phase::ParDispatch, || {
+            clite_par::map_indexed(
+                clite_par::WorkerPool::global(),
+                order.len(),
+                order,
+                || (),
+                |(), _, &node_id| nodes[node_id].plan_admission(job.clone(), config, telemetry),
+            )
+        })
     }
 
-    /// [`remove`](ClusterScheduler::remove) with telemetry: the departure
-    /// emits [`Event::Eviction`] before the node re-partitions.
+    /// Removes a placed job (departure) and re-partitions its node. The
+    /// departure emits [`Event::Eviction`] before the node re-partitions.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownJob`] if no node hosts `job_id`.
-    pub fn remove_with(
-        &mut self,
-        job_id: u64,
-        telemetry: &Telemetry<'_>,
-    ) -> Result<(), ClusterError> {
+    pub fn remove(&mut self, job_id: u64, telemetry: &Telemetry<'_>) -> Result<(), ClusterError> {
         let Some(&node_id) = self.job_index.get(&job_id) else {
             return Err(ClusterError::UnknownJob { job: job_id });
         };
@@ -581,48 +543,21 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         let job = node.jobs().iter().find(|j| j.id == job_id).expect("job index is current");
         telemetry
             .emit(Event::Eviction { node: node.id(), job: job.spec.workload.name().to_owned() });
-        match node.remove_with(job_id, &self.config.clite, telemetry) {
-            Ok(()) => {
-                self.stats.refresh_node(&self.nodes[node_id]);
-                Ok(())
-            }
-            Err(e) if e.is_node_crash() => {
-                // The node died while re-partitioning after the departure:
-                // evict it and re-home its surviving jobs.
-                let orphans = self.evict_node(node_id, telemetry);
-                for orphan in orphans {
-                    if self.admit_job(orphan, telemetry)?.is_none() {
-                        self.note_rejected();
-                    } else {
-                        self.replaced += 1;
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        let result = node.remove(job_id, &self.config.clite, telemetry);
+        self.settle_repartition(node_id, result, telemetry)
     }
 
     /// Changes a placed job's load schedule (the fleet's `load_shift`
-    /// event) and re-partitions its node under the new load.
+    /// event) and re-partitions its node under the new load. A node that
+    /// crashes while re-partitioning is evicted and its jobs (including
+    /// the one whose load changed) re-placed, exactly like a crash during
+    /// a departure.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownJob`] if no node hosts `job_id`;
     /// propagates controller/simulator failures.
-    pub fn update_load(&mut self, job_id: u64, load: LoadSchedule) -> Result<(), ClusterError> {
-        self.update_load_with(job_id, load, &Telemetry::disabled())
-    }
-
-    /// [`update_load`](ClusterScheduler::update_load) with telemetry. A
-    /// node that crashes while re-partitioning is evicted and its jobs
-    /// (including the one whose load changed) re-placed, exactly like a
-    /// crash during a departure.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownJob`] if no node hosts `job_id`.
-    pub fn update_load_with(
+    pub fn update_load(
         &mut self,
         job_id: u64,
         load: LoadSchedule,
@@ -631,21 +566,27 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         let Some(&node_id) = self.job_index.get(&job_id) else {
             return Err(ClusterError::UnknownJob { job: job_id });
         };
-        match self.nodes[node_id].update_load_with(job_id, load, &self.config.clite, telemetry) {
+        let result = self.nodes[node_id].update_load(job_id, load, &self.config.clite, telemetry);
+        self.settle_repartition(node_id, result, telemetry)
+    }
+
+    /// Books a node's re-partition after a departure or load change. A
+    /// node that died while re-partitioning is evicted and its surviving
+    /// jobs re-homed.
+    fn settle_repartition(
+        &mut self,
+        node_id: usize,
+        result: Result<(), ClusterError>,
+        telemetry: &Telemetry<'_>,
+    ) -> Result<(), ClusterError> {
+        match result {
             Ok(()) => {
                 self.stats.refresh_node(&self.nodes[node_id]);
                 Ok(())
             }
             Err(e) if e.is_node_crash() => {
                 let orphans = self.evict_node(node_id, telemetry);
-                for orphan in orphans {
-                    if self.admit_job(orphan, telemetry)?.is_none() {
-                        self.note_rejected();
-                    } else {
-                        self.replaced += 1;
-                    }
-                }
-                Ok(())
+                self.rehome(orphans, telemetry)
             }
             Err(e) => Err(e),
         }
@@ -677,6 +618,10 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::LazyLock;
+
+    /// One disabled context shared by every test here.
+    static OFF: LazyLock<Telemetry<'static>> = LazyLock::new(Telemetry::disabled);
 
     fn scheduler(nodes: usize, policy: PlacementPolicy) -> ClusterScheduler {
         ClusterScheduler::new(
@@ -699,7 +644,7 @@ mod tests {
     fn light_jobs_all_placed() {
         let mut c = scheduler(2, PlacementPolicy::LeastLoaded);
         for w in [WorkloadId::Memcached, WorkloadId::ImgDnn, WorkloadId::Xapian] {
-            let placed = c.submit(JobSpec::latency_critical(w, 0.2)).unwrap();
+            let placed = c.submit(JobSpec::latency_critical(w, 0.2), &OFF).unwrap();
             assert!(placed.is_some());
         }
         assert_eq!(c.rejected(), 0);
@@ -712,8 +657,8 @@ mod tests {
         let mut spread = scheduler(2, PlacementPolicy::LeastLoaded);
         let mut pack = scheduler(2, PlacementPolicy::MostLoaded);
         for _ in 0..2 {
-            spread.submit(JobSpec::latency_critical(WorkloadId::Memcached, 0.3)).unwrap();
-            pack.submit(JobSpec::latency_critical(WorkloadId::Memcached, 0.3)).unwrap();
+            spread.submit(JobSpec::latency_critical(WorkloadId::Memcached, 0.3), &OFF).unwrap();
+            pack.submit(JobSpec::latency_critical(WorkloadId::Memcached, 0.3), &OFF).unwrap();
         }
         let spread_counts: Vec<usize> = spread.nodes().iter().map(Node::job_count).collect();
         let pack_counts: Vec<usize> = pack.nodes().iter().map(Node::job_count).collect();
@@ -728,7 +673,7 @@ mod tests {
         // Heavy LC jobs: each node fits roughly one or two of these.
         for i in 0..6 {
             let w = [WorkloadId::Masstree, WorkloadId::ImgDnn][i % 2];
-            if let Some(p) = c.submit(JobSpec::latency_critical(w, 0.8)).unwrap() {
+            if let Some(p) = c.submit(JobSpec::latency_critical(w, 0.8), &OFF).unwrap() {
                 placements.push(p);
             }
         }
@@ -745,15 +690,16 @@ mod tests {
     #[test]
     fn departures_free_capacity() {
         let mut c = scheduler(1, PlacementPolicy::FirstFit);
-        let a = c.submit(JobSpec::latency_critical(WorkloadId::Masstree, 0.8)).unwrap().unwrap();
-        let b = c.submit(JobSpec::latency_critical(WorkloadId::ImgDnn, 0.8)).unwrap();
+        let a =
+            c.submit(JobSpec::latency_critical(WorkloadId::Masstree, 0.8), &OFF).unwrap().unwrap();
+        let b = c.submit(JobSpec::latency_critical(WorkloadId::ImgDnn, 0.8), &OFF).unwrap();
         assert!(b.is_some());
         // A third heavy job is rejected...
-        let rejected = c.submit(JobSpec::latency_critical(WorkloadId::Specjbb, 0.9)).unwrap();
+        let rejected = c.submit(JobSpec::latency_critical(WorkloadId::Specjbb, 0.9), &OFF).unwrap();
         assert!(rejected.is_none());
         // ...until a departure frees the node.
-        c.remove(a.job_id).unwrap();
-        let retry = c.submit(JobSpec::latency_critical(WorkloadId::Specjbb, 0.8)).unwrap();
+        c.remove(a.job_id, &OFF).unwrap();
+        let retry = c.submit(JobSpec::latency_critical(WorkloadId::Specjbb, 0.8), &OFF).unwrap();
         assert!(retry.is_some(), "departure must free capacity");
     }
 
@@ -777,13 +723,14 @@ mod tests {
             .unwrap();
             for i in 0..9 {
                 let w = [WorkloadId::Masstree, WorkloadId::ImgDnn][i % 2];
-                let _ = c.submit(JobSpec::latency_critical(w, 0.8)).unwrap();
+                let _ = c.submit(JobSpec::latency_critical(w, 0.8), &OFF).unwrap();
             }
             c
         };
         let probe = |c: &mut ClusterScheduler| {
             let before = c.total_samples_spent();
-            let placed = c.submit(JobSpec::latency_critical(WorkloadId::Specjbb, 0.9)).unwrap();
+            let placed =
+                c.submit(JobSpec::latency_critical(WorkloadId::Specjbb, 0.9), &OFF).unwrap();
             assert!(placed.is_none(), "the saturated fleet must reject the probe job");
             c.total_samples_spent() - before
         };
@@ -809,7 +756,7 @@ mod tests {
     #[test]
     fn remove_unknown_job_errors() {
         let mut c = scheduler(1, PlacementPolicy::FirstFit);
-        assert!(matches!(c.remove(7), Err(ClusterError::UnknownJob { job: 7 })));
+        assert!(matches!(c.remove(7, &OFF), Err(ClusterError::UnknownJob { job: 7 })));
     }
 
     #[test]
@@ -820,13 +767,13 @@ mod tests {
         let telemetry = Telemetry::new(&sink);
         let mut c = scheduler(1, PlacementPolicy::FirstFit);
         let placed = c
-            .submit_with(JobSpec::latency_critical(WorkloadId::Memcached, 0.2), &telemetry)
+            .submit(JobSpec::latency_critical(WorkloadId::Memcached, 0.2), &telemetry)
             .unwrap()
             .unwrap();
         assert_eq!(sink.count_kind("placement"), 1);
         // The admission search's own events flow through the same sink.
         assert!(sink.count_kind("bootstrap_sample") > 0);
-        c.remove_with(placed.job_id, &telemetry).unwrap();
+        c.remove(placed.job_id, &telemetry).unwrap();
         assert_eq!(sink.count_kind("eviction"), 1);
     }
 }

@@ -153,6 +153,7 @@ mod tests {
     use crate::placement::PlacementPolicy;
     use crate::scheduler::{ClusterScheduler, SchedulerConfig};
     use clite_sim::prelude::*;
+    use clite_telemetry::Telemetry;
 
     #[test]
     fn stats_reflect_fleet_state() {
@@ -162,8 +163,9 @@ mod tests {
             5,
         )
         .unwrap();
-        c.submit(JobSpec::latency_critical(WorkloadId::Memcached, 0.3)).unwrap();
-        c.submit(JobSpec::background(WorkloadId::Swaptions)).unwrap();
+        let telemetry = Telemetry::disabled();
+        c.submit(JobSpec::latency_critical(WorkloadId::Memcached, 0.3), &telemetry).unwrap();
+        c.submit(JobSpec::background(WorkloadId::Swaptions), &telemetry).unwrap();
         let stats = c.stats();
         assert_eq!(stats.placed, 2);
         assert_eq!(stats.rejected, 0);

@@ -271,3 +271,47 @@ fn deadline_bounds_every_protected_admission_under_a_burst() {
     let (_, control_shed) = arrival_costs(config(AdmissionMode::Serial), &trace);
     assert_eq!(control_shed, 0, "the trace must not shed without overload settings");
 }
+
+/// Runs `trace` over a 3-node fleet with the backlog trigger armed and
+/// the given deadline, returning the run witness and the probes charged
+/// to the nodes.
+fn shedding_run(
+    mode: AdmissionMode,
+    deadline: Option<u64>,
+    trace: &[TimedEvent],
+) -> (FleetRun, usize) {
+    let mut config = config(mode);
+    config.overload =
+        OverloadConfig { shed_backlog: Some(6), shed_window_debt: None, debt_horizon: 8 };
+    config.scheduler.deadline_samples = deadline;
+    let mut service = FleetService::new(3, config, SEED).expect("fleet");
+    let run = service.run(trace, &Telemetry::disabled()).expect("trace runs");
+    let probes = service.scheduler().nodes().iter().map(|n| n.searches_run()).sum();
+    (run, probes)
+}
+
+/// The deadline must bind while shedding is on: in a 16-event burst over
+/// 3 nodes, the last arrival's first candidate comes back infeasible.
+/// Without a deadline the scan goes on and places it on a second node;
+/// with a 4-window budget it stops after that one search and the arrival
+/// is rejected. Both admission modes stop at the same point (without a
+/// deadline they are byte-identical, so one unbounded run serves both).
+#[test]
+fn deadline_stops_a_scan_early_while_shedding() {
+    let trace = burst(16);
+    let (free, free_probes) = shedding_run(AdmissionMode::Serial, None, &trace);
+    let mut witnesses = Vec::new();
+    for mode in [AdmissionMode::Serial, AdmissionMode::Threaded] {
+        let (bounded, bounded_probes) = shedding_run(mode, Some(4), &trace);
+        assert!(bounded.counters.arrivals_shed > 0, "{mode:?}: the burst must shed");
+        assert_eq!(bounded.counters.arrivals_shed, free.counters.arrivals_shed);
+        assert!(
+            bounded_probes < free_probes,
+            "{mode:?}: the deadline must cut a scan short ({bounded_probes} vs {free_probes} probes)"
+        );
+        assert_ne!(bounded.placements, free.placements, "{mode:?}: placements must differ");
+        assert!(bounded.stats.rejected > free.stats.rejected, "{mode:?}: the cut scan rejects");
+        witnesses.push(bounded);
+    }
+    assert_eq!(witnesses[0], witnesses[1], "serial and threaded must stop at the same point");
+}

@@ -5,12 +5,16 @@
 //! rejected outright and others probe several nodes before landing —
 //! exactly the paths where a naive parallelization would diverge.
 
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use clite_cluster::placement::PlacementPolicy;
 use clite_cluster::scheduler::{AdmissionMode, ClusterScheduler, SchedulerConfig};
 use clite_sim::prelude::*;
 use clite_store::{ShardPolicy, ShardedStore};
+use clite_telemetry::Telemetry;
+
+/// One disabled context shared by every test here.
+static OFF: LazyLock<Telemetry<'static>> = LazyLock::new(Telemetry::disabled);
 
 /// A deterministic non-zero ranking model, so the learned policy's
 /// byte-identity is tested with weights that actually reorder candidates.
@@ -45,7 +49,7 @@ fn run(
     let mut cluster = ClusterScheduler::new(2, config, seed).expect("2-node cluster");
     let placements: Vec<Option<usize>> = job_stream()
         .into_iter()
-        .map(|spec| cluster.submit(spec).expect("submit").map(|p| p.node))
+        .map(|spec| cluster.submit(spec, &OFF).expect("submit").map(|p| p.node))
         .collect();
     (placements, cluster.stats())
 }
@@ -96,7 +100,7 @@ fn run_with_store(
         ClusterScheduler::new(2, config, seed).expect("2-node cluster").with_store(store.clone());
     let placements: Vec<Option<usize>> = job_stream()
         .into_iter()
-        .map(|spec| cluster.submit(spec).expect("submit").map(|p| p.node))
+        .map(|spec| cluster.submit(spec, &OFF).expect("submit").map(|p| p.node))
         .collect();
     let appends = store.stats().appends;
     (placements, cluster.stats(), appends)
@@ -147,7 +151,7 @@ fn run_with_faults(
         ClusterScheduler::with_factory(3, config, seed, factory).expect("3-node cluster");
     let placements: Vec<Option<usize>> = job_stream()
         .into_iter()
-        .map(|spec| cluster.submit(spec).expect("submit survives crashes").map(|p| p.node))
+        .map(|spec| cluster.submit(spec, &OFF).expect("submit survives crashes").map(|p| p.node))
         .collect();
     (placements, cluster.stats())
 }
@@ -232,7 +236,7 @@ fn nested_fanout_never_oversubscribes_the_pool() {
     config.clite.bo = config.clite.bo.with_threads(pool.size() * 4);
     let mut cluster = ClusterScheduler::new(3, config, 42).expect("3-node cluster");
     for spec in job_stream() {
-        cluster.submit(spec).expect("submit");
+        cluster.submit(spec, &OFF).expect("submit");
     }
 
     let after = pool.stats();
@@ -258,4 +262,34 @@ fn heavy_stream_exercises_rejections_and_multi_node_probes() {
     assert!(placements.iter().flatten().count() >= 4, "stream must include placements");
     let probes: u64 = stats.nodes.iter().map(|n| n.samples_spent).sum();
     assert!(probes > 0);
+}
+
+#[test]
+fn threaded_probe_timings_reach_the_callers_report() {
+    // Every span a probe times on a pool slot is counted both as a
+    // `phase_timing` event and in the caller's report: the probes share
+    // the caller's context, so no phase total is dropped.
+    use clite_cluster::fleet::{FleetConfig, FleetService};
+    use clite_cluster::trace::{generate, TraceConfig};
+    use clite_telemetry::{Event, MemoryRecorder, Phase};
+
+    let mut config = FleetConfig::default();
+    config.scheduler.admission = AdmissionMode::Threaded;
+    let mut fleet = FleetService::new(4, config, 42).expect("4-node fleet");
+    let trace = generate(&TraceConfig { events: 8, ..TraceConfig::default() }, 42);
+    let sink = MemoryRecorder::new();
+    let telemetry = Telemetry::new(&sink);
+    fleet.run(&trace, &telemetry).expect("trace runs");
+
+    let events = sink.events();
+    let report = telemetry.report();
+    for phase in Phase::ALL {
+        let seen = events
+            .iter()
+            .filter(|e| matches!(e, Event::PhaseTiming { phase: p, .. } if *p == phase))
+            .count() as u64;
+        assert_eq!(report.phase(phase).count, seen, "{} spans lost", phase.name());
+    }
+    assert!(report.phase(Phase::ParDispatch).count > 0, "admission must run threaded");
+    assert!(report.phase(Phase::Acquisition).count > 0, "probes must search");
 }

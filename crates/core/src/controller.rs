@@ -214,7 +214,7 @@ impl CliteController {
                     infeasible.push(j);
                 }
             }
-            engine.record_with(partition.clone(), score.value, telemetry);
+            engine.record(partition.clone(), score.value, telemetry);
             samples.push(SampleRecord {
                 index: samples.len(),
                 bootstrap: true,
@@ -273,9 +273,9 @@ impl CliteController {
                 // search has no unsampled candidate, the space is exhausted
                 // (e.g. a single co-located job has exactly one partition) --
                 // that is convergence, not an error.
-                let maybe_suggestion = match engine.suggest_with(frozen, telemetry) {
+                let maybe_suggestion = match engine.suggest(frozen, telemetry) {
                     Ok(s) => Some(s),
-                    Err(BoError::NoCandidate) => match engine.suggest_with(None, telemetry) {
+                    Err(BoError::NoCandidate) => match engine.suggest(None, telemetry) {
                         Ok(s) => Some(s),
                         Err(BoError::NoCandidate) => None,
                         Err(e) => return Err(e.into()),
@@ -321,9 +321,9 @@ impl CliteController {
                 let mut is_local = false;
                 if want_local && fruitless_local_moves < 3 {
                     let candidates = donation_candidates(&samples);
-                    let polish = match engine.suggest_ordered_with(&candidates, telemetry)? {
+                    let polish = match engine.suggest_ordered(&candidates, telemetry)? {
                         Some(p) => Some(p),
-                        None => engine.suggest_polish_with(None, telemetry)?,
+                        None => engine.suggest_polish(None, telemetry)?,
                     };
                     if let Some(polish) = polish {
                         suggestion = polish;
@@ -364,7 +364,7 @@ impl CliteController {
                     samples_to_qos = Some(samples.len());
                 }
                 let sample_score = score.value;
-                engine.record_with(suggestion.partition.clone(), sample_score, telemetry);
+                engine.record(suggestion.partition.clone(), sample_score, telemetry);
                 samples.push(SampleRecord {
                     index: samples.len(),
                     bootstrap: false,
@@ -456,7 +456,7 @@ impl CliteController {
                 }
                 // Feed the corrected evidence back to the surrogate: the same
                 // point with a second (independent) noisy measurement.
-                engine.record_with(p.clone(), score.value, telemetry);
+                engine.record(p.clone(), score.value, telemetry);
                 samples.push(SampleRecord {
                     index: samples.len(),
                     bootstrap: false,

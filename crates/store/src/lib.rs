@@ -67,7 +67,8 @@ pub enum StoreError {
     Io {
         /// Which operation (`"open"`, `"append"`, `"rename"`, ...).
         op: &'static str,
-        /// The underlying error's message.
+        /// The underlying error's message; an `open` failure leads with
+        /// the path it could not open.
         message: String,
     },
 }
@@ -76,7 +77,7 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Io { op, message } => {
-                write!(f, "observation store {op} failed: {message}")
+                write!(f, "{op} failed: {message}")
             }
         }
     }

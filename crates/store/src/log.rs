@@ -296,8 +296,9 @@ impl LogFile {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on filesystem failures. Corruption is
-    /// not an error — it is reported through [`Recovery`].
+    /// Returns [`StoreError::Io`] on filesystem failures; an `open`
+    /// failure names `path`. Corruption is not an error — it is reported
+    /// through [`Recovery`].
     pub fn open(path: &Path) -> StoreResult<(Self, Recovery)> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -305,7 +306,10 @@ impl LogFile {
             .create(true)
             .truncate(false)
             .open(path)
-            .map_err(|e| io_err("open", &e))?;
+            .map_err(|e| StoreError::Io {
+                op: "open",
+                message: format!("{}: {e}", path.display()),
+            })?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes).map_err(|e| io_err("read", &e))?;
 

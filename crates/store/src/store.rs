@@ -392,6 +392,10 @@ mod tests {
     use clite_sim::prelude::*;
     use clite_sim::testbed::Testbed;
     use clite_telemetry::MemoryRecorder;
+    use std::sync::LazyLock;
+
+    /// One disabled context shared by every test here.
+    static OFF: LazyLock<Telemetry<'static>> = LazyLock::new(Telemetry::disabled);
 
     fn server(load: f64) -> Server {
         let jobs = vec![
@@ -456,13 +460,12 @@ mod tests {
 
     #[test]
     fn different_mix_never_hits() {
-        let none = Telemetry::disabled();
         let mut store = ObservationStore::in_memory(StorePolicy::default());
         let mut s = server(0.5);
         let cat = *Testbed::catalog(&s);
         let p = Partition::equal_share(&cat, 2).unwrap();
         let (sig, obs) = sample(&mut s, &p);
-        store.append(&sig, &p, &obs, 0.5, &none).unwrap();
+        store.append(&sig, &p, &obs, 0.5, &OFF).unwrap();
 
         let jobs = vec![
             JobSpec::latency_critical(WorkloadId::Xapian, 0.5),
@@ -474,7 +477,6 @@ mod tests {
 
     #[test]
     fn eviction_keeps_best_and_dedupes() {
-        let none = Telemetry::disabled();
         let policy = StorePolicy { entries_per_mix: 3, ..StorePolicy::default() };
         let mut store = ObservationStore::in_memory(policy);
         let mut s = server(0.5);
@@ -484,7 +486,7 @@ mod tests {
 
         // Same partition at rising scores: dedupe keeps only the best.
         for k in 0..5 {
-            store.append(&sig, &p, &obs, 0.1 * f64::from(k), &none).unwrap();
+            store.append(&sig, &p, &obs, 0.1 * f64::from(k), &OFF).unwrap();
         }
         assert_eq!(store.record_count(), 1);
         let warm = store.peek(&sig).unwrap();
@@ -495,7 +497,7 @@ mod tests {
             let pj = Partition::max_for_job(&cat, 2, j).unwrap();
             let (_, oj) = sample(&mut s, &pj);
             let score = 0.6 + f64::from(u32::try_from(j).unwrap());
-            store.append(&sig, &pj, &oj, score, &none).unwrap();
+            store.append(&sig, &pj, &oj, score, &OFF).unwrap();
         }
         assert_eq!(store.record_count(), 3);
         assert!(store.stats().evictions >= 4);
@@ -503,7 +505,6 @@ mod tests {
 
     #[test]
     fn warm_entries_capped_by_policy() {
-        let none = Telemetry::disabled();
         let policy = StorePolicy { max_warm_entries: 1, ..StorePolicy::default() };
         let mut store = ObservationStore::in_memory(policy);
         let mut s = server(0.5);
@@ -512,8 +513,8 @@ mod tests {
         let p2 = Partition::max_for_job(&cat, 2, 0).unwrap();
         let (sig, o1) = sample(&mut s, &p1);
         let (_, o2) = sample(&mut s, &p2);
-        store.append(&sig, &p1, &o1, 0.2, &none).unwrap();
-        store.append(&sig, &p2, &o2, 0.8, &none).unwrap();
+        store.append(&sig, &p1, &o1, 0.2, &OFF).unwrap();
+        store.append(&sig, &p2, &o2, 0.8, &OFF).unwrap();
         let warm = store.peek(&sig).unwrap();
         assert_eq!(warm.entries.len(), 1);
         assert_eq!(warm.entries[0].score, 0.8);
@@ -538,7 +539,6 @@ mod tests {
 
     #[test]
     fn persists_across_reopen_and_compacts() {
-        let none = Telemetry::disabled();
         let dir = std::env::temp_dir().join(format!("clite-store-reopen-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("obs.log");
@@ -549,15 +549,15 @@ mod tests {
         let (sig, obs) = sample(&mut s, &p);
         {
             let policy = StorePolicy { entries_per_mix: 1, ..StorePolicy::default() };
-            let mut store = ObservationStore::open(&path, policy, &none).unwrap();
-            store.append(&sig, &p, &obs, 0.3, &none).unwrap();
+            let mut store = ObservationStore::open(&path, policy, &OFF).unwrap();
+            store.append(&sig, &p, &obs, 0.3, &OFF).unwrap();
             let p2 = Partition::max_for_job(&cat, 2, 0).unwrap();
             let (_, o2) = sample(&mut s, &p2);
-            store.append(&sig, &p2, &o2, 0.7, &none).unwrap();
+            store.append(&sig, &p2, &o2, 0.7, &OFF).unwrap();
             store.compact().unwrap();
         }
 
-        let store = ObservationStore::open(&path, StorePolicy::default(), &none).unwrap();
+        let store = ObservationStore::open(&path, StorePolicy::default(), &OFF).unwrap();
         assert_eq!(store.stats().recovered_records, 1, "compaction kept only the best");
         assert_eq!(store.stats().dropped_bytes, 0);
         let warm = store.peek(&sig).expect("recovered hit");
@@ -569,7 +569,6 @@ mod tests {
     fn torn_tail_recovery_emits_store_recovered_event() {
         use std::io::Write;
 
-        let none = Telemetry::disabled();
         let dir = std::env::temp_dir().join(format!("clite-store-torn-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("obs.log");
@@ -579,8 +578,8 @@ mod tests {
         let p = Partition::equal_share(&cat, 2).unwrap();
         let (sig, obs) = sample(&mut s, &p);
         {
-            let mut store = ObservationStore::open(&path, StorePolicy::default(), &none).unwrap();
-            store.append(&sig, &p, &obs, 0.4, &none).unwrap();
+            let mut store = ObservationStore::open(&path, StorePolicy::default(), &OFF).unwrap();
+            store.append(&sig, &p, &obs, 0.4, &OFF).unwrap();
         }
         // Tear the log: half a frame of garbage at the tail.
         {
@@ -598,8 +597,8 @@ mod tests {
 
         // A clean log reports nothing.
         {
-            let mut clean = ObservationStore::open(&path, StorePolicy::default(), &none).unwrap();
-            clean.append(&sig, &p, &obs, 0.5, &none).unwrap();
+            let mut clean = ObservationStore::open(&path, StorePolicy::default(), &OFF).unwrap();
+            clean.append(&sig, &p, &obs, 0.5, &OFF).unwrap();
             clean.compact().unwrap();
         }
         let quiet = MemoryRecorder::new();

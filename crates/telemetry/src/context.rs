@@ -2,8 +2,6 @@
 //! engine, the policies, and the scheduler: one handle bundling an event
 //! sink with the phase stopwatch.
 
-use std::cell::RefCell;
-
 use crate::event::Event;
 use crate::profile::{OverheadReport, Phase, PhaseTimer};
 use crate::recorder::{NoopRecorder, Recorder};
@@ -12,22 +10,24 @@ static NOOP: NoopRecorder = NoopRecorder;
 
 /// A borrowed event sink plus the run's phase stopwatch.
 ///
-/// Instrumented code takes `&Telemetry`; the phase timer sits behind a
-/// `RefCell` so timing needs no `&mut` plumbing. Spans measure first and
-/// book the elapsed time after the closure returns, so nested `time`
-/// calls (e.g. a GP fit inside an engine step) are safe — though callers
-/// should keep phases non-overlapping so the report's phase totals sum to
-/// at most wall time.
+/// Instrumented code takes `&Telemetry`. The phase timer keeps atomic
+/// totals, so timing needs no `&mut` plumbing and the context is `Sync`:
+/// threaded admission hands the caller's context to every pool slot, and
+/// the probes' spans land in the caller's [`report`](Telemetry::report).
+/// Spans measure first and book the elapsed time after the closure
+/// returns, so nested `time` calls (e.g. a GP fit inside an engine step)
+/// are safe. Nested and concurrent spans both count in full, so the
+/// report's phase totals can exceed wall time.
 pub struct Telemetry<'a> {
     recorder: &'a dyn Recorder,
-    timer: RefCell<PhaseTimer>,
+    timer: PhaseTimer,
 }
 
 impl<'a> Telemetry<'a> {
     /// A context forwarding events to `recorder`.
     #[must_use]
     pub fn new(recorder: &'a dyn Recorder) -> Self {
-        Self { recorder, timer: RefCell::new(PhaseTimer::new()) }
+        Self { recorder, timer: PhaseTimer::new() }
     }
 
     /// A context that discards events; the default for uninstrumented
@@ -54,7 +54,7 @@ impl<'a> Telemetry<'a> {
         let start = std::time::Instant::now();
         let out = f();
         let elapsed = start.elapsed();
-        self.timer.borrow_mut().add(phase, elapsed);
+        self.timer.add(phase, elapsed);
         self.recorder.record(&Event::PhaseTiming {
             phase,
             nanos: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
@@ -65,7 +65,7 @@ impl<'a> Telemetry<'a> {
     /// The run's profiling summary so far.
     #[must_use]
     pub fn report(&self) -> OverheadReport {
-        self.timer.borrow().report()
+        self.timer.report()
     }
 }
 
@@ -86,6 +86,12 @@ mod tests {
         assert_eq!(report.phase(Phase::Observe).count, 2);
         assert_eq!(report.phase(Phase::GpFit).count, 0);
     }
+
+    /// Compile-time check: one context can be shared across threads.
+    const _: fn() = || {
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<Telemetry<'static>>();
+    };
 
     #[test]
     fn nested_spans_do_not_panic() {

@@ -2,6 +2,7 @@
 //! Fig. 15b breaks down: GP fit, acquisition maximization, sample
 //! observation, and scoring.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -18,9 +19,9 @@ pub enum Phase {
     Acquisition,
     /// Fanning work out over the shared `clite-par` worker pool
     /// (dispatch + barrier time of partitioned parallel sections, e.g.
-    /// threaded cluster admission probes). Nested inside the phase that
-    /// owns the work, so compare it against that phase's total rather
-    /// than adding it to wall time.
+    /// threaded cluster admission probes). The probes' own spans nest
+    /// inside it, so compare it against their totals rather than adding
+    /// it to wall time.
     ParDispatch,
     /// Evaluating a partition on the server/simulator.
     Observe,
@@ -97,7 +98,8 @@ pub struct OverheadReport {
     pub phases: Vec<PhaseCost>,
     /// Wall-clock seconds of the whole search run.
     pub wall_seconds: f64,
-    /// Fraction of wall time covered by the profiled phases.
+    /// Fraction of wall time covered by the profiled phases. Nested or
+    /// concurrent spans (threaded admission) can push it above 1.
     pub coverage: f64,
 }
 
@@ -116,10 +118,15 @@ impl OverheadReport {
 }
 
 /// Accumulating stopwatch over the search phases.
-#[derive(Debug, Clone)]
+///
+/// Totals and counts are per-phase atomics, so one timer can be shared by
+/// concurrent spans (threaded admission probes add to the caller's timer).
+/// `Relaxed` suffices: each add is independent, and readers only need the
+/// sums once the spans that produced them have been joined.
+#[derive(Debug)]
 pub struct PhaseTimer {
-    totals: [Duration; Phase::ALL.len()],
-    counts: [u64; Phase::ALL.len()],
+    nanos: [AtomicU64; Phase::ALL.len()],
+    counts: [AtomicU64; Phase::ALL.len()],
     started: Instant,
 }
 
@@ -134,20 +141,21 @@ impl PhaseTimer {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            totals: [Duration::ZERO; Phase::ALL.len()],
-            counts: [0; Phase::ALL.len()],
+            nanos: std::array::from_fn(|_| AtomicU64::new(0)),
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
             started: Instant::now(),
         }
     }
 
     /// Adds an already-measured span to `phase`.
-    pub fn add(&mut self, phase: Phase, elapsed: Duration) {
-        self.totals[phase.index()] += elapsed;
-        self.counts[phase.index()] += 1;
+    pub fn add(&self, phase: Phase, elapsed: Duration) {
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.nanos[phase.index()].fetch_add(nanos, Ordering::Relaxed);
+        self.counts[phase.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Runs `f`, attributing its wall-clock time to `phase`.
-    pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
+    pub fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let out = f();
         self.add(phase, start.elapsed());
@@ -157,7 +165,7 @@ impl PhaseTimer {
     /// Total accumulated time in `phase`.
     #[must_use]
     pub fn total(&self, phase: Phase) -> Duration {
-        self.totals[phase.index()]
+        Duration::from_nanos(self.nanos[phase.index()].load(Ordering::Relaxed))
     }
 
     /// Finalizes the report against wall time since construction.
@@ -168,8 +176,8 @@ impl PhaseTimer {
             .iter()
             .map(|&phase| PhaseCost {
                 phase,
-                total_seconds: self.totals[phase.index()].as_secs_f64(),
-                count: self.counts[phase.index()],
+                total_seconds: self.total(phase).as_secs_f64(),
+                count: self.counts[phase.index()].load(Ordering::Relaxed),
             })
             .collect();
         let profiled: f64 = phases.iter().map(|p| p.total_seconds).sum();
@@ -183,7 +191,7 @@ mod tests {
 
     #[test]
     fn timing_accumulates_per_phase() {
-        let mut t = PhaseTimer::new();
+        let t = PhaseTimer::new();
         let v = t.time(Phase::GpFit, || {
             std::thread::sleep(Duration::from_millis(2));
             7
@@ -204,7 +212,7 @@ mod tests {
 
     #[test]
     fn coverage_bounded_when_only_timing_real_spans() {
-        let mut t = PhaseTimer::new();
+        let t = PhaseTimer::new();
         for _ in 0..3 {
             t.time(Phase::Observe, || std::thread::sleep(Duration::from_millis(1)));
         }
@@ -214,7 +222,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let mut t = PhaseTimer::new();
+        let t = PhaseTimer::new();
         t.add(Phase::Acquisition, Duration::from_millis(5));
         let report = t.report();
         let text = serde_json::to_string(&report).unwrap();

@@ -17,8 +17,8 @@ use crate::metrics::MetricsRegistry;
 /// drops where they can).
 ///
 /// Recorders are `Send + Sync` so one sink can be shared by concurrent
-/// admission searches (each worker thread wraps the shared recorder in
-/// its own thread-local [`Telemetry`](crate::Telemetry) context); the
+/// admission searches (threaded admission hands one
+/// [`Telemetry`](crate::Telemetry) context to every pool slot); the
 /// standard sinks already serialize internally through mutexes.
 pub trait Recorder: Send + Sync {
     /// Consumes one event.

@@ -11,6 +11,7 @@
 use clite_repro::cluster::placement::PlacementPolicy;
 use clite_repro::cluster::scheduler::{ClusterScheduler, SchedulerConfig};
 use clite_repro::sim::prelude::*;
+use clite_repro::telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,10 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
 
+        let telemetry = Telemetry::disabled();
         for spec in arrivals {
             let name = spec.workload.name();
             let load = spec.load.at(0.0);
-            match cluster.submit(spec)? {
+            match cluster.submit(spec, &telemetry)? {
                 Some(p) => println!(
                     "[{:<12}] {:<13} load {:>3.0}% -> node {}",
                     policy.name(),

@@ -13,7 +13,9 @@
 //!   adaptation);
 //! * [`policies`] — PARTIES, Heracles, RAND+, GENETIC, ORACLE baselines;
 //! * [`cluster`] — warehouse-scale placement built on the controller;
-//! * [`learn`] — trained placement scoring for fleet admission.
+//! * [`learn`] — trained placement scoring for fleet admission;
+//! * [`telemetry`] — the event bus and the phase-timing context every
+//!   instrumented entry point takes.
 //!
 //! See the repository `README.md` for a quickstart and `DESIGN.md` for the
 //! full system inventory.
@@ -27,3 +29,4 @@ pub use clite_learn as learn;
 pub use clite_par as par;
 pub use clite_policies as policies;
 pub use clite_sim as sim;
+pub use clite_telemetry as telemetry;

@@ -12,6 +12,7 @@ use clite_repro::core::score::{score_observation, ScoreMode};
 use clite_repro::sim::prelude::*;
 use clite_repro::sim::resource::ResourceKind;
 use clite_repro::sim::workload::WorkloadId as W;
+use clite_repro::telemetry::Telemetry;
 
 fn server(jobs: Vec<JobSpec>, seed: u64) -> Server {
     Server::new(ResourceCatalog::testbed(), jobs, seed).unwrap()
@@ -116,15 +117,16 @@ fn bo_engine_on_real_server_objective() {
     );
     let space = SearchSpace::new(*srv.catalog(), 2).unwrap();
     let mut engine = BoEngine::new(space, BoConfig::default(), 11);
+    let telemetry = Telemetry::disabled();
     for p in engine.bootstrap_samples().unwrap() {
         let y = score_observation(&srv.observe(&p)).value;
-        engine.record(p, y);
+        engine.record(p, y, &telemetry);
     }
     let bootstrap_best = engine.best().unwrap().1;
     for _ in 0..15 {
-        let s = engine.suggest(None).unwrap();
+        let s = engine.suggest(None, &telemetry).unwrap();
         let y = score_observation(&srv.observe(&s.partition)).value;
-        engine.record(s.partition, y);
+        engine.record(s.partition, y, &telemetry);
     }
     assert!(engine.best().unwrap().1 >= bootstrap_best);
 }
