@@ -251,11 +251,19 @@ if [[ "${1:-}" != "quick" ]]; then
     # layerbench checks its own outputs (recovered == uninterrupted run,
     # a waterfall whose layer self times are non-negative and add up)
     # and prints `"correct": true` on its last line only if they hold.
+    # The seed-42 checkpoint and journal byte counts are pinned: any change
+    # to what a checkpoint or journal entry writes fails here by name.
     step "layerbench fleet-wide-durable --trace 1 smoke test"
     cargo run --release --offline --quiet --manifest-path layerbench/Cargo.toml -- \
         --workload fleet-wide-durable --seed 42 --seconds 1 --trace 1 \
         > "$store_tmp/layerbench.txt"
-    tail -n 1 "$store_tmp/layerbench.txt" | grep -q '"correct": true'
+    wide_last="$(tail -n 1 "$store_tmp/layerbench.txt")"
+    grep -q '"correct": true' <<< "$wide_last"
+    for pin in cluster.checkpoint.calls:375 cluster.checkpoint.bytes:114424848 \
+        store.journal.bytes:87099; do
+        grep -qF "\"${pin%%:*}\": {\"value\": ${pin##*:}.0," <<< "$wide_last" \
+            || { echo "fleet-wide-durable bytes moved: expected $pin"; exit 1; }
+    done
 
     # Traced mix-search smoke test: the paper-mix searches must stay
     # correct and keep their per-layer call counts at seed 42 (the gate of

@@ -72,7 +72,10 @@ pub struct Node<F: TestbedFactory = ServerFactory> {
     catalog: ResourceCatalog,
     seed: u64,
     factory: F,
-    jobs: Vec<PlacedJob>,
+    /// The committed jobs, shared with every snapshot taken since the
+    /// commit that installed them; rebuilt on a commit (admission,
+    /// removal, load shift), never mutated while a snapshot holds them.
+    jobs: Arc<[PlacedJob]>,
     /// The committed outcome, shared with every snapshot taken since the
     /// commit that installed it; replaced, never mutated.
     last_outcome: Option<Arc<CommittedOutcome>>,
@@ -101,7 +104,7 @@ impl<F: TestbedFactory> Node<F> {
             catalog,
             seed,
             factory,
-            jobs: Vec::new(),
+            jobs: Arc::default(),
             last_outcome: None,
             searches_run: 0,
             samples_spent: 0,
@@ -111,9 +114,9 @@ impl<F: TestbedFactory> Node<F> {
         }
     }
 
-    /// Captures the node's restorable state for a fleet checkpoint: jobs,
-    /// the committed outcome (shared, not copied), and the seed/commit
-    /// bookkeeping future search seeds derive from.
+    /// Captures the node's restorable state for a fleet checkpoint: the
+    /// jobs and the committed outcome (both shared, not copied), and the
+    /// seed/commit bookkeeping future search seeds derive from.
     #[must_use]
     pub fn snapshot(&self) -> NodeSnapshot {
         NodeSnapshot {
@@ -123,7 +126,7 @@ impl<F: TestbedFactory> Node<F> {
             commits: self.commits,
             searches_run: self.searches_run,
             samples_spent: self.samples_spent,
-            jobs: self.jobs.iter().map(|j| (j.id, j.spec.clone())).collect(),
+            jobs: Arc::clone(&self.jobs),
             last_outcome: self.last_outcome.clone(),
         }
     }
@@ -138,7 +141,7 @@ impl<F: TestbedFactory> Node<F> {
             catalog,
             seed: snap.seed,
             factory,
-            jobs: snap.jobs.into_iter().map(|(id, spec)| PlacedJob { id, spec }).collect(),
+            jobs: snap.jobs,
             last_outcome: snap.last_outcome,
             searches_run: snap.searches_run,
             samples_spent: snap.samples_spent,
@@ -201,7 +204,7 @@ impl<F: TestbedFactory> Node<F> {
     pub fn mark_dead(&mut self) -> Vec<PlacedJob> {
         self.alive = false;
         self.last_outcome = None;
-        std::mem::take(&mut self.jobs)
+        std::mem::take(&mut self.jobs).to_vec()
     }
 
     /// The most recent CLITE outcome for the committed job set (`None`
@@ -358,7 +361,7 @@ impl<F: TestbedFactory> Node<F> {
     /// future warm starts. Discarded plans never reach the store.
     pub fn commit_admission(&mut self, plan: AdmissionPlan) {
         self.store_samples(plan.signature.as_ref(), &plan.outcome);
-        self.jobs.push(plan.job);
+        self.jobs = self.jobs.iter().cloned().chain([plan.job]).collect();
         self.install(plan.outcome);
         self.commits += 1;
     }
@@ -406,7 +409,9 @@ impl<F: TestbedFactory> Node<F> {
         telemetry: &Telemetry<'_>,
     ) -> Result<(), ClusterError> {
         let idx = self.job_position(job_id)?;
-        self.jobs.remove(idx);
+        let mut jobs = self.jobs.to_vec();
+        jobs.remove(idx);
+        self.jobs = jobs.into();
         self.commits += 1;
         if self.jobs.is_empty() {
             self.last_outcome = None;
@@ -434,7 +439,7 @@ impl<F: TestbedFactory> Node<F> {
         telemetry: &Telemetry<'_>,
     ) -> Result<(), ClusterError> {
         let idx = self.job_position(job_id)?;
-        self.jobs[idx].spec.load = load;
+        Arc::make_mut(&mut self.jobs)[idx].spec.load = load;
         self.commits += 1;
         self.repartition(config, telemetry)
     }
@@ -603,6 +608,60 @@ mod tests {
             warm_two_job < cold_two_job,
             "warm re-admission spent {warm_two_job} windows, cold spent {cold_two_job}"
         );
+    }
+
+    /// The checkpoint bytes of a fleet holding only `snap`.
+    fn checkpoint_bytes(snap: &NodeSnapshot) -> Vec<u8> {
+        use crate::wire::{encode_checkpoint, FleetCheckpoint, SchedulerSnapshot};
+        encode_checkpoint(&FleetCheckpoint {
+            seqno: 0,
+            clock_now: 0,
+            solved_epoch: None,
+            target_pct: None,
+            counters: crate::fleet::FleetCounters::default(),
+            placements: Vec::new(),
+            debt: Vec::new(),
+            scheduler: SchedulerSnapshot {
+                next_job_id: 0,
+                rejected: 0,
+                replaced: 0,
+                base_seed: 0,
+                nodes: vec![snap.clone()],
+            },
+        })
+    }
+
+    #[test]
+    fn snapshots_share_the_job_list_and_keep_their_bytes_across_commits() {
+        let mut n = node();
+        assert!(admit(&mut n, 1, lc(WorkloadId::Memcached, 0.2)));
+        assert!(admit(&mut n, 2, lc(WorkloadId::Xapian, 0.2)));
+        let first = n.snapshot();
+        assert!(Arc::ptr_eq(&first.jobs, &n.jobs), "a snapshot shares the node's jobs");
+        assert!(Arc::ptr_eq(&n.snapshot().jobs, &first.jobs), "and so does the next one");
+        let first_bytes = checkpoint_bytes(&first);
+
+        // Each kind of commit on the live node leaves every earlier
+        // snapshot's bytes as they were, and moves the node's own.
+        type Commit = fn(&mut Node);
+        let commits: [(&str, Commit); 3] = [
+            ("load shift", |n| {
+                let load = LoadSchedule::Constant(0.3);
+                n.update_load(1, load, &CliteConfig::default(), &OFF).unwrap();
+            }),
+            ("admission", |n| assert!(admit(n, 3, lc(WorkloadId::Memcached, 0.1)))),
+            ("removal", |n| remove(n, 2).unwrap()),
+        ];
+        for (kind, commit) in commits {
+            let before = n.snapshot();
+            let before_bytes = checkpoint_bytes(&before);
+            commit(&mut n);
+            assert_eq!(checkpoint_bytes(&before), before_bytes, "{kind} changed a snapshot");
+            assert_eq!(checkpoint_bytes(&first), first_bytes, "{kind} changed the first snapshot");
+            assert!(!Arc::ptr_eq(&before.jobs, &n.jobs), "{kind} wrote through a shared list");
+            assert_ne!(checkpoint_bytes(&n.snapshot()), before_bytes, "{kind} committed nothing");
+        }
+        assert_eq!(n.jobs().iter().map(|j| j.id).collect::<Vec<_>>(), [1, 3]);
     }
 
     #[test]

@@ -41,6 +41,7 @@ use clite_store::codec::{
 
 use crate::event::{FleetEvent, TimedEvent};
 use crate::fleet::FleetCounters;
+use crate::node::PlacedJob;
 
 /// Checkpoint blob magic (8 bytes, mirrors the `CLITESTO` log magic).
 pub const CKPT_MAGIC: &[u8; 8] = b"CLITECKP";
@@ -387,8 +388,8 @@ pub struct NodeSnapshot {
     pub searches_run: usize,
     /// Observation windows spent.
     pub samples_spent: u64,
-    /// Committed jobs in placement order, as `(id, spec)` pairs.
-    pub jobs: Vec<(u64, JobSpec)>,
+    /// Committed jobs in placement order, shared with the node.
+    pub jobs: Arc<[PlacedJob]>,
     /// The committed outcome, if any, shared with the node.
     pub last_outcome: Option<Arc<CommittedOutcome>>,
 }
@@ -478,9 +479,9 @@ pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
         put_u64(buf, n.commits);
         put_usize(buf, n.searches_run);
         put_u64(buf, n.samples_spent);
-        put_seq(buf, &n.jobs, |buf, (id, spec)| {
-            put_u64(buf, *id);
-            put_job_spec(buf, spec);
+        put_seq(buf, &n.jobs, |buf, job| {
+            put_u64(buf, job.id);
+            put_job_spec(buf, &job.spec);
         });
         put_opt(buf, n.last_outcome.as_ref(), |buf, o| buf.extend_from_slice(o.wire_bytes()));
     });
@@ -531,7 +532,11 @@ pub fn decode_checkpoint(payload: &[u8]) -> Result<FleetCheckpoint, DecodeError>
                 commits: r.u64("commits")?,
                 searches_run: read_usize(r, "searches run")?,
                 samples_spent: r.u64("samples spent")?,
-                jobs: r.seq(MAX_VEC, "job count", |r| Ok((r.u64("job id")?, read_job_spec(r)?)))?,
+                jobs: r
+                    .seq(MAX_VEC, "job count", |r| {
+                        Ok(PlacedJob { id: r.u64("job id")?, spec: read_job_spec(r)? })
+                    })?
+                    .into(),
                 last_outcome: r.opt("outcome presence", |r| {
                     Ok(Arc::new(CommittedOutcome::new(read_outcome(r, catalog)?)))
                 })?,
@@ -639,7 +644,10 @@ mod tests {
                     commits: 3,
                     searches_run: 4,
                     samples_spent: 61,
-                    jobs: vec![(2, JobSpec::latency_critical(WorkloadId::Memcached, 0.3))],
+                    jobs: Arc::new([PlacedJob {
+                        id: 2,
+                        spec: JobSpec::latency_critical(WorkloadId::Memcached, 0.3),
+                    }]),
                     last_outcome: None,
                 }],
             },

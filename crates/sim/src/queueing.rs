@@ -25,6 +25,8 @@
 //! are just barely co-locatable with ideal partitioning, matching the
 //! paper's Fig. 7 feasibility boundary).
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::perf::{capacity_qps, isolation_time_us};
@@ -236,12 +238,29 @@ impl QosSpec {
     /// located on *that model's* isolation curve: Erlang-C on many servers
     /// stays flat far longer than processor sharing, so its knee (and
     /// therefore its maximum load) sits at higher utilization.
+    ///
+    /// The spec of a workload's own profile on the testbed under the
+    /// default tail is computed once per workload and then read from a
+    /// table: every server build and every learned arrival asks for it,
+    /// and each derivation scans a 400-point curve. Any other input is
+    /// derived afresh.
     #[must_use]
     pub fn derive_with(
         profile: &WorkloadProfile,
         catalog: &ResourceCatalog,
         config: TailConfig,
     ) -> Self {
+        static DEFAULTS: [OnceLock<QosSpec>; WorkloadId::ALL.len()] =
+            [const { OnceLock::new() }; WorkloadId::ALL.len()];
+        if is_default_input(profile, catalog, config) {
+            *DEFAULTS[profile.id as usize].get_or_init(|| Self::compute(profile, catalog, config))
+        } else {
+            Self::compute(profile, catalog, config)
+        }
+    }
+
+    /// [`QosSpec::derive_with`] without the table.
+    fn compute(profile: &WorkloadProfile, catalog: &ResourceCatalog, config: TailConfig) -> Self {
         let t_iso = isolation_time_us(profile, catalog);
         let cores = catalog.all_units()[0];
         let mu = capacity_qps(t_iso, cores);
@@ -266,6 +285,20 @@ impl QosSpec {
     pub fn met_by(&self, observed_p95_us: f64) -> bool {
         observed_p95_us <= self.target_us
     }
+}
+
+/// Whether [`QosSpec::derive_with`] may read its table: the workload's
+/// own profile bit for bit, the testbed catalog and the default tail.
+fn is_default_input(
+    profile: &WorkloadProfile,
+    catalog: &ResourceCatalog,
+    config: TailConfig,
+) -> bool {
+    let tail = TailConfig::default();
+    *catalog == ResourceCatalog::testbed()
+        && config.model == tail.model
+        && config.quantile.to_bits() == tail.quantile.to_bits()
+        && profile.bits() == WorkloadProfile::of(profile.id).bits()
 }
 
 /// One point of an isolation QPS-vs-p95 sweep.
@@ -418,6 +451,62 @@ mod tests {
             let other = QosSpec::derive(w, &catalog);
             assert!(mem.max_qps > other.max_qps, "memcached should sustain more QPS than {w}");
         }
+    }
+
+    /// A spec's fields as bit patterns.
+    fn spec_bits(s: QosSpec) -> (WorkloadId, [u64; 3]) {
+        (s.workload, [s.target_us, s.max_qps, s.unloaded_p95_us].map(f64::to_bits))
+    }
+
+    #[test]
+    fn the_default_spec_table_returns_the_derived_bits() {
+        let tails =
+            [TailConfig::default(), TailConfig { model: TailModel::ErlangC, quantile: 0.95 }];
+        for catalog in [ResourceCatalog::testbed(), ResourceCatalog::coarse()] {
+            for tail in tails {
+                for w in WorkloadId::ALL {
+                    let p = w.profile();
+                    let fresh = spec_bits(QosSpec::compute(&p, &catalog, tail));
+                    // The first call may fill the table; the second reads it.
+                    for call in 0..2 {
+                        let got = spec_bits(QosSpec::derive_with(&p, &catalog, tail));
+                        assert_eq!(got, fresh, "{w} on {catalog:?} under {tail:?}, call {call}");
+                    }
+                    if tail == TailConfig::default() {
+                        assert_eq!(spec_bits(QosSpec::derive(w, &catalog)), fresh, "{w}");
+                        assert_eq!(spec_bits(QosSpec::derive_from_profile(&p, &catalog)), fresh);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_workloads_own_profile_on_the_default_inputs_reads_the_table() {
+        let catalog = ResourceCatalog::testbed();
+        let tail = TailConfig::default();
+        let own = WorkloadId::Memcached.profile();
+        assert!(is_default_input(&own, &catalog, tail));
+        assert!(!is_default_input(&own, &ResourceCatalog::coarse(), tail));
+        for other in [
+            TailConfig { model: TailModel::ErlangC, quantile: 0.95 },
+            TailConfig { model: TailModel::ProcessorSharing, quantile: 0.99 },
+        ] {
+            assert!(!is_default_input(&own, &catalog, other), "{other:?}");
+        }
+        // An override bypasses the table, even one that `==` cannot tell
+        // from the workload's own profile.
+        let heavier = WorkloadProfile { cpu_time_us: own.cpu_time_us * 2.0, ..own };
+        let signed_zero = WorkloadProfile { disk_time_us: -0.0, ..own };
+        assert_eq!(own.disk_time_us.to_bits(), 0.0f64.to_bits());
+        assert_eq!(signed_zero, own);
+        for p in [heavier, signed_zero] {
+            assert!(!is_default_input(&p, &catalog, tail), "{p:?}");
+        }
+        let own_spec = QosSpec::derive_with(&own, &catalog, tail);
+        let spec = QosSpec::derive_with(&heavier, &catalog, tail);
+        assert_eq!(spec_bits(spec), spec_bits(QosSpec::compute(&heavier, &catalog, tail)));
+        assert!(spec.max_qps < own_spec.max_qps, "a slower job sustains less load");
     }
 
     #[test]

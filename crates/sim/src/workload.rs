@@ -232,6 +232,43 @@ pub struct WorkloadProfile {
 }
 
 impl WorkloadProfile {
+    /// The profile as bit patterns: two profiles' bits are equal exactly
+    /// when every field is the same bit for bit (unlike `==`, which
+    /// equates `0.0` with `-0.0` and never `NaN` with itself).
+    #[must_use]
+    pub(crate) fn bits(&self) -> (WorkloadId, [u64; 12]) {
+        let Self {
+            id,
+            cpu_time_us,
+            parallel_frac,
+            mem_time_us,
+            disk_time_us,
+            hit_max,
+            ways_sat,
+            working_set_frac,
+            thrash_exp,
+            mem_intensity,
+            disk_intensity,
+            net_time_us,
+            net_intensity,
+        } = *self;
+        let fields = [
+            cpu_time_us,
+            parallel_frac,
+            mem_time_us,
+            disk_time_us,
+            hit_max,
+            ways_sat,
+            working_set_frac,
+            thrash_exp,
+            mem_intensity,
+            disk_intensity,
+            net_time_us,
+            net_intensity,
+        ];
+        (id, fields.map(f64::to_bits))
+    }
+
     /// Profile constants for one workload.
     ///
     /// These are hand-calibrated so that each benchmark's dominant

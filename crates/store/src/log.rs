@@ -91,39 +91,53 @@ fn xxh_merge(acc: u64, lane: u64) -> u64 {
     (acc ^ xxh_round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
 }
 
+/// The little-endian `u64` at byte `at` of a 32-byte stripe.
+#[inline]
+fn lane(stripe: &[u8; 32], at: usize) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(&stripe[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
 /// xxHash64 of `bytes` with seed 0: the checksum of [`REC_MAGIC`] frames.
 ///
-/// Four independent lanes consume 32-byte stripes, so the multiplies
-/// overlap instead of forming one serial chain as in [`fnv1a64`].
+/// Four scalar accumulators consume 32-byte stripes, each loading its
+/// lane at a fixed offset of a `[u8; 32]` chunk, so the stripe loop has
+/// no bounds checks and the four multiply chains are independent. Keep
+/// that shape: a loop that mapped over a lane array and sliced each lane
+/// with `try_into` hashed about 2 GB/s as the benchmark builds it
+/// (150–180 µs over a 328 KB checkpoint on a 2-vCPU x86-64 VM), where
+/// this one takes about 40 µs.
 #[must_use]
 pub fn xxh64(bytes: &[u8]) -> u64 {
-    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
-    let mut stripes = bytes.chunks_exact(32);
-    let mut acc = if bytes.len() >= 32 {
-        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
-        for stripe in &mut stripes {
-            v = [0, 1, 2, 3].map(|i| xxh_round(v[i], word(stripe, 8 * i)));
-        }
-        let acc = v[0]
-            .rotate_left(1)
-            .wrapping_add(v[1].rotate_left(7))
-            .wrapping_add(v[2].rotate_left(12))
-            .wrapping_add(v[3].rotate_left(18));
-        v.into_iter().fold(acc, xxh_merge)
-    } else {
+    let (stripes, mut tail) = bytes.as_chunks::<32>();
+    let mut acc = if stripes.is_empty() {
         P5
+    } else {
+        let (mut v1, mut v2, mut v3, mut v4) = (P1.wrapping_add(P2), P2, 0, P1.wrapping_neg());
+        for stripe in stripes {
+            v1 = xxh_round(v1, lane(stripe, 0));
+            v2 = xxh_round(v2, lane(stripe, 8));
+            v3 = xxh_round(v3, lane(stripe, 16));
+            v4 = xxh_round(v4, lane(stripe, 24));
+        }
+        let acc = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        [v1, v2, v3, v4].into_iter().fold(acc, xxh_merge)
     };
     acc = acc.wrapping_add(bytes.len() as u64);
-    let mut tail = stripes.remainder();
-    while let Some((lane, rest)) = tail.split_first_chunk::<8>() {
-        acc = (acc ^ xxh_round(0, u64::from_le_bytes(*lane)))
+    while let Some((word, rest)) = tail.split_first_chunk::<8>() {
+        acc = (acc ^ xxh_round(0, u64::from_le_bytes(*word)))
             .rotate_left(27)
             .wrapping_mul(P1)
             .wrapping_add(P4);
         tail = rest;
     }
-    if let Some((lane, rest)) = tail.split_first_chunk::<4>() {
-        acc = (acc ^ u64::from(u32::from_le_bytes(*lane)).wrapping_mul(P1))
+    if let Some((word, rest)) = tail.split_first_chunk::<4>() {
+        acc = (acc ^ u64::from(u32::from_le_bytes(*word)).wrapping_mul(P1))
             .rotate_left(23)
             .wrapping_mul(P2)
             .wrapping_add(P3);
@@ -493,6 +507,25 @@ mod tests {
                 let input = &bytes[..len];
                 assert_eq!(xxh64(input), xxh64_spec(input, 0), "round {round}, len {len}");
             }
+        }
+    }
+
+    #[test]
+    fn xxh64_matches_the_spec_on_a_checkpoint_sized_buffer_from_every_alignment() {
+        // The stripe loop reads fixed-size chunks: every start offset
+        // within a stripe must hash as the byte-wise transcription does.
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let mut bytes = vec![0u8; 300 * 1024 + 64];
+        rng.fill_bytes(&mut bytes);
+        for start in 0..32 {
+            let input = &bytes[start..start + 300 * 1024 + start % 5];
+            assert_eq!(xxh64(input), xxh64_spec(input, 0), "start {start}");
+        }
+        // Short inputs at an odd address: every length up to 8 stripes.
+        for len in 0..=256 {
+            let input = &bytes[1..1 + len];
+            assert_eq!(xxh64(input), xxh64_spec(input, 0), "odd start, len {len}");
         }
     }
 

@@ -3,7 +3,7 @@
 #
 #   scripts/layerbench_ab.sh [options] PARENT CHANGE OUT.jsonl
 #
-#     --work DIR        where the two source copies are built
+#     --work DIR        where both revisions are built and their binaries kept
 #                       (default: .bench_build under the repository root)
 #     --workload W      workload to run; repeat for several
 #                       (default: all three)
@@ -15,13 +15,18 @@
 # it and pass `$(git stash create)` as CHANGE; pass the same revision
 # twice for an A/A run.
 #
-# Each revision is exported with `git archive` into DIR/parent and
-# DIR/change. The two paths have the same length, because source paths
-# are embedded in the binary and a longer path shifts code layout. Both
-# copies build layerbench in release mode, and a copy whose revision has
-# not changed is reused. For each workload, the runs of each seed form a
-# pair, and which arm runs first alternates from seed to seed. Every run
-# appends one line to OUT.jsonl:
+# Both revisions are built in turn at one source path, DIR/src: each is
+# exported there with `git archive`, built from clean in release mode, and
+# its binary copied to DIR/bin/parent or DIR/bin/change. One path is
+# needed because source paths are embedded in the binary: two copies of
+# one revision built in DIR/parent and DIR/change, paths of the same
+# length, gave binaries of different sizes, while two clean builds at one
+# path gave identical ones. When PARENT and CHANGE are the same revision,
+# the script compares the two binaries and fails if they differ. A binary
+# whose revision has not changed is reused. Every run starts from DIR/run.
+# For each workload, the runs of each seed form a pair, and which arm
+# runs first alternates from seed to seed. Every run appends one line to
+# OUT.jsonl:
 #
 #   {"arm":"parent","rev":"<sha>","workload":"...","seed":N,"seconds":S,
 #    "trace":T,"first":true,"report":<layerbench's JSON line>}
@@ -58,25 +63,30 @@ mkdir -p "$work" "$(dirname "$out")"
 work=$(realpath "$work")
 
 declare -A rev
-# Exports revision $2 into $work/$1 and builds its layerbench.
+# Builds revision $2 at $work/src and copies its layerbench to
+# $work/bin/$1, unless that binary is already of revision $2.
 build() {
-    local arm=$1 dir=$work/$1
+    local arm=$1 src=$work/src bin=$work/bin/$1
     rev[$arm]=$(git -C "$root" rev-parse --verify "$2^{commit}")
-    if [[ "$(cat "$dir/.ab-rev" 2>/dev/null)" != "${rev[$arm]}" ]]; then
-        rm -rf "$dir"
-        mkdir -p "$dir"
-        git -C "$root" archive --format=tar "${rev[$arm]}" | tar -x -C "$dir"
-        echo "${rev[$arm]}" >"$dir/.ab-rev"
+    if [[ -x "$bin/layerbench" && "$(cat "$bin/.ab-rev" 2>/dev/null)" == "${rev[$arm]}" ]]; then
+        echo "layerbench_ab: reusing $arm (${rev[$arm]:0:12}) from $bin" >&2
+        return
     fi
-    echo "layerbench_ab: building $arm (${rev[$arm]:0:12}) in $dir" >&2
-    cargo build --release --offline --quiet --manifest-path "$dir/layerbench/Cargo.toml"
+    rm -rf "$src" "$bin"
+    mkdir -p "$src" "$bin"
+    git -C "$root" archive --format=tar "${rev[$arm]}" | tar -x -C "$src"
+    echo "layerbench_ab: building $arm (${rev[$arm]:0:12}) in $src" >&2
+    cargo build --release --offline --quiet --manifest-path "$src/layerbench/Cargo.toml" \
+        --target-dir "$src/layerbench/target"
+    cp "$src/layerbench/target/release/layerbench" "$bin/layerbench"
+    echo "${rev[$arm]}" >"$bin/.ab-rev"
 }
 
 # Runs one arm on one workload and seed, appending its line to $out.
 run() {
     local arm=$1 workload=$2 seed=$3 first=$4 line
     echo "layerbench_ab: $workload seed $seed $arm" >&2
-    line=$(cd "$work/$arm" && ./layerbench/target/release/layerbench --workload "$workload" \
+    line=$(cd "$work/run" && "../bin/$arm/layerbench" --workload "$workload" \
         --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1)
     printf '{"arm":"%s","rev":"%s","workload":"%s","seed":%s,"seconds":%s,"trace":%s,"first":%s,"report":%s}\n' \
         "$arm" "${rev[$arm]}" "$workload" "$seed" "$seconds" "$trace" "$first" "$line" >>"$out"
@@ -84,6 +94,12 @@ run() {
 
 build parent "$1"
 build change "$2"
+if [[ "${rev[parent]}" == "${rev[change]}" ]] &&
+    ! cmp -s "$work/bin/parent/layerbench" "$work/bin/change/layerbench"; then
+    echo "layerbench_ab: two builds of ${rev[parent]:0:12} differ; the arms are not comparable" >&2
+    exit 1
+fi
+mkdir -p "$work/run"
 for workload in "${workloads[@]}"; do
     i=0
     for seed in $seeds; do
