@@ -82,6 +82,14 @@ if [[ "${1:-}" != "quick" ]]; then
             cargo test -p clite-bo --test bound_ordered_step --release -q
         CLITE_PAR_THREADS=$pool_size \
             cargo test -p clite-gp --release -q hyper::tests::threaded_scan
+        # The hyper-grid scan that finishes only its winner == a full fit
+        # per grid point, and the one-pass learned ranking == the ranking
+        # it replaced, bit for bit (headroom_memo runs in clite-learn's
+        # suite below).
+        CLITE_PAR_THREADS=$pool_size \
+            cargo test -p clite-gp --test hyper_scan --release -q
+        CLITE_PAR_THREADS=$pool_size \
+            cargo test -p clite-cluster --lib --release -q learned::tests
         CLITE_PAR_THREADS=$pool_size \
             cargo test -p clite-cluster --test threaded --release -q
         # Training determinism: same seed => bit-identical weights at
@@ -252,7 +260,11 @@ if [[ "${1:-}" != "quick" ]]; then
     # a waterfall whose layer self times are non-negative and add up)
     # and prints `"correct": true` on its last line only if they hold.
     # The seed-42 checkpoint and journal byte counts are pinned: any change
-    # to what a checkpoint or journal entry writes fails here by name.
+    # to what a checkpoint or journal entry writes fails here by name. So
+    # are the seed-42 call counts of the layers the traced pass estimates
+    # by calling again: one candidate ordering per arrival, one headroom
+    # prediction per scored candidate with a trace, one hyper-grid fit per
+    # search. A cache beside those calls would move them.
     step "layerbench fleet-wide-durable --trace 1 smoke test"
     cargo run --release --offline --quiet --manifest-path layerbench/Cargo.toml -- \
         --workload fleet-wide-durable --seed 42 --seconds 1 --trace 1 \
@@ -263,6 +275,10 @@ if [[ "${1:-}" != "quick" ]]; then
         store.journal.bytes:87099; do
         grep -qF "\"${pin%%:*}\": {\"value\": ${pin##*:}.0," <<< "$wide_last" \
             || { echo "fleet-wide-durable bytes moved: expected $pin"; exit 1; }
+    done
+    for pin in cluster.order.calls:1482 learn.headroom.calls:594969 gp.fit.calls:1997; do
+        grep -qF "\"${pin%%:*}\": {\"value\": ${pin##*:}.0," <<< "$wide_last" \
+            || { echo "fleet-wide-durable count moved: expected $pin"; exit 1; }
     done
 
     # Traced mix-search smoke test: the paper-mix searches must stay

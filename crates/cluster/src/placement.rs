@@ -87,12 +87,12 @@ impl PlacementPolicy {
     ) -> CandidateOrder {
         let capacity = nodes.iter().filter(|n| n.has_capacity_for_one_more()).map(Node::id);
         if let PlacementPolicy::Learned { model } = self {
-            // Scored straight off the capacity filter: one scored `Vec`
-            // and the id order are all an arrival allocates.
+            // Scored straight off the capacity filter, with no candidate
+            // list in between.
             let ranked = learned::ranked(model, job, nodes, capacity, stats);
-            let scored = ranked.first().map(|&(_, best, _)| (ranked.len(), best));
+            let scored = ranked.first().map(|&(_, best)| (ranked.len(), best));
             return CandidateOrder {
-                order: ranked.into_iter().map(|(id, ..)| id).collect(),
+                order: ranked.into_iter().map(|(id, _)| id).collect(),
                 scored,
             };
         }

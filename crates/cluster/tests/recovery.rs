@@ -255,9 +255,16 @@ fn deadline_bounds_every_protected_admission_under_a_burst() {
         OverloadConfig { shed_backlog: Some(4), shed_window_debt: None, debt_horizon: 8 };
     protected.scheduler.deadline_samples = Some(deadline);
     // The deadline is checked before each candidate, so one in-flight
-    // search may finish past it. A search is capped at `max_iterations`
-    // plus a bootstrap no longer than that, so this is a structural worst
-    // case, not a tuned constant.
+    // search may finish past it. This bound is not a structural worst
+    // case: a search spends its bootstrap, up to `max_iterations` BO
+    // samples and up to three confirmation windows, and when confirmation
+    // demotes the incumbent it runs a second BO pass and confirmation
+    // (plus any quarantined windows). In the 3-node fixture below one such
+    // resumed search spends 72 windows: 6 bootstrap, 2 × 30 BO and 2 × 3
+    // confirmation, none quarantined. On this trace no search resumes —
+    // the costliest spends 38 (5 + 30 + 3) — so the bound holds with room,
+    // and a change that makes a search here resume would show up as a
+    // failure.
     let bound = deadline + 2 * protected.scheduler.clite.termination.max_iterations as u64;
 
     let (costs, shed) = arrival_costs(protected, &trace);

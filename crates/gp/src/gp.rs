@@ -178,7 +178,9 @@ pub struct GaussianProcess {
     log_marginal: f64,
 }
 
-fn validate(xs: &[Vec<f64>], ys: &[f64]) -> Result<usize, GpError> {
+/// Checks a training set: non-empty, one target per input, one
+/// dimension, every value finite. Returns the dimension.
+pub(crate) fn validate(xs: &[Vec<f64>], ys: &[f64]) -> Result<usize, GpError> {
     if xs.is_empty() {
         return Err(GpError::EmptyTrainingSet);
     }
@@ -251,39 +253,15 @@ impl GaussianProcess {
         config: GpConfig,
         xs: Arc<Vec<Vec<f64>>>,
         ys: Arc<Vec<f64>>,
-        mut gram: Matrix,
+        gram: Matrix,
     ) -> Result<Self, GpError> {
         validate(&xs, &ys)?;
         let n = xs.len();
         if gram.rows() != n || gram.cols() != n {
             return Err(GpError::ShapeMismatch { op: "fit_with_gram" });
         }
-
-        let mean_y = ys.iter().sum::<f64>() / n as f64;
-        let centered: Vec<f64> = ys.iter().map(|y| y - mean_y).collect();
-
-        gram.add_diagonal(config.noise_variance.max(0.0));
-        let row_sums: Vec<f64> =
-            (0..n).map(|i| (0..n).map(|j| gram[(i, j)]).sum::<f64>()).collect();
-        let inf_norm = row_sums.iter().fold(0.0_f64, |m, &s| m.max(s));
-        let chol = Cholesky::decompose(&gram)?;
-        let alpha = chol.solve(&centered)?;
-        let log_marginal = log_marginal(&centered, &alpha, &chol);
-        let scaled_xs = ScaledColumns::build(&kernel, &xs);
-
-        Ok(Self {
-            kernel,
-            config,
-            xs,
-            ys,
-            scaled_xs,
-            row_sums,
-            inf_norm,
-            mean_y,
-            alpha,
-            chol,
-            log_marginal,
-        })
+        let targets = Centered::new(&ys);
+        Ok(GramFit::new(kernel, config, &targets, gram)?.finish(config, xs, ys, &targets))
     }
 
     /// Returns a new GP with one extra observation `(x, y)`, reusing this
@@ -624,6 +602,86 @@ impl GaussianProcess {
     }
 }
 
+/// Training targets with their empirical mean removed — the constant-mean
+/// GP's regression targets, shared by every grid point of a scan.
+pub(crate) struct Centered {
+    mean: f64,
+    values: Vec<f64>,
+}
+
+impl Centered {
+    pub(crate) fn new(ys: &[f64]) -> Self {
+        let mean = ys.iter().sum::<f64>() / ys.len() as f64;
+        Self { mean, values: ys.iter().map(|y| y - mean).collect() }
+    }
+}
+
+/// The part of a fit that ranks it: the factor of the noisy Gram matrix
+/// `K + σₙ²I`, `α` and the log marginal likelihood. A hyper-grid scan
+/// builds one per grid point and [`finishes`](GramFit::finish) only the
+/// winner. The Gram matrix itself is dropped once factored, keeping only
+/// its row sums: a scan then holds one `n × n` matrix per grid point, the
+/// factor, as the per-point fits it replaced did.
+pub(crate) struct GramFit {
+    kernel: Kernel,
+    row_sums: Vec<f64>,
+    chol: Cholesky,
+    alpha: Vec<f64>,
+    log_marginal: f64,
+}
+
+impl GramFit {
+    /// Factors the noise-free Gram matrix `gram` of `kernel` plus the
+    /// noise diagonal and solves for the centred targets.
+    pub(crate) fn new(
+        kernel: Kernel,
+        config: GpConfig,
+        targets: &Centered,
+        mut gram: Matrix,
+    ) -> Result<Self, GpError> {
+        gram.add_diagonal(config.noise_variance.max(0.0));
+        let n = gram.rows();
+        let row_sums: Vec<f64> =
+            (0..n).map(|i| (0..n).map(|j| gram[(i, j)]).sum::<f64>()).collect();
+        let chol = Cholesky::decompose(&gram)?;
+        let alpha = chol.solve(&targets.values)?;
+        let log_marginal = log_marginal(&targets.values, &alpha, &chol);
+        Ok(Self { kernel, row_sums, chol, alpha, log_marginal })
+    }
+
+    /// The fit's log marginal likelihood.
+    pub(crate) fn log_marginal(&self) -> f64 {
+        self.log_marginal
+    }
+
+    /// The full GP over `(xs, ys)`, whose centred targets this was fitted
+    /// to: the gate's `‖K + σₙ²I‖∞` and the scaled training columns.
+    pub(crate) fn finish(
+        self,
+        config: GpConfig,
+        xs: Arc<Vec<Vec<f64>>>,
+        ys: Arc<Vec<f64>>,
+        targets: &Centered,
+    ) -> GaussianProcess {
+        let Self { kernel, row_sums, chol, alpha, log_marginal } = self;
+        let inf_norm = row_sums.iter().fold(0.0_f64, |m, &s| m.max(s));
+        let scaled_xs = ScaledColumns::build(&kernel, &xs);
+        GaussianProcess {
+            kernel,
+            config,
+            xs,
+            ys,
+            scaled_xs,
+            row_sums,
+            inf_norm,
+            mean_y: targets.mean,
+            alpha,
+            chol,
+            log_marginal,
+        }
+    }
+}
+
 /// `log p(y|X) = −½ yᵀα − ½ log|K| − (n/2) log 2π`.
 fn log_marginal(centered: &[f64], alpha: &[f64], chol: &Cholesky) -> f64 {
     -0.5 * dot(centered, alpha)
@@ -634,6 +692,7 @@ fn log_marginal(centered: &[f64], alpha: &[f64], chol: &Cholesky) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::KernelFamily;
 
     fn toy_data() -> (Vec<Vec<f64>>, Vec<f64>) {
         let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![f64::from(i) / 9.0]).collect();
@@ -888,6 +947,94 @@ mod tests {
         gp.batch_stds(&k_star, &mut v, &mut stds);
         for (g, s) in gated.iter().zip(&stds) {
             assert!(*s <= g.std_upper, "std {s} above its bound {}", g.std_upper);
+        }
+    }
+
+    /// `fit_with_gram` as one body, before the fit was split into the part
+    /// a grid scan ranks by ([`GramFit`]) and the part only its winner
+    /// pays for: the reference the split form must equal bit for bit.
+    fn unsplit_fit_with_gram(
+        kernel: Kernel,
+        config: GpConfig,
+        xs: Arc<Vec<Vec<f64>>>,
+        ys: Arc<Vec<f64>>,
+        mut gram: Matrix,
+    ) -> Result<GaussianProcess, GpError> {
+        validate(&xs, &ys)?;
+        let n = xs.len();
+        if gram.rows() != n || gram.cols() != n {
+            return Err(GpError::ShapeMismatch { op: "fit_with_gram" });
+        }
+        let mean_y = ys.iter().sum::<f64>() / n as f64;
+        let centered: Vec<f64> = ys.iter().map(|y| y - mean_y).collect();
+        gram.add_diagonal(config.noise_variance.max(0.0));
+        let row_sums: Vec<f64> =
+            (0..n).map(|i| (0..n).map(|j| gram[(i, j)]).sum::<f64>()).collect();
+        let inf_norm = row_sums.iter().fold(0.0_f64, |m, &s| m.max(s));
+        let chol = Cholesky::decompose(&gram)?;
+        let alpha = chol.solve(&centered)?;
+        let log_marginal = log_marginal(&centered, &alpha, &chol);
+        let scaled_xs = ScaledColumns::build(&kernel, &xs);
+        Ok(GaussianProcess {
+            kernel,
+            config,
+            xs,
+            ys,
+            scaled_xs,
+            row_sums,
+            inf_norm,
+            mean_y,
+            alpha,
+            chol,
+            log_marginal,
+        })
+    }
+
+    #[test]
+    fn split_fit_matches_the_unsplit_fit_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(24);
+        for case in 0..300 {
+            let n = rng.gen_range(1..40);
+            let dim = rng.gen_range(1..6);
+            // A coarse lattice repeats points (a singular Gram without
+            // noise); targets include −0.0 and flat runs.
+            let coarse = case % 3 == 0;
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    (0..dim)
+                        .map(|_| if coarse { f64::from(rng.gen_range(0..2)) } else { rng.gen() })
+                        .collect()
+                })
+                .collect();
+            let ys: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => -0.0,
+                    1 => 0.5,
+                    _ => rng.gen_range(-3.0..3.0),
+                })
+                .collect();
+            let kernel = Kernel::new(
+                [KernelFamily::Matern52, KernelFamily::Matern32, KernelFamily::SquaredExponential]
+                    [case % 3],
+                rng.gen_range(0.001..2.0),
+                rng.gen_range(0.05..4.0),
+            );
+            let config = GpConfig { noise_variance: [0.0, 1e-4, 1e-2][case % 3] };
+            let (xs, ys) = (Arc::new(xs), Arc::new(ys));
+            let gram = kernel.gram(&xs);
+            let got = GaussianProcess::fit_with_gram(
+                kernel.clone(),
+                config,
+                Arc::clone(&xs),
+                Arc::clone(&ys),
+                gram.clone(),
+            );
+            let want = unsplit_fit_with_gram(kernel, config, xs, ys, gram);
+            // `Debug` prints every field, each `f64` in its shortest
+            // round-trip form, so equal strings mean equal bits.
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "case {case}");
         }
     }
 }

@@ -6,12 +6,23 @@
 //! of (signal variance, lengthscale) pairs and keeping the fit with the
 //! highest log marginal likelihood. With tens of training points this costs
 //! a handful of small Cholesky factorizations per refresh.
+//!
+//! A scan validates the data once, centres the targets once and computes
+//! the pairwise distances once. Each grid point then costs its Gram
+//! matrix, its factorization, `α` and its log marginal likelihood — all a
+//! ranking needs — and keeps its Gram row sums, so the matrix itself is
+//! freed before the next point's is built. Only the winner is finished
+//! into a [`GaussianProcess`]: the row-sum norm the acquisition gate reads
+//! and the lengthscale-scaled training columns are built once per
+//! refresh, not once per grid point. Every bit of the result is what
+//! fitting each point with [`GaussianProcess::fit_with_gram`] and keeping
+//! the first strictly better one returns.
 
 use std::sync::Arc;
 
 use clite_par::{map_indexed, WorkerPool};
 
-use crate::gp::{GaussianProcess, GpConfig};
+use crate::gp::{validate, Centered, GaussianProcess, GpConfig, GramFit};
 use crate::kernel::{squared_distances, Kernel};
 use crate::GpError;
 
@@ -87,7 +98,8 @@ pub fn fit_best(
 /// matrix ([`squared_distances`] + [`Kernel::gram_from_distances`]): an
 /// isotropic kernel only rescales distances, so the O(n²·d) geometry is
 /// paid once per refresh and each candidate costs O(n²) Gram assembly plus
-/// its factorization.
+/// its factorization. The winner alone pays for the scaled columns that
+/// make a fit a [`GaussianProcess`].
 ///
 /// The result is byte-identical to the serial scan for any `threads`:
 /// each grid point's fit is a pure function of `(kernel, distances, data)`,
@@ -117,42 +129,40 @@ pub fn fit_best_threaded(
     if points.is_empty() {
         return Err(GpError::EmptyTrainingSet);
     }
+    validate(xs, ys)?;
 
-    let xs = Arc::new(xs.to_vec());
-    let ys = Arc::new(ys.to_vec());
-    let d2 = squared_distances(&xs);
+    let targets = Centered::new(ys);
+    let d2 = squared_distances(xs);
 
     // When the caller asks for more parallelism than there are grid points,
     // spend the surplus inside each fit: nested dispatch tiles the Gram
     // build across whatever pool workers the outer stripes leave idle.
     let gram_slots = threads.max(1).div_ceil(points.len());
-    let fit_point = |&(v, l): &(f64, f64)| -> Result<GaussianProcess, GpError> {
+    let score_point = |&(v, l): &(f64, f64)| -> Result<GramFit, GpError> {
         // `reparameterized` always yields an isotropic kernel, which is
         // what `gram_from_distances` requires.
         let kernel = template.reparameterized(v, l);
         let gram = kernel.gram_from_distances_pooled(&d2, gram_slots);
-        GaussianProcess::fit_with_gram(kernel, config, Arc::clone(&xs), Arc::clone(&ys), gram)
+        GramFit::new(kernel, config, &targets, gram)
     };
 
-    let fits: Vec<Result<GaussianProcess, GpError>> =
-        map_indexed(WorkerPool::global(), threads, &points, || (), |(), _, p| fit_point(p));
+    let fits: Vec<Result<GramFit, GpError>> =
+        map_indexed(WorkerPool::global(), threads, &points, || (), |(), _, p| score_point(p));
 
-    let mut best: Option<GaussianProcess> = None;
+    let mut best: Option<GramFit> = None;
     let mut last_err = GpError::EmptyTrainingSet;
     for fit in fits {
         match fit {
-            Ok(gp) => {
-                let better = best
-                    .as_ref()
-                    .is_none_or(|b| gp.log_marginal_likelihood() > b.log_marginal_likelihood());
-                if better {
-                    best = Some(gp);
+            Ok(fit) => {
+                if best.as_ref().is_none_or(|b| fit.log_marginal() > b.log_marginal()) {
+                    best = Some(fit);
                 }
             }
             Err(e) => last_err = e,
         }
     }
-    best.ok_or(last_err)
+    let best = best.ok_or(last_err)?;
+    Ok(best.finish(config, Arc::new(xs.to_vec()), Arc::new(ys.to_vec()), &targets))
 }
 
 #[cfg(test)]

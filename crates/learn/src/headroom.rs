@@ -27,6 +27,19 @@
 //! same operands as a fresh fit, so the result is bit-identical. Traces
 //! whose finite points are off the grid (compared bit for bit), or longer
 //! than the cap, take the general [`GaussianProcess::fit`] path.
+//!
+//! ## The one-pass path
+//!
+//! The cluster layer hands over whole traces at grid positions, so the
+//! common case is a trace whose every point is finite and on the grid of
+//! its own length. [`predict`] checks that, copies the scores and sums
+//! them in one walk over the trace, into a stack buffer sized to the
+//! trace (16 entries for the short traces admission searches leave,
+//! [`MEMO_CAP`] otherwise), so a short trace never zero-fills the full
+//! buffer. The sum folds from `−0.0` like `f64: Sum`, so the mean — and
+//! every bit after it — is what a fresh fit computes. A trace that fails
+//! the check anywhere takes the general path from the start, which runs
+//! the same pass over its finite points alone.
 
 use std::sync::OnceLock;
 
@@ -120,10 +133,11 @@ impl Design {
         Some(Self { chol, k_star, variance })
     }
 
-    /// Posterior mean and variance at `x = 1` for targets `ys`, which are
-    /// centred and solved in place (`ys` holds `α` afterwards).
-    fn posterior(&self, ys: &mut [f64]) -> Option<(f64, f64)> {
-        let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
+    /// Posterior mean and variance at `x = 1` for targets `ys` summing to
+    /// `sum`, which are centred and solved in place (`ys` holds `α`
+    /// afterwards).
+    fn posterior(&self, ys: &mut [f64], sum: f64) -> Option<(f64, f64)> {
+        let mean_y = sum / ys.len() as f64;
         for y in ys.iter_mut() {
             *y -= mean_y;
         }
@@ -155,35 +169,59 @@ fn fitted_posterior(clean: impl Iterator<Item = (f64, f64)>) -> Option<(f64, f64
 /// less (or a failed factorization) returns [`Headroom::prior`].
 ///
 /// A memoized on-grid trace allocates nothing: its scores are copied to a
-/// stack buffer of [`MEMO_CAP`] entries and solved there in place.
+/// stack buffer and solved there in place (see the module docs for the
+/// one-pass path).
 #[must_use]
 pub fn predict(trace: &[(f64, f64)]) -> Headroom {
-    let clean = trace.iter().copied().filter(|(x, y)| x.is_finite() && y.is_finite());
-    let n = clean.clone().count();
-    if n < 2 {
-        return Headroom::prior();
-    }
-    let posterior = match design(n) {
-        Some(memo) => {
-            let mut ys = [0.0; MEMO_CAP];
-            let on_grid = clean.clone().zip(&mut ys).enumerate().all(|(i, ((x, y), slot))| {
-                *slot = y;
-                x.to_bits() == grid_position(i, n).to_bits()
-            });
-            if on_grid {
-                memo.as_ref().and_then(|d| d.posterior(&mut ys[..n]))
-            } else {
-                fitted_posterior(clean)
-            }
-        }
-        None => fitted_posterior(clean),
+    let points = trace.iter().copied();
+    let posterior = match trace.len() {
+        n @ 2..=SHORT => one_pass::<SHORT>(points, n, design(n)),
+        n @ 2.. => one_pass::<MEMO_CAP>(points, n, design(n)),
+        _ => None,
     };
-    match posterior {
+    match posterior.unwrap_or_else(|| general_posterior(trace)) {
         Some((mean, var)) if mean.is_finite() && var.is_finite() => {
             Headroom { predicted: mean.clamp(0.0, 1.0), sigma: var.max(0.0) }
         }
         _ => Headroom::prior(),
     }
+}
+
+/// Stack-buffer length of the one-pass path's short traces.
+const SHORT: usize = 16;
+
+/// The memoized posterior of `n` points whose every one is finite and on
+/// the `n`-point grid, checked, copied and summed in one walk: `None` when
+/// any point is not (or `n` is past the memo), so the caller fits the
+/// points instead; otherwise the design's posterior, `Some(None)` if the
+/// design failed.
+fn one_pass<const CAP: usize>(
+    points: impl Iterator<Item = (f64, f64)>,
+    n: usize,
+    memo: Option<&'static Option<Design>>,
+) -> Option<Option<(f64, f64)>> {
+    let memo = memo?;
+    let mut ys = [0.0; CAP];
+    let mut sum = -0.0;
+    for (i, ((x, y), slot)) in points.zip(&mut ys).enumerate() {
+        if !y.is_finite() || x.to_bits() != grid_position(i, n).to_bits() {
+            return None;
+        }
+        sum += y;
+        *slot = y;
+    }
+    Some(memo.as_ref().and_then(|d| d.posterior(&mut ys[..n], sum)))
+}
+
+/// The general path: the finite points, memoized when they sit on the
+/// grid of their own count, fitted from scratch otherwise.
+fn general_posterior(trace: &[(f64, f64)]) -> Option<(f64, f64)> {
+    let clean = trace.iter().copied().filter(|(x, y)| x.is_finite() && y.is_finite());
+    let n = clean.clone().count();
+    if n < 2 {
+        return None;
+    }
+    one_pass::<MEMO_CAP>(clean.clone(), n, design(n)).unwrap_or_else(|| fitted_posterior(clean))
 }
 
 #[cfg(test)]

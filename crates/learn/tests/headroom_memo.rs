@@ -187,3 +187,61 @@ fn first_use_from_concurrent_slots() {
         assert_eq!(got.sigma.to_bits(), want.sigma.to_bits(), "variance at n = {n}");
     }
 }
+
+/// Lengths for the exhaustive poison sweep: every short length (past the
+/// one-pass path's short stack buffer), a few long ones, and lengths past
+/// the cap. None of them, less one poisoned point, lands in [`RESERVED`].
+fn sweep_lengths() -> impl Iterator<Item = usize> {
+    (2..=24).chain([40, 100, MEMO_CAP - 8, MEMO_CAP + 5, MEMO_CAP + 8])
+}
+
+/// One point of a trace made unusable, or moved off the grid by one ulp.
+const POISONS: [fn(&mut (f64, f64)); 7] = [
+    |p| p.0 = f64::NAN,
+    |p| p.0 = f64::INFINITY,
+    |p| p.1 = f64::NAN,
+    |p| p.1 = f64::INFINITY,
+    |p| p.1 = f64::NEG_INFINITY,
+    |p| p.0 = f64::from_bits(p.0.to_bits() + 1),
+    |p| p.0 = f64::from_bits(p.0.to_bits().wrapping_sub(1)),
+];
+
+#[test]
+fn the_one_pass_path_hands_over_at_every_position() {
+    // A trace that is finite and on its grid everywhere but one point
+    // must take the general path wherever that point sits: first, last,
+    // or anywhere between (every position of a short trace, the ends and
+    // the middle of a long one).
+    for n in sweep_lengths() {
+        let ys: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64 / 10.0).collect();
+        let clean = grid_trace(&ys);
+        assert_bit_identical(&clean).unwrap();
+        let positions: Vec<usize> =
+            if n <= 24 { (0..n).collect() } else { vec![0, 1, n / 2, n - 2, n - 1] };
+        for at in positions {
+            for poison in POISONS {
+                let mut trace = clean.clone();
+                poison(&mut trace[at]);
+                assert_bit_identical(&trace).unwrap_or_else(|e| panic!("n = {n}, at = {at}: {e}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn signed_zero_scores_match_a_fresh_fit() {
+    // The one-pass sum folds from −0.0 as `f64: Sum` does. (Folding from
+    // +0.0 would flip only the signs of an all-(−0.0) trace's mean and
+    // centred scores, and `ȳ + k*·α` rounds both forms to +0.0, so this
+    // pins the results, not the fold.)
+    for n in sweep_lengths() {
+        for ys in [
+            vec![-0.0; n],
+            vec![0.0; n],
+            (0..n).map(|i| if i % 2 == 0 { -0.0 } else { 0.0 }).collect(),
+        ] {
+            let trace = grid_trace(&ys);
+            assert_bit_identical(&trace).unwrap_or_else(|e| panic!("n = {n}: {e}"));
+        }
+    }
+}
