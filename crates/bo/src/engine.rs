@@ -29,7 +29,9 @@ use clite_telemetry::{Event, Phase, Telemetry};
 
 use crate::acquisition::Acquisition;
 use crate::bootstrap::bootstrap_partitions;
-use crate::optimizer::{maximize_acquisition, AcquisitionEval, EvalScratch, OptimizerConfig};
+use crate::optimizer::{
+    draw_starts, maximize_acquisition, AcquisitionEval, EvalScratch, OptimizerConfig,
+};
 use crate::space::SearchSpace;
 use crate::BoError;
 
@@ -415,12 +417,72 @@ impl BoEngine {
         frozen: Option<(usize, JobAllocation)>,
         telemetry: &Telemetry<'_>,
     ) -> Result<Suggestion, BoError> {
-        let gp = self.fit_surrogate(telemetry)?;
-
+        self.ensure_surrogate(telemetry)?;
         let best_score = self.best().map(|(_, s)| s).unwrap_or(0.0);
-        let acq = SurrogateAcq::new(&gp, self.space, self.config.acquisition, best_score);
+        let seeds = self.acquisition_seeds();
+        let Self { space, config, visited, rng, surrogate, .. } = self;
+        let gp = surrogate.as_ref().expect("ensured above");
+        let acq = SurrogateAcq::new(gp, *space, config.acquisition, best_score);
 
-        // Warm starts: the incumbent best and the most recent sample.
+        let (partition, ei) = telemetry
+            .time(Phase::Acquisition, || {
+                maximize_acquisition(space, config.optimizer, acq, &seeds, frozen, visited, rng)
+            })?
+            .ok_or(BoError::NoCandidate)?;
+
+        let (posterior_mean, posterior_std) = gp.predict_std(&space.encode(&partition));
+        Ok(Suggestion { partition, expected_improvement: ei, posterior_mean, posterior_std })
+    }
+
+    /// Advances the engine exactly as [`suggest`](BoEngine::suggest) with
+    /// the same `frozen` row would, without climbing the acquisition, and
+    /// returns `Ok(true)` — provided that suggestion is certain to exist.
+    /// A caller that will discard the suggestion anyway (CLITE's repair
+    /// moves) then skips its cost, and every later suggestion is bit for
+    /// bit what it would have been.
+    ///
+    /// The acquisition's only side effect on the engine is its draws from
+    /// the engine's generator (`optimizer::draw_starts`); this draws the same start
+    /// points. It does not fit the surrogate: a fit depends only on the
+    /// history, so a later `suggest` fits the same one.
+    ///
+    /// Certainty: the maximization returns no candidate only if no start
+    /// survives the frozen row, or a climb ends on a visited partition
+    /// whose every neighbour (frozen row kept) is visited too. So the skip
+    /// is taken only when some start survives and no visited partition
+    /// with the frozen row is such a dead end. Otherwise this returns
+    /// `Ok(false)` with the engine untouched, and the caller must run the
+    /// acquisition (whose empty result feeds its unfrozen retry).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoError::Space`] if a random restart point cannot be
+    /// generated, as `suggest` would.
+    pub fn skip_suggest(
+        &mut self,
+        frozen: Option<(usize, JobAllocation)>,
+    ) -> Result<bool, BoError> {
+        if self.history.is_empty() {
+            return Ok(false);
+        }
+        let mut rng = self.rng.clone();
+        let starts = draw_starts(
+            &self.space,
+            self.config.optimizer,
+            &self.acquisition_seeds(),
+            frozen,
+            &mut rng,
+        )?;
+        if starts.is_empty() || self.has_dead_end(frozen) {
+            return Ok(false);
+        }
+        self.rng = rng;
+        Ok(true)
+    }
+
+    /// Warm starts of the acquisition climb: the incumbent best and the
+    /// most recent sample.
+    fn acquisition_seeds(&self) -> Vec<Partition> {
         let mut seeds: Vec<Partition> = Vec::new();
         if let Some((p, _)) = self.best() {
             seeds.push(p.clone());
@@ -430,23 +492,19 @@ impl BoEngine {
                 seeds.push(p.clone());
             }
         }
+        seeds
+    }
 
-        let (partition, ei) = telemetry
-            .time(Phase::Acquisition, || {
-                maximize_acquisition(
-                    &self.space,
-                    self.config.optimizer,
-                    acq,
-                    &seeds,
-                    frozen,
-                    &self.visited,
-                    &mut self.rng,
-                )
-            })?
-            .ok_or(BoError::NoCandidate)?;
-
-        let (posterior_mean, posterior_std) = gp.predict_std(&self.space.encode(&partition));
-        Ok(Suggestion { partition, expected_improvement: ei, posterior_mean, posterior_std })
+    /// Whether some visited partition holding the `frozen` row has every
+    /// neighbour that keeps the row visited as well: a climb ending there
+    /// has no candidate to offer.
+    fn has_dead_end(&self, frozen: Option<(usize, JobAllocation)>) -> bool {
+        let frozen_job = frozen.map(|(j, _)| j);
+        self.visited.iter().filter(|p| frozen.is_none_or(|(j, row)| *p.job(j) == row)).any(|p| {
+            let mut exit = false;
+            p.for_each_neighbor(frozen_job, |n| exit = exit || !self.visited.contains(n));
+            !exit
+        })
     }
 
     /// Local exploitation ("polish") move: the best unvisited candidate by
@@ -467,7 +525,8 @@ impl BoEngine {
         candidates: &[Partition],
         telemetry: &Telemetry<'_>,
     ) -> Result<Option<Suggestion>, BoError> {
-        let gp = self.fit_surrogate(telemetry)?;
+        self.ensure_surrogate(telemetry)?;
+        let gp = self.surrogate.as_ref().expect("ensured above");
         let best_score = self.best().map(|(_, s)| s).ok_or(BoError::NoHistory)?;
         let mut features = Vec::new();
         let mut scratch = PredictScratch::default();
@@ -508,7 +567,8 @@ impl BoEngine {
         let Some(partition) = candidates.iter().find(|p| !self.visited.contains(*p)) else {
             return Ok(None);
         };
-        let gp = self.fit_surrogate(telemetry)?;
+        self.ensure_surrogate(telemetry)?;
+        let gp = self.surrogate.as_ref().expect("ensured above");
         let best_score = self.best().map(|(_, s)| s).ok_or(BoError::NoHistory)?;
         let (posterior_mean, posterior_std) = gp.predict_std(&self.space.encode(partition));
         Ok(Some(Suggestion {
@@ -539,19 +599,20 @@ impl BoEngine {
         self.suggest_among(&candidates, telemetry)
     }
 
-    /// Fits (or refreshes) the GP surrogate on the recorded history.
+    /// Makes `self.surrogate` the GP fitted (or refreshed) on the recorded
+    /// history; callers borrow it from there, so no call copies its factor.
     ///
     /// Three paths, cheapest first:
     /// 1. between refreshes, the surrogate maintained by
     ///    [`record`](BoEngine::record)'s rank-1 extensions is
-    ///    served directly (no linear algebra at all);
+    ///    kept as it is (no linear algebra at all);
     /// 2. if that surrogate was lost (extension failure, deserialized
     ///    state), the history is refitted under the cached kernel
     ///    (one O(n³) factorization, timed as [`Phase::GpFit`]);
     /// 3. on hyper refresh, the full grid is re-scanned over a shared
     ///    pairwise-distance matrix ([`fit_best_threaded`]), timed as
     ///    [`Phase::GpFit`] and emitting [`Event::GpRefit`].
-    fn fit_surrogate(&mut self, telemetry: &Telemetry<'_>) -> Result<GaussianProcess, BoError> {
+    fn ensure_surrogate(&mut self, telemetry: &Telemetry<'_>) -> Result<(), BoError> {
         if self.history.is_empty() {
             return Err(BoError::NoHistory);
         }
@@ -562,7 +623,7 @@ impl BoEngine {
         if !refresh {
             if let Some(gp) = &self.surrogate {
                 if gp.len() == self.history.len() {
-                    return Ok(gp.clone());
+                    return Ok(());
                 }
             }
         }
@@ -596,8 +657,8 @@ impl BoEngine {
             let kernel = self.kernel.clone().ok_or(BoError::KernelMissing)?;
             telemetry.time(Phase::GpFit, || GaussianProcess::fit(kernel, gp_config, xs, ys))?
         };
-        self.surrogate = Some(fitted.clone());
-        Ok(fitted)
+        self.surrogate = Some(fitted);
+        Ok(())
     }
 }
 
@@ -741,6 +802,62 @@ mod tests {
             trace
         };
         assert_eq!(run(42), run(42));
+    }
+
+    #[test]
+    fn skip_is_refused_on_a_single_partition_space() {
+        let mut e = engine(1, 7);
+        for p in e.bootstrap_samples().unwrap() {
+            e.record(p, 0.5, &OFF);
+        }
+        let rng = e.rng.clone();
+        assert!(!e.skip_suggest(None).unwrap());
+        assert_eq!(e.rng, rng, "a refused skip draws nothing");
+        // The acquisition still runs: it draws its starts and finds nothing.
+        assert!(matches!(e.suggest(None, &OFF), Err(BoError::NoCandidate)));
+        assert_ne!(e.rng, rng);
+    }
+
+    #[test]
+    fn skip_is_refused_once_a_tiny_frozen_remainder_is_exhausted() {
+        // Job 0 frozen at all but two units of each resource (three of
+        // the last): the other two jobs can split the remainder two ways.
+        let mut e = engine(3, 8);
+        let catalog = *e.space().catalog();
+        let frozen_row = JobAllocation::from_units([8, 9, 8, 8, 8, 7]);
+        let remainder = |net: u32| {
+            let rows = vec![
+                frozen_row,
+                JobAllocation::from_units([1, 1, 1, 1, 1, net]),
+                JobAllocation::from_units([1, 1, 1, 1, 1, 3 - net]),
+            ];
+            Partition::from_rows(catalog, rows).unwrap()
+        };
+        let frozen = Some((0, frozen_row));
+        for p in e.bootstrap_samples().unwrap() {
+            let y = objective(&p);
+            e.record(p, y, &OFF);
+        }
+
+        // One split visited: the other is its exit, so the skip is safe.
+        e.record(remainder(1), 0.3, &OFF);
+        assert!(e.clone().skip_suggest(frozen).unwrap());
+        assert_eq!(e.clone().suggest(frozen, &OFF).unwrap().partition, remainder(2));
+
+        // Both visited: every climb ends on a dead end.
+        e.record(remainder(2), 0.4, &OFF);
+        let rng = e.rng.clone();
+        assert!(!e.skip_suggest(frozen).unwrap());
+        assert_eq!(e.rng, rng, "a refused skip draws nothing");
+        assert!(matches!(e.suggest(frozen, &OFF), Err(BoError::NoCandidate)));
+        assert_ne!(e.rng, rng);
+
+        // A row the other two jobs cannot host leaves no start at all.
+        let unhostable = Some((0, JobAllocation::from_units([9, 10, 9, 9, 9, 9])));
+        let rng = e.rng.clone();
+        assert!(!e.skip_suggest(unhostable).unwrap());
+        assert_eq!(e.rng, rng);
+        assert!(matches!(e.suggest(unhostable, &OFF), Err(BoError::NoCandidate)));
     }
 
     #[test]

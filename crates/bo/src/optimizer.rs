@@ -162,7 +162,8 @@ where
 /// value, or `Ok(None)` if every reachable candidate is tabu.
 ///
 /// The randomness (restart points, seed jitter) is consumed from `rng`
-/// serially up front; the climbs themselves are deterministic, so with
+/// serially up front by `draw_starts`; the climbs themselves draw
+/// nothing and are deterministic, so with
 /// `config.threads > 1` the independent starts run as slots of the shared
 /// [`clite_par`] worker pool and an index-ordered reduction keeps the
 /// result **byte-identical to the serial path** (each start's outcome is a
@@ -183,30 +184,7 @@ pub fn maximize_acquisition(
     rng: &mut StdRng,
 ) -> Result<Option<(Partition, f64)>, crate::BoError> {
     let frozen_job = frozen.as_ref().map(|(j, _)| *j);
-
-    let mut starts: Vec<Partition> = Vec::with_capacity(seeds.len() + config.random_restarts);
-    starts.extend_from_slice(seeds);
-    for _ in 0..config.random_restarts {
-        starts.push(space.random(rng)?);
-    }
-    // Jitter half the seeds with a couple of random transfers so warm
-    // starts don't all climb the same hill.
-    let mut jittered: Vec<Partition> = Vec::new();
-    for p in &starts {
-        if rng.gen_bool(0.5) {
-            jittered.push(jitter(p, frozen_job, rng));
-        }
-    }
-    starts.extend(jittered);
-
-    // Apply the frozen row up front; skip starts that cannot host it.
-    let starts: Vec<Partition> = starts
-        .into_iter()
-        .filter_map(|start| match &frozen {
-            Some((job, row)) => start.with_frozen_row(*job, row).ok(),
-            None => Some(start),
-        })
-        .collect();
+    let starts = draw_starts(space, config, seeds, frozen, rng)?;
 
     // Each start's candidate is independent of every other start: climb to
     // a local optimum, then (only if it is tabu) fall back to its best
@@ -280,6 +258,51 @@ pub fn maximize_acquisition(
         }
     }
     Ok(best)
+}
+
+/// Draws the start points of one [`maximize_acquisition`] call: `seeds`,
+/// then `config.random_restarts` random partitions, then a jittered copy
+/// of each start that wins a coin flip, with the frozen row applied to
+/// every start (starts that cannot host it are dropped).
+///
+/// These are all the draws a maximization takes from `rng`, so calling
+/// this alone advances `rng` exactly as the whole maximization would.
+///
+/// # Errors
+///
+/// Returns [`BoError::Space`](crate::BoError::Space) if a random restart
+/// point cannot be generated.
+pub(crate) fn draw_starts(
+    space: &SearchSpace,
+    config: OptimizerConfig,
+    seeds: &[Partition],
+    frozen: Option<(usize, JobAllocation)>,
+    rng: &mut StdRng,
+) -> Result<Vec<Partition>, crate::BoError> {
+    let frozen_job = frozen.as_ref().map(|(j, _)| *j);
+    let mut starts: Vec<Partition> = Vec::with_capacity(seeds.len() + config.random_restarts);
+    starts.extend_from_slice(seeds);
+    for _ in 0..config.random_restarts {
+        starts.push(space.random(rng)?);
+    }
+    // Jitter half the seeds with a couple of random transfers so warm
+    // starts don't all climb the same hill.
+    let mut jittered: Vec<Partition> = Vec::new();
+    for p in &starts {
+        if rng.gen_bool(0.5) {
+            jittered.push(jitter(p, frozen_job, rng));
+        }
+    }
+    starts.extend(jittered);
+
+    // Apply the frozen row up front; skip starts that cannot host it.
+    Ok(starts
+        .into_iter()
+        .filter_map(|start| match &frozen {
+            Some((job, row)) => start.with_frozen_row(*job, row).ok(),
+            None => Some(start),
+        })
+        .collect())
 }
 
 /// Applies 1–3 random feasible unit transfers to diversify a start point.

@@ -19,7 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use clite_bo::engine::BoEngine;
+use clite_bo::engine::{BoEngine, Suggestion};
 use clite_bo::space::SearchSpace;
 use clite_bo::BoError;
 use clite_sim::alloc::{JobAllocation, Partition};
@@ -268,24 +268,6 @@ impl CliteController {
                     telemetry.emit(Event::DropoutFrozen { sample: samples.len(), job });
                 }
                 let best_before = engine.best().map(|(_, s)| s).unwrap_or(0.0);
-                // A frozen search can dead-end (everything reachable was
-                // sampled); retry unconstrained. If even the unconstrained
-                // search has no unsampled candidate, the space is exhausted
-                // (e.g. a single co-located job has exactly one partition) --
-                // that is convergence, not an error.
-                let maybe_suggestion = match engine.suggest(frozen, telemetry) {
-                    Ok(s) => Some(s),
-                    Err(BoError::NoCandidate) => match engine.suggest(None, telemetry) {
-                        Ok(s) => Some(s),
-                        Err(BoError::NoCandidate) => None,
-                        Err(e) => return Err(e.into()),
-                    },
-                    Err(e) => return Err(e.into()),
-                };
-                let Some(mut suggestion) = maybe_suggestion else {
-                    converged = true;
-                    break;
-                };
 
                 // Local donation moves complement the global acquisition:
                 //
@@ -300,32 +282,46 @@ impl CliteController {
                 //
                 // Both ignore the dropout freeze on purpose: the frozen
                 // "best-performing" job is usually the very donor whose
-                // surplus should move.
-                let threshold =
-                    self.config.termination.scaled_threshold(jobs) * best_before.abs().max(0.1);
+                // surplus should move. A streak of fruitless local moves
+                // means the incumbent's neighbourhood is tapped out; hand
+                // the next sample back to the global acquisition.
+                //
                 // QoS mode: met at least once this run, or warm evidence
                 // proved the mix feasible before this run started.
                 let qos_mode = warm_qos || samples_to_qos.is_some();
-                let want_local = if qos_mode {
-                    suggestion.expected_improvement < threshold
-                } else {
-                    // While violating, interleave counter-guided repair with
-                    // global exploration (two repair moves per global sample);
-                    // the fruitless-streak escape below hands control back to
-                    // the global acquisition whenever repair stops paying off.
-                    !samples.len().is_multiple_of(3)
-                };
-                // A streak of fruitless local moves means the incumbent's
-                // neighbourhood is tapped out; hand the next sample back to
-                // the global acquisition.
-                let mut is_local = false;
-                if want_local && fruitless_local_moves < 3 {
-                    let candidates = donation_candidates(&samples);
-                    let polish = match engine.suggest_ordered(&candidates, telemetry)? {
-                        Some(p) => Some(p),
-                        None => engine.suggest_polish(None, telemetry)?,
+                // While violating, interleave counter-guided repair with
+                // global exploration (two repair moves per global sample).
+                // Whether a repair is due is known before any acquisition
+                // runs, so the repair move is chosen first.
+                let repair =
+                    if !qos_mode && !samples.len().is_multiple_of(3) && fruitless_local_moves < 3 {
+                        local_move(&mut engine, &samples, telemetry)?
+                    } else {
+                        None
                     };
-                    if let Some(polish) = polish {
+                // A repair move replaces the global suggestion, so when that
+                // suggestion is certain to exist the engine only replays the
+                // acquisition's random draws instead of climbing it.
+                let (mut suggestion, mut is_local) = match repair {
+                    Some(repair) if engine.skip_suggest(frozen)? => (repair, true),
+                    repair => {
+                        let Some(global) = global_suggestion(&mut engine, frozen, telemetry)?
+                        else {
+                            converged = true;
+                            break;
+                        };
+                        repair.map_or((global, false), |repair| (repair, true))
+                    }
+                };
+                // Polish: in QoS mode, when the global EI falls below the
+                // job-count-scaled threshold.
+                let threshold =
+                    self.config.termination.scaled_threshold(jobs) * best_before.abs().max(0.1);
+                if qos_mode
+                    && suggestion.expected_improvement < threshold
+                    && fruitless_local_moves < 3
+                {
+                    if let Some(polish) = local_move(&mut engine, &samples, telemetry)? {
                         suggestion = polish;
                         is_local = true;
                     }
@@ -545,6 +541,40 @@ impl CliteController {
             .max_by(|a, b| a.score.value.total_cmp(&b.score.value))
             .expect("samples non-empty");
         Some((job, *best_sample.partition.job(job)))
+    }
+}
+
+/// The global acquisition's suggestion under `frozen`. A frozen search can
+/// dead-end (everything reachable was sampled); it is retried
+/// unconstrained. `None` when even the unconstrained search has no
+/// unsampled candidate: the space is exhausted (e.g. a single co-located
+/// job has exactly one partition), which is convergence, not an error.
+fn global_suggestion(
+    engine: &mut BoEngine,
+    frozen: Option<(usize, JobAllocation)>,
+    telemetry: &Telemetry<'_>,
+) -> Result<Option<Suggestion>, BoError> {
+    match engine.suggest(frozen, telemetry) {
+        Err(BoError::NoCandidate) => match engine.suggest(None, telemetry) {
+            Err(BoError::NoCandidate) => Ok(None),
+            other => other.map(Some),
+        },
+        other => other.map(Some),
+    }
+}
+
+/// The counter-guided local move around the incumbent: the first
+/// unvisited [`donation_candidates`] entry, else the best unvisited
+/// single-transfer neighbour by posterior mean, else `None`.
+fn local_move(
+    engine: &mut BoEngine,
+    samples: &[SampleRecord],
+    telemetry: &Telemetry<'_>,
+) -> Result<Option<Suggestion>, BoError> {
+    let candidates = donation_candidates(samples);
+    match engine.suggest_ordered(&candidates, telemetry)? {
+        Some(p) => Ok(Some(p)),
+        None => engine.suggest_polish(None, telemetry),
     }
 }
 

@@ -20,7 +20,8 @@ pub enum GpError {
         /// Dimensionality of the offending point.
         actual: usize,
     },
-    /// A target or input value was not finite.
+    /// A target or input value, or the mean diagonal of a matrix to
+    /// factorize, was not finite.
     NonFiniteValue,
     /// The kernel matrix was not positive definite even after the jitter
     /// ladder was exhausted.
@@ -42,7 +43,9 @@ impl fmt::Display for GpError {
             GpError::DimensionMismatch { expected, actual } => {
                 write!(f, "input point has dimension {actual}, expected {expected}")
             }
-            GpError::NonFiniteValue => write!(f, "non-finite value in training data"),
+            GpError::NonFiniteValue => {
+                write!(f, "non-finite value in training data or kernel matrix")
+            }
             GpError::NotPositiveDefinite => {
                 write!(f, "kernel matrix not positive definite after jitter ladder")
             }

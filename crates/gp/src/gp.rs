@@ -706,6 +706,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "kernel variance must be positive and finite")]
+    fn an_infinite_variance_fit_is_refused_at_once() {
+        let (xs, ys) = toy_data();
+        let kernel = Kernel::matern52(f64::INFINITY, 0.3);
+        let _ = GaussianProcess::fit(kernel, GpConfig::default(), xs, ys);
+    }
+
+    #[test]
+    fn a_fit_whose_gram_diagonal_overflows_is_an_error() {
+        // A repeated point makes the Gram matrix singular, so the jitter
+        // ladder runs, scaled by a mean diagonal that overflows to ∞.
+        let xs = vec![vec![0.5], vec![0.5]];
+        let kernel = Kernel::matern52(f64::MAX, 0.3);
+        let err =
+            GaussianProcess::fit(kernel, GpConfig::default(), xs, vec![0.1, 0.2]).unwrap_err();
+        assert_eq!(err, GpError::NonFiniteValue);
+    }
+
+    #[test]
     fn interpolates_training_points() {
         let gp = fit_toy();
         let (xs, ys) = toy_data();

@@ -185,6 +185,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "kernel variance must be positive and finite")]
+    fn an_infinite_grid_variance_is_refused_at_once() {
+        let xs: Vec<Vec<f64>> = (0..4).map(|i| vec![f64::from(i) / 3.0]).collect();
+        let ys = vec![0.1, 0.4, 0.3, 0.2];
+        let grid = HyperGrid { variances: vec![0.01, f64::INFINITY], lengthscales: vec![0.4] };
+        let _ = fit_best(&Kernel::matern52(1.0, 1.0), GpConfig::default(), &grid, &xs, &ys);
+    }
+
+    #[test]
+    fn a_grid_point_whose_gram_diagonal_overflows_is_skipped() {
+        // Repeated points: the `f64::MAX` point's Gram matrix is singular
+        // and its mean diagonal overflows to ∞.
+        let xs = vec![vec![0.5], vec![0.5], vec![0.2]];
+        let ys = vec![0.1, 0.2, 0.3];
+        let template = Kernel::matern52(1.0, 1.0);
+        let grid = HyperGrid { variances: vec![f64::MAX, 0.04], lengthscales: vec![0.4] };
+        let gp = fit_best(&template, GpConfig::default(), &grid, &xs, &ys).unwrap();
+        assert_eq!(gp.kernel().variance(), 0.04);
+        let grid = HyperGrid { variances: vec![f64::MAX], lengthscales: vec![0.4] };
+        let err = fit_best(&template, GpConfig::default(), &grid, &xs, &ys).unwrap_err();
+        assert_eq!(err, GpError::NonFiniteValue);
+    }
+
+    #[test]
     fn empty_data_propagates_error() {
         let grid = HyperGrid::default_unit();
         let err = fit_best(&Kernel::matern52(1.0, 1.0), GpConfig::default(), &grid, &[], &[]);

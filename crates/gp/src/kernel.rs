@@ -85,11 +85,11 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if `variance` or `lengthscale` is not positive.
+    /// Panics if `variance` or `lengthscale` is not positive and finite.
     #[must_use]
     pub fn new(family: KernelFamily, variance: f64, lengthscale: f64) -> Self {
-        assert!(variance > 0.0, "kernel variance must be positive");
-        assert!(lengthscale > 0.0, "kernel lengthscale must be positive");
+        assert!(positive_finite(variance), "kernel variance must be positive and finite");
+        assert!(positive_finite(lengthscale), "kernel lengthscale must be positive and finite");
         Self { family, variance, lengthscales: LengthScales::Isotropic(lengthscale) }
     }
 
@@ -97,14 +97,14 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if `variance` is not positive or any lengthscale is not
-    /// positive.
+    /// Panics if `variance` or any lengthscale is not positive and
+    /// finite, or if there are no lengthscales.
     #[must_use]
     pub fn with_ard(family: KernelFamily, variance: f64, lengthscales: Vec<f64>) -> Self {
-        assert!(variance > 0.0, "kernel variance must be positive");
+        assert!(positive_finite(variance), "kernel variance must be positive and finite");
         assert!(
-            !lengthscales.is_empty() && lengthscales.iter().all(|&l| l > 0.0),
-            "ARD lengthscales must be positive"
+            !lengthscales.is_empty() && lengthscales.iter().all(|&l| positive_finite(l)),
+            "ARD lengthscales must be positive and finite"
         );
         Self { family, variance, lengthscales: LengthScales::Ard(lengthscales) }
     }
@@ -140,7 +140,7 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if either parameter is not positive.
+    /// Panics if either parameter is not positive and finite.
     #[must_use]
     pub fn reparameterized(&self, variance: f64, lengthscale: f64) -> Self {
         Self::new(self.family, variance, lengthscale)
@@ -403,6 +403,13 @@ impl Kernel {
     }
 }
 
+/// Whether a kernel parameter is usable: positive and finite. An infinite
+/// variance would make the Gram diagonal, and the factorization's jitter
+/// scale, infinite.
+fn positive_finite(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
+}
+
 /// Pairwise *unscaled* squared Euclidean distances `‖x_i − x_j‖²` of a
 /// point set, shared by every [`Kernel::gram_from_distances`] call of a
 /// hyper-parameter grid scan.
@@ -434,6 +441,28 @@ mod tests {
 
     const FAMILIES: [KernelFamily; 3] =
         [KernelFamily::Matern52, KernelFamily::Matern32, KernelFamily::SquaredExponential];
+
+    #[test]
+    fn constructors_reject_non_finite_parameters() {
+        fn ard(variance: f64, lengthscale: f64) -> Kernel {
+            Kernel::with_ard(KernelFamily::Matern52, variance, vec![1.0, lengthscale])
+        }
+        fn rejected(build: fn() -> Kernel) -> bool {
+            std::panic::catch_unwind(build).is_err()
+        }
+        assert!(rejected(|| Kernel::matern52(f64::INFINITY, 1.0)));
+        assert!(rejected(|| Kernel::matern52(f64::NAN, 1.0)));
+        assert!(rejected(|| Kernel::matern52(1.0, f64::INFINITY)));
+        assert!(rejected(|| Kernel::matern52(1.0, f64::NAN)));
+        assert!(rejected(|| Kernel::matern52(1.0, 1.0).reparameterized(f64::INFINITY, 1.0)));
+        assert!(rejected(|| Kernel::matern52(1.0, 1.0).reparameterized(1.0, f64::INFINITY)));
+        assert!(rejected(|| ard(f64::INFINITY, 1.0)));
+        assert!(rejected(|| ard(1.0, f64::INFINITY)));
+        assert!(rejected(|| ard(1.0, f64::NAN)));
+        // The largest finite values are still kernels.
+        assert!(!rejected(|| Kernel::matern52(f64::MAX, f64::MAX)));
+        assert!(!rejected(|| ard(f64::MAX, f64::MAX)));
+    }
 
     #[test]
     fn self_covariance_is_variance() {

@@ -140,7 +140,10 @@ impl Cholesky {
     ///
     /// # Errors
     ///
-    /// Returns [`GpError::ShapeMismatch`] for a non-square input and
+    /// Returns [`GpError::ShapeMismatch`] for a non-square input,
+    /// [`GpError::NonFiniteValue`] if the mean diagonal is not finite (an
+    /// infinite or NaN entry, or finite entries whose sum overflows: the
+    /// jitter ladder cannot scale to it), and
     /// [`GpError::NotPositiveDefinite`] if the jitter ladder is exhausted.
     pub fn decompose(a: &Matrix) -> Result<Self, GpError> {
         if a.rows != a.cols {
@@ -148,6 +151,9 @@ impl Cholesky {
         }
         let n = a.rows;
         let mean_diag = (0..n).map(|i| a[(i, i)].abs()).sum::<f64>() / n as f64;
+        if n > 0 && !mean_diag.is_finite() {
+            return Err(GpError::NonFiniteValue);
+        }
         let base = if mean_diag > 0.0 { mean_diag } else { 1.0 };
 
         if let Some(l) = try_factor(a, 0.0) {
@@ -449,6 +455,25 @@ mod tests {
         }
         a.add_diagonal(1.0);
         a
+    }
+
+    #[test]
+    fn a_non_finite_mean_diagonal_is_an_error() {
+        // An infinite diagonal, and a singular matrix whose finite
+        // diagonal sums to ∞, once spun the jitter ladder forever
+        // (`∞ <= ∞`).
+        let mut infinite = Matrix::zeros(2, 2);
+        infinite.add_diagonal(f64::INFINITY);
+        let overflowing = Matrix::from_fn(2, 2, |_, _| 1e308);
+        let mut nan = Matrix::zeros(2, 2);
+        nan.add_diagonal(f64::NAN);
+        for a in [infinite, overflowing, nan] {
+            assert_eq!(Cholesky::decompose(&a).unwrap_err(), GpError::NonFiniteValue, "{a:?}");
+        }
+        // A finite mean diagonal of the same size still factors.
+        let mut a = Matrix::zeros(2, 2);
+        a.add_diagonal(1e307);
+        assert!(Cholesky::decompose(&a).is_ok());
     }
 
     #[test]
