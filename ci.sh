@@ -40,15 +40,15 @@ cargo test --workspace -q
 
 if [[ "${1:-}" != "quick" ]]; then
     # The workspace run above already covers these in debug; re-run the
-    # serial == threaded / incremental == scratch equivalences under
-    # release optimizations, where thread interleavings and float codegen
-    # differ most. (Cluster admission byte-identity runs in the
-    # CLITE_PAR_THREADS loop below, at both pool sizes.)
+    # incremental == scratch equivalences under release optimizations,
+    # where thread interleavings and float codegen differ most. (The fleet
+    # witnesses also run in the CLITE_PAR_THREADS loop below, at both pool
+    # sizes.)
 
-    # Fleet loop byte-identity (serial == threaded, single-lock == any
-    # shard count, incremental == scratch stats) at 256 nodes, with and
-    # without injected crashes (which must kill nodes), must hold under
-    # release codegen too.
+    # Fleet loop byte-identity (single-lock == any shard count, run ==
+    # rerun, incremental == scratch stats) at 256 nodes, with and without
+    # injected crashes (which must kill nodes), must hold under release
+    # codegen too.
     step "cargo test -p clite-cluster --test fleet --release -q"
     cargo test -p clite-cluster --test fleet --release -q
 
@@ -90,8 +90,9 @@ if [[ "${1:-}" != "quick" ]]; then
             cargo test -p clite-gp --test hyper_scan --release -q
         CLITE_PAR_THREADS=$pool_size \
             cargo test -p clite-cluster --lib --release -q learned::tests
+        # Any pool size == any shard count: the fleet witnesses.
         CLITE_PAR_THREADS=$pool_size \
-            cargo test -p clite-cluster --test threaded --release -q
+            cargo test -p clite-cluster --test fleet --release -q
         # Training determinism: same seed => bit-identical weights at
         # any pool size (the suite itself crosses slot counts 1/2/4/8).
         CLITE_PAR_THREADS=$pool_size \
@@ -170,13 +171,13 @@ if [[ "${1:-}" != "quick" ]]; then
     fi
 
     # Fleet smoke test: stream a crash-laden event trace over a 64-node
-    # fleet through the CLI (serial, then threaded over 4 shards) — both
-    # must finish with the completion marker, never panic.
+    # fleet through the CLI (8 store shards, then 4) — both must finish
+    # with the completion marker, never panic.
     step "colocate fleet smoke test"
     ./target/release/colocate fleet --nodes 64 \
         --faults crash_prob=0.35,crash_max=20 > "$store_tmp/fleet.txt"
     grep -q "without panic" "$store_tmp/fleet.txt"
-    ./target/release/colocate fleet --nodes 64 --threaded --shards 4 \
+    ./target/release/colocate fleet --nodes 64 --shards 4 \
         --faults crash_prob=0.35,crash_max=20 > "$store_tmp/fleet2.txt"
     grep -q "without panic" "$store_tmp/fleet2.txt"
 
@@ -194,9 +195,9 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -q "without panic" "$store_tmp/fleet_learned.txt"
 
     # Durable-recovery byte-identity: the kill-at-every-event replay
-    # sweep at 64 nodes (which must restore checkpoints), threaded
-    # recovery, journaled sheds, the deadline-bounded burst, and the
-    # journal torn-tail/bit-flip proptests must hold under release codegen
+    # sweep at 64 nodes (which must restore checkpoints), journaled sheds,
+    # the deadline-bounded burst, and the journal torn-tail/bit-flip
+    # proptests must hold under release codegen
     # (the witness comparison is float-codegen-sensitive, like the other
     # identity suites).
     step "cargo test -p clite-cluster --test recovery --release -q"
@@ -247,8 +248,7 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -Eq "recovery: replayed .* from checkpoint seq [1-9]" "$store_tmp/fleet_recover_ckpt.txt"
     grep -q "without panic" "$store_tmp/fleet_recover_ckpt.txt"
 
-    # Placement A/B experiment: asserts serial == threaded byte-identity
-    # in both arms and fails the gate unless the learned ordering
+    # Placement A/B experiment: fails the gate unless the learned ordering
     # matches or beats the heuristic QoS-safe fraction at every scale
     # point with admission within 2 pp.
     step "placement experiment"

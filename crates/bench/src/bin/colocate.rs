@@ -194,7 +194,6 @@ fn main() -> ExitCode {
             events,
             seed,
             shards,
-            admission,
             epoch,
             probe_limit,
             faults,
@@ -209,7 +208,6 @@ fn main() -> ExitCode {
             events,
             seed,
             shards,
-            admission,
             epoch,
             probe_limit,
             faults,
@@ -297,7 +295,6 @@ fn run_fleet(
     events: usize,
     seed: u64,
     shards: usize,
-    admission: clite_cluster::scheduler::AdmissionMode,
     epoch: u64,
     probe_limit: usize,
     faults: Option<clite_faults::FaultSpec>,
@@ -356,17 +353,12 @@ fn run_fleet(
             FleetConfig::mean_field_learned(epoch, probe_limit, std::sync::Arc::new(model))
         }
     };
-    config.scheduler.admission = admission;
     config.epoch_ticks = epoch;
     let fault_spec = faults.unwrap_or_else(FaultSpec::none);
     let factory = FaultyFactory::new(ServerFactory, fault_spec.clone());
     let trace = generate(&TraceConfig { events, ..TraceConfig::default() }, seed);
     println!(
-        "fleet: {nodes} nodes, {events} events, seed {seed}, {shards} shards, {} admission, epoch {epoch}, probe limit {probe_limit}, {} placement\n",
-        match admission {
-            clite_cluster::scheduler::AdmissionMode::Serial => "serial",
-            clite_cluster::scheduler::AdmissionMode::Threaded => "threaded",
-        },
+        "fleet: {nodes} nodes, {events} events, seed {seed}, {shards} shards, epoch {epoch}, probe limit {probe_limit}, {} placement\n",
         match placement {
             PlacementChoice::Heuristic => "heuristic",
             PlacementChoice::Learned => "learned",

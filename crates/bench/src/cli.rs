@@ -17,7 +17,6 @@
 
 use std::path::PathBuf;
 
-use clite_cluster::scheduler::AdmissionMode;
 use clite_faults::FaultSpec;
 use clite_load::{LoadConfig, TraceKind};
 use clite_sim::prelude::*;
@@ -112,8 +111,6 @@ pub enum Command {
         seed: u64,
         /// Observation-store shard count.
         shards: usize,
-        /// Serial or threaded admission probing.
-        admission: AdmissionMode,
         /// Mean-field template re-solve period in ticks (0 disables).
         epoch: u64,
         /// Candidate nodes probed per admission (local refinement cap).
@@ -326,7 +323,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut events = 48usize;
             let mut seed = 42u64;
             let mut shards = clite_store::ShardPolicy::default().shards;
-            let mut admission = AdmissionMode::Serial;
             let mut epoch = 8u64;
             let mut probe_limit = 4usize;
             let mut faults: Option<FaultSpec> = None;
@@ -371,7 +367,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                             return Err(ParseError("--shards must be at least 1".into()));
                         }
                     }
-                    "--threaded" => admission = AdmissionMode::Threaded,
                     "--epoch" => {
                         let v = it
                             .next()
@@ -443,7 +438,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 events,
                 seed,
                 shards,
-                admission,
                 epoch,
                 probe_limit,
                 faults,
@@ -580,7 +574,7 @@ USAGE:
   colocate load  [--policy NAME] [--seed N] [--trace NAME] [--windows N] [--queries N]
                  [--threads N] [--report PATH] [--telemetry-out PATH] JOB...
   colocate sweep [--policy NAME] [--seed N] [--telemetry-out PATH] [--store PATH] --sweep JOB JOB...
-  colocate fleet [--nodes N] [--events N] [--seed N] [--shards N] [--threaded]
+  colocate fleet [--nodes N] [--events N] [--seed N] [--shards N]
                  [--epoch N] [--probe-limit N] [--faults SPEC] [--store PATH]
                  [--placement heuristic|learned] [--model PATH]
                  [--journal DIR] [--recover] [--kill-after K]
@@ -628,9 +622,9 @@ FLEET (long-running event-driven scheduler):
   trace (--events long, from --seed) and streams it through the fleet
   service over --nodes simulated servers backed by a --shards-way sharded
   observation store. --epoch re-solves the mean-field placement template
-  every N ticks and --probe-limit caps CLITE searches per admission.
-  --threaded probes candidates concurrently (byte-identical to serial by
-  construction). --faults injects node crashes; --store persists the
+  every N ticks and --probe-limit caps CLITE searches per admission,
+  which probes candidates in placement order and stops at the first
+  feasible node. --faults injects node crashes; --store persists the
   observation store (see STORE). --placement learned orders
   candidate nodes with the trained ranking model from --model (a missing
   or corrupt file degrades to the zero model, whose order matches the
@@ -661,7 +655,7 @@ EXAMPLES:
   colocate run --faults default memcached:40 img-dnn:30 streamcluster
   colocate run --faults spike=0.1,drop=0.05 memcached:40 streamcluster
   colocate sweep --sweep memcached:0 masstree:30 img-dnn:30
-  colocate fleet --nodes 128 --events 64 --threaded --faults crash_prob=0.3,crash_max=20
+  colocate fleet --nodes 128 --events 64 --faults crash_prob=0.3,crash_max=20
   colocate train --out results/placement.model --epochs 12
   colocate fleet --placement learned --model results/placement.model
   colocate fleet --journal /tmp/fleet.wal --kill-after 20
@@ -880,7 +874,6 @@ mod tests {
                 events,
                 seed,
                 shards,
-                admission,
                 epoch,
                 probe_limit,
                 faults,
@@ -895,7 +888,6 @@ mod tests {
                 assert_eq!(events, 48);
                 assert_eq!(seed, 42);
                 assert_eq!(shards, 8);
-                assert_eq!(admission, AdmissionMode::Serial);
                 assert_eq!(epoch, 8);
                 assert_eq!(probe_limit, 4);
                 assert_eq!(faults, None);
@@ -977,7 +969,6 @@ mod tests {
             "96",
             "--shards",
             "16",
-            "--threaded",
             "--epoch",
             "4",
             "--probe-limit",
@@ -989,21 +980,10 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Fleet {
-                nodes,
-                events,
-                shards,
-                admission,
-                epoch,
-                probe_limit,
-                faults,
-                store,
-                ..
-            } => {
+            Command::Fleet { nodes, events, shards, epoch, probe_limit, faults, store, .. } => {
                 assert_eq!(nodes, 512);
                 assert_eq!(events, 96);
                 assert_eq!(shards, 16);
-                assert_eq!(admission, AdmissionMode::Threaded);
                 assert_eq!(epoch, 4);
                 assert_eq!(probe_limit, 2);
                 let spec = faults.expect("fault spec parsed");
@@ -1021,6 +1001,7 @@ mod tests {
         assert!(parse(&v(&["fleet", "--probe-limit", "0"])).is_err());
         assert!(parse(&v(&["fleet", "--nodes"])).is_err(), "flag needs a value");
         assert!(parse(&v(&["fleet", "memcached:40"])).is_err(), "fleet takes no job tokens");
+        assert!(parse(&v(&["fleet", "--threaded"])).is_err(), "removed flags must not parse");
     }
 
     #[test]

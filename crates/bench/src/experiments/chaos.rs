@@ -6,11 +6,11 @@
 //! dropped/stuck windows, enforcement faults — crashes disabled so every
 //! run can finish) over the hardened controller and reports the QoS-safe
 //! fraction and the extra observation windows the retries/quarantines
-//! cost. Part B kills nodes mid-search in a small fleet and checks that
-//! serial and threaded admission evict and re-place identically.
+//! cost. Part B kills nodes mid-search in a small fleet and reports the
+//! evictions that follow.
 
 use clite_cluster::placement::PlacementPolicy;
-use clite_cluster::scheduler::{AdmissionMode, ClusterScheduler, SchedulerConfig};
+use clite_cluster::scheduler::{ClusterScheduler, SchedulerConfig};
 use clite_faults::{FaultSpec, FaultyFactory};
 use clite_sim::prelude::*;
 
@@ -75,10 +75,10 @@ fn sweep_point(scale: f64, runs: usize, base_seed: u64) -> SweepPoint {
 ///
 /// # Panics
 ///
-/// Panics if serial and threaded admission diverge under crashes, or if
-/// the default fault rate drops the QoS-safe fraction below 90% of the
-/// fault-free one (the acceptance bar; a harness regression, not chance —
-/// every fault stream here is seeded).
+/// Panics if a submission fails under node crashes, or if the default
+/// fault rate drops the QoS-safe fraction below 90% of the fault-free one
+/// (the acceptance bar; a harness regression, not chance — every fault
+/// stream here is seeded).
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Report {
     let runs = if opts.quick { 3 } else { 8 };
@@ -134,9 +134,7 @@ pub fn run(opts: &ExpOptions) -> Report {
     );
 
     // Part B: node crashes in a fleet. Crash streams are pure functions of
-    // (node id, commit count), so serial and threaded admission must see
-    // the same crashes, evict the same nodes, and re-place the same
-    // orphans.
+    // (node id, commit count), so the same seed evicts the same nodes.
     let spec = FaultSpec { crash_prob: 0.5, crash_window_max: 20, ..FaultSpec::none() };
     let stream = [
         JobSpec::latency_critical(WorkloadId::Memcached, 0.3),
@@ -146,35 +144,26 @@ pub fn run(opts: &ExpOptions) -> Report {
         JobSpec::latency_critical(WorkloadId::Xapian, 0.3),
         JobSpec::background(WorkloadId::Blackscholes),
     ];
-    let mut fleets = Vec::new();
-    for mode in [AdmissionMode::Serial, AdmissionMode::Threaded] {
-        let config = SchedulerConfig {
-            placement: PlacementPolicy::LeastLoaded,
-            admission: mode,
-            ..SchedulerConfig::default()
-        };
-        let factory = FaultyFactory::new(ServerFactory, spec.clone());
-        let mut cluster =
-            ClusterScheduler::with_factory(3, config, opts.seed, factory).expect("3-node cluster");
-        let telemetry = ambient_telemetry();
-        for job in stream.iter().cloned() {
-            cluster.submit(job, &telemetry).expect("submission survives crashes");
-        }
-        fleets.push((mode, cluster.stats()));
+    let config =
+        SchedulerConfig { placement: PlacementPolicy::LeastLoaded, ..SchedulerConfig::default() };
+    let factory = FaultyFactory::new(ServerFactory, spec);
+    let mut cluster =
+        ClusterScheduler::with_factory(3, config, opts.seed, factory).expect("3-node cluster");
+    let telemetry = ambient_telemetry();
+    for job in stream.iter().cloned() {
+        cluster.submit(job, &telemetry).expect("submission survives crashes");
     }
-    let (serial, threaded) = (&fleets[0].1, &fleets[1].1);
-    assert_eq!(serial, threaded, "admission modes diverged under node crashes");
+    let fleet = cluster.stats();
     body.push_str(&format!(
         "\nPart B — node crashes under admission: {} jobs onto 3 nodes, every\n\
          testbed crash-prone (p=0.5, windows 1..=20). Fleet after the stream:\n\
-         {} placed, {} rejected, {} node(s) evicted; serial and threaded\n\
-         admission committed byte-identical fleets (evictions, orphan\n\
-         re-placement and all) because fault streams are seeded by committed\n\
-         state, not by thread timing.\n",
+         {} placed, {} rejected, {} node(s) evicted. Fault streams are seeded\n\
+         by committed state, so the same seed evicts the same nodes on every\n\
+         run.\n",
         stream.len(),
-        serial.placed,
-        serial.rejected,
-        serial.dead_nodes,
+        fleet.placed,
+        fleet.rejected,
+        fleet.dead_nodes,
     ));
     Report {
         id: "chaos",

@@ -6,10 +6,8 @@
 //! a small fleet under each placement policy and reports admission rate,
 //! freed machines, and the partitioning work spent.
 
-use std::time::Instant;
-
 use clite_cluster::placement::PlacementPolicy;
-use clite_cluster::scheduler::{AdmissionMode, ClusterScheduler, SchedulerConfig};
+use clite_cluster::scheduler::{ClusterScheduler, SchedulerConfig};
 use clite_sim::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,40 +85,6 @@ pub fn run(opts: &ExpOptions) -> Report {
          admission *is* a CLITE feasibility proof.\n",
     );
 
-    // Serial vs. threaded admission: identical placements by construction
-    // (per-node search seeds are pure functions of committed state), so the
-    // only observable difference is wall-clock — candidate nodes are probed
-    // concurrently instead of one after another.
-    let mut wall = Vec::new();
-    for mode in [AdmissionMode::Serial, AdmissionMode::Threaded] {
-        let mut cluster = ClusterScheduler::new(
-            nodes,
-            SchedulerConfig {
-                placement: PlacementPolicy::LeastLoaded,
-                admission: mode,
-                ..SchedulerConfig::default()
-            },
-            opts.seed,
-        )
-        .expect("non-empty cluster");
-        let telemetry = ambient_telemetry();
-        let start = Instant::now();
-        for spec in stream.clone() {
-            cluster.submit(spec, &telemetry).expect("scheduler healthy");
-        }
-        wall.push((mode, start.elapsed(), cluster.stats()));
-    }
-    let (serial, threaded) = (&wall[0], &wall[1]);
-    assert_eq!(serial.2, threaded.2, "admission modes must commit identical fleets");
-    body.push_str(&format!(
-        "\nadmission wall-clock (least-loaded): serial {:.2}s, threaded {:.2}s \
-         ({:.1}x speedup); fleets byte-identical. Threaded admission probes\n\
-         every candidate node speculatively, so it needs as many cores as\n\
-         candidates to win; on a single core the speculation serializes.\n",
-        serial.1.as_secs_f64(),
-        threaded.1.as_secs_f64(),
-        serial.1.as_secs_f64() / threaded.1.as_secs_f64().max(1e-9),
-    ));
     Report { id: "cluster", title: "Fleet placement on CLITE admission (extension)".into(), body }
 }
 
@@ -140,6 +104,5 @@ mod tests {
         for name in ["first-fit", "least-loaded", "most-loaded"] {
             assert!(r.body.contains(name));
         }
-        assert!(r.body.contains("speedup"), "serial vs. threaded timing must be reported");
     }
 }

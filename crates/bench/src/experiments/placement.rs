@@ -3,11 +3,9 @@
 //! Trains the `clite-learn` pairwise ranking model on deterministic
 //! simulator rollouts, then runs the same crash-chaos fleet trace twice at
 //! every scale point: once with the least-loaded heuristic ordering, once
-//! with the trained model ordering. Both arms run serial AND threaded
-//! admission and must be byte-identical — the experiment asserts it. The
-//! table records, per scale point and arm: the QoS-safe fraction of alive
-//! nodes, the admission rate, observation windows spent, and orphan
-//! re-placements.
+//! with the trained model ordering. The table records, per scale point
+//! and arm: the QoS-safe fraction of alive nodes, the admission rate,
+//! observation windows spent, and orphan re-placements.
 //!
 //! The gate: the learned arm must match or beat the heuristic's QoS-safe
 //! fraction at every scale point and never lose more than 2 percentage
@@ -16,8 +14,7 @@
 
 use std::sync::Arc;
 
-use clite_cluster::fleet::{FleetConfig, FleetRun, FleetService};
-use clite_cluster::scheduler::AdmissionMode;
+use clite_cluster::fleet::{FleetConfig, FleetService};
 use clite_cluster::trace::{generate, TraceConfig};
 use clite_faults::{FaultSpec, FaultyFactory};
 use clite_learn::{RankingModel, TrainConfig};
@@ -50,50 +47,31 @@ fn crash_spec() -> FaultSpec {
     FaultSpec { crash_prob: 0.35, crash_window_max: 20, ..FaultSpec::none() }
 }
 
-/// Runs one trace through one fleet arm.
-fn run_arm(
-    nodes: usize,
-    events: usize,
-    mode: AdmissionMode,
-    seed: u64,
-    model: Option<&Arc<RankingModel>>,
-) -> FleetRun {
-    let mut config = match model {
-        Some(m) => FleetConfig::mean_field_learned(8, 4, Arc::clone(m)),
-        None => FleetConfig::mean_field(8, 4),
-    };
-    config.scheduler.admission = mode;
-    let factory = FaultyFactory::new(clite_sim::testbed::ServerFactory, crash_spec());
-    let mut fleet =
-        FleetService::with_factory(nodes, config, seed, factory).expect("non-empty fleet");
-    let trace = generate(&TraceConfig { events, ..TraceConfig::default() }, seed);
-    fleet.run(&trace, &ambient_telemetry()).expect("fleet loop healthy")
-}
-
-/// Runs one arm serial and threaded, asserts byte-identity, and distills
-/// the metrics the gate compares.
+/// Runs one trace through one fleet arm and distills the metrics the
+/// gate compares.
 fn measure_arm(
     nodes: usize,
     events: usize,
     seed: u64,
     model: Option<&Arc<RankingModel>>,
 ) -> ArmMetrics {
-    let serial = run_arm(nodes, events, AdmissionMode::Serial, seed, model);
-    let threaded = run_arm(nodes, events, AdmissionMode::Threaded, seed, model);
-    assert_eq!(
-        serial,
-        threaded,
-        "serial and threaded fleet runs diverged at {nodes} nodes ({} arm)",
-        if model.is_some() { "learned" } else { "heuristic" }
-    );
-    let stats = &serial.stats;
+    let config = match model {
+        Some(m) => FleetConfig::mean_field_learned(8, 4, Arc::clone(m)),
+        None => FleetConfig::mean_field(8, 4),
+    };
+    let factory = FaultyFactory::new(clite_sim::testbed::ServerFactory, crash_spec());
+    let mut fleet =
+        FleetService::with_factory(nodes, config, seed, factory).expect("non-empty fleet");
+    let trace = generate(&TraceConfig { events, ..TraceConfig::default() }, seed);
+    let run = fleet.run(&trace, &ambient_telemetry()).expect("fleet loop healthy");
+    let stats = &run.stats;
     let alive = stats.nodes.iter().filter(|n| n.alive).count();
     let qos_safe = stats.nodes.iter().filter(|n| n.alive && n.qos_met).count();
     ArmMetrics {
         qos_safe_frac: qos_safe as f64 / alive.max(1) as f64,
         admission_rate: stats.admission_rate(),
         windows_spent: stats.nodes.iter().map(|n| n.samples_spent).sum(),
-        replacements: serial.counters.replacements,
+        replacements: run.counters.replacements,
         dead_nodes: stats.dead_nodes,
     }
 }
@@ -109,8 +87,7 @@ fn point_passes(heuristic: &ArmMetrics, learned: &ArmMetrics) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if a serial and threaded fleet run diverge in either arm
-/// (determinism regression) or on internal scheduler failures.
+/// Panics on internal scheduler failures.
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Report {
     let train_config = TrainConfig::smoke(opts.seed);
@@ -165,8 +142,7 @@ pub fn run(opts: &ExpOptions) -> Report {
     }
     assert!(any_dead, "the crash plan must actually kill nodes, or the A/B proves nothing");
     body.push_str(&format!(
-        "A/B under crash chaos (prob {}), {events} events/trace, serial == threaded\n\
-         asserted in both arms at every scale point:\n\n{}\n\
+        "A/B under crash chaos (prob {}), {events} events/trace:\n\n{}\n\
          Gate: learned must match or beat the heuristic QoS-safe fraction and\n\
          stay within {:.0} pp of its admission rate at every scale point.\n",
         crash_spec().crash_prob,

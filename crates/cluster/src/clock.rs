@@ -4,7 +4,7 @@
 //! clock only moves when an event is handled, and nothing in the service
 //! reads wall-clock time. Two runs of the same trace therefore see the
 //! same clock at every decision point — the precondition for the
-//! serial≡threaded and shard-count-invariance guarantees.
+//! pool-size, shard-count and recovery invariance guarantees.
 
 /// Monotonic discrete simulation time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -23,11 +23,12 @@
 //! ## Determinism contract
 //!
 //! For a fixed trace and seed the fleet's placements and statistics are
-//! byte-identical across: serial vs threaded admission (inherited from
-//! the PR 2/5 discipline — probe seeds are pure functions of committed
-//! state), and any store shard count (lookups depend only on per-mix
-//! bucket content). `crates/cluster/tests/fleet.rs` pins both at fleet
-//! scale.
+//! byte-identical across repeated runs, any worker-pool size (probe seeds
+//! are pure functions of committed state, and every fan-out inside a
+//! search is order-independent), and any store shard count (lookups
+//! depend only on per-mix bucket content). `crates/cluster/tests/fleet.rs`
+//! pins these at fleet scale; `recovery.rs` adds recovered ≡ never
+//! crashed.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -264,7 +265,7 @@ impl FleetService {
     }
 }
 
-impl<F: TestbedFactory + Sync + Clone> FleetService<F> {
+impl<F: TestbedFactory + Clone> FleetService<F> {
     /// A fleet whose nodes probe on testbeds built by `factory`.
     ///
     /// # Errors

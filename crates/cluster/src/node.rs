@@ -25,12 +25,11 @@ pub struct PlacedJob {
 /// The result of probing one node for a tentative admission: the job and
 /// the CLITE search outcome on the node's committed set plus that job.
 ///
-/// A plan is *speculative*: producing one ([`Node::plan_admission`]) does
+/// A plan is *tentative*: producing one ([`Node::plan_admission`]) does
 /// not change the node. The scheduler decides which plans count against a
 /// node's bookkeeping ([`Node::record_probe`]) and which single plan, if
-/// any, is committed ([`Node::commit_admission`]) — the split that lets
-/// threaded admission probe many nodes concurrently and still commit the
-/// exact placements a serial scan would.
+/// any, is committed ([`Node::commit_admission`]), so a probe that comes
+/// back infeasible leaves no trace on the node beyond its statistics.
 #[derive(Debug, Clone)]
 pub struct AdmissionPlan {
     job: PlacedJob,
@@ -268,9 +267,9 @@ impl<F: TestbedFactory> Node<F> {
     }
 
     /// Seed for the next search. A pure function of *committed* state, so
-    /// speculative probes — however many, in whatever order — never shift
-    /// the seeds of later searches. This is what makes threaded admission
-    /// bit-identical to serial.
+    /// probes that are not committed — however many — never shift the
+    /// seeds of later searches, and a replayed event history reproduces
+    /// every search bit for bit.
     fn search_seed(&self) -> u64 {
         self.seed.wrapping_add(self.commits + 1)
     }
@@ -302,9 +301,8 @@ impl<F: TestbedFactory> Node<F> {
     /// One admission/re-partition search on the given tentative job set,
     /// warm-started from the shared store when one is attached. Probes
     /// only *read* the store (plus hit/miss accounting); samples are
-    /// appended at commit time, so concurrent speculative probes all see
-    /// the same pre-wave store state and threaded admission stays
-    /// byte-identical to serial.
+    /// appended at commit time, so the store holds only committed
+    /// searches' samples.
     fn run_search(
         &self,
         specs: Vec<JobSpec>,
@@ -423,8 +421,7 @@ impl<F: TestbedFactory> Node<F> {
     /// Replaces a committed job's load schedule (the fleet's `load_shift`
     /// event) and re-partitions the node under the new load. The change is
     /// a commit — later search seeds shift exactly as they would for an
-    /// admission or departure, keeping serial and threaded event loops
-    /// byte-identical.
+    /// admission or departure.
     ///
     /// # Errors
     ///

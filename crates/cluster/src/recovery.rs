@@ -121,7 +121,7 @@ fn checkpoint_path(dir: &Path) -> PathBuf {
     dir.join("fleet.ckpt")
 }
 
-impl<F: TestbedFactory + Sync + Clone> DurableFleet<F> {
+impl<F: TestbedFactory + Clone> DurableFleet<F> {
     /// Creates a fresh durable fleet in `dir`, removing any journal left
     /// by a previous run and invalidating its checkpoint pair in place
     /// ([`blob::invalidate`]), so neither copy can be recovered from.

@@ -8,43 +8,19 @@ use clite_bo::termination::Termination;
 use clite_sim::prelude::*;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
 use clite_store::ShardedStore;
-use clite_telemetry::{Event, Phase, Telemetry};
+use clite_telemetry::{Event, Telemetry};
 
-use crate::node::{AdmissionPlan, Node, PlacedJob};
+use crate::node::{Node, PlacedJob};
 use crate::placement::PlacementPolicy;
 use crate::stats::ClusterStats;
 use crate::wire::SchedulerSnapshot;
 use crate::ClusterError;
-
-/// How a submission's admission searches run across candidate nodes.
-///
-/// Both modes commit identical placements under a fixed seed: probe seeds
-/// are a pure function of each node's committed state, candidates are
-/// resolved in placement order, and only the probes a serial scan would
-/// have paid for are charged to node statistics. Threaded mode merely
-/// overlaps the (independent, speculative) per-node searches on the
-/// shared [`clite_par`] worker pool — one slot per candidate, executed by
-/// however many pool threads are free, so concurrent admissions (and the
-/// nested per-node search parallelism inside each probe) can never spawn
-/// more OS threads than the pool owns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// Probe candidate nodes one at a time, stopping at the first
-    /// feasible one.
-    #[default]
-    Serial,
-    /// Probe every candidate node concurrently, then commit the first
-    /// feasible plan in placement order.
-    Threaded,
-}
 
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Node try-order policy.
     pub placement: PlacementPolicy,
-    /// Serial or threaded admission probing.
-    pub admission: AdmissionMode,
     /// CLITE configuration used for admission searches. The default uses
     /// a tighter iteration cap than a standalone run: admission needs a
     /// feasibility answer quickly, and the committed partition keeps
@@ -54,15 +30,13 @@ pub struct SchedulerConfig {
     /// size, probing every candidate makes each admission O(fleet)
     /// searches; the placement policy's ordering makes the first few
     /// candidates the likely winners, so a small cap is the "local
-    /// refinement" half of the mean-field policy. Applied identically in
-    /// serial and threaded modes, so byte-identity is unaffected.
+    /// refinement" half of the mean-field policy.
     pub probe_limit: Option<usize>,
     /// Per-admission deadline budget in observation windows: once the
     /// windows recorded against candidates for *this* admission reach the
     /// budget, the remaining candidates are not probed (the arrival is
-    /// rejected if none was feasible yet). Checked before each candidate
-    /// in both admission modes at the same points a serial scan would, so
-    /// byte-identity is unaffected. `None` disables the deadline.
+    /// rejected if none was feasible yet). Checked before each candidate.
+    /// `None` disables the deadline.
     pub deadline_samples: Option<u64>,
     /// Retry budget for transient enforce/observe faults inside each
     /// admission search, overriding the CLITE config's
@@ -75,7 +49,6 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         Self {
             placement: PlacementPolicy::default(),
-            admission: AdmissionMode::default(),
             clite: CliteConfig::default()
                 .with_termination(Termination { max_iterations: 30, ..Termination::default() }),
             probe_limit: None,
@@ -108,9 +81,7 @@ pub struct Placement {
 /// The fleet scheduler: submits jobs to nodes, testing QoS feasibility
 /// with a per-node CLITE search before committing.
 ///
-/// Generic over the [`TestbedFactory`] its nodes probe with; the `Sync`
-/// bound lets threaded admission share the fleet across worker threads
-/// (factories are cheap stateless builders, so this costs nothing).
+/// Generic over the [`TestbedFactory`] its nodes probe with.
 #[derive(Debug)]
 pub struct ClusterScheduler<F: TestbedFactory = ServerFactory> {
     nodes: Vec<Node<F>>,
@@ -146,7 +117,7 @@ impl ClusterScheduler {
     }
 }
 
-impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
+impl<F: TestbedFactory> ClusterScheduler<F> {
     /// Builds a cluster of `nodes` identical machines whose admission
     /// searches run on testbeds built by `factory`.
     ///
@@ -193,10 +164,8 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
     /// Attaches one shared observation store to every node in the fleet:
     /// admission probes and re-partitioning searches warm-start
     /// from the pooled samples, and committed searches append back to it.
-    /// Because probes only read the store and appends happen at commit,
-    /// serial and threaded admission still place identical fleets, and
-    /// because lookups depend only on per-mix bucket content, so does
-    /// every shard count.
+    /// Lookups depend only on per-mix bucket content, so every shard count
+    /// places an identical fleet.
     #[must_use]
     pub fn with_store(mut self, store: Arc<ShardedStore>) -> Self {
         for node in &mut self.nodes {
@@ -442,46 +411,27 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
         orphans
     }
 
-    /// Walks the candidates in placement order, charging each probed node
-    /// and committing the first feasible plan. A probe that surfaces a
-    /// node crash evicts that node (its drained jobs are returned for
+    /// Walks the candidates in placement order, probing each one and
+    /// committing the first feasible plan. A probe that surfaces a node
+    /// crash evicts that node (its drained jobs are returned for
     /// re-placement) and the scan continues. The per-admission deadline
     /// budget is checked *before* each candidate: once the windows
-    /// recorded for this admission reach it, the rest are skipped.
-    ///
-    /// Serial mode probes each candidate when the scan reaches it.
-    /// Threaded mode probes every candidate up front, concurrently, and
-    /// the scan consumes those plans: results past the winner or the
-    /// deadline are discarded *unrecorded* — a serial scan would never
-    /// have run them — and that includes crashes, so such a node stays
-    /// alive. Probe seeds and fault streams are a pure function of each
-    /// node's committed state, so both modes see identical plans and
-    /// crashes and produce identical fleets and statistics under a fixed
-    /// seed. Every probe shares the caller's `telemetry`, so the probes'
-    /// phase timings reach its report.
+    /// recorded for this admission reach it, the rest are skipped. Every
+    /// probe shares the caller's `telemetry`, so the probes' phase timings
+    /// reach its report.
     fn admit_scan(
         &mut self,
         order: &[usize],
         job: &PlacedJob,
         telemetry: &Telemetry<'_>,
     ) -> Result<(Option<usize>, Vec<PlacedJob>), ClusterError> {
-        let mut planned = match self.config.admission {
-            AdmissionMode::Serial => None,
-            AdmissionMode::Threaded => Some(self.probe_all(order, job, telemetry).into_iter()),
-        };
         let mut orphans = Vec::new();
         let mut spent: u64 = 0;
         for &node_id in order {
             if self.config.deadline_samples.is_some_and(|budget| spent >= budget) {
                 break;
             }
-            let result = match &mut planned {
-                Some(plans) => plans.next().expect("one plan per candidate"),
-                None => {
-                    self.nodes[node_id].plan_admission(job.clone(), &self.config.clite, telemetry)
-                }
-            };
-            match result {
+            match self.nodes[node_id].plan_admission(job.clone(), &self.config.clite, telemetry) {
                 Ok(Some(plan)) => {
                     spent += plan.outcome().samples_used() as u64;
                     self.nodes[node_id].record_probe(&plan);
@@ -504,28 +454,6 @@ impl<F: TestbedFactory + Sync> ClusterScheduler<F> {
             }
         }
         Ok((None, orphans))
-    }
-
-    /// Probes every candidate concurrently on the shared pool, one slot
-    /// per candidate: probes are independent and pure given each node's
-    /// committed state, so results depend only on the candidate order,
-    /// never on which pool thread ran a probe.
-    fn probe_all(
-        &self,
-        order: &[usize],
-        job: &PlacedJob,
-        telemetry: &Telemetry<'_>,
-    ) -> Vec<Result<Option<AdmissionPlan>, ClusterError>> {
-        let (config, nodes) = (&self.config.clite, &self.nodes);
-        telemetry.time(Phase::ParDispatch, || {
-            clite_par::map_indexed(
-                clite_par::WorkerPool::global(),
-                order.len(),
-                order,
-                || (),
-                |(), _, &node_id| nodes[node_id].plan_admission(job.clone(), config, telemetry),
-            )
-        })
     }
 
     /// Removes a placed job (departure) and re-partitions its node. The
@@ -704,17 +632,16 @@ mod tests {
     }
 
     #[test]
-    fn deadline_budget_caps_probing_and_preserves_byte_identity() {
+    fn deadline_budget_caps_probing() {
         // Saturate a small fleet so the probe job below runs a real — and
         // infeasible — search on every candidate it reaches. Without a
         // deadline the scan pays for a search per candidate; with a
         // 1-window budget it stops after the first search finishes.
-        let build = |deadline: Option<u64>, admission: AdmissionMode| {
+        let build = |deadline: Option<u64>| {
             let mut c = ClusterScheduler::new(
                 3,
                 SchedulerConfig {
                     placement: PlacementPolicy::FirstFit,
-                    admission,
                     deadline_samples: deadline,
                     ..SchedulerConfig::default()
                 },
@@ -735,22 +662,13 @@ mod tests {
             c.total_samples_spent() - before
         };
 
-        let mut unbounded = build(None, AdmissionMode::Serial);
-        let mut bounded = build(Some(1), AdmissionMode::Serial);
-        let mut threaded = build(Some(1), AdmissionMode::Threaded);
-        let full_scan = probe(&mut unbounded);
-        let capped = probe(&mut bounded);
-        let capped_threaded = probe(&mut threaded);
+        let full_scan = probe(&mut build(None));
+        let capped = probe(&mut build(Some(1)));
         assert!(capped > 0, "the first candidate's search is still paid for");
         assert!(
             capped < full_scan,
             "deadline must stop the scan after one search: capped {capped}, full {full_scan}"
         );
-        assert_eq!(
-            capped, capped_threaded,
-            "threaded admission must honor the deadline at the same scan points"
-        );
-        assert_eq!(bounded.stats(), threaded.stats(), "deadline preserves byte-identity");
     }
 
     #[test]

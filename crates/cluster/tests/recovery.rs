@@ -13,7 +13,6 @@ use clite_cluster::fleet::{
     backlog_at, EventOutcome, FleetConfig, FleetRun, FleetService, OverloadConfig,
 };
 use clite_cluster::recovery::{CrashPlan, CrashPoint, DurableConfig, DurableFleet, DurableOutcome};
-use clite_cluster::scheduler::AdmissionMode;
 use clite_cluster::trace::{generate, TraceConfig};
 use clite_sim::testbed::ServerFactory;
 use clite_telemetry::Telemetry;
@@ -35,10 +34,8 @@ fn recovery_trace() -> Vec<TimedEvent> {
     )
 }
 
-fn config(mode: AdmissionMode) -> FleetConfig {
-    let mut config = FleetConfig::mean_field(4, 3);
-    config.scheduler.admission = mode;
-    config
+fn config() -> FleetConfig {
+    FleetConfig::mean_field(4, 3)
 }
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -66,8 +63,8 @@ fn burst(events: usize) -> Vec<TimedEvent> {
     .collect()
 }
 
-fn baseline(mode: AdmissionMode, trace: &[TimedEvent]) -> FleetRun {
-    let mut service = FleetService::new(NODES, config(mode), SEED).expect("fleet");
+fn baseline(trace: &[TimedEvent]) -> FleetRun {
+    let mut service = FleetService::new(NODES, config(), SEED).expect("fleet");
     service.run(trace, &Telemetry::disabled()).expect("baseline runs")
 }
 
@@ -77,21 +74,15 @@ fn baseline(mode: AdmissionMode, trace: &[TimedEvent]) -> FleetRun {
 #[test]
 fn kill_at_every_event_recovers_byte_identically() {
     let trace = recovery_trace();
-    let want = baseline(AdmissionMode::Serial, &trace);
+    let want = baseline(&trace);
     let durable = DurableConfig { checkpoint_every: 4 };
     let dir = tempdir("sweep");
     let mut from_checkpoint = 0;
     for k in 0..trace.len() as u64 {
         for point in [CrashPoint::Journaled, CrashPoint::Applied] {
-            let mut fleet = DurableFleet::create(
-                NODES,
-                config(AdmissionMode::Serial),
-                SEED,
-                ServerFactory,
-                &dir,
-                durable,
-            )
-            .expect("create");
+            let mut fleet =
+                DurableFleet::create(NODES, config(), SEED, ServerFactory, &dir, durable)
+                    .expect("create");
             let plan = CrashPlan { after_event: k, point };
             let outcome =
                 fleet.run(&trace, Some(&plan), &Telemetry::disabled()).expect("run to kill");
@@ -100,7 +91,7 @@ fn kill_at_every_event_recovers_byte_identically() {
 
             let mut recovered = DurableFleet::recover(
                 NODES,
-                config(AdmissionMode::Serial),
+                config(),
                 SEED,
                 ServerFactory,
                 &dir,
@@ -123,47 +114,6 @@ fn kill_at_every_event_recovers_byte_identically() {
     assert!(from_checkpoint > 0, "the sweep must exercise checkpoint restores, not only replay");
 }
 
-/// Serial and threaded admission recover to the same witness: the WAL
-/// layer sits above the admission modes and must not perturb their
-/// byte-identity contract.
-#[test]
-fn recovered_threaded_fleet_matches_serial() {
-    let trace = recovery_trace();
-    let want = baseline(AdmissionMode::Serial, &trace);
-    let durable = DurableConfig { checkpoint_every: 4 };
-    let dir = tempdir("threaded");
-    let mut fleet = DurableFleet::create(
-        NODES,
-        config(AdmissionMode::Threaded),
-        SEED,
-        ServerFactory,
-        &dir,
-        durable,
-    )
-    .expect("create");
-    let plan = CrashPlan { after_event: 7, point: CrashPoint::Journaled };
-    fleet.run(&trace, Some(&plan), &Telemetry::disabled()).expect("run to kill");
-    drop(fleet);
-    let mut recovered = DurableFleet::recover(
-        NODES,
-        config(AdmissionMode::Threaded),
-        SEED,
-        ServerFactory,
-        &dir,
-        durable,
-        None,
-        &Telemetry::disabled(),
-    )
-    .expect("recover");
-    let DurableOutcome::Completed(got) =
-        recovered.run(&trace, None, &Telemetry::disabled()).expect("finish")
-    else {
-        panic!("must complete");
-    };
-    assert_eq!(got, want, "threaded recovery diverged from the serial baseline");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Overload shedding under a bursty trace survives kill/recover: the
 /// journal carries each arrival's disposition and backlog, so the
 /// recovered run sheds the same arrivals and the journal accounts for
@@ -173,7 +123,7 @@ fn shedding_decisions_survive_recovery_and_are_journaled() {
     // The backlog trigger fires for background arrivals while LC arrivals
     // always probe; the arrival-heavy burst reliably contains BG arrivals.
     let burst = burst(20);
-    let mut shedding_config = config(AdmissionMode::Serial);
+    let mut shedding_config = config();
     shedding_config.overload =
         OverloadConfig { shed_backlog: Some(4), shed_window_debt: None, debt_horizon: 8 };
 
@@ -250,7 +200,7 @@ fn deadline_bounds_every_protected_admission_under_a_burst() {
     // Below one search's typical cost, so admission stops scanning once
     // its first search has finished.
     let deadline = 4;
-    let mut protected = config(AdmissionMode::Serial);
+    let mut protected = config();
     protected.overload =
         OverloadConfig { shed_backlog: Some(4), shed_window_debt: None, debt_horizon: 8 };
     protected.scheduler.deadline_samples = Some(deadline);
@@ -275,19 +225,15 @@ fn deadline_bounds_every_protected_admission_under_a_burst() {
     assert!(shed > 0, "the burst must actually trigger shedding");
     assert_eq!(costs.iter().filter(|&&(_, was_shed)| was_shed).count() as u64, shed);
 
-    let (_, control_shed) = arrival_costs(config(AdmissionMode::Serial), &trace);
+    let (_, control_shed) = arrival_costs(config(), &trace);
     assert_eq!(control_shed, 0, "the trace must not shed without overload settings");
 }
 
 /// Runs `trace` over a 3-node fleet with the backlog trigger armed and
 /// the given deadline, returning the run witness and the probes charged
 /// to the nodes.
-fn shedding_run(
-    mode: AdmissionMode,
-    deadline: Option<u64>,
-    trace: &[TimedEvent],
-) -> (FleetRun, usize) {
-    let mut config = config(mode);
+fn shedding_run(deadline: Option<u64>, trace: &[TimedEvent]) -> (FleetRun, usize) {
+    let mut config = config();
     config.overload =
         OverloadConfig { shed_backlog: Some(6), shed_window_debt: None, debt_horizon: 8 };
     config.scheduler.deadline_samples = deadline;
@@ -301,24 +247,18 @@ fn shedding_run(
 /// 3 nodes, the last arrival's first candidate comes back infeasible.
 /// Without a deadline the scan goes on and places it on a second node;
 /// with a 4-window budget it stops after that one search and the arrival
-/// is rejected. Both admission modes stop at the same point (without a
-/// deadline they are byte-identical, so one unbounded run serves both).
+/// is rejected.
 #[test]
 fn deadline_stops_a_scan_early_while_shedding() {
     let trace = burst(16);
-    let (free, free_probes) = shedding_run(AdmissionMode::Serial, None, &trace);
-    let mut witnesses = Vec::new();
-    for mode in [AdmissionMode::Serial, AdmissionMode::Threaded] {
-        let (bounded, bounded_probes) = shedding_run(mode, Some(4), &trace);
-        assert!(bounded.counters.arrivals_shed > 0, "{mode:?}: the burst must shed");
-        assert_eq!(bounded.counters.arrivals_shed, free.counters.arrivals_shed);
-        assert!(
-            bounded_probes < free_probes,
-            "{mode:?}: the deadline must cut a scan short ({bounded_probes} vs {free_probes} probes)"
-        );
-        assert_ne!(bounded.placements, free.placements, "{mode:?}: placements must differ");
-        assert!(bounded.stats.rejected > free.stats.rejected, "{mode:?}: the cut scan rejects");
-        witnesses.push(bounded);
-    }
-    assert_eq!(witnesses[0], witnesses[1], "serial and threaded must stop at the same point");
+    let (free, free_probes) = shedding_run(None, &trace);
+    let (bounded, bounded_probes) = shedding_run(Some(4), &trace);
+    assert!(bounded.counters.arrivals_shed > 0, "the burst must shed");
+    assert_eq!(bounded.counters.arrivals_shed, free.counters.arrivals_shed);
+    assert!(
+        bounded_probes < free_probes,
+        "the deadline must cut a scan short ({bounded_probes} vs {free_probes} probes)"
+    );
+    assert_ne!(bounded.placements, free.placements, "placements must differ");
+    assert!(bounded.stats.rejected > free.stats.rejected, "the cut scan rejects");
 }

@@ -16,10 +16,10 @@
 //!    from a freshly seeded RNG keyed by `(seed, window)`; enforcement
 //!    faults draw from `(seed, call index)`. Nothing ever touches the
 //!    inner testbed's RNG, so two runs with the same spec and seed replay
-//!    the identical schedule, and threaded cluster admission stays
-//!    byte-identical to serial as long as each node's fault seed is a pure
-//!    function of committed state (the scheduler derives it from the same
-//!    commit-count seed its searches use).
+//!    the identical schedule, and a cluster run replays its crashes exactly
+//!    (through kill and recovery too) as long as each node's fault seed is
+//!    a pure function of committed state (the scheduler derives it from
+//!    the same commit-count seed its searches use).
 //! 2. **Rate-zero transparency.** With [`FaultSpec::none`] the decorator
 //!    is byte-identical to the inner testbed on every [`Testbed`] method:
 //!    no RNG draws, no extra windows, no perturbation of any kind.
@@ -580,8 +580,8 @@ impl<T: Testbed> Testbed for FaultyTestbed<T> {
 ///
 /// The cluster scheduler derives each node's build seed from
 /// `(node id, commit count)`, a pure function of committed state — so the
-/// fault schedule is too, and threaded admission stays byte-identical to
-/// serial even under injected crashes.
+/// fault schedule is too, and a recovered fleet replays the same crashes
+/// as a never-killed one.
 #[derive(Debug, Clone)]
 pub struct FaultyFactory<F: TestbedFactory> {
     inner: F,

@@ -6,8 +6,8 @@
 //!    never perturb a fault-free run.
 //! 2. **Schedule determinism** — the same [`FaultSpec`] + seed replays
 //!    the identical fault schedule (same kinds, same windows, same
-//!    corrupted counters), which is what keeps chaos runs reproducible and
-//!    threaded cluster admission byte-identical to serial.
+//!    corrupted counters), which is what keeps chaos runs and crash-laden
+//!    fleet runs reproducible.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

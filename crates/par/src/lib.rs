@@ -2,8 +2,8 @@
 //!
 //! Every parallel site in the workspace used to open its own
 //! `std::thread::scope` fan-out: the GP hyper-grid scan, the acquisition
-//! multi-start climbs, and threaded cluster admission each spawned fresh OS
-//! threads per call — and the fleet service nested them (per-node searches
+//! multi-start climbs, and (since removed) threaded cluster admission each
+//! spawned fresh OS threads per call — and the fleet service nested them (per-node searches
 //! inside per-node admission probes), oversubscribing shared hosts. This
 //! crate replaces all of those with one fixed-size, lazily-initialized pool
 //! in the idiom of the-block's `node/src/parallel.rs`: work is split into

@@ -1,9 +1,10 @@
-//! The substrate's whole contract in two properties: (1) a partitioned
+//! The substrate's whole contract in three properties: (1) a partitioned
 //! map-reduce over any worker count produces *byte-identical* results —
 //! including a serial left-fold over the merged outputs, the shape every
-//! consumer's reduction takes — and (2) the slot striping is a true
+//! consumer's reduction takes — (2) the slot striping is a true
 //! partition of the input: every item is visited exactly once, no
-//! overlaps, no gaps, regardless of slot count or input size.
+//! overlaps, no gaps, regardless of slot count or input size, and (3)
+//! nested fan-outs never keep more workers busy than the pool owns.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -96,6 +97,62 @@ fn chunked_mutation_is_byte_identical_at_1_2_4_8_workers() {
             }
         }
     }
+}
+
+#[test]
+fn nested_fanout_never_oversubscribes_the_pool() {
+    // A search fans out inside a fan-out (acquisition starts inside a
+    // hyper-grid refresh, say), each layer requesting more slots than the
+    // pool owns. Every layer draws from the same fixed pool and callers
+    // self-execute unclaimed slots, so the number of concurrently busy
+    // pool workers can never exceed the pool's worker count. Uses the
+    // global pool, which `CLITE_PAR_THREADS` sizes.
+    let pool = WorkerPool::global();
+    let before = pool.stats();
+    let slots = pool.size() * 4;
+    let outer = work_set(3 * slots, 0xF00D);
+
+    let nested = map_indexed(
+        pool,
+        slots,
+        &outer,
+        || (),
+        |(), i, &x| {
+            let inner = work_set(2 * slots, i as u64 + 1);
+            let mapped = map_indexed(
+                pool,
+                slots,
+                &inner,
+                || (),
+                |(), j, &y| {
+                    // Hold the slot so every worker is busy at once and the
+                    // bound below is reached, not just approached.
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    kernel(j, y * x)
+                },
+            );
+            mapped.iter().fold(0.0f64, |a, &b| a + b)
+        },
+    );
+    let serial: Vec<f64> = outer
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| {
+            let inner = work_set(2 * slots, i as u64 + 1);
+            inner.iter().enumerate().map(|(j, &y)| kernel(j, y * x)).fold(0.0f64, |a, b| a + b)
+        })
+        .collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&nested), bits(&serial), "nesting changed a result");
+
+    let after = pool.stats();
+    assert!(after.jobs > before.jobs, "the nested fan-out must dispatch through the pool");
+    assert!(
+        after.max_busy_workers <= pool.workers(),
+        "pool oversubscribed: {} workers busy at once but only {} exist",
+        after.max_busy_workers,
+        pool.workers()
+    );
 }
 
 proptest! {

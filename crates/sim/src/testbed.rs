@@ -14,8 +14,7 @@
 //!   the frontier experiments) and steady-state monitoring loops stop
 //!   re-simulating identical configurations;
 //! * [`TestbedFactory`] / [`ServerFactory`] — deferred construction, used
-//!   by the cluster scheduler to build per-node testbeds (including inside
-//!   worker threads in its threaded admission mode).
+//!   by the cluster scheduler to build per-node testbeds.
 //!
 //! Ground truth is privileged: it lives on [`OracleTestbed`], a separate
 //! supertrait-extending trait, so code generic over plain [`Testbed`]

@@ -12,8 +12,8 @@ static NOOP: NoopRecorder = NoopRecorder;
 ///
 /// Instrumented code takes `&Telemetry`. The phase timer keeps atomic
 /// totals, so timing needs no `&mut` plumbing and the context is `Sync`:
-/// threaded admission hands the caller's context to every pool slot, and
-/// the probes' spans land in the caller's [`report`](Telemetry::report).
+/// it can be handed to pool slots, and their spans land in the caller's
+/// [`report`](Telemetry::report).
 /// Spans measure first and book the elapsed time after the closure
 /// returns, so nested `time` calls (e.g. a GP fit inside an engine step)
 /// are safe. Nested and concurrent spans both count in full, so the

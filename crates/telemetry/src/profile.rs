@@ -18,10 +18,10 @@ pub enum Phase {
     /// Maximizing the acquisition function over candidates.
     Acquisition,
     /// Fanning work out over the shared `clite-par` worker pool
-    /// (dispatch + barrier time of partitioned parallel sections, e.g.
-    /// threaded cluster admission probes). The probes' own spans nest
-    /// inside it, so compare it against their totals rather than adding
-    /// it to wall time.
+    /// (dispatch + barrier time of a partitioned parallel section whose
+    /// slots time their own spans). No path emits it now that cluster
+    /// admission scans serially; it stays so [`Phase::ALL`] keeps its
+    /// indices.
     ParDispatch,
     /// Evaluating a partition on the server/simulator.
     Observe,
@@ -98,8 +98,8 @@ pub struct OverheadReport {
     pub phases: Vec<PhaseCost>,
     /// Wall-clock seconds of the whole search run.
     pub wall_seconds: f64,
-    /// Fraction of wall time covered by the profiled phases. Nested or
-    /// concurrent spans (threaded admission) can push it above 1.
+    /// Fraction of wall time covered by the profiled phases. Nested spans
+    /// can push it above 1.
     pub coverage: f64,
 }
 
@@ -120,7 +120,7 @@ impl OverheadReport {
 /// Accumulating stopwatch over the search phases.
 ///
 /// Totals and counts are per-phase atomics, so one timer can be shared by
-/// concurrent spans (threaded admission probes add to the caller's timer).
+/// concurrent spans.
 /// `Relaxed` suffices: each add is independent, and readers only need the
 /// sums once the spans that produced them have been joined.
 #[derive(Debug)]

@@ -16,10 +16,8 @@ use crate::metrics::MetricsRegistry;
 /// is observational, so sinks swallow their own I/O errors (counting
 /// drops where they can).
 ///
-/// Recorders are `Send + Sync` so one sink can be shared by concurrent
-/// admission searches (threaded admission hands one
-/// [`Telemetry`](crate::Telemetry) context to every pool slot); the
-/// standard sinks already serialize internally through mutexes.
+/// Recorders are `Send + Sync` so one sink can be shared across threads;
+/// the standard sinks already serialize internally through mutexes.
 pub trait Recorder: Send + Sync {
     /// Consumes one event.
     fn record(&self, event: &Event);
