@@ -118,7 +118,7 @@ if [[ "${1:-}" != "quick" ]]; then
     # Between the runs every shard log grows a torn tail: the second run
     # must recover it with a warning on stderr and still hit. Every
     # --store shares one layout (PATH.shard<i>), so a fleet run must then
-    # open the same path.
+    # open the same path, at the same shard count.
     step "colocate --store smoke test"
     store_tmp="$(mktemp -d)"
     trap 'rm -rf "$store_tmp"' EXIT
@@ -135,6 +135,14 @@ if [[ "${1:-}" != "quick" ]]; then
     ./target/release/colocate fleet --nodes 16 --events 8 \
         --store "$store_tmp/obs.clite" > "$store_tmp/fleet_store.txt"
     grep -q "without panic" "$store_tmp/fleet_store.txt"
+    # That store has 8 shards: reopening it with 4 must exit 1 and name
+    # both counts, not route keys to the wrong shard files.
+    shards_status=0
+    ./target/release/colocate fleet --nodes 16 --events 8 --shards 4 \
+        --store "$store_tmp/obs.clite" > "$store_tmp/fleet_shards.txt" 2>&1 \
+        || shards_status=$?
+    [[ "$shards_status" -eq 1 ]]
+    grep -q "has 8 shards, but 4 were requested" "$store_tmp/fleet_shards.txt"
 
     # Chaos smoke test: a forced node crash must degrade gracefully —
     # fallback engaged, marker printed, exit 0 — never panic.

@@ -477,21 +477,15 @@ fn run_fleet(
     );
     let store_stats = store.stats();
     println!(
-        "store: {} shards, {} mixes, {} records, {} appends, {} hits / {} misses, {} lock waits, {} compactions",
+        "store: {} shards, {} mixes, {} records, {} appends, {} hits / {} misses, {} compactions",
         store.shard_count(),
         store.mix_count(),
         store.record_count(),
         store_stats.appends,
         store_stats.hits,
         store_stats.misses,
-        store_stats.lock_waits,
         store_stats.compactions,
     );
-    if store_path.is_some() {
-        if let Err(e) = store.compact_pending() {
-            eprintln!("warning: shutdown compaction failed: {e}");
-        }
-    }
     println!(
         "fleet: completed {} events over {} nodes in {:.1} ms ({:.0} us/arrival) without panic",
         trace.len(),

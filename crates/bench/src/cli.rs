@@ -599,6 +599,8 @@ STORE:
   'store: miss'. Every --store (run, sweep, fleet, experiments fig16)
   keeps one log per shard at PATH.shard<i>, 8 shards unless
   'colocate fleet --shards' says otherwise, so they can share one PATH.
+  A PATH reopens only at the shard count it was made with; any other
+  count exits 1 and names both counts.
   A shard with a corrupt tail is recovered with a warning on stderr.
 
 LOAD (latency percentiles under a trace):

@@ -5,12 +5,17 @@
 //! multi-start climbs, and (since removed) threaded cluster admission each
 //! spawned fresh OS threads per call — and the fleet service nested them (per-node searches
 //! inside per-node admission probes), oversubscribing shared hosts. This
-//! crate replaces all of those with one fixed-size, lazily-initialized pool
+//! crate replaces those with one fixed-size, lazily-initialized pool
 //! in the idiom of the-block's `node/src/parallel.rs`: work is split into
 //! **non-overlapping, index-keyed partitions** ("slots"), executed by
 //! whichever threads are free, and reduced in slot-index order so the
 //! result is a pure function of the partitioning — never of the pool size,
 //! scheduling order, or physical core count.
+//!
+//! One private fan-out is left: the load harness's
+//! `clite_load::fire_queries` spawns its own scoped client threads per
+//! call. On a 2-vCPU host neither those threads nor its serial path wins
+//! at every query count, so it has not moved onto the pool.
 //!
 //! # Determinism contract
 //!

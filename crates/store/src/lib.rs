@@ -15,7 +15,8 @@
 //!   reuse policy and per-mix best-K eviction ([`store`]);
 //! * one **front end**, [`ShardedStore`], that splits the index and log
 //!   across independently locked shards (`<path>.shard<i>` on disk) and
-//!   counts hits and misses ([`shard`]);
+//!   compacts a shard's log when an append leaves it mostly garbage
+//!   ([`shard`]);
 //! * a **[`WarmStart`] API** that hands stored samples back to the search
 //!   so a re-invocation on a seen (or nearby-load) mix primes its
 //!   surrogate instead of bootstrapping from scratch.
@@ -71,6 +72,14 @@ pub enum StoreError {
         /// the path it could not open.
         message: String,
     },
+    /// A sharded store already exists at the path with a different shard
+    /// count; keys would route to the wrong shard files.
+    ShardCount {
+        /// Shards of the store on disk.
+        existing: usize,
+        /// Shards the open asked for.
+        requested: usize,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -78,6 +87,9 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io { op, message } => {
                 write!(f, "{op} failed: {message}")
+            }
+            StoreError::ShardCount { existing, requested } => {
+                write!(f, "the store on disk has {existing} shards, but {requested} were requested")
             }
         }
     }

@@ -1,15 +1,14 @@
-//! The observation store's one front end: per-shard locks, a read fast
-//! path, and background compaction.
+//! The observation store's one front end: per-shard locks and inline
+//! compaction.
 //!
 //! Every caller — the controller, the adaptive loop, the `colocate` and
 //! `experiments` `--store` paths, and the fleet — holds an
 //! `Arc<ShardedStore>`. It splits the store into `N` independent
-//! [`ObservationStore`]s, each behind its own lock, so a probe's
-//! warm-start lookup never waits behind an append to another mix. Each
-//! signature is routed by [`MixSignature::shard_hash`] — a stable FNV-1a
-//! hash of the mix *key* (catalog, workloads, classes, QoS; load
-//! excluded), so every load point of one mix lands on the same shard and
-//! nearby-load reuse never crosses a shard boundary.
+//! [`ObservationStore`]s, each behind its own lock. Each signature is
+//! routed by [`MixSignature::shard_hash`] — a stable FNV-1a hash of the
+//! mix *key* (catalog, workloads, classes, QoS; load excluded), so every
+//! load point of one mix lands on the same shard and nearby-load reuse
+//! never crosses a shard boundary.
 //!
 //! Because the underlying index is keyed by mix key and buckets never
 //! interact, **every lookup and eviction decision is a pure function of
@@ -19,35 +18,37 @@
 //! outcomes for the same append history (pinned by
 //! `tests/shard_invariance.rs`).
 //!
-//! Concurrency model:
-//! * reads take `RwLock::try_read` first (many concurrent probes share the
-//!   lock); a blocked attempt bumps the shard's `lock_waits` atomic and
-//!   falls back to a blocking read, so contention is measured, never
-//!   hidden;
-//! * hit/miss/lock-wait counters live *outside* the lock as per-shard
-//!   atomics — the read path never needs `&mut ObservationStore`
-//!   (it calls [`ObservationStore::peek`]);
-//! * appends take the write lock, and afterwards check the shard's
-//!   [`ObservationStore::garbage_ratio`]; past the policy threshold the
-//!   shard index is queued to a detached background compactor thread that
-//!   rewrites the log tmp+rename (crash leaves old or new log intact —
-//!   same discipline as [`ObservationStore::compact`]).
-//!
-//! The compactor holds only a [`Weak`] reference: dropping the last
-//! [`ShardedStore`] handle closes the work channel and the thread exits on
-//! its own — no `Drop`-time join, no shutdown deadlock.
+//! Concurrency model: CLITE samples one configuration per observation
+//! window and searches one mix at a time, so store traffic is sequential
+//! — warm starts and appends run on the fleet's or the controller's
+//! thread. Each shard is one [`Mutex`] around an [`ObservationStore`],
+//! which counts its own hits and misses. An append that leaves its
+//! shard's log at [`COMPACTION_MIN_LOG_RECORDS`] frames or more with a
+//! [`ObservationStore::garbage_ratio`] above [`COMPACTION_GARBAGE_RATIO`]
+//! compacts that shard before returning: a tmp+rename rewrite, so a crash
+//! leaves the old or the new log intact (see
+//! [`ObservationStore::compact`]). Compaction is best-effort: a failed
+//! rewrite leaves the old log, the append's result stands, and the next
+//! append past the threshold retries.
 
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError, Weak};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use clite_sim::alloc::Partition;
 use clite_sim::metrics::Observation;
-use clite_telemetry::{Event, Telemetry};
+use clite_telemetry::Telemetry;
 
 use crate::signature::MixSignature;
 use crate::store::{ObservationStore, StorePolicy, StoreStats, WarmStart};
-use crate::StoreResult;
+use crate::{StoreError, StoreResult};
+
+/// Garbage fraction of a shard's log above which an append compacts it
+/// (see [`ObservationStore::garbage_ratio`]).
+pub const COMPACTION_GARBAGE_RATIO: f64 = 0.5;
+
+/// Logs with fewer frames than this are never compacted — rewriting a
+/// tiny file buys nothing.
+pub const COMPACTION_MIN_LOG_RECORDS: u64 = 128;
 
 /// Tunables for the sharded front-end.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,27 +57,11 @@ pub struct ShardPolicy {
     pub shards: usize,
     /// Per-shard store policy (reuse distance, eviction).
     pub store: StorePolicy,
-    /// Garbage fraction of a shard's log above which compaction is
-    /// scheduled (see [`ObservationStore::garbage_ratio`]).
-    pub compaction_garbage_ratio: f64,
-    /// Logs smaller than this many frames are never compacted — rewriting
-    /// a tiny file buys nothing.
-    pub compaction_min_log_records: u64,
-    /// Run compactions on the background thread. When `false`, callers
-    /// compact explicitly via [`ShardedStore::compact_pending`] /
-    /// [`ShardedStore::compact_all`] (deterministic tests, shutdown).
-    pub background_compaction: bool,
 }
 
 impl Default for ShardPolicy {
     fn default() -> Self {
-        Self {
-            shards: 8,
-            store: StorePolicy::default(),
-            compaction_garbage_ratio: 0.5,
-            compaction_min_log_records: 128,
-            background_compaction: true,
-        }
+        Self { shards: 8, store: StorePolicy::default() }
     }
 }
 
@@ -88,114 +73,52 @@ impl ShardPolicy {
     }
 }
 
-/// One shard: the store behind a read/write lock plus contention counters
-/// kept outside it.
-#[derive(Debug)]
-struct Shard {
-    store: RwLock<ObservationStore>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    lock_waits: AtomicU64,
-    /// Set while a compaction for this shard is queued or running, so the
-    /// append path schedules each shard at most once at a time. With no
-    /// worker to take the job (background compaction disabled, an
-    /// in-memory store, or a worker that is exiting) the flag stays set,
-    /// and [`ShardedStore::compact_pending`] picks the shard up.
-    compaction_queued: AtomicBool,
-}
-
-impl Shard {
-    fn new(store: ObservationStore) -> Self {
-        Self {
-            store: RwLock::new(store),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            lock_waits: AtomicU64::new(0),
-            compaction_queued: AtomicBool::new(false),
-        }
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, ObservationStore> {
-        match self.store.try_read() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                self.lock_waits.fetch_add(1, Ordering::Relaxed);
-                self.store.read().unwrap_or_else(std::sync::PoisonError::into_inner)
-            }
-            Err(TryLockError::Poisoned(e)) => e.into_inner(),
-        }
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, ObservationStore> {
-        match self.store.try_write() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                self.lock_waits.fetch_add(1, Ordering::Relaxed);
-                self.store.write().unwrap_or_else(std::sync::PoisonError::into_inner)
-            }
-            Err(TryLockError::Poisoned(e)) => e.into_inner(),
-        }
-    }
-}
-
 /// A store split across independently locked shards.
-///
-/// Always handled through `Arc` (the constructors return `Arc<Self>`) so
-/// the background compactor can hold a [`Weak`] reference.
 #[derive(Debug)]
 pub struct ShardedStore {
-    shards: Vec<Shard>,
-    policy: ShardPolicy,
-    /// Work queue to the background compactor; `None` when background
-    /// compaction is disabled or the store is in-memory.
-    compactor: Mutex<Option<mpsc::Sender<usize>>>,
+    shards: Vec<Mutex<ObservationStore>>,
 }
 
 impl ShardedStore {
     /// Opens (or creates) a sharded store rooted at `path`: shard `i`
-    /// lives in `<path>.shard<i>`. Spawns the background compactor when
-    /// the policy asks for one. A shard whose reopen had to discard a
+    /// lives in `<path>.shard<i>`. A shard whose reopen had to discard a
     /// torn or corrupt tail emits its own recovery event.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::StoreError::Io`] on filesystem failures. Torn or
-    /// corrupt shard tails are recovered, not errors (see
+    /// Returns [`StoreError::ShardCount`], creating no file, when a store
+    /// with a different shard count already exists at `path`: keys route
+    /// by `shard_hash % shards`, so a changed count would look for them in
+    /// the wrong files. Returns [`StoreError::Io`] on filesystem failures.
+    /// Torn or corrupt shard tails are recovered, not errors (see
     /// [`ObservationStore::open`]).
     pub fn open(
         path: impl AsRef<Path>,
         policy: ShardPolicy,
         telemetry: &Telemetry<'_>,
     ) -> StoreResult<Arc<Self>> {
-        let policy = ShardPolicy { shards: policy.shards.max(1), ..policy };
-        let path = path.as_ref();
-        let mut shards = Vec::with_capacity(policy.shards);
-        for i in 0..policy.shards {
-            let store = ObservationStore::open(shard_path(path, i), policy.store, telemetry)?;
-            shards.push(Shard::new(store));
+        let (path, requested) = (path.as_ref(), policy.shards.max(1));
+        if let Some(existing) = existing_shards(path) {
+            if existing != requested {
+                return Err(StoreError::ShardCount { existing, requested });
+            }
         }
-        let store = Arc::new(Self { shards, policy, compactor: Mutex::new(None) });
-        if policy.background_compaction {
-            Self::spawn_compactor(&store);
-        }
-        Ok(store)
+        let shards = (0..requested)
+            .map(|i| {
+                ObservationStore::open(shard_path(path, i), policy.store, telemetry).map(Mutex::new)
+            })
+            .collect::<StoreResult<_>>()?;
+        Ok(Arc::new(Self { shards }))
     }
 
-    /// A sharded store with no backing files (background compaction is
-    /// moot: in-memory stores have no log).
+    /// A sharded store with no backing files (it never compacts: there is
+    /// no log).
     #[must_use]
     pub fn in_memory(policy: ShardPolicy) -> Arc<Self> {
-        let policy = ShardPolicy { shards: policy.shards.max(1), ..policy };
-        let shards = (0..policy.shards)
-            .map(|_| Shard::new(ObservationStore::in_memory(policy.store)))
+        let shards = (0..policy.shards.max(1))
+            .map(|_| Mutex::new(ObservationStore::in_memory(policy.store)))
             .collect();
-        Arc::new(Self { shards, policy, compactor: Mutex::new(None) })
-    }
-
-    /// The front-end policy in force.
-    #[must_use]
-    pub fn policy(&self) -> ShardPolicy {
-        self.policy
+        Arc::new(Self { shards })
     }
 
     /// Number of shards.
@@ -210,7 +133,14 @@ impl ShardedStore {
         (signature.shard_hash() % self.shards.len() as u64) as usize
     }
 
-    /// Warm-start lookup on the owning shard's read fast path.
+    /// Locks shard `idx`. A poisoned lock is taken over: a panic inside
+    /// an append can leave a counter short, never an index that lookups
+    /// cannot read.
+    fn lock(&self, idx: usize) -> MutexGuard<'_, ObservationStore> {
+        self.shards[idx].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Warm-start lookup on the owning shard.
     ///
     /// Results are byte-identical to a single [`ObservationStore`] holding
     /// the same records, and to any other shard count.
@@ -227,30 +157,11 @@ impl ShardedStore {
         signature: &MixSignature,
         telemetry: &Telemetry<'_>,
     ) -> Option<WarmStart> {
-        let shard = &self.shards[self.shard_for(signature)];
-        let guard = shard.read();
-        let found = guard.peek(signature);
-        let mixes = guard.mix_count();
-        drop(guard);
-        match &found {
-            Some(warm) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                telemetry.emit(Event::StoreHit {
-                    entries: warm.entries.len(),
-                    load_distance: warm.load_distance,
-                    exact: warm.exact,
-                });
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                telemetry.emit(Event::StoreMiss { mixes });
-            }
-        }
-        found
+        self.lock(self.shard_for(signature)).warm_start(signature, telemetry)
     }
 
-    /// Appends one sample to the owning shard, scheduling a background
-    /// compaction if the shard's log crossed the garbage threshold.
+    /// Appends one sample to the owning shard, compacting the shard if its
+    /// log crossed the garbage threshold.
     ///
     /// # Errors
     ///
@@ -271,6 +182,7 @@ impl ShardedStore {
     /// # Errors
     ///
     /// Returns [`crate::StoreError::Io`] if the shard's log write fails.
+    /// A failed compaction is not an error (see the module doc).
     pub fn append_with(
         &self,
         signature: &MixSignature,
@@ -279,94 +191,33 @@ impl ShardedStore {
         score: f64,
         telemetry: &Telemetry<'_>,
     ) -> StoreResult<()> {
-        let idx = self.shard_for(signature);
-        let shard = &self.shards[idx];
-        let mut guard = shard.write();
-        let result = guard.append(signature, partition, observation, score, telemetry);
-        let wants_compaction = result.is_ok() && self.wants_compaction(&guard);
-        drop(guard);
-        if wants_compaction {
-            self.schedule_compaction(idx);
-        }
-        result
-    }
-
-    fn wants_compaction(&self, store: &ObservationStore) -> bool {
-        store.log_records() >= self.policy.compaction_min_log_records
-            && store.garbage_ratio() > self.policy.compaction_garbage_ratio
-    }
-
-    fn schedule_compaction(&self, idx: usize) {
-        let shard = &self.shards[idx];
-        if shard.compaction_queued.swap(true, Ordering::AcqRel) {
-            return; // already queued or running
-        }
-        if let Some(tx) = &*self.compactor.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        let mut store = self.lock(self.shard_for(signature));
+        store.append(signature, partition, observation, score, telemetry)?;
+        if store.log_records() >= COMPACTION_MIN_LOG_RECORDS
+            && store.garbage_ratio() > COMPACTION_GARBAGE_RATIO
         {
-            let _ = tx.send(idx);
-        }
-    }
-
-    /// Compacts every shard whose compaction is pending (queued but not
-    /// yet run). Synchronous; for deterministic tests and shutdown.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`crate::StoreError::Io`] hit; remaining shards
-    /// keep their pending flag.
-    pub fn compact_pending(&self) -> StoreResult<()> {
-        for idx in 0..self.shards.len() {
-            if self.shards[idx].compaction_queued.load(Ordering::Acquire) {
-                self.compact_shard(idx)?;
-            }
+            // Best-effort: a failed rewrite leaves the old log intact, and
+            // the next append past the threshold retries.
+            let _ = store.compact();
         }
         Ok(())
     }
 
-    /// Compacts every shard unconditionally. Synchronous.
+    /// Compacts every shard unconditionally.
     ///
     /// # Errors
     ///
     /// Returns the first [`crate::StoreError::Io`] hit.
     pub fn compact_all(&self) -> StoreResult<()> {
-        for idx in 0..self.shards.len() {
-            self.compact_shard(idx)?;
-        }
-        Ok(())
-    }
-
-    /// Compacts one shard (tmp write + rename) and clears its pending
-    /// flag. The flag clears even on error so a later append can
-    /// re-schedule.
-    fn compact_shard(&self, idx: usize) -> StoreResult<()> {
-        let shard = &self.shards[idx];
-        let result = shard.write().compact();
-        shard.compaction_queued.store(false, Ordering::Release);
-        result
-    }
-
-    /// Per-shard counters: the shard store's own stats with the
-    /// front-end's atomic hit/miss/lock-wait counters overlaid.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<StoreStats> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let mut stats =
-                    shard.store.read().unwrap_or_else(std::sync::PoisonError::into_inner).stats();
-                stats.hits += shard.hits.load(Ordering::Relaxed);
-                stats.misses += shard.misses.load(Ordering::Relaxed);
-                stats.lock_waits += shard.lock_waits.load(Ordering::Relaxed);
-                stats
-            })
-            .collect()
+        (0..self.shards.len()).try_for_each(|idx| self.lock(idx).compact())
     }
 
     /// Aggregate counters across all shards.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
         let mut total = StoreStats::default();
-        for stats in self.shard_stats() {
+        for idx in 0..self.shards.len() {
+            let stats = self.lock(idx).stats();
             total.appends += stats.appends;
             total.hits += stats.hits;
             total.misses += stats.misses;
@@ -375,7 +226,6 @@ impl ShardedStore {
             total.dropped_bytes += stats.dropped_bytes;
             total.undecodable_records += stats.undecodable_records;
             total.append_errors += stats.append_errors;
-            total.lock_waits += stats.lock_waits;
             total.compactions += stats.compactions;
         }
         total
@@ -384,70 +234,44 @@ impl ShardedStore {
     /// Records retained across all shard indexes.
     #[must_use]
     pub fn record_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.store.read().unwrap_or_else(std::sync::PoisonError::into_inner).record_count()
-            })
-            .sum()
+        (0..self.shards.len()).map(|idx| self.lock(idx).record_count()).sum()
     }
 
     /// Distinct mixes indexed across all shards.
     #[must_use]
     pub fn mix_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.store.read().unwrap_or_else(std::sync::PoisonError::into_inner).mix_count())
-            .sum()
-    }
-
-    /// Exports per-shard occupancy and contention counters as gauge
-    /// families on `registry` (`clite_store_shard_*{shard="i"}`), so
-    /// shard-count tuning is measurable from the metrics endpoint.
-    pub fn export_metrics(&self, registry: &clite_telemetry::MetricsRegistry) {
-        for (i, stats) in self.shard_stats().iter().enumerate() {
-            let label = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", label.as_str())];
-            registry.set_gauge("clite_store_shard_hits", labels, stats.hits as f64);
-            registry.set_gauge("clite_store_shard_misses", labels, stats.misses as f64);
-            registry.set_gauge("clite_store_shard_lock_waits", labels, stats.lock_waits as f64);
-            registry.set_gauge("clite_store_shard_appends", labels, stats.appends as f64);
-            registry.set_gauge("clite_store_shard_evictions", labels, stats.evictions as f64);
-            registry.set_gauge("clite_store_shard_compactions", labels, stats.compactions as f64);
-        }
-    }
-
-    fn spawn_compactor(this: &Arc<Self>) {
-        let (tx, rx) = mpsc::channel::<usize>();
-        *this.compactor.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(tx);
-        let weak: Weak<Self> = Arc::downgrade(this);
-        // Detached on purpose: the worker owns no Arc between jobs, so
-        // dropping the last ShardedStore handle closes the channel and the
-        // loop ends. Joining in Drop could deadlock if the worker briefly
-        // holds the last Arc itself.
-        let spawned = std::thread::Builder::new()
-            .name("clite-store-compactor".into())
-            .spawn(move || {
-                while let Ok(idx) = rx.recv() {
-                    let Some(store) = weak.upgrade() else { break };
-                    // Best-effort: an I/O failure leaves the old log (the
-                    // rewrite is tmp+rename) and clears the pending flag so
-                    // a later append can retry.
-                    let _ = store.compact_shard(idx);
-                }
-            })
-            .is_ok();
-        if !spawned {
-            *this.compactor.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-        }
+        (0..self.shards.len()).map(|idx| self.lock(idx).mix_count()).sum()
     }
 }
 
 /// Shard `i`'s file: `<path>.shard<i>`.
-fn shard_path(path: &Path, i: usize) -> std::path::PathBuf {
+fn shard_path(path: &Path, i: usize) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(format!(".shard{i}"));
-    std::path::PathBuf::from(os)
+    PathBuf::from(os)
+}
+
+/// The shard count of the store already at `path`: one more than the
+/// highest `i` with a `<path>.shard<i>` file, or `None` when there is no
+/// such file (or the directory cannot be listed, which the open that
+/// follows reports).
+fn existing_shards(path: &Path) -> Option<usize> {
+    let prefix = format!("{}.shard", path.file_name()?.to_str()?);
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::read_dir(dir)
+        .ok()?
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name();
+            let index = name.to_str()?.strip_prefix(&prefix)?;
+            // `shard<i>` exactly as `shard_path` writes it: no `.tmp`
+            // side files, no leading zeros.
+            let i: usize = index.parse().ok()?;
+            (i.to_string() == index).then_some(i + 1)
+        })
+        .max()
 }
 
 /// The store handle nodes, schedulers and fleets hold. An alias, not a

@@ -48,9 +48,10 @@ pub struct StoreStats {
     /// Records appended this session.
     pub appends: u64,
     /// Warm-start lookups that returned entries (counted by
-    /// [`crate::ShardedStore`]; a bare [`ObservationStore`] only peeks).
+    /// [`ObservationStore::warm_start`]; [`ObservationStore::peek`] does
+    /// not count).
     pub hits: u64,
-    /// Warm-start lookups that returned nothing.
+    /// Warm-start lookups that returned nothing (counted like `hits`).
     pub misses: u64,
     /// Records dropped by per-bucket eviction this session.
     pub evictions: u64,
@@ -65,11 +66,11 @@ pub struct StoreStats {
     /// Append attempts that failed at the I/O layer (cluster best-effort
     /// appends count here instead of failing the search).
     pub append_errors: u64,
-    /// Lock acquisitions that found a shard busy and had to wait (bumped
-    /// by [`crate::ShardedStore`]). Contention-tuning signal only: never
-    /// part of any determinism contract.
+    /// Always 0. Store traffic is sequential, so no lock acquisition
+    /// ever waits; the field stays for readers that report it.
     pub lock_waits: u64,
-    /// Log compactions completed (manual or background).
+    /// Log compactions completed: explicit ones, and those the sharded
+    /// front end runs inline when an append crosses its garbage threshold.
     pub compactions: u64,
 }
 
@@ -228,8 +229,9 @@ impl ObservationStore {
 
     /// Fraction of the durable log occupied by garbage — frames whose
     /// records have since been evicted from the index (or never decoded).
-    /// The sharded front-end triggers background compaction when this
-    /// crosses its threshold. 0.0 for in-memory or empty logs.
+    /// The sharded front-end compacts a shard at the append that takes
+    /// this past [`crate::shard::COMPACTION_GARBAGE_RATIO`]. 0.0 for
+    /// in-memory or empty logs.
     #[must_use]
     pub fn garbage_ratio(&self) -> f64 {
         if self.log_records == 0 {
@@ -291,9 +293,8 @@ impl ObservationStore {
     /// Returns the exact-load bucket if present, otherwise the nearest
     /// bucket within [`StorePolicy::max_load_distance`] (ties broken by
     /// the lexicographically smallest load vector), or `None` on a miss.
-    /// Read-only: hit/miss counting and events belong to
-    /// [`crate::ShardedStore::warm_start_with`], which calls this under a
-    /// shared read lock.
+    /// Read-only: [`ObservationStore::warm_start`] is the lookup that
+    /// counts hits and misses.
     #[must_use]
     pub fn peek(&self, signature: &MixSignature) -> Option<WarmStart> {
         let buckets = self.index.get(&signature.key())?;
@@ -328,6 +329,33 @@ impl ObservationStore {
             })
             .collect();
         Some(WarmStart { entries, load_distance, exact: load_distance == 0.0 })
+    }
+
+    /// [`ObservationStore::peek`] that counts the lookup in
+    /// [`StoreStats::hits`] or [`StoreStats::misses`] and emits a
+    /// `StoreHit` or `StoreMiss` event (a miss reports this store's mix
+    /// count).
+    pub fn warm_start(
+        &mut self,
+        signature: &MixSignature,
+        telemetry: &Telemetry<'_>,
+    ) -> Option<WarmStart> {
+        let found = self.peek(signature);
+        match &found {
+            Some(warm) => {
+                self.stats.hits += 1;
+                telemetry.emit(Event::StoreHit {
+                    entries: warm.entries.len(),
+                    load_distance: warm.load_distance,
+                    exact: warm.exact,
+                });
+            }
+            None => {
+                self.stats.misses += 1;
+                telemetry.emit(Event::StoreMiss { mixes: self.mix_count() });
+            }
+        }
+        found
     }
 
     /// Rewrites the log keeping only currently retained records, in their

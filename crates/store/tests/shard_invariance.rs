@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use clite_sim::prelude::*;
+use clite_store::shard::COMPACTION_MIN_LOG_RECORDS;
 use clite_store::{
     MixSignature, ObservationStore, ShardPolicy, ShardedStore, StorePolicy, WarmStart,
 };
@@ -169,7 +170,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 fn killed_compaction_keeps_the_original_log_intact() {
     let dir = temp_dir("crash");
     let path = dir.join("obs.log");
-    let policy = ShardPolicy { shards: 2, background_compaction: false, ..ShardPolicy::default() };
+    let policy = ShardPolicy::with_shards(2);
 
     let (signature, reference) = {
         let store = open(&path, policy).unwrap();
@@ -232,10 +233,8 @@ fn torn_shard_tail_recovers_longest_valid_prefix() {
     let path = dir.join("obs.log");
     let policy = ShardPolicy {
         shards: 2,
-        background_compaction: false,
         // Keep everything: each append is a distinct retained record.
         store: StorePolicy { entries_per_mix: 64, ..StorePolicy::default() },
-        ..ShardPolicy::default()
     };
 
     let catalog = ResourceCatalog::testbed();
@@ -277,23 +276,27 @@ fn torn_shard_tail_recovers_longest_valid_prefix() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Shard `i`'s file under `path`.
+fn shard_file(path: &std::path::Path, i: usize) -> std::path::PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(format!(".shard{i}"));
+    std::path::PathBuf::from(os)
+}
+
 #[test]
-fn garbage_threshold_schedules_compaction() {
+fn garbage_threshold_compacts_at_the_crossing_append() {
     let dir = temp_dir("gc");
     let path = dir.join("obs.log");
-    let policy = ShardPolicy {
-        shards: 2,
-        background_compaction: false,
-        compaction_min_log_records: 8,
-        compaction_garbage_ratio: 0.5,
-        ..ShardPolicy::default()
-    };
+    let policy = ShardPolicy::with_shards(2);
 
+    // One retained record, so every append past the second leaves the
+    // log over half garbage: only the frame floor holds compaction back.
     let store = open(&path, policy).unwrap();
-    let signature = append_rising(&store, 16); // retained 1, log 16 → 94% garbage
-    assert_eq!(store.stats().compactions, 0, "synchronous mode must only queue");
-    store.compact_pending().unwrap();
-    assert_eq!(store.stats().compactions, 1, "exactly the dirty shard compacts");
+    let below = u32::try_from(COMPACTION_MIN_LOG_RECORDS).unwrap() - 1;
+    let signature = append_rising(&store, below);
+    assert_eq!(store.stats().compactions, 0, "a log below the frame floor never compacts");
+    append_rising(&store, 1);
+    assert_eq!(store.stats().compactions, 1, "the append that crosses the threshold compacts");
     drop(store);
 
     // The compacted shard reopens with just the retained record.
@@ -305,36 +308,76 @@ fn garbage_threshold_schedules_compaction() {
 }
 
 #[test]
-fn background_compactor_rewrites_dirty_shards() {
-    let dir = temp_dir("bg");
-    let path = dir.join("obs.log");
-    let policy = ShardPolicy {
-        shards: 2,
-        background_compaction: true,
-        compaction_min_log_records: 8,
-        compaction_garbage_ratio: 0.5,
-        ..ShardPolicy::default()
-    };
-
-    let store = open(&path, policy).unwrap();
-    let signature = append_rising(&store, 16);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while store.stats().compactions == 0 {
-        assert!(std::time::Instant::now() < deadline, "background compaction never ran");
-        std::thread::sleep(std::time::Duration::from_millis(10));
+fn inline_compaction_is_exact_and_deterministic() {
+    let dir = temp_dir("inline");
+    let policy = ShardPolicy::with_shards(2);
+    let floor = COMPACTION_MIN_LOG_RECORDS;
+    // Compactions land at append 128 (log 128 → 1 frame) and at append
+    // 128 + 127 (log back at 128 → 1), leaving 300 − 255 + 1 frames.
+    let appends = 300u32;
+    let paths = [dir.join("a.log"), dir.join("b.log")];
+    for path in &paths {
+        let store = open(path, policy).unwrap();
+        let signature = append_rising(&store, appends);
+        assert_eq!(store.stats().compactions, 2, "one compaction per crossing");
+        let warm = store.warm_start(&signature).expect("compacted shard still hits");
+        assert_eq!(warm.entries[0].score, 0.01 * f64::from(appends - 1), "best score survives");
     }
-    // Lookup results are unchanged by the background rewrite.
-    let warm = store.warm_start(&signature).expect("compacted shard still hits");
-    assert_eq!(warm.entries[0].score, 0.15, "best score survives compaction");
-    drop(store);
+    let frames = u64::from(appends) - (2 * floor - 1) + 1;
 
-    // The rewrite may have landed anywhere in the append stream, so the
-    // exact log length is timing-dependent — but it must have shrunk below
-    // the 16 appended frames, and recovery dedupes back to one record.
-    let reopened = open(&path, policy).unwrap();
-    assert!(reopened.stats().recovered_records < 16, "background rewrite shrank the log");
+    let reopened = open(&paths[0], policy).unwrap();
+    assert_eq!(reopened.stats().recovered_records, frames, "exact frames after the last rewrite");
     assert_eq!(reopened.record_count(), 1, "dedupe retains the single best sample");
-    assert_eq!(reopened.warm_start(&signature).unwrap().entries[0].score, 0.15);
+    drop(reopened);
+
+    // The same appends write the same bytes: compaction is part of the
+    // append, not a timing-dependent side job.
+    for i in 0..policy.shards {
+        assert_eq!(
+            std::fs::read(shard_file(&paths[0], i)).unwrap(),
+            std::fs::read(shard_file(&paths[1], i)).unwrap(),
+            "shard {i} files differ"
+        );
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn reopening_with_a_different_shard_count_is_refused() {
+    let dir = temp_dir("count");
+    let path = dir.join("obs.log");
+    let samples = corpus(42);
+    {
+        let store = open(&path, ShardPolicy::with_shards(8)).unwrap();
+        for (sig, p, o, score) in &samples {
+            store.append(sig, p, o, *score).unwrap();
+        }
+    }
+    let listing = || {
+        let mut names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+
+    for shards in [4usize, 16] {
+        let err = open(&path, ShardPolicy::with_shards(shards)).unwrap_err();
+        let message = err.to_string();
+        assert!(
+            message.contains("8 shards") && message.contains(&format!("{shards} were requested")),
+            "{message}"
+        );
+        assert_eq!(listing(), before, "a refused open must create no file");
+    }
+
+    // The original count still opens, and every mix still hits.
+    let store = open(&path, ShardPolicy::with_shards(8)).unwrap();
+    assert_eq!(store.stats().recovered_records, samples.len() as u64);
+    for (sig, ..) in &samples {
+        assert!(store.warm_start(sig).is_some(), "a stored mix must hit at its own shard count");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

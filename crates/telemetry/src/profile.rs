@@ -17,12 +17,6 @@ pub enum Phase {
     GpExtend,
     /// Maximizing the acquisition function over candidates.
     Acquisition,
-    /// Fanning work out over the shared `clite-par` worker pool
-    /// (dispatch + barrier time of a partitioned parallel section whose
-    /// slots time their own spans). No path emits it now that cluster
-    /// admission scans serially; it stays so [`Phase::ALL`] keeps its
-    /// indices.
-    ParDispatch,
     /// Evaluating a partition on the server/simulator.
     Observe,
     /// Computing the Eq. 3 score from an observation.
@@ -39,11 +33,10 @@ impl Phase {
     /// All phases, in report order: the search phases first (the paper's
     /// Fig. 15b components), then the load-harness phases so one report
     /// separates search overhead from load-generation time.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 7] = [
         Phase::GpFit,
         Phase::GpExtend,
         Phase::Acquisition,
-        Phase::ParDispatch,
         Phase::Observe,
         Phase::Score,
         Phase::LoadGen,
@@ -57,7 +50,6 @@ impl Phase {
             Phase::GpFit => "gp_fit",
             Phase::GpExtend => "gp_extend",
             Phase::Acquisition => "acquisition",
-            Phase::ParDispatch => "par_dispatch",
             Phase::Observe => "observe",
             Phase::Score => "score",
             Phase::LoadGen => "load_gen",
@@ -70,11 +62,10 @@ impl Phase {
             Phase::GpFit => 0,
             Phase::GpExtend => 1,
             Phase::Acquisition => 2,
-            Phase::ParDispatch => 3,
-            Phase::Observe => 4,
-            Phase::Score => 5,
-            Phase::LoadGen => 6,
-            Phase::LoadReport => 7,
+            Phase::Observe => 3,
+            Phase::Score => 4,
+            Phase::LoadGen => 5,
+            Phase::LoadReport => 6,
         }
     }
 }
