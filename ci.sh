@@ -61,6 +61,14 @@ if [[ "${1:-}" != "quick" ]]; then
     step "cargo test -p clite-gp --test solve_in_place --release -q"
     cargo test -p clite-gp --test solve_in_place --release -q
 
+    # The climb's batched GP loops run four lanes wide (AVX2) where the
+    # CPU has it. Each entry point must return the bits of its body
+    # compiled at the baseline target, under the release codegen that
+    # vectorizes both (on a CPU without AVX2 this compares baseline with
+    # baseline).
+    step "cargo test -p clite-gp --release -q lane_identity"
+    cargo test -p clite-gp --release -q lane_identity
+
     step "cargo test -p clite-sim --test mean_perf --release -q"
     cargo test -p clite-sim --test mean_perf --release -q
 

@@ -564,7 +564,7 @@ fn clite_store(
         Some(sink) => Telemetry::new(sink),
         None => Telemetry::disabled(),
     };
-    open_store(path, ShardPolicy::default(), &telemetry).map(Some)
+    open_store(path, ShardPolicy::for_path(path), &telemetry).map(Some)
 }
 
 /// Prints the run summary line and per-job partition table for a

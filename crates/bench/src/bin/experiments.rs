@@ -99,7 +99,7 @@ fn main() -> ExitCode {
     // Opened once up front with the shared opener, so a path that cannot
     // hold a store is an error here rather than a panic mid-experiment.
     if let Some(path) = &opts.store {
-        if let Err(e) = open_store(path, ShardPolicy::default(), &ambient_telemetry()) {
+        if let Err(e) = open_store(path, ShardPolicy::for_path(path), &ambient_telemetry()) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }

@@ -597,10 +597,11 @@ STORE:
   sharded observation store and warm-starts repeat searches on the same
   (or nearby-load) mix from it. The run prints 'store: hit' or
   'store: miss'. Every --store (run, sweep, fleet, experiments fig16)
-  keeps one log per shard at PATH.shard<i>, 8 shards unless
-  'colocate fleet --shards' says otherwise, so they can share one PATH.
-  A PATH reopens only at the shard count it was made with; any other
-  count exits 1 and names both counts.
+  keeps one log per shard at PATH.shard<i>, so they can share one PATH.
+  A new PATH gets 8 shards unless 'colocate fleet --shards' says
+  otherwise; run, sweep and fig16 reopen a PATH at the count it was
+  made with. 'fleet --shards N' on a PATH of another count exits 1 and
+  names both counts.
   A shard with a corrupt tail is recovered with a warning on stderr.
 
 LOAD (latency percentiles under a trace):

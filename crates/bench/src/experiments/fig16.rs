@@ -53,7 +53,7 @@ pub fn run(opts: &ExpOptions) -> Report {
     let mut store_line = None;
     let trace = match &opts.store {
         Some(path) => {
-            let store = crate::open_store(path, ShardPolicy::default(), &ambient_telemetry())
+            let store = crate::open_store(path, ShardPolicy::for_path(path), &ambient_telemetry())
                 .unwrap_or_else(|e| panic!("{e}"));
             let trace = run_adaptive_with_store(
                 &CliteController::default(),

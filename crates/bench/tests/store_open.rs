@@ -1,6 +1,7 @@
 //! A `--store` or `--journal` path that cannot be opened is a clean CLI
 //! error: exit code 1 and a message naming the file, never a panic (exit
-//! code 101).
+//! code 101). A store made at a non-default shard count reopens at that
+//! count wherever no count is asked for.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -55,4 +56,36 @@ fn colocate_fleet_recover_from_a_missing_journal_exits_1_naming_it() {
     assert!(stderr.contains(&*journal.to_string_lossy()), "{stderr}");
     assert!(!stderr.contains("observation store"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn run_and_fig16_reopen_a_fleet_store_at_its_shard_count() {
+    let dir = std::env::temp_dir().join(format!("clite-store-shards-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("obs");
+    let fleet = Command::new(env!("CARGO_BIN_EXE_colocate"))
+        .args(["fleet", "--nodes", "16", "--events", "8", "--shards", "4", "--store"])
+        .arg(&store)
+        .output()
+        .unwrap();
+    assert_eq!(fleet.status.code(), Some(0), "{}", String::from_utf8_lossy(&fleet.stderr));
+    let run = Command::new(env!("CARGO_BIN_EXE_colocate"))
+        .args(["run", "memcached:30", "xapian:30", "streamcluster", "--store"])
+        .arg(&store)
+        .output()
+        .unwrap();
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&run.stdout), String::from_utf8_lossy(&run.stderr));
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    assert!(stdout.contains("store: "), "{stdout}");
+    let fig16 = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig16", "--quick", "--store"])
+        .arg(&store)
+        .output()
+        .unwrap();
+    assert_eq!(fig16.status.code(), Some(0), "{}", String::from_utf8_lossy(&fig16.stderr));
+    // Both opened at the 4 shards on disk: no fifth shard file appeared.
+    assert!(dir.join("obs.shard3").exists());
+    assert!(!dir.join("obs.shard4").exists());
+    std::fs::remove_dir_all(&dir).ok();
 }

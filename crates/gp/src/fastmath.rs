@@ -8,13 +8,13 @@
 //! branch-free body of multiplies, adds, and bit manipulation that
 //! inlines into the row loop.
 //!
-//! On the baseline x86-64 target (SSE2: 128-bit registers, two `f64`
-//! lanes) a release build runs that loop two elements at a time — packed
-//! `sqrtpd`/`mulpd`/`addpd` plus a scalar remainder (see
-//! [`crate::kernel::Kernel::eval_scaled_sq_append`]). The loop is bound
-//! by SSE2 arithmetic throughput, not by missing vectorization: a
-//! bit-identical four-lane chunked form is no faster, and wider lanes
-//! need a target the baseline does not assume.
+//! A release build vectorizes that loop (see
+//! [`crate::kernel::Kernel::eval_scaled_sq_append`]). The loop is bound by
+//! arithmetic throughput, so its speed is set by the lane width:
+//! [`clite_par::wide_lanes`] runs it four `f64` lanes wide (AVX2) on CPUs
+//! that report AVX2 at run time, and two lanes wide (the SSE2 baseline)
+//! elsewhere. The body has no fused multiply-add and no reassociation, so
+//! both widths round every operation the same way and agree bit for bit.
 
 /// `exp(x)` with relative error ≤ ~3e-13 on the kernels' operating range,
 /// written without calls or branches so it inlines into a slice loop.

@@ -124,8 +124,17 @@ impl ScaledColumns {
     }
 
     /// Writes the squared distance from the scaled query `q` to every
-    /// training point into `r2`, one streaming pass per dimension.
+    /// training point into `r2`, one streaming pass per dimension, through
+    /// [`clite_par::wide_lanes`].
     fn sq_dists_into(&self, q: &[f64], r2: &mut Vec<f64>) {
+        clite_par::wide_lanes(
+            #[inline(always)]
+            || self.sq_dists_into_body(q, r2),
+        );
+    }
+
+    #[inline(always)]
+    fn sq_dists_into_body(&self, q: &[f64], r2: &mut Vec<f64>) {
         debug_assert_eq!(q.len(), self.dim);
         r2.clear();
         r2.resize(self.n, 0.0);
@@ -484,6 +493,19 @@ impl GaussianProcess {
         changes: [(usize, f64, f64); 2],
         out: &mut Vec<f64>,
     ) {
+        clite_par::wide_lanes(
+            #[inline(always)]
+            || self.append_shifted_sq_dists_body(base, changes, out),
+        );
+    }
+
+    #[inline(always)]
+    fn append_shifted_sq_dists_body(
+        &self,
+        base: &[f64],
+        changes: [(usize, f64, f64); 2],
+        out: &mut Vec<f64>,
+    ) {
         assert_eq!(base.len(), self.len(), "distance vector length mismatch");
         // Two streaming column passes; per element this applies the first
         // change, then the second, then the clamp.
@@ -514,7 +536,9 @@ impl GaussianProcess {
     /// `max k*²` chains interleave, so a pass runs twelve independent
     /// accumulations instead of three. Each chain still visits its row in
     /// element order, so every value is bit-identical to reducing the row
-    /// on its own (the mean to `mean_y + dot(k*, α)`).
+    /// on its own (the mean to `mean_y + dot(k*, α)`). The covariance
+    /// sweep and the reduction run through [`clite_par::wide_lanes`], with
+    /// the same bits at either lane width.
     ///
     /// The bound: `σ²(x) = σ² − vᵀv` with `v = L⁻¹k*`, and `vᵀv =
     /// k*ᵀ(K+σₙ²I)⁻¹k*` admits two cheap lower bounds — `‖k*‖² / λ_max`
@@ -534,10 +558,23 @@ impl GaussianProcess {
         k_star_rows: &mut Vec<f64>,
         gated: &mut Vec<GatedPrediction>,
     ) {
+        clite_par::wide_lanes(
+            #[inline(always)]
+            || self.gate_rows_body(r2_rows, k_star_rows, gated),
+        );
+    }
+
+    #[inline(always)]
+    fn gate_rows_body(
+        &self,
+        r2_rows: &[f64],
+        k_star_rows: &mut Vec<f64>,
+        gated: &mut Vec<GatedPrediction>,
+    ) {
         let n = self.len();
         assert!(r2_rows.len().is_multiple_of(n), "distance row length mismatch");
         k_star_rows.clear();
-        self.kernel.eval_scaled_sq_append(r2_rows, k_star_rows);
+        self.kernel.eval_scaled_sq_append_body(r2_rows, k_star_rows);
         gated.clear();
         let mut blocks = k_star_rows.chunks_exact(4 * n);
         for block in &mut blocks {
@@ -553,6 +590,7 @@ impl GaussianProcess {
 
     /// The gate of [`GaussianProcess::gate_rows`] over `R` interleaved
     /// cross-covariance rows.
+    #[inline(always)]
     fn gate_lanes<const R: usize>(&self, rows: [&[f64]; R]) -> [GatedPrediction; R] {
         // Rows sliced to `α`'s length: the compiler drops the per-element
         // bounds checks that would otherwise keep the lanes from
@@ -587,14 +625,24 @@ impl GaussianProcess {
     /// ([`Cholesky::solve_lower_batch`]) — a lone solve is latency-bound
     /// on its own dependency chain, while four-wide blocking runs four
     /// independent chains per pass. Each row's result does not depend on
-    /// which other rows share its batch. `v_all` is solver scratch.
+    /// which other rows share its batch. `v_all` is solver scratch: it
+    /// also holds the solver's interleaved block, so a reused `v_all`
+    /// makes the call allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if `k_star_all.len()` is not a multiple of the training size.
     pub fn batch_stds(&self, k_star_all: &[f64], v_all: &mut Vec<f64>, stds: &mut Vec<f64>) {
+        clite_par::wide_lanes(
+            #[inline(always)]
+            || self.batch_stds_body(k_star_all, v_all, stds),
+        );
+    }
+
+    #[inline(always)]
+    fn batch_stds_body(&self, k_star_all: &[f64], v_all: &mut Vec<f64>, stds: &mut Vec<f64>) {
         self.chol
-            .solve_lower_batch(k_star_all, v_all)
+            .solve_lower_batch_body(k_star_all, v_all)
             .expect("cross-covariance batch length matches training size");
         let variance = self.kernel.variance();
         stds.clear();
@@ -1057,3 +1105,6 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod lane_identity;

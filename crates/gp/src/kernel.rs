@@ -218,13 +218,22 @@ impl Kernel {
     /// The acquisition climb evaluates one such row per candidate, which
     /// makes this the single hottest loop in a `suggest`.
     ///
-    /// On the baseline x86-64 target a release build already runs these
-    /// loops two lanes wide (packed `sqrtpd`/`mulpd`, scalar remainder),
-    /// which is all SSE2's 128-bit registers hold. A bit-identical
-    /// four-lane chunked rewrite is no faster: the loop is bound by SSE2
-    /// arithmetic throughput, so restructuring it buys nothing without a
-    /// wider target.
+    /// The loop runs through [`clite_par::wide_lanes`]: four lanes wide
+    /// (packed AVX2 `vsqrtpd`/`vmulpd`) on CPUs that have AVX2, two lanes
+    /// wide (SSE2) elsewhere, with the same bits either way. The loop is
+    /// bound by arithmetic throughput, so the lane width is what sets its
+    /// speed.
     pub fn eval_scaled_sq_append(&self, r2: &[f64], out: &mut Vec<f64>) {
+        clite_par::wide_lanes(
+            #[inline(always)]
+            || self.eval_scaled_sq_append_body(r2, out),
+        );
+    }
+
+    /// The body of [`Kernel::eval_scaled_sq_append`], inlined into each
+    /// lane-width instance.
+    #[inline(always)]
+    pub(crate) fn eval_scaled_sq_append_body(&self, r2: &[f64], out: &mut Vec<f64>) {
         let start = out.len();
         out.resize(start + r2.len(), 0.0);
         let dst = &mut out[start..];

@@ -229,31 +229,53 @@ impl Cholesky {
     /// processes four right-hand sides per pass, held *interleaved* in a
     /// scratch block (`blk[4j..4j+4]` is element `j` of the four partial
     /// solutions) so the inner loop reads one contiguous four-lane vector
-    /// per matrix entry and the compiler vectorizes the four chains; the
-    /// block is scattered back to the flat layout afterwards. Each row's
-    /// diagonal division becomes one reciprocal shared by the four lanes.
-    /// Per-solution results can therefore differ from
-    /// [`Cholesky::solve_lower_into`] in the last ulp; batch results do
-    /// not depend on `m` or on how the batch is split into blocks of four
-    /// (each solution only ever reads its own lane).
+    /// per matrix entry and the four chains vectorize; the block is
+    /// scattered back to the flat layout afterwards. The loop runs through
+    /// [`clite_par::wide_lanes`], so on CPUs with AVX2 the four chains fill
+    /// one 256-bit register (two SSE2 registers elsewhere), with the same
+    /// bits either way. Each row's diagonal division becomes one reciprocal
+    /// shared by the four lanes. Per-solution results can therefore differ
+    /// from [`Cholesky::solve_lower_into`] in the last ulp; batch results
+    /// do not depend on `m` or on how the batch is split into blocks of
+    /// four (each solution only ever reads its own lane).
+    ///
+    /// The block lives past the end of `out` during the solve, and `out`
+    /// is truncated to the `m` solutions afterwards: a caller that reuses
+    /// `out` pays no allocation once its capacity has grown.
     ///
     /// # Errors
     ///
     /// Returns [`GpError::ShapeMismatch`] if `rhs.len()` is not a multiple
     /// of the matrix order.
     pub fn solve_lower_batch(&self, rhs: &[f64], out: &mut Vec<f64>) -> Result<(), GpError> {
+        clite_par::wide_lanes(
+            #[inline(always)]
+            || self.solve_lower_batch_body(rhs, out),
+        )
+    }
+
+    /// The body of [`Cholesky::solve_lower_batch`], inlined into each
+    /// lane-width instance.
+    #[inline(always)]
+    pub(crate) fn solve_lower_batch_body(
+        &self,
+        rhs: &[f64],
+        out: &mut Vec<f64>,
+    ) -> Result<(), GpError> {
         let n = self.l.rows;
         if !rhs.len().is_multiple_of(n) {
             return Err(GpError::ShapeMismatch { op: "solve_lower_batch" });
         }
         out.clear();
-        out.resize(rhs.len(), 0.0);
-        let mut blk = vec![0.0_f64; 4 * n];
+        out.resize(rhs.len() + 4 * n, 0.0);
+        let (solutions, blk) = out.split_at_mut(rhs.len());
         // A short final block runs in the same four lanes, its unused
         // lanes zero-padded: lanes are independent, and each chain is
         // latency-bound, so three real lanes cost what four do and a
-        // scalar tail would cost three times as much.
-        for (b, v) in rhs.chunks(4 * n).zip(out.chunks_mut(4 * n)) {
+        // scalar tail would cost three times as much. Row `i` reads only
+        // the block rows `j < i` its own pass wrote, so the block needs
+        // no clearing between passes.
+        for (b, v) in rhs.chunks(4 * n).zip(solutions.chunks_mut(4 * n)) {
             let lanes = b.len() / n;
             for i in 0..n {
                 let row = &self.l.row(i)[..i];
@@ -279,6 +301,7 @@ impl Cholesky {
                 }
             }
         }
+        out.truncate(rhs.len());
         Ok(())
     }
 

@@ -36,6 +36,18 @@
 //! `dispatch` deadlock-free under nesting (a pool worker that dispatches a
 //! sub-job drains that job's slots itself if no peer is free) and means a
 //! size-1 pool runs everything inline with zero synchronization.
+//!
+//! # Lane dispatch
+//!
+//! The crate also hosts the workspace's one runtime CPU-feature dispatch,
+//! [`wide_lanes`]: it runs a closure compiled four `f64` lanes wide (AVX2)
+//! when the CPU has it, and as baseline SSE2 code otherwise, with
+//! bit-identical results either way. `clite-gp` routes its batched climb
+//! loops through it and keeps `#![forbid(unsafe_code)]`.
+
+mod lanes;
+
+pub use lanes::{wide_lanes, wide_lanes_enabled};
 
 use std::any::Any;
 use std::collections::VecDeque;

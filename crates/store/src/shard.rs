@@ -71,6 +71,15 @@ impl ShardPolicy {
     pub fn with_shards(shards: usize) -> Self {
         Self { shards: shards.max(1), ..Self::default() }
     }
+
+    /// The default policy at the shard count of the store already at
+    /// `path` (the default count when there is none yet): for callers
+    /// that take no shard count of their own, so they open a store made
+    /// at any count instead of refusing it.
+    #[must_use]
+    pub fn for_path(path: impl AsRef<Path>) -> Self {
+        existing_shards(path.as_ref()).map_or_else(Self::default, Self::with_shards)
+    }
 }
 
 /// A store split across independently locked shards.
