@@ -42,8 +42,8 @@ if [[ "${1:-}" != "quick" ]]; then
     # The workspace run above already covers these in debug; re-run the
     # incremental == scratch equivalences under release optimizations,
     # where thread interleavings and float codegen differ most. (The fleet
-    # witnesses also run in the CLITE_PAR_THREADS loop below, at both pool
-    # sizes.)
+    # witnesses also run in the CLITE_PAR_THREADS loop below, at every
+    # pool size.)
 
     # Fleet loop byte-identity (single-lock == any shard count, run ==
     # rerun, incremental == scratch stats) at 256 nodes, with and without
@@ -72,24 +72,23 @@ if [[ "${1:-}" != "quick" ]]; then
     step "cargo test -p clite-sim --test mean_perf --release -q"
     cargo test -p clite-sim --test mean_perf --release -q
 
-    # Shared-pool byte-identity at two pool sizes: the determinism suites
-    # must produce bit-identical suggestions whether the global pool has
-    # one executor (everything inline) or four (work actually handed to
-    # pool workers). Slot counts inside the suites cover 1/2/4/8, so the
-    # pool-size x slot-count cross product spans under- and over-committed
-    # pools under release codegen.
-    for pool_size in 1 4; do
+    # Shared-pool byte-identity at three pool sizes: the determinism suites
+    # must produce bit-identical results whether the global pool has one
+    # executor (everything inline), two or four.
+    # The search suites pin digests recorded from the serial search; the
+    # pool's own suites and training cross slot counts 1/2/4/8 in-test.
+    for pool_size in 1 2 4; do
         step "byte-identity suite (CLITE_PAR_THREADS=$pool_size, release)"
         CLITE_PAR_THREADS=$pool_size \
             cargo test -p clite-par --release -q
         CLITE_PAR_THREADS=$pool_size \
             cargo test -p clite-bo --test parallel_determinism --release -q
+        CLITE_PAR_THREADS=$pool_size \
+            cargo test -p clite-bo --lib --release -q optimizer::tests
         # Bound-ordered climb steps == solving every gate survivor, bit
         # for bit (same partition, same f64 bits).
         CLITE_PAR_THREADS=$pool_size \
             cargo test -p clite-bo --test bound_ordered_step --release -q
-        CLITE_PAR_THREADS=$pool_size \
-            cargo test -p clite-gp --release -q hyper::tests::threaded_scan
         # The hyper-grid scan that finishes only its winner == a full fit
         # per grid point, and the one-pass learned ranking == the ranking
         # it replaced, bit for bit (headroom_memo runs in clite-learn's
@@ -316,10 +315,6 @@ if [[ "${1:-}" != "quick" ]]; then
         grep -qF "\"${pin%%:*}\": {\"value\": ${pin##*:}," <<< "$mix_last" \
             || { echo "mix-search count moved: expected $pin"; exit 1; }
     done
-
-    # Benches must at least keep compiling (they are the perf record).
-    step "cargo bench --no-run"
-    cargo bench --no-run
 fi
 
 printf '\nCI green.\n'

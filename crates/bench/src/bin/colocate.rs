@@ -294,7 +294,7 @@ fn run_fleet(
     nodes: usize,
     events: usize,
     seed: u64,
-    shards: usize,
+    shards: Option<usize>,
     epoch: u64,
     probe_limit: usize,
     faults: Option<clite_faults::FaultSpec>,
@@ -314,7 +314,13 @@ fn run_fleet(
     use clite_faults::{FaultSpec, FaultyFactory};
     use clite_sim::testbed::ServerFactory;
 
-    let shard_policy = ShardPolicy::with_shards(shards);
+    // Without --shards, open a store at the count it was made with.
+    let shard_policy = match (shards, &store_path) {
+        (Some(shards), _) => ShardPolicy::with_shards(shards),
+        (None, Some(path)) => ShardPolicy::for_path(path),
+        (None, None) => ShardPolicy::default(),
+    };
+    let shards = shard_policy.shards;
     let store = match &store_path {
         Some(path) => match open_store(path, shard_policy, &Telemetry::disabled()) {
             Ok(s) => s,

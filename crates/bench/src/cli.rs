@@ -109,8 +109,9 @@ pub enum Command {
         events: usize,
         /// Trace + probe seed.
         seed: u64,
-        /// Observation-store shard count.
-        shards: usize,
+        /// Observation-store shard count; when absent, the count of the
+        /// store already at `store` (8 for a new or in-memory store).
+        shards: Option<usize>,
         /// Mean-field template re-solve period in ticks (0 disables).
         epoch: u64,
         /// Candidate nodes probed per admission (local refinement cap).
@@ -322,7 +323,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut nodes = 64usize;
             let mut events = 48usize;
             let mut seed = 42u64;
-            let mut shards = clite_store::ShardPolicy::default().shards;
+            let mut shards: Option<usize> = None;
             let mut epoch = 8u64;
             let mut probe_limit = 4usize;
             let mut faults: Option<FaultSpec> = None;
@@ -361,11 +362,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         let v = it
                             .next()
                             .ok_or_else(|| ParseError("--shards requires a count".into()))?;
-                        shards =
+                        let count: usize =
                             v.parse().map_err(|_| ParseError(format!("bad shard count '{v}'")))?;
-                        if shards == 0 {
+                        if count == 0 {
                             return Err(ParseError("--shards must be at least 1".into()));
                         }
+                        shards = Some(count);
                     }
                     "--epoch" => {
                         let v = it
@@ -599,9 +601,9 @@ STORE:
   'store: miss'. Every --store (run, sweep, fleet, experiments fig16)
   keeps one log per shard at PATH.shard<i>, so they can share one PATH.
   A new PATH gets 8 shards unless 'colocate fleet --shards' says
-  otherwise; run, sweep and fig16 reopen a PATH at the count it was
-  made with. 'fleet --shards N' on a PATH of another count exits 1 and
-  names both counts.
+  otherwise; run, sweep, fleet and fig16 reopen a PATH at the count it
+  was made with. 'fleet --shards N' on a PATH of another count exits 1
+  and names both counts.
   A shard with a corrupt tail is recovered with a warning on stderr.
 
 LOAD (latency percentiles under a trace):
@@ -624,7 +626,8 @@ FLEET (long-running event-driven scheduler):
   colocate fleet generates a deterministic arrival/departure/load-shift
   trace (--events long, from --seed) and streams it through the fleet
   service over --nodes simulated servers backed by a --shards-way sharded
-  observation store. --epoch re-solves the mean-field placement template
+  observation store (default: the count of the store at --store, else
+  8). --epoch re-solves the mean-field placement template
   every N ticks and --probe-limit caps CLITE searches per admission,
   which probes candidates in placement order and stops at the first
   feasible node. --faults injects node crashes; --store persists the
@@ -890,7 +893,7 @@ mod tests {
                 assert_eq!(nodes, 64);
                 assert_eq!(events, 48);
                 assert_eq!(seed, 42);
-                assert_eq!(shards, 8);
+                assert_eq!(shards, None);
                 assert_eq!(epoch, 8);
                 assert_eq!(probe_limit, 4);
                 assert_eq!(faults, None);
@@ -986,7 +989,7 @@ mod tests {
             Command::Fleet { nodes, events, shards, epoch, probe_limit, faults, store, .. } => {
                 assert_eq!(nodes, 512);
                 assert_eq!(events, 96);
-                assert_eq!(shards, 16);
+                assert_eq!(shards, Some(16));
                 assert_eq!(epoch, 4);
                 assert_eq!(probe_limit, 2);
                 let spec = faults.expect("fault spec parsed");

@@ -1,7 +1,7 @@
 //! A `--store` or `--journal` path that cannot be opened is a clean CLI
 //! error: exit code 1 and a message naming the file, never a panic (exit
 //! code 101). A store made at a non-default shard count reopens at that
-//! count wherever no count is asked for.
+//! count wherever no count is asked for, `colocate fleet` included.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -85,6 +85,30 @@ fn run_and_fig16_reopen_a_fleet_store_at_its_shard_count() {
         .unwrap();
     assert_eq!(fig16.status.code(), Some(0), "{}", String::from_utf8_lossy(&fig16.stderr));
     // Both opened at the 4 shards on disk: no fifth shard file appeared.
+    assert!(dir.join("obs.shard3").exists());
+    assert!(!dir.join("obs.shard4").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fleet_without_shards_reopens_a_fleet_store_at_its_shard_count() {
+    let dir = std::env::temp_dir().join(format!("clite-fleet-shards-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("obs");
+    let fleet = |shards: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_colocate"))
+            .args(["fleet", "--nodes", "16", "--events", "8"])
+            .args(shards)
+            .arg("--store")
+            .arg(&store)
+            .output()
+            .unwrap()
+    };
+    let made = fleet(&["--shards", "4"]);
+    assert_eq!(made.status.code(), Some(0), "{}", String::from_utf8_lossy(&made.stderr));
+    let reopened = fleet(&[]);
+    assert_eq!(reopened.status.code(), Some(0), "{}", String::from_utf8_lossy(&reopened.stderr));
+    assert!(String::from_utf8_lossy(&reopened.stdout).contains(", 4 shards,"));
     assert!(dir.join("obs.shard3").exists());
     assert!(!dir.join("obs.shard4").exists());
     std::fs::remove_dir_all(&dir).ok();

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use clite_gp::gp::{GaussianProcess, GpConfig, PredictScratch};
-use clite_gp::hyper::{fit_best_threaded, HyperGrid};
+use clite_gp::hyper::{fit_best, HyperGrid};
 use clite_gp::kernel::{Kernel, KernelFamily};
 use clite_sim::alloc::{JobAllocation, Partition};
 use clite_sim::resource::NUM_RESOURCES;
@@ -54,9 +54,6 @@ pub struct BoConfig {
     /// drift slowly, and the surrogate is extended incrementally via a
     /// rank-1 Cholesky update instead of refitted).
     pub hyper_refresh_every: usize,
-    /// Worker threads for the hyper-grid scan on refresh (1 = serial;
-    /// results are byte-identical for any value).
-    pub hyper_threads: usize,
 }
 
 impl Default for BoConfig {
@@ -68,20 +65,7 @@ impl Default for BoConfig {
             acquisition: Acquisition::paper_default(),
             optimizer: OptimizerConfig::default(),
             hyper_refresh_every: 5,
-            hyper_threads: 1,
         }
-    }
-}
-
-impl BoConfig {
-    /// Returns a copy with both parallel paths — the hyper-grid scan and
-    /// the acquisition multi-start climbs — using up to `threads` workers.
-    /// Suggestions are byte-identical for any thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.hyper_threads = threads;
-        self.optimizer.threads = threads;
-        self
     }
 }
 
@@ -610,7 +594,7 @@ impl BoEngine {
     ///    state), the history is refitted under the cached kernel
     ///    (one O(n³) factorization, timed as [`Phase::GpFit`]);
     /// 3. on hyper refresh, the full grid is re-scanned over a shared
-    ///    pairwise-distance matrix ([`fit_best_threaded`]), timed as
+    ///    pairwise-distance matrix ([`fit_best`]), timed as
     ///    [`Phase::GpFit`] and emitting [`Event::GpRefit`].
     fn ensure_surrogate(&mut self, telemetry: &Telemetry<'_>) -> Result<(), BoError> {
         if self.history.is_empty() {
@@ -634,14 +618,7 @@ impl BoEngine {
         let fitted = if refresh {
             let template = Kernel::new(self.config.kernel_family, 1.0, 1.0);
             let fitted = telemetry.time(Phase::GpFit, || {
-                fit_best_threaded(
-                    &template,
-                    gp_config,
-                    &self.config.hyper_grid,
-                    &xs,
-                    &ys,
-                    self.config.hyper_threads,
-                )
+                fit_best(&template, gp_config, &self.config.hyper_grid, &xs, &ys)
             })?;
             self.kernel = Some(fitted.kernel().clone());
             self.records_since_refresh = 0;

@@ -26,19 +26,15 @@ pub struct OptimizerConfig {
     pub random_restarts: usize,
     /// Maximum steepest-ascent steps per start point.
     pub max_steps: usize,
-    /// Pool slots for the independent hill-climb starts (1 = in-line
-    /// serial, never touching the shared pool; results are byte-identical
-    /// at any slot count).
-    pub threads: usize,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        Self { random_restarts: 4, max_steps: 25, threads: 1 }
+        Self { random_restarts: 4, max_steps: 25 }
     }
 }
 
-/// Reusable per-worker buffers threaded through every acquisition
+/// Reusable buffers threaded through every acquisition
 /// evaluation: the candidate's feature encoding plus the GP prediction
 /// scratch. One hill climb evaluates thousands of neighbours; with this
 /// scratch the whole climb allocates nothing per candidate.
@@ -101,12 +97,12 @@ pub enum StepOutcome {
 /// whole-step batched fast path.
 ///
 /// The plain entry point is [`AcquisitionEval::eval`]; any
-/// `Fn(&Partition, &mut EvalScratch) -> f64 + Sync` closure implements the
+/// `Fn(&Partition, &mut EvalScratch) -> f64` closure implements the
 /// trait through it. Evaluators that can exploit the climb's structure
 /// (every candidate of a step differs from the step base by one unit
 /// transfer, and steepest ascent needs only the step's argmax) override
 /// [`AcquisitionEval::best_neighbor`].
-pub trait AcquisitionEval: Sync {
+pub trait AcquisitionEval {
     /// Exact acquisition value at `p`.
     fn eval(&self, p: &Partition, scratch: &mut EvalScratch) -> f64;
 
@@ -141,7 +137,7 @@ pub trait AcquisitionEval: Sync {
 
 impl<F> AcquisitionEval for F
 where
-    F: Fn(&Partition, &mut EvalScratch) -> f64 + Sync,
+    F: Fn(&Partition, &mut EvalScratch) -> f64,
 {
     fn eval(&self, p: &Partition, scratch: &mut EvalScratch) -> f64 {
         self(p, scratch)
@@ -162,13 +158,11 @@ where
 /// value, or `Ok(None)` if every reachable candidate is tabu.
 ///
 /// The randomness (restart points, seed jitter) is consumed from `rng`
-/// serially up front by `draw_starts`; the climbs themselves draw
-/// nothing and are deterministic, so with
-/// `config.threads > 1` the independent starts run as slots of the shared
-/// [`clite_par`] worker pool and an index-ordered reduction keeps the
-/// result **byte-identical to the serial path** (each start's outcome is a
-/// pure function of its start point, and the reduction replays the serial
-/// loop's first-strictly-better tie-breaking).
+/// up front by `draw_starts`; the climbs themselves draw nothing. The
+/// starts are climbed one after another in draw order, and the first
+/// strictly best candidate wins. The climbs are serial at every pool size:
+/// striped over a 2-executor worker pool they made single co-location
+/// runs slower (`results/pool/`).
 ///
 /// # Errors
 ///
@@ -239,22 +233,16 @@ pub fn maximize_acquisition(
         alt
     };
 
-    // Slot-striped over the shared pool: each slot reuses one `EvalScratch`
-    // (and its step cache) across its stripe of starts, exactly like the
-    // serial loop reuses one scratch across all of them. Cache hits replay
-    // stored outcomes, so sharing never changes a climb's result.
-    let candidates: Vec<Option<(Partition, f64)>> = clite_par::map_indexed(
-        clite_par::WorkerPool::global(),
-        config.threads,
-        &starts,
-        EvalScratch::default,
-        |scratch, _, start| per_start(start, scratch),
-    );
-
+    // One scratch, and so one step cache, serves every start: starts that
+    // converge on the same optimum replay its stored steps. Cache hits
+    // replay stored outcomes, so sharing never changes a climb's result.
+    let mut scratch = EvalScratch::default();
     let mut best: Option<(Partition, f64)> = None;
-    for (partition, value) in candidates.into_iter().flatten() {
-        if best.as_ref().is_none_or(|(_, bv)| value > *bv) {
-            best = Some((partition, value));
+    for start in &starts {
+        if let Some((partition, value)) = per_start(start, &mut scratch) {
+            if best.as_ref().is_none_or(|(_, bv)| value > *bv) {
+                best = Some((partition, value));
+            }
         }
     }
     Ok(best)
@@ -418,7 +406,7 @@ mod tests {
         };
         let (best, _) = maximize_acquisition(
             &s,
-            OptimizerConfig { random_restarts: 8, max_steps: 40, threads: 1 },
+            OptimizerConfig { random_restarts: 8, max_steps: 40 },
             acq,
             &[s.max_for_job(0).unwrap()],
             None,
@@ -431,8 +419,28 @@ mod tests {
         assert_eq!(best, s.max_for_job(1).unwrap());
     }
 
+    /// FNV-1a over the returned partition's units and the value's bits.
+    fn digest((partition, value): &(Partition, f64)) -> u64 {
+        let units = partition.rows().iter().flat_map(JobAllocation::all_units);
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for word in units.map(u64::from).chain([value.to_bits()]) {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Digests of the two tests below, recorded before the climbs' pool
+    /// fan-out was removed, from its serial (1-slot) path.
+    const STARTS_DIGEST: u64 = 0xa40a_66be_fd3b_5c59;
+    const TABU_DIGEST: u64 = 0xb284_d411_75ac_3e19;
+
+    /// The result must be the one recorded whatever `CLITE_PAR_THREADS`
+    /// says (CI runs this at pool sizes 1, 2 and 4).
     #[test]
-    fn parallel_starts_byte_identical_to_serial() {
+    fn multi_start_climbs_match_the_pinned_result() {
         let s = space(3);
         let target = s.max_for_job(1).unwrap().features();
         let acq = |p: &Partition, scratch: &mut EvalScratch| {
@@ -440,55 +448,43 @@ mod tests {
             let d: f64 = scratch.features.iter().zip(&target).map(|(x, t)| (x - t).abs()).sum();
             (-d).exp()
         };
-        let run = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(9);
-            maximize_acquisition(
-                &s,
-                OptimizerConfig { random_restarts: 6, max_steps: 30, threads },
-                acq,
-                &[s.equal_share().unwrap()],
-                None,
-                &HashSet::new(),
-                &mut rng,
-            )
-            .unwrap()
-            .unwrap()
-        };
-        let (serial_p, serial_v) = run(1);
-        for threads in [2, 4, 8, 16] {
-            let (p, v) = run(threads);
-            assert_eq!(serial_p, p, "threads={threads}");
-            assert_eq!(serial_v.to_bits(), v.to_bits(), "threads={threads}");
-        }
+        let mut rng = StdRng::seed_from_u64(9);
+        let found = maximize_acquisition(
+            &s,
+            OptimizerConfig { random_restarts: 6, max_steps: 30 },
+            acq,
+            &[s.equal_share().unwrap()],
+            None,
+            &HashSet::new(),
+            &mut rng,
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(digest(&found), STARTS_DIGEST, "{found:?}");
     }
 
     #[test]
-    fn tabu_climb_endpoint_falls_back_identically_in_parallel() {
+    fn tabu_climb_endpoint_falls_back_to_the_pinned_result() {
         // Constant acquisition: every climb ends where it starts, and the
         // equal-share seed is tabu — forcing the alt-neighbour path on
-        // every thread count.
+        // every start.
         let s = space(2);
         let seed = s.equal_share().unwrap();
         let mut tabu = HashSet::new();
         tabu.insert(seed.clone());
-        let run = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(12);
-            maximize_acquisition(
-                &s,
-                OptimizerConfig { random_restarts: 2, max_steps: 5, threads },
-                |_: &Partition, _: &mut EvalScratch| 1.0,
-                std::slice::from_ref(&seed),
-                None,
-                &tabu,
-                &mut rng,
-            )
-            .unwrap()
-            .unwrap()
-        };
-        let serial = run(1);
-        assert_ne!(serial.0, seed, "tabu point must not be returned");
-        for threads in [2, 8] {
-            assert_eq!(serial, run(threads));
-        }
+        let mut rng = StdRng::seed_from_u64(12);
+        let found = maximize_acquisition(
+            &s,
+            OptimizerConfig { random_restarts: 2, max_steps: 5 },
+            |_: &Partition, _: &mut EvalScratch| 1.0,
+            std::slice::from_ref(&seed),
+            None,
+            &tabu,
+            &mut rng,
+        )
+        .unwrap()
+        .unwrap();
+        assert_ne!(found.0, seed, "tabu point must not be returned");
+        assert_eq!(digest(&found), TABU_DIGEST, "{found:?}");
     }
 }

@@ -24,8 +24,8 @@
 //!
 //! For a fixed trace and seed the fleet's placements and statistics are
 //! byte-identical across repeated runs, any worker-pool size (probe seeds
-//! are pure functions of committed state, and every fan-out inside a
-//! search is order-independent), and any store shard count (lookups
+//! are pure functions of committed state, and searches run serially at
+//! every pool size), and any store shard count (lookups
 //! depend only on per-mix bucket content). `crates/cluster/tests/fleet.rs`
 //! pins these at fleet scale; `recovery.rs` adds recovered ≡ never
 //! crashed.
@@ -607,7 +607,7 @@ impl<F: TestbedFactory + Clone> FleetService<F> {
         // Shared worker-pool utilization (`clite_par_*`): cumulative
         // dispatch counters plus the high-water busy-worker mark, whose
         // invariant `max_busy_workers <= pool_workers` is the
-        // no-oversubscription guarantee for nested search fan-outs.
+        // no-oversubscription guarantee for nested fan-outs.
         let pool = clite_par::WorkerPool::global();
         let par = pool.stats();
         registry.set_gauge("clite_par_pool_workers", &[], pool.workers() as f64);

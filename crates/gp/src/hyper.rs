@@ -20,8 +20,6 @@
 
 use std::sync::Arc;
 
-use clite_par::{map_indexed, WorkerPool};
-
 use crate::gp::{validate, Centered, GaussianProcess, GpConfig, GramFit};
 use crate::kernel::{squared_distances, Kernel};
 use crate::GpError;
@@ -69,12 +67,17 @@ impl Default for HyperGrid {
 }
 
 /// Fits a GP for every grid point and returns the fit with the highest log
-/// marginal likelihood. Grid points whose Gram matrix cannot be factorized
-/// are skipped.
+/// marginal likelihood; ties keep the first in grid order (variances
+/// outer, lengthscales inner). Grid points whose Gram matrix cannot be
+/// factorized are skipped.
 ///
-/// Equivalent to [`fit_best_threaded`] with one worker; the training data
-/// is shared across grid points (one `Arc`, one pairwise-distance matrix)
-/// rather than cloned per candidate.
+/// Every grid point reparameterizes one shared pairwise squared-distance
+/// matrix ([`squared_distances`] + [`Kernel::gram_from_distances`]): an
+/// isotropic kernel only rescales distances, so the O(n²·d) geometry is
+/// paid once per refresh and each candidate costs O(n²) Gram assembly plus
+/// its factorization. The points are ranked in one serial loop, and the
+/// winner alone pays for the scaled columns that make a fit a
+/// [`GaussianProcess`].
 ///
 /// # Errors
 ///
@@ -87,46 +90,7 @@ pub fn fit_best(
     xs: &[Vec<f64>],
     ys: &[f64],
 ) -> Result<GaussianProcess, GpError> {
-    fit_best_threaded(template, config, grid, xs, ys, 1)
-}
-
-/// [`fit_best`] with the independent grid-point fits spread over up to
-/// `threads` slots of the shared [`clite_par`] worker pool (no per-call
-/// thread spawns).
-///
-/// Every grid point reparameterizes one shared pairwise squared-distance
-/// matrix ([`squared_distances`] + [`Kernel::gram_from_distances`]): an
-/// isotropic kernel only rescales distances, so the O(n²·d) geometry is
-/// paid once per refresh and each candidate costs O(n²) Gram assembly plus
-/// its factorization. The winner alone pays for the scaled columns that
-/// make a fit a [`GaussianProcess`].
-///
-/// The result is byte-identical to the serial scan for any `threads`:
-/// each grid point's fit is a pure function of `(kernel, distances, data)`,
-/// slots are striped by grid index ([`map_indexed`] merges results back in
-/// grid order), and the reduction keeps the first strictly-better fit —
-/// exactly the serial loop's tie-breaking.
-///
-/// # Errors
-///
-/// Same contract as [`fit_best`].
-pub fn fit_best_threaded(
-    template: &Kernel,
-    config: GpConfig,
-    grid: &HyperGrid,
-    xs: &[Vec<f64>],
-    ys: &[f64],
-    threads: usize,
-) -> Result<GaussianProcess, GpError> {
-    if xs.is_empty() {
-        return Err(GpError::EmptyTrainingSet);
-    }
-    let points: Vec<(f64, f64)> = grid
-        .variances
-        .iter()
-        .flat_map(|&v| grid.lengthscales.iter().map(move |&l| (v, l)))
-        .collect();
-    if points.is_empty() {
+    if xs.is_empty() || grid.is_empty() {
         return Err(GpError::EmptyTrainingSet);
     }
     validate(xs, ys)?;
@@ -134,31 +98,22 @@ pub fn fit_best_threaded(
     let targets = Centered::new(ys);
     let d2 = squared_distances(xs);
 
-    // When the caller asks for more parallelism than there are grid points,
-    // spend the surplus inside each fit: nested dispatch tiles the Gram
-    // build across whatever pool workers the outer stripes leave idle.
-    let gram_slots = threads.max(1).div_ceil(points.len());
-    let score_point = |&(v, l): &(f64, f64)| -> Result<GramFit, GpError> {
-        // `reparameterized` always yields an isotropic kernel, which is
-        // what `gram_from_distances` requires.
-        let kernel = template.reparameterized(v, l);
-        let gram = kernel.gram_from_distances_pooled(&d2, gram_slots);
-        GramFit::new(kernel, config, &targets, gram)
-    };
-
-    let fits: Vec<Result<GramFit, GpError>> =
-        map_indexed(WorkerPool::global(), threads, &points, || (), |(), _, p| score_point(p));
-
     let mut best: Option<GramFit> = None;
     let mut last_err = GpError::EmptyTrainingSet;
-    for fit in fits {
-        match fit {
-            Ok(fit) => {
-                if best.as_ref().is_none_or(|b| fit.log_marginal() > b.log_marginal()) {
-                    best = Some(fit);
+    for &v in &grid.variances {
+        for &l in &grid.lengthscales {
+            // `reparameterized` always yields an isotropic kernel, which
+            // is what `gram_from_distances` requires.
+            let kernel = template.reparameterized(v, l);
+            let gram = kernel.gram_from_distances(&d2);
+            match GramFit::new(kernel, config, &targets, gram) {
+                Ok(fit) => {
+                    if best.as_ref().is_none_or(|b| fit.log_marginal() > b.log_marginal()) {
+                        best = Some(fit);
+                    }
                 }
+                Err(e) => last_err = e,
             }
-            Err(e) => last_err = e,
         }
     }
     let best = best.ok_or(last_err)?;
@@ -213,29 +168,6 @@ mod tests {
         let grid = HyperGrid::default_unit();
         let err = fit_best(&Kernel::matern52(1.0, 1.0), GpConfig::default(), &grid, &[], &[]);
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn threaded_scan_is_byte_identical_to_serial() {
-        let xs: Vec<Vec<f64>> = (0..14)
-            .map(|i| {
-                let t = f64::from(i) / 13.0;
-                vec![t, (t * 3.0).fract(), 1.0 - t]
-            })
-            .collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x[0] * 0.6 + x[1] * x[2]).collect();
-        let grid = HyperGrid::default_unit();
-        let template = Kernel::matern52(1.0, 1.0);
-        let serial = fit_best(&template, GpConfig::default(), &grid, &xs, &ys).unwrap();
-        for threads in [1, 2, 4, 8, 16] {
-            let par = fit_best_threaded(&template, GpConfig::default(), &grid, &xs, &ys, threads)
-                .unwrap();
-            assert_eq!(
-                serial.log_marginal_likelihood().to_bits(),
-                par.log_marginal_likelihood().to_bits()
-            );
-            assert_eq!(serial.kernel(), par.kernel());
-        }
     }
 
     #[test]

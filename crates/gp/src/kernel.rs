@@ -348,62 +348,6 @@ impl Kernel {
         k
     }
 
-    /// [`Kernel::gram_from_distances`] with the lower-triangle rows tiled
-    /// over up to `slots` partitions of the shared worker pool (the upper
-    /// triangle is mirrored serially afterwards — O(n²) copies against the
-    /// O(n²) transcendental evaluations the tiles parallelize).
-    ///
-    /// Byte-identical to the serial builder at any slot count: every entry
-    /// is an independent pure function of `(variance, lengthscale,
-    /// d2[(i,j)])`, and each row is written by exactly one slot. Matrices
-    /// too small to amortize a dispatch (fewer than
-    /// [`Kernel::POOLED_MIN_GRAM_ROWS`] rows per slot) fall back to the
-    /// serial builder.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Kernel::gram_from_distances`].
-    #[must_use]
-    pub fn gram_from_distances_pooled(&self, d2: &Matrix, slots: usize) -> Matrix {
-        let LengthScales::Isotropic(l) = &self.lengthscales else {
-            panic!("gram_from_distances requires an isotropic kernel");
-        };
-        assert_eq!(d2.rows(), d2.cols(), "distance matrix must be square");
-        let n = d2.rows();
-        let width = slots.max(1).min(n / Self::POOLED_MIN_GRAM_ROWS);
-        if width <= 1 {
-            return self.gram_from_distances(d2);
-        }
-        let inv = 1.0 / l;
-        let mut k = Matrix::zeros(n, n);
-        // One chunk per row: striping rows balances the triangle's uneven
-        // row lengths across slots (each stripe sums to ~n²/2W entries).
-        clite_par::for_each_chunk_mut(
-            clite_par::WorkerPool::global(),
-            width,
-            k.as_mut_slice(),
-            n,
-            |i, row| {
-                row[i] = self.variance;
-                let d2_row = &d2.row(i)[..i];
-                for (out, &d) in row[..i].iter_mut().zip(d2_row) {
-                    *out = self.variance * self.correlation(d.sqrt() * inv);
-                }
-            },
-        );
-        for i in 0..n {
-            for j in 0..i {
-                k[(j, i)] = k[(i, j)];
-            }
-        }
-        k
-    }
-
-    /// Minimum rows per slot for [`Kernel::gram_from_distances_pooled`] to
-    /// fan out; smaller Gram matrices build faster serially than the
-    /// dispatch costs.
-    pub const POOLED_MIN_GRAM_ROWS: usize = 16;
-
     /// The cross-covariance vector `k(x*, X)` of a query point against the
     /// training points.
     #[must_use]
@@ -522,34 +466,6 @@ mod tests {
             assert!((g[(i, i)] - 1.3).abs() < 1e-12);
             for j in 0..3 {
                 assert!((g[(i, j)] - g[(j, i)]).abs() < 1e-15);
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_gram_is_byte_identical_to_serial() {
-        // n = 40 engages the pooled path for slots >= 2 (40 / 16 = 2).
-        let xs: Vec<Vec<f64>> = (0..40)
-            .map(|i| {
-                let t = f64::from(i) / 39.0;
-                vec![t, (t * 5.0).fract(), 1.0 - t]
-            })
-            .collect();
-        let d2 = squared_distances(&xs);
-        for f in FAMILIES {
-            let k = Kernel::new(f, 0.8, 0.45);
-            let serial = k.gram_from_distances(&d2);
-            for slots in [1usize, 2, 4, 8] {
-                let pooled = k.gram_from_distances_pooled(&d2, slots);
-                for i in 0..40 {
-                    for j in 0..40 {
-                        assert_eq!(
-                            serial[(i, j)].to_bits(),
-                            pooled[(i, j)].to_bits(),
-                            "family={f:?} slots={slots} entry ({i},{j})"
-                        );
-                    }
-                }
             }
         }
     }

@@ -98,12 +98,6 @@ impl Matrix {
         assert!(i < self.rows, "row index out of range");
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
-
-    /// The full row-major storage as one mutable slice, for the pool-tiled
-    /// builders that fill disjoint row ranges in place.
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {

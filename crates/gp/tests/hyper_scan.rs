@@ -1,7 +1,7 @@
 //! The hyper-grid scan must return, bit for bit, the fit that fitting every
 //! grid point in full and keeping the first strictly better one returns.
 //!
-//! `fit_best_threaded` ranks grid points by their Gram matrix, factor, `α`
+//! `fit_best` ranks grid points by their Gram matrix, factor, `α`
 //! and log marginal likelihood, and finishes only the winner into a
 //! `GaussianProcess`. The reference below is the scan it replaced: one
 //! [`GaussianProcess::fit_with_gram`] per grid point over the shared
@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use clite_gp::gp::{GaussianProcess, GpConfig};
-use clite_gp::hyper::{fit_best_threaded, HyperGrid};
+use clite_gp::hyper::{fit_best, HyperGrid};
 use clite_gp::kernel::{squared_distances, Kernel, KernelFamily};
 use clite_gp::GpError;
 
@@ -62,7 +62,7 @@ fn reference(
     best.ok_or(last_err)
 }
 
-/// Scans at 1, 2, 4 and 8 slots and compares each with the reference.
+/// Scans the grid and compares the result with the reference.
 fn assert_scan_matches(
     template: &Kernel,
     config: GpConfig,
@@ -72,16 +72,14 @@ fn assert_scan_matches(
     label: &str,
 ) {
     let want = reference(template, config, grid, xs, ys);
-    for threads in [1, 2, 4, 8] {
-        let got = fit_best_threaded(template, config, grid, xs, ys, threads);
-        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{label}, {threads} slots");
-        if let (Ok(g), Ok(w)) = (&got, &want) {
-            assert_eq!(
-                g.log_marginal_likelihood().to_bits(),
-                w.log_marginal_likelihood().to_bits(),
-                "{label}, {threads} slots"
-            );
-        }
+    let got = fit_best(template, config, grid, xs, ys);
+    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{label}");
+    if let (Ok(g), Ok(w)) = (&got, &want) {
+        assert_eq!(
+            g.log_marginal_likelihood().to_bits(),
+            w.log_marginal_likelihood().to_bits(),
+            "{label}"
+        );
     }
 }
 
@@ -136,7 +134,7 @@ fn exact_ties_keep_the_first_grid_point() {
         let ys: Vec<f64> = (0..n).map(|i| 0.1 * i as f64).collect();
         let config = GpConfig { noise_variance: 1e-3 };
         assert_scan_matches(&template, config, &grid, &xs, &ys, &format!("{n} copies"));
-        let best = fit_best_threaded(&template, config, &grid, &xs, &ys, 4).unwrap();
+        let best = fit_best(&template, config, &grid, &xs, &ys).unwrap();
         let first = grid.lengthscales[0];
         assert_eq!(best.kernel().mean_lengthscale(), first, "the first tied lengthscale wins");
     }

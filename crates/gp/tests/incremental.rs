@@ -4,7 +4,6 @@
 //! * a rank-1-extended GP must agree with a from-scratch fit to 1e-9 on
 //!   posterior mean/std and log marginal likelihood, across random input
 //!   spaces and observation orders;
-//! * the threaded hyper-grid scan must be byte-identical to the serial one;
 //! * the scratch-buffer prediction path must be byte-identical to the
 //!   allocating one;
 //! * the shared-distance Gram assembly must match the direct one.
@@ -14,7 +13,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use clite_gp::gp::{GaussianProcess, GpConfig, PredictScratch};
-use clite_gp::hyper::{fit_best, fit_best_threaded, HyperGrid};
 use clite_gp::kernel::{squared_distances, Kernel};
 
 /// Deterministic random training set: `n` points in `dim` dimensions on
@@ -94,37 +92,6 @@ proptest! {
             let (mi, si) = inc.predict_std(&cur_xs[0]);
             let (mf, sf) = full.predict_std(&cur_xs[0]);
             prop_assert!((mi - mf).abs() < 1e-9 && (si - sf).abs() < 1e-9);
-        }
-    }
-
-    /// The threaded hyper-grid scan returns the byte-identical fit for any
-    /// worker count.
-    #[test]
-    fn threaded_grid_byte_identical(
-        seed in 0u64..1_000_000,
-        n in 4usize..16,
-        dim in 1usize..6,
-        threads in 2usize..9,
-    ) {
-        let (xs, ys) = random_data(seed, n, dim);
-        let grid = HyperGrid::default_unit();
-        let template = Kernel::matern52(1.0, 1.0);
-        let config = GpConfig::default();
-        let serial = fit_best(&template, config, &grid, &xs, &ys).unwrap();
-        let par = fit_best_threaded(&template, config, &grid, &xs, &ys, threads).unwrap();
-
-        prop_assert_eq!(serial.kernel(), par.kernel());
-        prop_assert_eq!(
-            serial.log_marginal_likelihood().to_bits(),
-            par.log_marginal_likelihood().to_bits()
-        );
-        let mut probe_rng = StdRng::seed_from_u64(seed ^ 0x517c);
-        for _ in 0..4 {
-            let q: Vec<f64> = (0..dim).map(|_| probe_rng.gen_range(0.0..1.0)).collect();
-            let (ms, ss) = serial.predict_std(&q);
-            let (mp, sp) = par.predict_std(&q);
-            prop_assert_eq!(ms.to_bits(), mp.to_bits());
-            prop_assert_eq!(ss.to_bits(), sp.to_bits());
         }
     }
 

@@ -1,16 +1,22 @@
 //! Shared deterministic worker pool for the CLITE search stack.
 //!
 //! Every parallel site in the workspace used to open its own
-//! `std::thread::scope` fan-out: the GP hyper-grid scan, the acquisition
-//! multi-start climbs, and (since removed) threaded cluster admission each
-//! spawned fresh OS threads per call — and the fleet service nested them (per-node searches
-//! inside per-node admission probes), oversubscribing shared hosts. This
-//! crate replaces those with one fixed-size, lazily-initialized pool
-//! in the idiom of the-block's `node/src/parallel.rs`: work is split into
+//! `std::thread::scope` fan-out, spawning fresh OS threads per call, and
+//! the fleet service nested them (per-node searches inside per-node
+//! admission probes), oversubscribing shared hosts. This crate replaces
+//! those with one fixed-size, lazily-initialized pool in the idiom of
+//! the-block's `node/src/parallel.rs`: work is split into
 //! **non-overlapping, index-keyed partitions** ("slots"), executed by
 //! whichever threads are free, and reduced in slot-index order so the
 //! result is a pure function of the partitioning — never of the pool size,
 //! scheduling order, or physical core count.
+//!
+//! One fan-out runs on the pool, as wide as the pool: placement-model
+//! training (`clite_learn::train`). The search path is serial at every
+//! pool size and takes no slot count of its own. The hyper-grid scan (with
+//! its tiled Gram build), the acquisition's multi-start climbs and cluster
+//! admission used to fan out too; none paid on a 2-vCPU host, and all run
+//! serially now.
 //!
 //! One private fan-out is left: the load harness's
 //! `clite_load::fire_queries` spawns its own scoped client threads per
@@ -415,75 +421,6 @@ where
     merged
 }
 
-/// Shared raw pointer into a mutable slice handed out chunk-wise.
-struct SlicePtr<T>(*mut T);
-
-impl<T> SlicePtr<T> {
-    /// Accessor (rather than field access) so closures capture the `Sync`
-    /// wrapper, not the raw pointer inside it.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-// SAFETY: `for_each_chunk_mut` hands each chunk index to exactly one slot
-// (striping) and `dispatch` blocks until all slots finish, so no two
-// threads alias a chunk and no access outlives the borrow.
-unsafe impl<T: Send> Send for SlicePtr<T> {}
-unsafe impl<T: Send> Sync for SlicePtr<T> {}
-
-/// Runs `f(chunk_index, chunk)` over `data` split into consecutive
-/// `chunk_len`-sized chunks (last one may be shorter), with chunk indices
-/// striped over up to `slots` pool partitions.
-///
-/// This is the write-side counterpart of [`map_indexed`]: chunks are
-/// non-overlapping by construction, so slots can fill disjoint regions of
-/// one output buffer in place (Gram tiles, multi-RHS solve blocks) with no
-/// locking and no per-slot result merge. Like every pool entry point, the
-/// set of chunks each `f` sees depends only on indices — never on the
-/// worker count — and `slots <= 1` runs inline on the caller.
-///
-/// # Panics
-///
-/// Panics if `chunk_len` is zero while `data` is non-empty.
-pub fn for_each_chunk_mut<T: Send>(
-    pool: &WorkerPool,
-    slots: usize,
-    data: &mut [T],
-    chunk_len: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    if data.is_empty() {
-        return;
-    }
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let chunks = data.len().div_ceil(chunk_len);
-    let width = slots.max(1).min(chunks);
-    if width <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-
-    let len = data.len();
-    let base = SlicePtr(data.as_mut_ptr());
-    pool.dispatch(width, |slot| {
-        let mut i = slot;
-        while i < chunks {
-            let start = i * chunk_len;
-            let end = (start + chunk_len).min(len);
-            // SAFETY: chunk `i` belongs to this slot alone (stripe), the
-            // [start, end) ranges of distinct chunks are disjoint, and the
-            // dispatch barrier keeps the pointee borrow alive (`SlicePtr`).
-            let chunk =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-            f(i, chunk);
-            i += width;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,26 +484,6 @@ mod tests {
         for (i, &(slot, order)) in got.iter().enumerate() {
             assert_eq!(slot, i % width);
             assert_eq!(order, i / width);
-        }
-    }
-
-    #[test]
-    fn chunked_writes_cover_the_buffer_once() {
-        let pool = WorkerPool::new(4);
-        for (len, chunk_len) in [(1usize, 3), (7, 3), (12, 4), (100, 7)] {
-            let mut data = vec![0u32; len];
-            for slots in [0usize, 1, 2, 4, 16] {
-                data.fill(0);
-                for_each_chunk_mut(&pool, slots, &mut data, chunk_len, |idx, chunk| {
-                    assert!(chunk.len() <= chunk_len);
-                    for (off, v) in chunk.iter_mut().enumerate() {
-                        *v += (idx * chunk_len + off + 1) as u32;
-                    }
-                });
-                for (i, &v) in data.iter().enumerate() {
-                    assert_eq!(v, (i + 1) as u32, "len={len} chunk={chunk_len} slots={slots}");
-                }
-            }
         }
     }
 

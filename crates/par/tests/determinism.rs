@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use clite_par::{for_each_chunk_mut, map_indexed, WorkerPool};
+use clite_par::{map_indexed, WorkerPool};
 
 /// A deterministic pseudo-random work set (xorshift64*): enough FP
 /// structure that any reordering of the reduction would flip result bits.
@@ -63,38 +63,6 @@ fn partitioned_reduction_is_byte_identical_at_1_2_4_8_workers() {
                 sum.to_bits(),
                 "reduction diverged at {workers} workers / {slots} slots"
             );
-        }
-    }
-}
-
-#[test]
-fn chunked_mutation_is_byte_identical_at_1_2_4_8_workers() {
-    let baseline = {
-        let mut data = work_set(513, 0x5EED);
-        for (c, chunk) in data.chunks_mut(64).enumerate() {
-            for v in chunk.iter_mut() {
-                *v = kernel(c, *v);
-            }
-        }
-        data
-    };
-
-    for workers in [1usize, 2, 4, 8] {
-        let pool = WorkerPool::new(workers);
-        for slots in [1usize, 2, 4, 8] {
-            let mut data = work_set(513, 0x5EED);
-            for_each_chunk_mut(&pool, slots, &mut data, 64, |c, chunk| {
-                for v in chunk.iter_mut() {
-                    *v = kernel(c, *v);
-                }
-            });
-            for (i, (b, p)) in baseline.iter().zip(&data).enumerate() {
-                assert_eq!(
-                    b.to_bits(),
-                    p.to_bits(),
-                    "element {i} diverged at {workers} workers / {slots} slots"
-                );
-            }
         }
     }
 }
@@ -182,32 +150,6 @@ proptest! {
         for (pos, &(i, item)) in out.iter().enumerate() {
             prop_assert_eq!(pos, i);
             prop_assert_eq!(pos, item);
-        }
-    }
-
-    /// Chunking is a partition of the buffer: every element is written by
-    /// exactly one chunk invocation, and chunk `c` sees exactly the slice
-    /// `[c * chunk_len, ...)` of the original buffer.
-    #[test]
-    fn chunks_cover_the_buffer_exactly_once(
-        len in 0usize..=300,
-        chunk_len in 1usize..=48,
-        slots in 0usize..=12,
-        workers in 1usize..=8,
-    ) {
-        let pool = WorkerPool::new(workers);
-        let mut data: Vec<u64> = (0..len as u64).collect();
-        for_each_chunk_mut(&pool, slots, &mut data, chunk_len, |c, chunk| {
-            for (off, v) in chunk.iter_mut().enumerate() {
-                let expect = (c * chunk_len + off) as u64;
-                assert_eq!(*v, expect, "chunk {c} got the wrong slice");
-                *v += 1_000_000;
-            }
-        });
-        // Every element written exactly once (double writes would add
-        // 2_000_000; gaps would leave the original value).
-        for (i, &v) in data.iter().enumerate() {
-            prop_assert_eq!(v, i as u64 + 1_000_000);
         }
     }
 }
