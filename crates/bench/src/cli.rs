@@ -317,6 +317,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             if jobs.is_empty() {
                 return Err(ParseError("load needs at least one job".into()));
             }
+            check_job_count(jobs.len())?;
             Ok(Command::Load { policy, config, report, telemetry_out, jobs })
         }
         "fleet" => {
@@ -552,6 +553,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 if jobs.is_empty() {
                     return Err(ParseError("run needs at least one job".into()));
                 }
+                check_job_count(jobs.len())?;
                 Ok(Command::Run { policy, seed, telemetry_out, store, faults, jobs })
             } else {
                 if faults.is_some() {
@@ -559,11 +561,24 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 }
                 let swept = swept
                     .ok_or_else(|| ParseError("sweep needs --sweep <workload>:<load>".into()))?;
+                check_job_count(jobs.len() + 1)?;
                 Ok(Command::Sweep { policy, seed, telemetry_out, store, swept, fixed: jobs })
             }
         }
         other => Err(ParseError(format!("unknown subcommand '{other}'"))),
     }
+}
+
+/// Rejects a job list larger than the testbed can co-locate: every job
+/// needs one unit of every resource, so the scarcest resource sets the
+/// limit.
+fn check_job_count(jobs: usize) -> Result<(), ParseError> {
+    let catalog = ResourceCatalog::testbed();
+    if catalog.supports_jobs(jobs) {
+        return Ok(());
+    }
+    let limit = catalog.all_units().into_iter().min().unwrap_or(0);
+    Err(ParseError(format!("{jobs} jobs exceed the testbed's limit of {limit} co-located jobs")))
 }
 
 /// The usage text printed by `colocate help`.
@@ -795,6 +810,23 @@ mod tests {
                 .is_err(),
             "chaos mode is run-only"
         );
+    }
+
+    #[test]
+    fn rejects_more_jobs_than_the_testbed_hosts() {
+        let jobs = |n: usize| vec!["swaptions"; n];
+        let limit = "limit of 10 co-located jobs";
+        for sub in ["run", "load"] {
+            assert!(parse(&v(&[&[sub][..], &jobs(10)].concat())).is_ok(), "{sub} with 10 jobs");
+            let err = parse(&v(&[&[sub][..], &jobs(11)].concat())).unwrap_err();
+            assert!(err.0.contains(limit), "{sub}: {err}");
+        }
+        // A sweep's swept job counts too: 9 fixed + 1 fits, 10 + 1 does not.
+        let sweep =
+            |fixed: usize| [&["sweep", "--sweep", "memcached:40"][..], &jobs(fixed)].concat();
+        assert!(parse(&v(&sweep(9))).is_ok());
+        let err = parse(&v(&sweep(10))).unwrap_err();
+        assert!(err.0.contains(limit), "sweep: {err}");
     }
 
     #[test]

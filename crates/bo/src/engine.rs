@@ -283,14 +283,6 @@ impl BoEngine {
         &self.space
     }
 
-    /// The kernel chosen by the most recent hyper-grid refresh, if any
-    /// (diagnostics; also lets benchmarks pit alternative surrogate
-    /// implementations against the engine on the same EI landscape).
-    #[must_use]
-    pub fn current_kernel(&self) -> Option<&Kernel> {
-        self.kernel.as_ref()
-    }
-
     /// The paper's informed bootstrap set for this space.
     ///
     /// # Errors
@@ -369,20 +361,6 @@ impl BoEngine {
     #[must_use]
     pub fn best(&self) -> Option<(&Partition, f64)> {
         self.history.iter().max_by(|a, b| a.1.total_cmp(&b.1)).map(|(p, s)| (p, *s))
-    }
-
-    /// Best recorded score among configurations where `keep` holds (used by
-    /// dropout-copy to find a job's best row).
-    #[must_use]
-    pub fn best_where(
-        &self,
-        mut keep: impl FnMut(&Partition, f64) -> bool,
-    ) -> Option<(&Partition, f64)> {
-        self.history
-            .iter()
-            .filter(|(p, s)| keep(p, *s))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(p, s)| (p, *s))
     }
 
     /// Runs one iteration of Algorithm 1: refresh the surrogate, maximize
@@ -835,19 +813,5 @@ mod tests {
         assert!(!e.skip_suggest(unhostable).unwrap());
         assert_eq!(e.rng, rng);
         assert!(matches!(e.suggest(unhostable, &OFF), Err(BoError::NoCandidate)));
-    }
-
-    #[test]
-    fn best_where_filters() {
-        let mut e = engine(2, 6);
-        for p in e.bootstrap_samples().unwrap() {
-            let y = objective(&p);
-            e.record(p, y, &OFF);
-        }
-        let all_best = e.best().unwrap().1;
-        let constrained = e.best_where(|p, _| p.units(0, ResourceKind::Cores) <= 2).map(|(_, s)| s);
-        if let Some(c) = constrained {
-            assert!(c <= all_best);
-        }
     }
 }

@@ -4,7 +4,8 @@
 //! question at a time, [`FleetService`] runs the warehouse: it consumes a
 //! time-ordered stream of [`FleetEvent`]s — arrivals, departures, load
 //! shifts, node onboarding — advancing a deterministic [`SimClock`] and
-//! driving the existing plan/record/commit `Node` machinery per event.
+//! driving the existing [`Node`](crate::node::Node) admission and
+//! re-partition searches per event.
 //!
 //! ## Mean-field epoch policy
 //!
@@ -36,7 +37,7 @@ use std::sync::Arc;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
 use clite_sim::workload::JobClass;
 use clite_store::ShardedStore;
-use clite_telemetry::{Event, MetricsRegistry, Telemetry};
+use clite_telemetry::{Event, Telemetry};
 
 use crate::clock::SimClock;
 use crate::event::{FleetEvent, TimedEvent};
@@ -80,14 +81,6 @@ pub struct OverloadConfig {
 impl Default for OverloadConfig {
     fn default() -> Self {
         Self { shed_backlog: None, shed_window_debt: None, debt_horizon: 8 }
-    }
-}
-
-impl OverloadConfig {
-    /// Whether any shedding trigger is armed.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.shed_backlog.is_some() || self.shed_window_debt.is_some()
     }
 }
 
@@ -139,9 +132,9 @@ impl FleetConfig {
     /// [`mean_field`](FleetConfig::mean_field) with a trained placement
     /// model: candidate ordering uses [`PlacementPolicy::Learned`] instead
     /// of the solved target template. The epoch loop keeps solving the
-    /// fleet-wide target for gauge export, but never overwrites the
-    /// learned policy — the model's fleet features absorb the aggregate
-    /// state the template would have encoded.
+    /// fleet-wide target, but never overwrites the learned policy — the
+    /// model's fleet features absorb the aggregate state the template
+    /// would have encoded.
     #[must_use]
     pub fn mean_field_learned(
         epoch_ticks: u64,
@@ -158,13 +151,6 @@ impl FleetConfig {
             target_margin_pct: 10,
             overload: OverloadConfig::default(),
         }
-    }
-
-    /// Returns a copy with the given load-shedding policy.
-    #[must_use]
-    pub fn with_overload(mut self, overload: OverloadConfig) -> Self {
-        self.overload = overload;
-        self
     }
 }
 
@@ -246,7 +232,7 @@ pub struct FleetService<F: TestbedFactory = ServerFactory> {
     clock: SimClock,
     /// Last epoch a template was solved for (`None` before the first).
     solved_epoch: Option<u64>,
-    /// The currently installed template target (for gauge export).
+    /// The most recently solved template target (checkpointed).
     target_pct: Option<u32>,
     counters: FleetCounters,
     /// Observation-window cost of the most recent admissions (newest at
@@ -559,62 +545,13 @@ impl<F: TestbedFactory + Clone> FleetService<F> {
             .saturating_add(self.config.target_margin_pct)
             .clamp(5, 95);
         self.target_pct = Some(target_pct);
-        // A learned policy keeps serving its model: the solved target is
-        // still exported as a gauge, but the template never overwrites the
+        // A learned policy keeps serving its model: the target is still
+        // solved and checkpointed, but the template never overwrites the
         // model — its fleet-level features carry the aggregate state the
         // template would have encoded.
         if !matches!(self.scheduler.config().placement, PlacementPolicy::Learned { .. }) {
             self.scheduler.set_placement(PlacementPolicy::TargetLoad { target_pct });
         }
-    }
-
-    /// Exports fleet gauges (`clite_fleet_*`) from the incrementally
-    /// maintained statistics — O(fleet) only in the per-node walk for
-    /// the QoS gauge, no node is probed.
-    pub fn export_gauges(&self, registry: &MetricsRegistry) {
-        let stats = self.scheduler.stats_ref();
-        let alive = stats.nodes.len() - stats.dead_nodes;
-        registry.set_gauge("clite_fleet_nodes", &[], stats.nodes.len() as f64);
-        registry.set_gauge("clite_fleet_alive_nodes", &[], alive as f64);
-        registry.set_gauge("clite_fleet_dead_nodes", &[], stats.dead_nodes as f64);
-        registry.set_gauge("clite_fleet_empty_nodes", &[], stats.empty_nodes as f64);
-        registry.set_gauge("clite_fleet_placed_jobs", &[], stats.placed as f64);
-        registry.set_gauge("clite_fleet_rejected_jobs", &[], stats.rejected as f64);
-        registry.set_gauge("clite_fleet_admission_rate", &[], stats.admission_rate());
-        registry.set_gauge("clite_fleet_clock_ticks", &[], self.clock.now() as f64);
-        let qos_ok = stats.nodes.iter().filter(|n| n.alive && n.qos_met).count();
-        registry.set_gauge("clite_fleet_qos_ok_nodes", &[], qos_ok as f64);
-        registry.set_gauge("clite_fleet_replacements", &[], self.scheduler.replaced() as f64);
-        registry.set_gauge("clite_fleet_shed_arrivals", &[], self.counters.arrivals_shed as f64);
-        registry.set_gauge(
-            "clite_fleet_admission_debt_windows",
-            &[],
-            self.debt.iter().sum::<u64>() as f64,
-        );
-        if let Some(target) = self.target_pct {
-            registry.set_gauge("clite_fleet_target_load_pct", &[], f64::from(target));
-        }
-        if let PlacementPolicy::Learned { model } = &self.scheduler.config().placement {
-            registry.set_gauge(
-                "clite_model_feature_version",
-                &[],
-                f64::from(model.feature_version),
-            );
-            registry.set_gauge("clite_model_epochs", &[], f64::from(model.epochs));
-            registry.set_gauge("clite_model_train_loss", &[], model.train_loss);
-        }
-
-        // Shared worker-pool utilization (`clite_par_*`): cumulative
-        // dispatch counters plus the high-water busy-worker mark, whose
-        // invariant `max_busy_workers <= pool_workers` is the
-        // no-oversubscription guarantee for nested fan-outs.
-        let pool = clite_par::WorkerPool::global();
-        let par = pool.stats();
-        registry.set_gauge("clite_par_pool_workers", &[], pool.workers() as f64);
-        registry.set_gauge("clite_par_jobs", &[], par.jobs as f64);
-        registry.set_gauge("clite_par_worker_tasks", &[], par.worker_tasks as f64);
-        registry.set_gauge("clite_par_caller_tasks", &[], par.caller_tasks as f64);
-        registry.set_gauge("clite_par_max_busy_workers", &[], par.max_busy_workers as f64);
     }
 }
 

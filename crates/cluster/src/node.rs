@@ -22,44 +22,6 @@ pub struct PlacedJob {
     pub spec: JobSpec,
 }
 
-/// The result of probing one node for a tentative admission: the job and
-/// the CLITE search outcome on the node's committed set plus that job.
-///
-/// A plan is *tentative*: producing one ([`Node::plan_admission`]) does
-/// not change the node. The scheduler decides which plans count against a
-/// node's bookkeeping ([`Node::record_probe`]) and which single plan, if
-/// any, is committed ([`Node::commit_admission`]), so a probe that comes
-/// back infeasible leaves no trace on the node beyond its statistics.
-#[derive(Debug, Clone)]
-pub struct AdmissionPlan {
-    job: PlacedJob,
-    outcome: CliteOutcome,
-    /// Mix signature of the tentative job set, captured at probe time;
-    /// `Some` only when the node has a store. Commit appends the plan's
-    /// samples under this signature.
-    signature: Option<MixSignature>,
-}
-
-impl AdmissionPlan {
-    /// Whether the search found a partition meeting every LC job's QoS.
-    #[must_use]
-    pub fn feasible(&self) -> bool {
-        self.outcome.qos_met()
-    }
-
-    /// The job this plan would admit.
-    #[must_use]
-    pub fn job(&self) -> &PlacedJob {
-        &self.job
-    }
-
-    /// The admission search's outcome.
-    #[must_use]
-    pub fn outcome(&self) -> &CliteOutcome {
-        &self.outcome
-    }
-}
-
 /// One server of the fleet with its committed jobs and the most recent
 /// CLITE outcome for that job set.
 ///
@@ -152,7 +114,7 @@ impl<F: TestbedFactory> Node<F> {
 
     /// Attaches a shared observation store: admission probes and
     /// re-partitioning searches warm-start from it, and committed searches
-    /// append their samples back (see [`Node::commit_admission`]).
+    /// append their samples back (see [`Node::try_admit`]).
     #[must_use]
     pub fn with_store(mut self, store: Arc<ShardedStore>) -> Self {
         self.store = Some(store);
@@ -198,8 +160,9 @@ impl<F: TestbedFactory> Node<F> {
 
     /// Takes the node out of service after a crash: its committed jobs are
     /// drained (the scheduler re-places them elsewhere), its outcome is
-    /// discarded, and every future [`Node::plan_admission`] returns
-    /// `Ok(None)`. Search/sample bookkeeping is frozen, not reset.
+    /// discarded, and every future [`Node::try_admit`] returns
+    /// `Ok(false)` without searching. Search/sample bookkeeping is frozen,
+    /// not reset.
     pub fn mark_dead(&mut self) -> Vec<PlacedJob> {
         self.alive = false;
         self.last_outcome = None;
@@ -274,30 +237,6 @@ impl<F: TestbedFactory> Node<F> {
         self.seed.wrapping_add(self.commits + 1)
     }
 
-    /// Runs the admission search for `job` on the node's committed set
-    /// plus `job` *without changing the node*. Returns `Ok(None)` when the
-    /// node lacks physical capacity for one more job, or is dead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller/simulator failures. A probe that surfaces a
-    /// node crash ([`ClusterError::is_node_crash`]) means the *node*
-    /// failed, not the search: the scheduler evicts it.
-    pub fn plan_admission(
-        &self,
-        job: PlacedJob,
-        config: &CliteConfig,
-        telemetry: &Telemetry<'_>,
-    ) -> Result<Option<AdmissionPlan>, ClusterError> {
-        if !self.alive || !self.catalog.supports_jobs(self.jobs.len() + 1) {
-            return Ok(None);
-        }
-        let mut tentative: Vec<JobSpec> = self.jobs.iter().map(|j| j.spec.clone()).collect();
-        tentative.push(job.spec.clone());
-        let (outcome, signature) = self.run_search(tentative, config, telemetry)?;
-        Ok(Some(AdmissionPlan { job, outcome, signature }))
-    }
-
     /// One admission/re-partition search on the given tentative job set,
     /// warm-started from the shared store when one is attached. Probes
     /// only *read* the store (plus hit/miss accounting); samples are
@@ -345,50 +284,45 @@ impl<F: TestbedFactory> Node<F> {
         self.last_outcome = Some(Arc::new(CommittedOutcome::new(outcome)));
     }
 
-    /// Charges a produced plan against this node's search/sample
-    /// bookkeeping. The scheduler calls this exactly for the probes a
-    /// serial scan would have paid for.
-    pub fn record_probe(&mut self, plan: &AdmissionPlan) {
-        self.searches_run += 1;
-        self.samples_spent += plan.outcome.samples_used() as u64;
-    }
-
-    /// Commits a feasible plan: the job joins the node, the plan's
-    /// partition becomes the committed outcome, and — when a store is
-    /// attached — the plan's samples are appended (best-effort) for
-    /// future warm starts. Discarded plans never reach the store.
-    pub fn commit_admission(&mut self, plan: AdmissionPlan) {
-        self.store_samples(plan.signature.as_ref(), &plan.outcome);
-        self.jobs = self.jobs.iter().cloned().chain([plan.job]).collect();
-        self.install(plan.outcome);
-        self.commits += 1;
-    }
-
-    /// Tries to admit `job`: runs a CLITE search on the tentative job set
-    /// and commits only if every LC job (old and new) meets QoS. The
+    /// Tries to admit `job`: runs a CLITE search on the committed set plus
+    /// `job` and commits only if every LC job (old and new) meets QoS. The
     /// admission search's events and phase timings flow through
     /// `telemetry`.
     ///
-    /// Returns `Ok(true)` and keeps the job (plus the found partition) on
-    /// success; returns `Ok(false)` and leaves the node unchanged when the
-    /// co-location is not QoS-feasible.
+    /// Every search is charged to the node's bookkeeping
+    /// ([`Node::searches_run`], [`Node::samples_spent`]), feasible or not.
+    /// On success the job joins the node, the found partition becomes the
+    /// committed outcome, and — when a store is attached — the search's
+    /// samples are appended (best-effort) for future warm starts; it
+    /// returns `Ok(true)`. An infeasible search changes nothing else and
+    /// never reaches the store: `Ok(false)`, as for a dead node or one
+    /// without physical capacity for one more job (no search runs then).
     ///
     /// # Errors
     ///
-    /// Propagates controller/simulator failures.
+    /// Propagates controller/simulator failures. A search that surfaces a
+    /// node crash ([`ClusterError::is_node_crash`]) means the *node*
+    /// failed, not the search: the scheduler evicts it.
     pub fn try_admit(
         &mut self,
         job: PlacedJob,
         config: &CliteConfig,
         telemetry: &Telemetry<'_>,
     ) -> Result<bool, ClusterError> {
-        let Some(plan) = self.plan_admission(job, config, telemetry)? else {
+        if !self.alive || !self.catalog.supports_jobs(self.jobs.len() + 1) {
             return Ok(false);
-        };
-        self.record_probe(&plan);
-        let feasible = plan.feasible();
+        }
+        let mut tentative: Vec<JobSpec> = self.jobs.iter().map(|j| j.spec.clone()).collect();
+        tentative.push(job.spec.clone());
+        let (outcome, signature) = self.run_search(tentative, config, telemetry)?;
+        self.searches_run += 1;
+        self.samples_spent += outcome.samples_used() as u64;
+        let feasible = outcome.qos_met();
         if feasible {
-            self.commit_admission(plan);
+            self.store_samples(signature.as_ref(), &outcome);
+            self.jobs = self.jobs.iter().cloned().chain([job]).collect();
+            self.install(outcome);
+            self.commits += 1;
         }
         Ok(feasible)
     }
@@ -488,11 +422,6 @@ mod tests {
         n.try_admit(PlacedJob { id, spec }, &CliteConfig::default(), &OFF).unwrap()
     }
 
-    /// [`Node::plan_admission`] under the default CLITE config.
-    fn plan(n: &Node, id: u64, spec: JobSpec) -> AdmissionPlan {
-        n.plan_admission(PlacedJob { id, spec }, &CliteConfig::default(), &OFF).unwrap().unwrap()
-    }
-
     fn remove(n: &mut Node, id: u64) -> Result<(), ClusterError> {
         n.remove(id, &CliteConfig::default(), &OFF)
     }
@@ -521,25 +450,24 @@ mod tests {
     }
 
     #[test]
-    fn plan_admission_leaves_node_untouched() {
-        let n = node();
-        let plan = plan(&n, 7, lc(WorkloadId::Memcached, 0.2));
-        assert!(plan.feasible());
-        assert_eq!(plan.job().id, 7);
-        assert_eq!(n.job_count(), 0);
-        assert_eq!(n.searches_run(), 0);
-        assert_eq!(n.samples_spent(), 0);
-    }
-
-    #[test]
-    fn plans_are_deterministic_for_committed_state() {
-        // Probing is pure: the same committed state yields byte-identical
-        // plans no matter how many times (or on which thread) it runs.
-        let n = node();
-        let a = plan(&n, 3, lc(WorkloadId::Xapian, 0.3));
-        let b = plan(&n, 3, lc(WorkloadId::Xapian, 0.3));
-        assert_eq!(a.outcome().best_partition, b.outcome().best_partition);
-        assert_eq!(a.outcome().samples_used(), b.outcome().samples_used());
+    fn uncommitted_probes_never_shift_the_next_search() {
+        // Search seeds derive from commits, not probes: a node that paid
+        // for a failed probe searches its next admission exactly as a
+        // twin that never probed.
+        let (mut a, mut b) = (node(), node());
+        for n in [&mut a, &mut b] {
+            for (i, w) in [WorkloadId::ImgDnn, WorkloadId::Masstree].iter().enumerate() {
+                assert!(admit(n, i as u64, lc(*w, 0.8)));
+            }
+        }
+        assert!(!admit(&mut a, 99, lc(WorkloadId::Specjbb, 0.9)));
+        assert_eq!(a.searches_run(), b.searches_run() + 1, "the failed probe was charged");
+        for n in [&mut a, &mut b] {
+            assert!(admit(n, 3, JobSpec::background(WorkloadId::Swaptions)));
+        }
+        let (a, b) = (a.last_outcome().unwrap(), b.last_outcome().unwrap());
+        assert_eq!(a.best_partition, b.best_partition);
+        assert_eq!(a.samples_used(), b.samples_used());
     }
 
     #[test]
@@ -594,7 +522,7 @@ mod tests {
         assert!(store.stats().appends > 0);
 
         // Departure + identical re-admission probes the same 2-job mix:
-        // the plan warm-starts from the committed samples and spends
+        // the probe warm-starts from the committed samples and spends
         // strictly fewer windows than the cold 2-job search did.
         remove(&mut n, 2).unwrap();
         let before_warm = n.samples_spent();

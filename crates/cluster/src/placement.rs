@@ -2,9 +2,6 @@
 
 use std::sync::Arc;
 
-use serde::json::Value;
-use serde::Serialize;
-
 use clite_learn::RankingModel;
 use clite_sim::prelude::JobSpec;
 use clite_sim::testbed::TestbedFactory;
@@ -122,32 +119,6 @@ impl PlacementPolicy {
     }
 }
 
-// Manual impl (the derive needs every payload field to be `Serialize`,
-// which `Arc<RankingModel>` is not): unit variants keep the derived
-// `"Variant"` shape, payload variants the `{"Variant": {..}}` shape, and
-// `Learned` serializes its model summary rather than the weights.
-impl Serialize for PlacementPolicy {
-    fn to_json_value(&self) -> Value {
-        match self {
-            PlacementPolicy::FirstFit => Value::String("FirstFit".to_owned()),
-            PlacementPolicy::LeastLoaded => Value::String("LeastLoaded".to_owned()),
-            PlacementPolicy::MostLoaded => Value::String("MostLoaded".to_owned()),
-            PlacementPolicy::TargetLoad { target_pct } => Value::Object(vec![(
-                "TargetLoad".to_owned(),
-                Value::Object(vec![("target_pct".to_owned(), target_pct.to_json_value())]),
-            )]),
-            PlacementPolicy::Learned { model } => Value::Object(vec![(
-                "Learned".to_owned(),
-                Value::Object(vec![
-                    ("feature_version".to_owned(), model.feature_version.to_json_value()),
-                    ("epochs".to_owned(), model.epochs.to_json_value()),
-                    ("train_loss".to_owned(), model.train_loss.to_json_value()),
-                ]),
-            )]),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,20 +204,5 @@ mod tests {
         let stats = ClusterStats::collect(&nodes, 0);
         let job = JobSpec::latency_critical(WorkloadId::Memcached, 0.3);
         assert_eq!(policy.candidate_order(&nodes, &job, &stats).order, vec![2, 1, 0]);
-    }
-
-    #[test]
-    fn policies_serialize_stably() {
-        use serde_json::to_string;
-        assert_eq!(to_string(&PlacementPolicy::LeastLoaded).unwrap(), "\"LeastLoaded\"");
-        assert_eq!(
-            to_string(&PlacementPolicy::TargetLoad { target_pct: 55 }).unwrap(),
-            "{\"TargetLoad\":{\"target_pct\":55}}"
-        );
-        let learned =
-            PlacementPolicy::Learned { model: Arc::new(clite_learn::RankingModel::zeroed()) };
-        let json = to_string(&learned).unwrap();
-        assert!(json.contains("\"Learned\""), "payload shape: {json}");
-        assert!(json.contains("\"feature_version\""), "payload shape: {json}");
     }
 }

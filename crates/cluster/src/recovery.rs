@@ -1,5 +1,4 @@
-//! Durable fleet recovery: write-ahead journal, checkpoint/restore, and
-//! supervised restarts.
+//! Durable fleet recovery: write-ahead journal and checkpoint/restore.
 //!
 //! [`DurableFleet`] wraps a [`FleetService`] with the WAL discipline the
 //! store's log already proved out: every event is framed, checksummed, and
@@ -24,17 +23,11 @@
 //! deliberately *not* checkpointed — it is a performance cache whose loss
 //! costs windows, not correctness — so recovering with a fresh store can
 //! legitimately spend different window counts. See DESIGN.md §15.
-//!
-//! [`supervise`] adds the process-level rung of the degradation ladder:
-//! restart a crashing fleet loop with capped exponential backoff plus
-//! deterministic jitter, escalating the [`DegradationLevel`] until a
-//! bounded restart budget is exhausted.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use clite::config::capped_backoff;
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
 use clite_store::{blob, BlobRead, EventJournal, ShardedStore, StoreError};
 use clite_telemetry::{Event, Telemetry};
@@ -376,149 +369,6 @@ impl<F: TestbedFactory + Clone> DurableFleet<F> {
     }
 }
 
-// ── supervised restarts ──────────────────────────────────────────────────
-
-/// Restart policy for [`supervise`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// Restarts allowed after the initial attempt.
-    pub max_restarts: u32,
-    /// Base of the exponential backoff before restart `n`:
-    /// `base_backoff_ticks << (n-1)`, capped at
-    /// [`SupervisorConfig::max_backoff_ticks`].
-    pub base_backoff_ticks: u64,
-    /// Cap on the exponential backoff term.
-    pub max_backoff_ticks: u64,
-    /// Maximum deterministic jitter added per restart (`0..=jitter_ticks`,
-    /// seed-derived — decorrelates restart storms without wall clock).
-    pub jitter_ticks: u64,
-    /// Seed for the jitter stream.
-    pub seed: u64,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            max_restarts: 3,
-            base_backoff_ticks: 1,
-            max_backoff_ticks: 16,
-            jitter_ticks: 0,
-            seed: 0,
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Backoff (in ticks) recorded before restart `attempt` (1-based):
-    /// [`clite::config::capped_backoff`] over this config's base, cap and
-    /// jitter — the controller's retry backoff one layer up the ladder.
-    #[must_use]
-    pub fn backoff_for(&self, attempt: u32) -> u64 {
-        capped_backoff(
-            self.base_backoff_ticks,
-            self.max_backoff_ticks,
-            self.jitter_ticks,
-            self.seed,
-            u64::from(attempt),
-        )
-    }
-
-    /// Where on the degradation ladder restart `attempt` runs: the first
-    /// attempt is normal, retries harden the recovery policy, and the
-    /// final budgeted restart drops to the safe fallback.
-    #[must_use]
-    pub fn level_for(&self, attempt: u32) -> DegradationLevel {
-        if attempt == 0 {
-            DegradationLevel::Normal
-        } else if attempt < self.max_restarts {
-            DegradationLevel::Hardened
-        } else {
-            DegradationLevel::SafeFallback
-        }
-    }
-}
-
-/// The degradation ladder a supervised fleet descends across restarts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradationLevel {
-    /// Default configuration.
-    Normal,
-    /// Chaos-hardened recovery policy (outlier guard armed; see
-    /// `RecoveryConfig::hardened`).
-    Hardened,
-    /// Last rung: the attempt should run the safe-fallback policy
-    /// (equal-share partitions, minimal search) so *something* completes.
-    SafeFallback,
-}
-
-/// One attempt's record in a [`RestartReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RestartAttempt {
-    /// Attempt number (0 = initial run).
-    pub attempt: u32,
-    /// Backoff recorded before the attempt, in ticks.
-    pub backoff_ticks: u64,
-    /// Degradation level the attempt ran at.
-    pub level: DegradationLevel,
-    /// The error that ended the attempt (`None` for the success).
-    pub error: Option<String>,
-}
-
-/// The outcome of a supervised run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RestartReport {
-    /// Every attempt in order, including the successful one.
-    pub attempts: Vec<RestartAttempt>,
-    /// The successful run, or `None` when the restart budget ran out.
-    pub run: Option<FleetRun>,
-}
-
-impl RestartReport {
-    /// Total backoff recorded across all restarts, in ticks.
-    #[must_use]
-    pub fn total_backoff_ticks(&self) -> u64 {
-        self.attempts.iter().map(|a| a.backoff_ticks).sum()
-    }
-}
-
-/// Runs `attempt_fn` under the restart policy: the closure gets the
-/// attempt number and the [`DegradationLevel`] it should run at, and is
-/// retried — with capped exponential backoff recorded in ticks (this is a
-/// simulated fleet; nothing sleeps) and [`Event::RestartAttempted`]
-/// emitted per restart — until it succeeds or the budget is exhausted.
-pub fn supervise<E>(
-    config: &SupervisorConfig,
-    telemetry: &Telemetry<'_>,
-    mut attempt_fn: E,
-) -> RestartReport
-where
-    E: FnMut(u32, DegradationLevel) -> Result<FleetRun, ClusterError>,
-{
-    let mut attempts = Vec::new();
-    for attempt in 0..=config.max_restarts {
-        let level = config.level_for(attempt);
-        let backoff_ticks = config.backoff_for(attempt);
-        if attempt > 0 {
-            telemetry.emit(Event::RestartAttempted { attempt, backoff_ticks });
-        }
-        match attempt_fn(attempt, level) {
-            Ok(run) => {
-                attempts.push(RestartAttempt { attempt, backoff_ticks, level, error: None });
-                return RestartReport { attempts, run: Some(run) };
-            }
-            Err(e) => {
-                attempts.push(RestartAttempt {
-                    attempt,
-                    backoff_ticks,
-                    level,
-                    error: Some(e.to_string()),
-                });
-            }
-        }
-    }
-    RestartReport { attempts, run: None }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,51 +594,5 @@ mod tests {
         let info = recover(journal_only).recovery_info().unwrap();
         assert_eq!((info.checkpoint_seqno, info.replayed), (0, 10));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn supervisor_escalates_and_bounds_restarts() {
-        let sup = SupervisorConfig { max_restarts: 3, ..SupervisorConfig::default() };
-        assert_eq!(sup.level_for(0), DegradationLevel::Normal);
-        assert_eq!(sup.level_for(1), DegradationLevel::Hardened);
-        assert_eq!(sup.level_for(3), DegradationLevel::SafeFallback);
-        assert_eq!(sup.backoff_for(1), 1);
-        assert_eq!(sup.backoff_for(2), 2);
-        assert_eq!(sup.backoff_for(3), 4);
-        assert_eq!(sup.backoff_for(40), 16, "capped, no overflow");
-        let jittered = SupervisorConfig { jitter_ticks: 5, seed: 0xFEED, ..sup };
-        for attempt in 0..=70 {
-            assert_eq!(
-                jittered.backoff_for(attempt),
-                capped_backoff(1, 16, 5, 0xFEED, attempt.into())
-            );
-        }
-
-        let sink = MemoryRecorder::new();
-        let telemetry = Telemetry::new(&sink);
-        // Fails twice, then succeeds on the third attempt.
-        let mut calls = 0;
-        let report = supervise(&sup, &telemetry, |attempt, level| {
-            calls += 1;
-            if attempt < 2 {
-                assert_ne!(level, DegradationLevel::SafeFallback);
-                Err(ClusterError::EmptyCluster)
-            } else {
-                let mut service = FleetService::new(2, FleetConfig::default(), 5).unwrap();
-                service.run(&small_trace()[..2], &Telemetry::disabled())
-            }
-        });
-        assert_eq!(calls, 3);
-        assert!(report.run.is_some());
-        assert_eq!(report.attempts.len(), 3);
-        assert_eq!(sink.count_kind("restart_attempted"), 2);
-        assert_eq!(report.total_backoff_ticks(), 1 + 2);
-
-        // A permanently failing loop exhausts the budget at SafeFallback.
-        let report =
-            supervise(&sup, &Telemetry::disabled(), |_, _| Err(ClusterError::EmptyCluster));
-        assert!(report.run.is_none());
-        assert_eq!(report.attempts.len(), 4, "initial + 3 restarts");
-        assert_eq!(report.attempts.last().unwrap().level, DegradationLevel::SafeFallback);
     }
 }

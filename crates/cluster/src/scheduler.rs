@@ -38,11 +38,6 @@ pub struct SchedulerConfig {
     /// rejected if none was feasible yet). Checked before each candidate.
     /// `None` disables the deadline.
     pub deadline_samples: Option<u64>,
-    /// Retry budget for transient enforce/observe faults inside each
-    /// admission search, overriding the CLITE config's
-    /// `recovery.max_retries` when set (applied once at construction).
-    /// `None` keeps the configured value.
-    pub retry_budget: Option<usize>,
 }
 
 impl Default for SchedulerConfig {
@@ -53,19 +48,7 @@ impl Default for SchedulerConfig {
                 .with_termination(Termination { max_iterations: 30, ..Termination::default() }),
             probe_limit: None,
             deadline_samples: None,
-            retry_budget: None,
         }
-    }
-}
-
-impl SchedulerConfig {
-    /// Folds [`SchedulerConfig::retry_budget`] into the CLITE recovery
-    /// policy (done once per scheduler so probe hot paths stay clone-free).
-    fn apply_retry_budget(mut self) -> Self {
-        if let Some(budget) = self.retry_budget {
-            self.clite.recovery.max_retries = budget;
-        }
-        self
     }
 }
 
@@ -149,7 +132,7 @@ impl<F: TestbedFactory> ClusterScheduler<F> {
         let stats = ClusterStats::collect(&nodes, 0);
         Ok(Self {
             nodes,
-            config: config.apply_retry_budget(),
+            config,
             next_job_id: 0,
             rejected: 0,
             replaced: 0,
@@ -333,7 +316,7 @@ impl<F: TestbedFactory> ClusterScheduler<F> {
         let stats = ClusterStats::collect(&nodes, snap.rejected);
         Ok(Self {
             nodes,
-            config: config.apply_retry_budget(),
+            config,
             next_job_id: snap.next_job_id,
             rejected: snap.rejected,
             replaced: snap.replaced,
@@ -411,12 +394,13 @@ impl<F: TestbedFactory> ClusterScheduler<F> {
         orphans
     }
 
-    /// Walks the candidates in placement order, probing each one and
-    /// committing the first feasible plan. A probe that surfaces a node
-    /// crash evicts that node (its drained jobs are returned for
+    /// Walks the candidates in placement order, probing each one with
+    /// [`Node::try_admit`] until one admits the job. A probe that surfaces
+    /// a node crash evicts that node (its drained jobs are returned for
     /// re-placement) and the scan continues. The per-admission deadline
-    /// budget is checked *before* each candidate: once the windows
-    /// recorded for this admission reach it, the rest are skipped. Every
+    /// budget is checked *before* each candidate: once the windows this
+    /// admission's probes spent (each read as the change in
+    /// [`Node::samples_spent`]) reach it, the rest are skipped. Every
     /// probe shares the caller's `telemetry`, so the probes' phase timings
     /// reach its report.
     fn admit_scan(
@@ -431,21 +415,15 @@ impl<F: TestbedFactory> ClusterScheduler<F> {
             if self.config.deadline_samples.is_some_and(|budget| spent >= budget) {
                 break;
             }
-            match self.nodes[node_id].plan_admission(job.clone(), &self.config.clite, telemetry) {
-                Ok(Some(plan)) => {
-                    spent += plan.outcome().samples_used() as u64;
-                    self.nodes[node_id].record_probe(&plan);
-                    let feasible = plan.feasible();
-                    if feasible {
-                        self.nodes[node_id].commit_admission(plan);
-                    }
-                    self.stats.refresh_node(&self.nodes[node_id]);
-                    if feasible {
+            let node = &mut self.nodes[node_id];
+            let before = node.samples_spent();
+            match node.try_admit(job.clone(), &self.config.clite, telemetry) {
+                Ok(admitted) => {
+                    spent += node.samples_spent() - before;
+                    self.stats.refresh_node(node);
+                    if admitted {
                         return Ok((Some(node_id), orphans));
                     }
-                }
-                Ok(None) => {
-                    self.stats.refresh_node(&self.nodes[node_id]);
                 }
                 Err(e) if e.is_node_crash() => {
                     orphans.extend(self.evict_node(node_id, telemetry));
@@ -520,12 +498,6 @@ impl<F: TestbedFactory> ClusterScheduler<F> {
         }
     }
 
-    /// Which node hosts `job_id`, if any. O(1).
-    #[must_use]
-    pub fn node_of(&self, job_id: u64) -> Option<usize> {
-        self.job_index.get(&job_id).copied()
-    }
-
     /// Current fleet statistics — the incrementally maintained snapshot,
     /// cloned without touching any node. O(fleet) only in the copy of the
     /// per-node vector, never in recomputation.
@@ -535,8 +507,7 @@ impl<F: TestbedFactory> ClusterScheduler<F> {
     }
 
     /// Borrows the incrementally maintained statistics without cloning
-    /// (the fleet service's epoch solver and gauge exporter read these
-    /// every few events).
+    /// (the fleet service's epoch solver reads these every few events).
     #[must_use]
     pub fn stats_ref(&self) -> &ClusterStats {
         &self.stats

@@ -111,39 +111,28 @@ impl RecoveryConfig {
     }
 
     /// Windows of backoff to wait before retry `attempt` (1-based):
-    /// [`capped_backoff`] over this config's base, cap and jitter.
+    /// `backoff_windows << (attempt-1)` (shift clamped at 63, bits shifted
+    /// out dropped), at most `max(backoff_cap, backoff_windows)`, plus
+    /// deterministic jitter in `0..=jitter_windows` from a SplitMix64
+    /// finalizer over `(jitter_seed, attempt)`. Attempt 0 or a zero base
+    /// waits nothing. A pure function of the config and the attempt, so
+    /// retry schedules replay byte-identically.
     #[must_use]
     pub fn backoff_for(&self, attempt: usize) -> usize {
-        capped_backoff(
-            self.backoff_windows as u64,
-            self.backoff_cap as u64,
-            self.jitter_windows as u64,
-            self.jitter_seed,
-            attempt as u64,
-        ) as usize
+        let (base, cap) = (self.backoff_windows as u64, self.backoff_cap as u64);
+        let (jitter, attempt) = (self.jitter_windows as u64, attempt as u64);
+        if attempt == 0 || base == 0 {
+            return 0;
+        }
+        let exp = (base << (attempt - 1).min(63)).min(cap.max(base));
+        if jitter == 0 {
+            return exp as usize;
+        }
+        let mut z = self.jitter_seed ^ attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (exp + (z ^ (z >> 31)) % (jitter + 1)) as usize
     }
-}
-
-/// Capped exponential backoff before retry `attempt` (1-based), shared by
-/// the controller's fault retries and the fleet supervisor's restarts:
-/// `base << (attempt-1)` (shift clamped at 63, bits shifted out dropped),
-/// at most `max(cap, base)`, plus deterministic jitter in `0..=jitter`
-/// from a SplitMix64 finalizer over `(seed, attempt)`. Attempt 0 or a
-/// zero base waits nothing. A pure function of its arguments, so retry
-/// schedules replay byte-identically.
-#[must_use]
-pub fn capped_backoff(base: u64, cap: u64, jitter: u64, seed: u64, attempt: u64) -> u64 {
-    if attempt == 0 || base == 0 {
-        return 0;
-    }
-    let exp = (base << (attempt - 1).min(63)).min(cap.max(base));
-    if jitter == 0 {
-        return exp;
-    }
-    let mut z = seed ^ attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    exp + (z ^ (z >> 31)) % (jitter + 1)
 }
 
 /// Full CLITE configuration.
@@ -283,9 +272,8 @@ mod tests {
         );
     }
 
-    /// The pre-consolidation `RecoveryConfig::backoff_for`, kept verbatim
-    /// as the reference [`capped_backoff`] must reproduce (the fleet
-    /// supervisor's copy was the same formula over `u64`/`u32`).
+    /// The original `RecoveryConfig::backoff_for`, kept verbatim as the
+    /// reference the shipped formula must reproduce.
     fn reference_backoff(r: &RecoveryConfig, attempt: usize) -> usize {
         if attempt == 0 || r.backoff_windows == 0 {
             return 0;
@@ -312,11 +300,11 @@ mod tests {
         // Bases include 0, caps below the base, and bases whose shifts
         // overflow (bits shifted out, and shifts clamped at 63).
         let bases = [0, 1, 3, 7, 1 << 40, 1 << 62, 1 << 63, u64::MAX >> 2];
-        let caps = [0, 1, 2, 8, 16, 1000, 1 << 50];
+        let caps = [0, 1, 2, 8, 16, 1000, 1u64 << 50];
         for base in bases {
             for cap in caps {
                 for (jitter, seed) in [(0, 0), (0, 0xFEED), (3, 0xFEED), (17, 0xBEEF), (1, 0)] {
-                    for attempt in 0..=70 {
+                    for attempt in 0..=70usize {
                         let config = RecoveryConfig {
                             backoff_windows: base as usize,
                             backoff_cap: cap as usize,
@@ -324,13 +312,11 @@ mod tests {
                             jitter_seed: seed,
                             ..RecoveryConfig::default()
                         };
-                        let want = reference_backoff(&config, attempt as usize) as u64;
-                        let got = capped_backoff(base, cap, jitter, seed, attempt);
                         assert_eq!(
-                            got, want,
+                            config.backoff_for(attempt),
+                            reference_backoff(&config, attempt),
                             "base {base} cap {cap} jitter {jitter} seed {seed} attempt {attempt}"
                         );
-                        assert_eq!(config.backoff_for(attempt as usize) as u64, want);
                     }
                 }
             }

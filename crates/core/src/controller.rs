@@ -879,21 +879,6 @@ fn validated_observation<T: Testbed>(
     Ok(None)
 }
 
-/// Re-enforces a run's best partition and measures one window under it —
-/// what callers do right after a search to leave the node in its committed
-/// state. Small helper shared by the adaptive runner and experiments.
-///
-/// # Errors
-///
-/// Propagates enforcement rejections and window faults as [`SimError`];
-/// callers surviving faults should treat transient errors as retryable.
-pub fn enforce_best<T: Testbed>(
-    server: &mut T,
-    best: &Partition,
-) -> Result<clite_sim::metrics::Observation, SimError> {
-    server.try_observe(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,22 +55,3 @@ pub mod random_plus;
 mod error;
 
 pub use error::PolicyError;
-
-/// Builds one boxed instance of every online policy plus ORACLE, in the
-/// paper's presentation order, for experiments that sweep all of them.
-///
-/// Generic over the [`Testbed`](clite_sim::testbed::Testbed) backend; the
-/// [`OracleTestbed`](clite_sim::testbed::OracleTestbed) bound comes from
-/// ORACLE's need for ground-truth access.
-#[must_use]
-pub fn all_policies<T: clite_sim::testbed::OracleTestbed + 'static>(
-) -> Vec<Box<dyn policy::Policy<T>>> {
-    vec![
-        Box::new(heracles::Heracles::default()),
-        Box::new(parties::Parties::default()),
-        Box::new(random_plus::RandomPlus::default()),
-        Box::new(genetic::Genetic::default()),
-        Box::new(clite_policy::ClitePolicy::default()),
-        Box::new(oracle::Oracle::default()),
-    ]
-}

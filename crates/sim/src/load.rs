@@ -42,12 +42,6 @@ pub enum LoadSchedule {
 }
 
 impl LoadSchedule {
-    /// The paper's Fig. 16 schedule: 10% → 20% → 30% in two steps.
-    #[must_use]
-    pub fn fig16_step(step_at_s: f64) -> Self {
-        LoadSchedule::Steps(vec![(0.0, 0.10), (step_at_s, 0.20), (2.0 * step_at_s, 0.30)])
-    }
-
     /// Load fraction at time `t_s` (seconds).
     #[must_use]
     pub fn at(&self, t_s: f64) -> f64 {
@@ -129,7 +123,7 @@ mod tests {
 
     #[test]
     fn steps_pick_latest_phase() {
-        let s = LoadSchedule::fig16_step(60.0);
+        let s = LoadSchedule::Steps(vec![(0.0, 0.10), (60.0, 0.20), (120.0, 0.30)]);
         assert_eq!(s.at(0.0), 0.10);
         assert_eq!(s.at(59.9), 0.10);
         assert_eq!(s.at(60.0), 0.20);

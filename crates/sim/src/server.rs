@@ -343,11 +343,6 @@ impl Server {
         self.window_s
     }
 
-    /// Overrides the observation window length.
-    pub fn set_window_s(&mut self, window_s: f64) {
-        self.window_s = window_s.max(1e-3);
-    }
-
     /// The tail-latency configuration (queueing model and QoS quantile).
     #[must_use]
     pub fn tail(&self) -> TailConfig {

@@ -365,13 +365,6 @@ impl<T: Testbed> MemoizedTestbed<T> {
         Self { inner, cache, current: None, last: None, fast_hits: 0, windows }
     }
 
-    /// A handle to the cache, for sharing with another wrapper or for
-    /// reading hit statistics.
-    #[must_use]
-    pub fn shared_cache(&self) -> Arc<Mutex<ObservationCache>> {
-        Arc::clone(&self.cache)
-    }
-
     /// Cache hits so far, including this wrapper's not-yet-flushed
     /// fast-path replays.
     ///

@@ -263,13 +263,6 @@ pub enum Event {
         /// restore, replay), in nanoseconds. Observability only.
         nanos: u64,
     },
-    /// The supervisor restarted the fleet loop after a failure.
-    RestartAttempted {
-        /// 1-based restart attempt number.
-        attempt: u32,
-        /// Deterministic backoff recorded before this attempt, in ticks.
-        backoff_ticks: u64,
-    },
     /// Overload protection rejected (shed) a low-priority arrival.
     ArrivalShed {
         /// Cluster-assigned job id the arrival consumed.
@@ -314,7 +307,6 @@ impl Event {
             Event::JournalAppended { .. } => "journal_appended",
             Event::CheckpointWritten { .. } => "checkpoint_written",
             Event::RecoveryReplayed { .. } => "recovery_replayed",
-            Event::RestartAttempted { .. } => "restart_attempted",
             Event::ArrivalShed { .. } => "arrival_shed",
         }
     }
@@ -362,7 +354,6 @@ mod tests {
             Event::JournalAppended { seqno: 17, bytes: 64 },
             Event::CheckpointWritten { seqno: 16, bytes: 4096, nanos: 1_250_000 },
             Event::RecoveryReplayed { checkpoint_seqno: 16, replayed: 2, nanos: 3_500_000 },
-            Event::RestartAttempted { attempt: 2, backoff_ticks: 3 },
             Event::ArrivalShed { job: 23, backlog: 5 },
         ];
         for event in events {

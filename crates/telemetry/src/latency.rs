@@ -20,8 +20,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::MetricsRegistry;
-
 /// Sub-bucket resolution: each log2 range splits into `2^SUB_BITS`
 /// buckets.
 const SUB_BITS: u32 = 5;
@@ -196,15 +194,6 @@ impl LatencyHistogram {
         }
         points
     }
-
-    /// Non-empty `(bucket upper bound, count)` pairs in value order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(idx, &c)| (Self::bound(idx), c))
-    }
 }
 
 /// One point of a tail CCDF: the fraction of queries slower than
@@ -292,18 +281,6 @@ impl TailTracker {
             violation_fraction: self.violation_fraction(),
             ccdf: self.hist.ccdf_points(),
         }
-    }
-
-    /// Exports the histogram into `metrics` as the
-    /// `clite_query_latency_us{job=…}` family (bucket upper bounds as
-    /// weighted observations), plus violation/query counters.
-    pub fn export_into(&self, metrics: &MetricsRegistry, job: &str) {
-        let labels = [("job", job)];
-        for (bound, count) in self.hist.nonzero_buckets() {
-            metrics.observe_n("clite_query_latency_us", &labels, bound as f64, count);
-        }
-        metrics.inc_counter("clite_queries_total", &labels, self.hist.count());
-        metrics.inc_counter("clite_query_qos_violations_total", &labels, self.violations);
     }
 }
 
@@ -447,24 +424,5 @@ mod tests {
         let text = serde_json::to_string(&s).unwrap();
         let back: TailSummary = serde_json::from_str(&text).unwrap();
         assert_eq!(s, back);
-    }
-
-    #[test]
-    fn export_feeds_the_metrics_registry() {
-        let m = MetricsRegistry::new();
-        let mut t = TailTracker::new(Some(100.0));
-        for l in [50.0, 150.0, 150.0] {
-            t.record(l);
-        }
-        t.export_into(&m, "memcached");
-        assert_eq!(m.counter_value("clite_queries_total", &[("job", "memcached")]), Some(3));
-        assert_eq!(
-            m.counter_value("clite_query_qos_violations_total", &[("job", "memcached")]),
-            Some(2)
-        );
-        let snap = m.histogram_snapshot("clite_query_latency_us", &[("job", "memcached")]).unwrap();
-        assert_eq!(snap.count, 3);
-        let text = m.to_prometheus();
-        assert!(text.contains("clite_query_latency_us_count{job=\"memcached\"} 3"), "{text}");
     }
 }

@@ -1,11 +1,9 @@
 //! A small metrics registry: counters, gauges, and log-bucketed
-//! histograms, exportable as Prometheus text exposition or JSON.
+//! histograms, exportable as Prometheus text exposition.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
-
-use serde_json::Value;
 
 /// Histogram bucket upper bounds: powers of two from 2⁻³⁰ (~1 ns when
 /// observing seconds) to 2³⁰, every third power. Log-spaced buckets keep
@@ -125,14 +123,6 @@ impl MetricsRegistry {
         inner.histograms.entry(Key::new(name, labels)).or_default().observe(value);
     }
 
-    /// Records `n` observations of `value` at once — the bulk path used
-    /// when folding a pre-aggregated [`LatencyHistogram`](crate::LatencyHistogram)
-    /// bucket into a registry family.
-    pub fn observe_n(&self, name: &str, labels: &[(&str, &str)], value: f64, n: u64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        inner.histograms.entry(Key::new(name, labels)).or_default().observe_n(value, n);
-    }
-
     /// Current value of a counter, if it exists.
     #[must_use]
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
@@ -202,49 +192,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders the registry as a JSON object with `counters`, `gauges`,
-    /// and `histograms` sections keyed by rendered metric identity.
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        let inner = self.inner.lock().expect("metrics lock");
-        let counters = Value::Object(
-            inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.render("", None), serde_json::to_value(v).expect("u64")))
-                .collect(),
-        );
-        let gauges = Value::Object(
-            inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.render("", None), serde_json::to_value(v).expect("f64")))
-                .collect(),
-        );
-        let histograms = Value::Object(
-            inner
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    let body = Value::Object(vec![
-                        ("count".to_owned(), serde_json::to_value(&h.count).expect("u64")),
-                        ("sum".to_owned(), serde_json::to_value(&h.sum).expect("f64")),
-                        (
-                            "buckets".to_owned(),
-                            serde_json::to_value(&h.counts.to_vec()).expect("counts"),
-                        ),
-                    ]);
-                    (k.render("", None), body)
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("counters".to_owned(), counters),
-            ("gauges".to_owned(), gauges),
-            ("histograms".to_owned(), histograms),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -306,18 +253,5 @@ mod tests {
             .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
             .collect();
         assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "{buckets:?}");
-    }
-
-    #[test]
-    fn json_export_mirrors_registry() {
-        let m = MetricsRegistry::new();
-        m.inc_counter("a_total", &[], 2);
-        m.set_gauge("b", &[("x", "y")], 1.5);
-        m.observe("h", &[], 0.25);
-        let json = m.to_json();
-        assert_eq!(json.get("counters").unwrap().get("a_total").unwrap().as_u64(), Some(2));
-        assert_eq!(json.get("gauges").unwrap().get("b{x=\"y\"}").unwrap().as_f64(), Some(1.5));
-        let hist = json.get("histograms").unwrap().get("h").unwrap();
-        assert_eq!(hist.get("count").unwrap().as_u64(), Some(1));
     }
 }

@@ -170,11 +170,6 @@ pub fn apply_event(metrics: &MetricsRegistry, event: &Event) {
             metrics.set_gauge("clite_fleet_recovery_replayed", &[], *replayed as f64);
             metrics.observe("clite_fleet_recovery_seconds", &[], *nanos as f64 * 1e-9);
         }
-        Event::RestartAttempted { attempt, backoff_ticks } => {
-            metrics.inc_counter("clite_fleet_restarts_total", &[], 1);
-            metrics.set_gauge("clite_fleet_restart_attempt", &[], f64::from(*attempt));
-            metrics.observe("clite_fleet_restart_backoff_ticks", &[], *backoff_ticks as f64);
-        }
         Event::ArrivalShed { backlog, .. } => {
             metrics.inc_counter("clite_fleet_shed_arrivals_total", &[], 1);
             metrics.set_gauge("clite_fleet_shed_backlog", &[], *backlog as f64);
