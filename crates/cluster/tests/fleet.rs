@@ -193,6 +193,42 @@ fn learned_placements_match_the_pinned_record() {
     assert_eq!(digest, LEARNED_64_RANKING_DIGEST, "learned ranking changed: {digest:#x}");
 }
 
+/// The heuristic 64-node run below under crash chaos: placements and
+/// dead nodes, recorded from the least-loaded fleet. A change to
+/// candidate ordering, eviction or re-placement must reproduce them.
+const HEURISTIC_64_PLACEMENTS: [usize; 24] =
+    [0, 0, 1, 1, 2, 3, 4, 0, 0, 0, 0, 6, 7, 7, 8, 10, 4, 4, 7, 12, 13, 14, 15, 2];
+const HEURISTIC_64_DEAD_NODES: usize = 5;
+
+#[test]
+fn heuristic_placements_match_the_pinned_record() {
+    // Regenerate: print `run.placements`, `run.counters` and
+    // `run.stats.dead_nodes`.
+    let crashes = FaultSpec { crash_prob: 0.35, crash_window_max: 20, ..FaultSpec::none() };
+    let factory = FaultyFactory::new(ServerFactory, crashes);
+    let mut fleet = FleetService::with_factory(64, config(), SEED, factory).expect("fleet");
+    let run = fleet.run(&fleet_trace(), &Telemetry::disabled()).expect("trace runs");
+    let pinned: Vec<Option<usize>> = HEURISTIC_64_PLACEMENTS.iter().copied().map(Some).collect();
+    assert_eq!(run.placements, pinned, "heuristic placement changed");
+    assert_eq!(
+        FleetCounters { epoch_solves: 0, ..run.counters },
+        FleetCounters {
+            arrivals: 24,
+            placed: 24,
+            departures: 9,
+            load_shifts: 12,
+            stale_events: 0,
+            nodes_onboarded: 24,
+            epoch_solves: 0,
+            replacements: 2,
+            arrivals_shed: 0,
+        },
+        "heuristic placement changed the counters"
+    );
+    assert!(run.stats.dead_nodes > 0, "the crash plan must actually kill nodes");
+    assert_eq!(run.stats.dead_nodes, HEURISTIC_64_DEAD_NODES, "crash chaos changed");
+}
+
 /// `learned::rank` as it was built before the allocation-free rewrite:
 /// every input collected into a `Vec`, the trace included, and a stable
 /// sort. The reference for traces the memo does not cover.

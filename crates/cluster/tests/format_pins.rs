@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 
 use clite_cluster::event::TimedEvent;
 use clite_cluster::fleet::{FleetConfig, FleetRun};
-use clite_cluster::recovery::{DurableConfig, DurableFleet, DurableOutcome};
+use clite_cluster::recovery::{DurableConfig, DurableFleet, DurableOutcome, RecoveryInfo};
 use clite_cluster::trace::{generate, TraceConfig};
 use clite_cluster::wire::encode_checkpoint;
 use clite_learn::features::{FEATURE_DIM, FEATURE_VERSION};
@@ -133,31 +133,58 @@ fn durable_fleet_journal_and_checkpoint_bytes_are_pinned() {
     // The v1 files recover to the same state as the files as written:
     // the same checkpoint (so it read as valid), the same replay, and
     // the same fleet.
-    let recover = |dir: &Path| {
-        let mut fleet = DurableFleet::recover(
-            32,
-            FleetConfig::mean_field(4, 3),
-            42,
-            ServerFactory,
-            dir,
-            DurableConfig { checkpoint_every: 7 },
-            None,
-            &Telemetry::disabled(),
-        )
-        .expect("recover");
-        let info = fleet.recovery_info().expect("recovered");
-        let outcome = fleet.run(&trace, None, &Telemetry::disabled()).expect("nothing left to run");
-        let DurableOutcome::Completed(run) = outcome else { panic!("no crash plan") };
-        let state =
-            encode_checkpoint(&fleet.service().checkpoint(fleet.applied(), &run.placements));
-        (info, run, state)
-    };
-    let (info, from_v2, state) = recover(&dir);
+    let (info, from_v2, state) = recover(&dir, &trace);
     assert_eq!((info.checkpoint_seqno, info.replayed, info.journal_damaged), (28, 2, false));
     assert_eq!(from_v2, run);
-    assert_eq!(recover(&v1_dir), (info, from_v2, state), "v1 files recover to the same state");
+    assert_eq!(
+        recover(&v1_dir, &trace),
+        (info, from_v2, state),
+        "v1 files recover to the same state"
+    );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&v1_dir);
+}
+
+/// Recovers the pinned 32-node fleet from `dir` and runs what is left of
+/// `trace`: what recovery found, the run, and the re-encoded state.
+fn recover(dir: &Path, trace: &[TimedEvent]) -> (RecoveryInfo, FleetRun, Vec<u8>) {
+    let mut fleet = DurableFleet::recover(
+        32,
+        FleetConfig::mean_field(4, 3),
+        42,
+        ServerFactory,
+        dir,
+        DurableConfig { checkpoint_every: 7 },
+        None,
+        &Telemetry::disabled(),
+    )
+    .expect("recover");
+    let info = fleet.recovery_info().expect("recovered");
+    let outcome = fleet.run(trace, None, &Telemetry::disabled()).expect("nothing left to run");
+    let DurableOutcome::Completed(run) = outcome else { panic!("no crash plan") };
+    let state = encode_checkpoint(&fleet.service().checkpoint(fleet.applied(), &run.placements));
+    (info, run, state)
+}
+
+#[test]
+fn checkpoint_payload_v1_fixture_recovers_like_todays_files() {
+    // `tests/fixtures/ckpt_v1` holds the pinned fleet's checkpoint and
+    // journal as written with checkpoint payload v1 (frame v2). Recovery
+    // must start from that checkpoint and reach the state today's files
+    // recover to.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v1");
+    let old = tempdir("payload-v1");
+    for name in ["fleet.ckpt", "fleet.journal"] {
+        std::fs::copy(fixture.join(name), old.join(name)).expect("fixture copied");
+    }
+    let ckpt = std::fs::read(old.join("fleet.ckpt")).expect("fixture checkpoint");
+    assert_eq!(ckpt.len(), 11_808);
+    assert_eq!(ckpt[8..12], 1u32.to_le_bytes(), "the fixture is checkpoint payload v1");
+    let dir = tempdir("payload-today");
+    let (trace, _) = durable_fleet(&dir, 32, 30);
+    assert_eq!(recover(&old, &trace), recover(&dir, &trace), "v1 checkpoint recovers alike");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&old);
 }
 
 #[test]
