@@ -269,6 +269,11 @@ if [[ "${1:-}" != "quick" ]]; then
     step "placement experiment"
     ./target/release/experiments placement --quick --seed 42 > "$store_tmp/placement_exp.txt"
     grep -q "placement: PASS" "$store_tmp/placement_exp.txt"
+    # At seed 11 the crash plan kills no heuristic node, so the A/B has
+    # nothing to compare: the experiment must say so and exit 0.
+    step "placement experiment without heuristic deaths"
+    ./target/release/experiments placement --quick --seed 11 > "$store_tmp/placement_exp11.txt"
+    grep -q "placement: INCONCLUSIVE" "$store_tmp/placement_exp11.txt"
 
     # Traced layered-benchmark smoke test on the learned-placement fleet:
     # layerbench checks its own outputs (recovered == uninterrupted run,
@@ -286,7 +291,7 @@ if [[ "${1:-}" != "quick" ]]; then
         > "$store_tmp/layerbench.txt"
     wide_last="$(tail -n 1 "$store_tmp/layerbench.txt")"
     grep -q '"correct": true' <<< "$wide_last"
-    for pin in cluster.checkpoint.calls:375 cluster.checkpoint.bytes:114424848 \
+    for pin in cluster.checkpoint.calls:375 cluster.checkpoint.bytes:114389598 \
         store.journal.bytes:87099; do
         grep -qF "\"${pin%%:*}\": {\"value\": ${pin##*:}.0," <<< "$wide_last" \
             || { echo "fleet-wide-durable bytes moved: expected $pin"; exit 1; }

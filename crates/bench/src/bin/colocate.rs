@@ -194,7 +194,6 @@ fn main() -> ExitCode {
             events,
             seed,
             shards,
-            epoch,
             probe_limit,
             faults,
             store,
@@ -208,7 +207,6 @@ fn main() -> ExitCode {
             events,
             seed,
             shards,
-            epoch,
             probe_limit,
             faults,
             store,
@@ -295,7 +293,6 @@ fn run_fleet(
     events: usize,
     seed: u64,
     shards: Option<usize>,
-    epoch: u64,
     probe_limit: usize,
     faults: Option<clite_faults::FaultSpec>,
     store_path: Option<std::path::PathBuf>,
@@ -331,8 +328,8 @@ fn run_fleet(
         },
         None => ShardedStore::in_memory(shard_policy),
     };
-    let mut config = match placement {
-        PlacementChoice::Heuristic => FleetConfig::mean_field(epoch, probe_limit),
+    let config = match placement {
+        PlacementChoice::Heuristic => FleetConfig::mean_field(0, probe_limit),
         PlacementChoice::Learned => {
             let model = match &model_path {
                 Some(path) => {
@@ -356,15 +353,14 @@ fn run_fleet(
                 }
                 None => clite_learn::RankingModel::zeroed(),
             };
-            FleetConfig::mean_field_learned(epoch, probe_limit, std::sync::Arc::new(model))
+            FleetConfig::mean_field_learned(0, probe_limit, std::sync::Arc::new(model))
         }
     };
-    config.epoch_ticks = epoch;
     let fault_spec = faults.unwrap_or_else(FaultSpec::none);
     let factory = FaultyFactory::new(ServerFactory, fault_spec.clone());
     let trace = generate(&TraceConfig { events, ..TraceConfig::default() }, seed);
     println!(
-        "fleet: {nodes} nodes, {events} events, seed {seed}, {shards} shards, epoch {epoch}, probe limit {probe_limit}, {} placement\n",
+        "fleet: {nodes} nodes, {events} events, seed {seed}, {shards} shards, probe limit {probe_limit}, {} placement\n",
         match placement {
             PlacementChoice::Heuristic => "heuristic",
             PlacementChoice::Learned => "learned",
@@ -455,7 +451,6 @@ fn run_fleet(
         "shifted",
         "stale",
         "onboarded",
-        "epoch solves",
     ]);
     t.row(vec![
         trace.len().to_string(),
@@ -466,7 +461,6 @@ fn run_fleet(
         c.load_shifts.to_string(),
         c.stale_events.to_string(),
         c.nodes_onboarded.to_string(),
-        c.epoch_solves.to_string(),
     ]);
     println!("{}", t.render());
 

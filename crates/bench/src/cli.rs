@@ -112,8 +112,6 @@ pub enum Command {
         /// Observation-store shard count; when absent, the count of the
         /// store already at `store` (8 for a new or in-memory store).
         shards: Option<usize>,
-        /// Mean-field template re-solve period in ticks (0 disables).
-        epoch: u64,
         /// Candidate nodes probed per admission (local refinement cap).
         probe_limit: usize,
         /// Crash/fault plan injected into every node's testbeds.
@@ -325,7 +323,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut events = 48usize;
             let mut seed = 42u64;
             let mut shards: Option<usize> = None;
-            let mut epoch = 8u64;
             let mut probe_limit = 4usize;
             let mut faults: Option<FaultSpec> = None;
             let mut store: Option<PathBuf> = None;
@@ -369,12 +366,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                             return Err(ParseError("--shards must be at least 1".into()));
                         }
                         shards = Some(count);
-                    }
-                    "--epoch" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| ParseError("--epoch requires a tick count".into()))?;
-                        epoch = v.parse().map_err(|_| ParseError(format!("bad epoch '{v}'")))?;
                     }
                     "--probe-limit" => {
                         let v = it
@@ -441,7 +432,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 events,
                 seed,
                 shards,
-                epoch,
                 probe_limit,
                 faults,
                 store,
@@ -592,7 +582,7 @@ USAGE:
                  [--threads N] [--report PATH] [--telemetry-out PATH] JOB...
   colocate sweep [--policy NAME] [--seed N] [--telemetry-out PATH] [--store PATH] --sweep JOB JOB...
   colocate fleet [--nodes N] [--events N] [--seed N] [--shards N]
-                 [--epoch N] [--probe-limit N] [--faults SPEC] [--store PATH]
+                 [--probe-limit N] [--faults SPEC] [--store PATH]
                  [--placement heuristic|learned] [--model PATH]
                  [--journal DIR] [--recover] [--kill-after K]
   colocate train [--out PATH] [--seed N] [--epochs N] [--groups N]
@@ -642,14 +632,13 @@ FLEET (long-running event-driven scheduler):
   trace (--events long, from --seed) and streams it through the fleet
   service over --nodes simulated servers backed by a --shards-way sharded
   observation store (default: the count of the store at --store, else
-  8). --epoch re-solves the mean-field placement template
-  every N ticks and --probe-limit caps CLITE searches per admission,
-  which probes candidates in placement order and stops at the first
-  feasible node. --faults injects node crashes; --store persists the
-  observation store (see STORE). --placement learned orders
-  candidate nodes with the trained ranking model from --model (a missing
-  or corrupt file degrades to the zero model, whose order matches the
-  least-loaded heuristic).
+  8). --probe-limit caps CLITE searches per admission, which probes
+  candidates in placement order (least committed LC load first, unless
+  --placement learned) and stops at the first feasible node. --faults
+  injects node crashes; --store persists the observation store (see
+  STORE). --placement learned orders candidate nodes with the trained
+  ranking model from --model (a missing or corrupt file degrades to the
+  zero model, whose order matches the least-loaded heuristic).
 
 DURABILITY (write-ahead journal + checkpoints):
   --journal DIR makes the fleet durable: every event is journaled (with
@@ -912,7 +901,6 @@ mod tests {
                 events,
                 seed,
                 shards,
-                epoch,
                 probe_limit,
                 faults,
                 store,
@@ -926,7 +914,6 @@ mod tests {
                 assert_eq!(events, 48);
                 assert_eq!(seed, 42);
                 assert_eq!(shards, None);
-                assert_eq!(epoch, 8);
                 assert_eq!(probe_limit, 4);
                 assert_eq!(faults, None);
                 assert_eq!(store, None);
@@ -1007,8 +994,6 @@ mod tests {
             "96",
             "--shards",
             "16",
-            "--epoch",
-            "4",
             "--probe-limit",
             "2",
             "--faults",
@@ -1018,11 +1003,10 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Fleet { nodes, events, shards, epoch, probe_limit, faults, store, .. } => {
+            Command::Fleet { nodes, events, shards, probe_limit, faults, store, .. } => {
                 assert_eq!(nodes, 512);
                 assert_eq!(events, 96);
                 assert_eq!(shards, Some(16));
-                assert_eq!(epoch, 4);
                 assert_eq!(probe_limit, 2);
                 let spec = faults.expect("fault spec parsed");
                 assert!((spec.crash_prob - 0.3).abs() < 1e-12);

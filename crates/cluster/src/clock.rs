@@ -32,13 +32,6 @@ impl SimClock {
     pub fn advance_to(&mut self, tick: u64) {
         self.now = self.now.max(tick);
     }
-
-    /// Which epoch the clock is in for `epoch_ticks`-long epochs
-    /// (`0` for a zero length: epochs disabled).
-    #[must_use]
-    pub fn epoch(&self, epoch_ticks: u64) -> u64 {
-        self.now.checked_div(epoch_ticks).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -53,18 +46,5 @@ mod tests {
         assert_eq!(c.now(), 5, "time never rewinds");
         c.advance_to(9);
         assert_eq!(c.now(), 9);
-    }
-
-    #[test]
-    fn epochs_partition_time() {
-        let mut c = SimClock::new();
-        assert_eq!(c.epoch(4), 0);
-        c.advance_to(3);
-        assert_eq!(c.epoch(4), 0);
-        c.advance_to(4);
-        assert_eq!(c.epoch(4), 1);
-        c.advance_to(11);
-        assert_eq!(c.epoch(4), 2);
-        assert_eq!(c.epoch(0), 0, "zero-length epochs are disabled");
     }
 }

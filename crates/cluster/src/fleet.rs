@@ -7,19 +7,11 @@
 //! driving the existing [`Node`](crate::node::Node) admission and
 //! re-partition searches per event.
 //!
-//! ## Mean-field epoch policy
-//!
 //! Probing every node for every arrival is O(fleet) searches per event —
-//! unaffordable at thousands of nodes. Following the mean-field
-//! core-allocation results (Li/Harchol-Balter/Berg), the service instead
-//! *solves once and applies per-node*: once per epoch it computes a
-//! single target LC load from the incrementally maintained
-//! [`ClusterStats`] (mean committed load plus a headroom margin) and
-//! installs it as a [`PlacementPolicy::TargetLoad`] template; per event,
-//! candidate ordering follows the template and the scheduler's
-//! `probe_limit` caps local refinement to a handful of CLITE searches.
-//! Every input to the template is itself a deterministic function of the
-//! event history, so the epoch policy preserves byte-identity.
+//! unaffordable at thousands of nodes. Per arrival, the configured
+//! [`PlacementPolicy`] orders the candidates and the scheduler's
+//! `probe_limit` caps the probes to a handful of CLITE searches. The
+//! policy is fixed when the service is built.
 //!
 //! ## Determinism contract
 //!
@@ -31,7 +23,6 @@
 //! pins these at fleet scale; `recovery.rs` adds recovered ≡ never
 //! crashed.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use clite_sim::testbed::{ServerFactory, TestbedFactory};
@@ -47,97 +38,43 @@ use crate::stats::ClusterStats;
 use crate::wire::FleetCheckpoint;
 use crate::ClusterError;
 
-/// Load-shedding policy: when and which arrivals the service rejects
-/// without probing a single node.
-///
-/// Both triggers are pure functions of committed state and the event
-/// stream — never wall clock — so shedding decisions replay byte-
-/// identically:
-///
-/// * **Backlog**: the number of same-tick events still queued behind the
-///   arrival (an arrival burst). Supplied by the caller, recorded in the
-///   journal, so recovery sees the same value.
-/// * **Window debt**: the sum of observation windows the last
-///   [`debt_horizon`](OverloadConfig::debt_horizon) admissions cost. A run
-///   of expensive admissions is the deterministic analogue of rising
-///   admission latency.
-///
-/// Only low-priority (background-class) arrivals are ever shed; latency-
-/// critical arrivals always get their probes. Defaults disable both
-/// triggers, so a service without an overload policy is byte-identical to
-/// the pre-shedding code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverloadConfig {
-    /// Shed when the same-tick backlog behind an arrival reaches this
-    /// depth. `None` disables the trigger.
-    pub shed_backlog: Option<u64>,
-    /// Shed when the window debt over the last `debt_horizon` admissions
-    /// reaches this many observation windows. `None` disables the trigger.
-    pub shed_window_debt: Option<u64>,
-    /// How many recent admissions the debt window covers.
-    pub debt_horizon: usize,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        Self { shed_backlog: None, shed_window_debt: None, debt_horizon: 8 }
-    }
-}
-
 /// Fleet-service configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
     /// Scheduler configuration (placement, admission mode, CLITE budget,
     /// probe cap).
     pub scheduler: SchedulerConfig,
-    /// Re-solve the mean-field placement template every this many clock
-    /// ticks; `0` keeps the configured placement policy untouched.
-    pub epoch_ticks: u64,
-    /// Headroom added to the solved mean LC load (percentage points):
-    /// the target each node is steered toward leaves room for the next
-    /// few arrivals before the template is re-solved.
-    pub target_margin_pct: u32,
-    /// Load-shedding policy (disabled by default).
-    pub overload: OverloadConfig,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        Self {
-            scheduler: SchedulerConfig::default(),
-            epoch_ticks: 0,
-            target_margin_pct: 10,
-            overload: OverloadConfig::default(),
-        }
-    }
+    /// Load shedding: shed a background-class arrival, without probing a
+    /// single node, when the same-tick backlog behind it (an arrival
+    /// burst) reaches this depth. The caller supplies the backlog and the
+    /// journal records it, so recovery replays the same decision.
+    /// Latency-critical arrivals always get their probes. `None` (the
+    /// default) never sheds.
+    pub shed_backlog: Option<u64>,
 }
 
 impl FleetConfig {
-    /// A config with the mean-field epoch policy enabled: template
-    /// re-solved every `epoch_ticks`, local refinement capped at
-    /// `probe_limit` candidate probes per admission.
+    /// Least-loaded placement with at most `probe_limit` candidate probes
+    /// per admission. The first argument is ignored: it was the period of
+    /// a mean-field placement template that ordered candidates exactly as
+    /// least-loaded does, and it stays only so existing callers compile.
     #[must_use]
-    pub fn mean_field(epoch_ticks: u64, probe_limit: usize) -> Self {
+    pub fn mean_field(_epoch_ticks: u64, probe_limit: usize) -> Self {
         Self {
             scheduler: SchedulerConfig {
                 probe_limit: Some(probe_limit),
                 ..SchedulerConfig::default()
             },
-            epoch_ticks,
-            target_margin_pct: 10,
-            overload: OverloadConfig::default(),
+            shed_backlog: None,
         }
     }
 
     /// [`mean_field`](FleetConfig::mean_field) with a trained placement
-    /// model: candidate ordering uses [`PlacementPolicy::Learned`] instead
-    /// of the solved target template. The epoch loop keeps solving the
-    /// fleet-wide target, but never overwrites the learned policy — the
-    /// model's fleet features absorb the aggregate state the template
-    /// would have encoded.
+    /// model: candidate ordering uses [`PlacementPolicy::Learned`]. The
+    /// first argument is ignored, as there.
     #[must_use]
     pub fn mean_field_learned(
-        epoch_ticks: u64,
+        _epoch_ticks: u64,
         probe_limit: usize,
         model: Arc<clite_learn::RankingModel>,
     ) -> Self {
@@ -147,9 +84,7 @@ impl FleetConfig {
                 probe_limit: Some(probe_limit),
                 ..SchedulerConfig::default()
             },
-            epoch_ticks,
-            target_margin_pct: 10,
-            overload: OverloadConfig::default(),
+            shed_backlog: None,
         }
     }
 }
@@ -180,8 +115,8 @@ pub enum EventOutcome {
         /// Ids of the added nodes.
         nodes: Vec<usize>,
     },
-    /// A low-priority arrival was shed by the overload policy without
-    /// probing any node (it still consumed a job id).
+    /// A low-priority arrival was shed under [`FleetConfig::shed_backlog`]
+    /// without probing any node (it still consumed a job id).
     Shed {
         /// The job id the arrival was assigned.
         job: u64,
@@ -203,11 +138,12 @@ pub struct FleetCounters {
     pub stale_events: u64,
     /// Nodes onboarded after construction.
     pub nodes_onboarded: u64,
-    /// Mean-field template re-solves.
+    /// Always 0: nothing solves epochs any more. Kept until the benchmark
+    /// that reads it stops doing so.
     pub epoch_solves: u64,
     /// Crash-orphaned jobs successfully re-homed on surviving nodes.
     pub replacements: u64,
-    /// Low-priority arrivals shed by the overload policy.
+    /// Low-priority arrivals shed under [`FleetConfig::shed_backlog`].
     pub arrivals_shed: u64,
 }
 
@@ -230,14 +166,7 @@ pub struct FleetService<F: TestbedFactory = ServerFactory> {
     scheduler: ClusterScheduler<F>,
     config: FleetConfig,
     clock: SimClock,
-    /// Last epoch a template was solved for (`None` before the first).
-    solved_epoch: Option<u64>,
-    /// The most recently solved template target (checkpointed).
-    target_pct: Option<u32>,
     counters: FleetCounters,
-    /// Observation-window cost of the most recent admissions (newest at
-    /// the back), capped at the overload policy's debt horizon.
-    debt: VecDeque<u64>,
 }
 
 impl FleetService {
@@ -265,22 +194,14 @@ impl<F: TestbedFactory + Clone> FleetService<F> {
     ) -> Result<Self, ClusterError> {
         let scheduler =
             ClusterScheduler::with_factory(nodes, config.scheduler.clone(), seed, factory)?;
-        Ok(Self {
-            scheduler,
-            config,
-            clock: SimClock::new(),
-            solved_epoch: None,
-            target_pct: None,
-            counters: FleetCounters::default(),
-            debt: VecDeque::new(),
-        })
+        Ok(Self { scheduler, config, clock: SimClock::new(), counters: FleetCounters::default() })
     }
 
     /// Rebuilds a service from a checkpoint, returning it together with
     /// the per-arrival placements recorded up to the checkpoint (the
-    /// witness prefix the caller extends during replay). The mean-field
-    /// template is reinstalled from the checkpointed target, so candidate
-    /// ordering resumes exactly where the crashed run left it.
+    /// witness prefix the caller extends during replay). Candidate
+    /// ordering reads only the restored nodes and `config`, so it resumes
+    /// exactly where the crashed run left it.
     ///
     /// # Errors
     ///
@@ -300,20 +221,7 @@ impl<F: TestbedFactory + Clone> FleetService<F> {
         )?;
         let mut clock = SimClock::new();
         clock.advance_to(checkpoint.clock_now);
-        let mut service = Self {
-            scheduler,
-            config,
-            clock,
-            solved_epoch: checkpoint.solved_epoch,
-            target_pct: checkpoint.target_pct,
-            counters: checkpoint.counters,
-            debt: checkpoint.debt.into(),
-        };
-        if let Some(target_pct) = service.target_pct {
-            if !matches!(service.scheduler.config().placement, PlacementPolicy::Learned { .. }) {
-                service.scheduler.set_placement(PlacementPolicy::TargetLoad { target_pct });
-            }
-        }
+        let service = Self { scheduler, config, clock, counters: checkpoint.counters };
         Ok((service, checkpoint.placements))
     }
 
@@ -324,11 +232,8 @@ impl<F: TestbedFactory + Clone> FleetService<F> {
         FleetCheckpoint {
             seqno,
             clock_now: self.clock.now(),
-            solved_epoch: self.solved_epoch,
-            target_pct: self.target_pct,
             counters: self.counters(),
             placements: placements.to_vec(),
-            debt: self.debt.iter().copied().collect(),
             scheduler: self.scheduler.snapshot(),
         }
     }
@@ -365,34 +270,20 @@ impl<F: TestbedFactory + Clone> FleetService<F> {
         self.scheduler.stats()
     }
 
-    /// Whether the overload policy would shed this event right now: a
-    /// background-class arrival while either trigger (same-tick backlog or
-    /// recent window debt) is firing. Pure — callers journal the answer
+    /// Whether the service would shed this event under `backlog`: a
+    /// background-class arrival whose same-tick backlog reaches
+    /// [`FleetConfig::shed_backlog`]. Pure — callers journal the answer
     /// *before* applying the event, so recovery replays the same decision.
     #[must_use]
     pub fn would_shed(&self, event: &FleetEvent, backlog: u64) -> bool {
         let FleetEvent::Arrival { spec } = event else {
             return false;
         };
-        if spec.class() != JobClass::Background {
-            return false;
-        }
-        let overload = &self.config.overload;
-        overload.shed_backlog.is_some_and(|depth| backlog >= depth)
-            || overload.shed_window_debt.is_some_and(|debt| self.debt.iter().sum::<u64>() >= debt)
+        spec.class() == JobClass::Background
+            && self.config.shed_backlog.is_some_and(|depth| backlog >= depth)
     }
 
-    /// Records one admission's window cost in the overload debt window.
-    fn note_admission_debt(&mut self, windows: u64) {
-        let horizon = self.config.overload.debt_horizon.max(1);
-        if self.debt.len() >= horizon {
-            self.debt.pop_front();
-        }
-        self.debt.push_back(windows);
-    }
-
-    /// Handles one event: advances the clock, re-solves the mean-field
-    /// template on epoch boundaries, and drives the scheduler.
+    /// Handles one event: advances the clock and drives the scheduler.
     ///
     /// # Errors
     ///
@@ -408,7 +299,7 @@ impl<F: TestbedFactory + Clone> FleetService<F> {
     }
 
     /// [`handle`](FleetService::handle) with the same-tick arrival backlog
-    /// supplied, enabling the overload policy's backlog trigger. The
+    /// supplied, enabling [`FleetConfig::shed_backlog`]. The
     /// durable fleet computes the backlog from the trace and journals it
     /// with the event, so recovery replays identical shedding decisions.
     ///
@@ -422,7 +313,6 @@ impl<F: TestbedFactory + Clone> FleetService<F> {
         telemetry: &Telemetry<'_>,
     ) -> Result<EventOutcome, ClusterError> {
         self.clock.advance_to(event.at);
-        self.maybe_solve_epoch();
         match &event.event {
             FleetEvent::Arrival { spec } => {
                 self.counters.arrivals += 1;
@@ -434,12 +324,7 @@ impl<F: TestbedFactory + Clone> FleetService<F> {
                     telemetry.emit(Event::JobArrived { job, workload });
                     return Ok(EventOutcome::Shed { job });
                 }
-                let spent_before = self.scheduler.total_samples_spent();
-                let placed = self.scheduler.submit(spec.clone(), telemetry)?;
-                self.note_admission_debt(
-                    self.scheduler.total_samples_spent().saturating_sub(spent_before),
-                );
-                match placed {
+                match self.scheduler.submit(spec.clone(), telemetry)? {
                     Some(placement) => {
                         self.counters.placed += 1;
                         telemetry.emit(Event::JobArrived { job: placement.job_id, workload });
@@ -521,43 +406,11 @@ impl<F: TestbedFactory + Clone> FleetService<F> {
         }
         Ok(FleetRun { placements, counters: self.counters(), stats: self.scheduler.stats() })
     }
-
-    /// Re-solves the mean-field template when the clock crossed into a
-    /// new epoch: one fleet-wide target LC load from the aggregate stats,
-    /// applied per-node by [`PlacementPolicy::TargetLoad`].
-    fn maybe_solve_epoch(&mut self) {
-        if self.config.epoch_ticks == 0 {
-            return;
-        }
-        let epoch = self.clock.epoch(self.config.epoch_ticks);
-        if self.solved_epoch == Some(epoch) {
-            return;
-        }
-        self.solved_epoch = Some(epoch);
-        self.counters.epoch_solves += 1;
-        let stats = self.scheduler.stats_ref();
-        let alive: Vec<_> = stats.nodes.iter().filter(|n| n.alive).collect();
-        if alive.is_empty() {
-            return;
-        }
-        let mean_load: f64 = alive.iter().map(|n| n.lc_load).sum::<f64>() / alive.len() as f64;
-        let target_pct = ((mean_load * 100.0).round().max(0.0) as u32)
-            .saturating_add(self.config.target_margin_pct)
-            .clamp(5, 95);
-        self.target_pct = Some(target_pct);
-        // A learned policy keeps serving its model: the target is still
-        // solved and checkpointed, but the template never overwrites the
-        // model — its fleet-level features carry the aggregate state the
-        // template would have encoded.
-        if !matches!(self.scheduler.config().placement, PlacementPolicy::Learned { .. }) {
-            self.scheduler.set_placement(PlacementPolicy::TargetLoad { target_pct });
-        }
-    }
 }
 
 /// Same-tick backlog behind `trace[index]`: how many later events share
-/// its timestamp — the burst depth the overload policy's backlog trigger
-/// reads. A pure function of the trace, so it journals and replays.
+/// its timestamp — the burst depth [`FleetConfig::shed_backlog`] is
+/// compared with. A pure function of the trace, so it journals and replays.
 #[must_use]
 pub fn backlog_at(trace: &[TimedEvent], index: usize) -> u64 {
     let at = trace[index].at;
@@ -617,19 +470,6 @@ mod tests {
             fleet.handle(&TimedEvent::new(1, FleetEvent::Departure { job: 99 }), &OFF).unwrap();
         assert_eq!(outcome, EventOutcome::Stale { job: 99 });
         assert_eq!(fleet.counters().stale_events, 1);
-    }
-
-    #[test]
-    fn epoch_policy_installs_target_template() {
-        let mut fleet = FleetService::new(2, FleetConfig::mean_field(4, 2), 5).unwrap();
-        let spec = JobSpec::latency_critical(WorkloadId::Memcached, 0.3);
-        fleet
-            .handle(&TimedEvent::new(1, FleetEvent::Arrival { spec: spec.clone() }), &OFF)
-            .unwrap();
-        assert_eq!(fleet.counters().epoch_solves, 1, "first event solves epoch 0");
-        fleet.handle(&TimedEvent::new(5, FleetEvent::Arrival { spec }), &OFF).unwrap();
-        assert_eq!(fleet.counters().epoch_solves, 2, "tick 5 crosses into epoch 1");
-        assert!(matches!(fleet.scheduler().config().placement, PlacementPolicy::TargetLoad { .. }));
     }
 
     #[test]

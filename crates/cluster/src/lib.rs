@@ -10,9 +10,8 @@
 //! * [`node::Node`] — one server plus its committed job set and the last
 //!   CLITE outcome for it;
 //! * [`placement::PlacementPolicy`] — the order in which candidate nodes
-//!   are tried (first-fit, least-loaded, most-loaded/bin-packing, the
-//!   mean-field target template, or a trained `clite-learn` ranking model
-//!   bridged through [`learned`]);
+//!   are tried (first-fit, least-loaded, most-loaded/bin-packing, or a
+//!   trained `clite-learn` ranking model bridged through [`learned`]);
 //! * [`scheduler::ClusterScheduler`] — admission control: tentatively add
 //!   the job to a candidate node, run a budget-capped CLITE search, commit
 //!   if every LC job still meets QoS (keeping the found partition), and

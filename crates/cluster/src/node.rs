@@ -541,11 +541,8 @@ mod tests {
         encode_checkpoint(&FleetCheckpoint {
             seqno: 0,
             clock_now: 0,
-            solved_epoch: None,
-            target_pct: None,
             counters: crate::fleet::FleetCounters::default(),
             placements: Vec::new(),
-            debt: Vec::new(),
             scheduler: SchedulerSnapshot {
                 next_job_id: 0,
                 rejected: 0,

@@ -25,16 +25,6 @@ pub enum PlacementPolicy {
     /// machines, which is the utilization win the paper's introduction
     /// argues for.
     MostLoaded,
-    /// Mean-field template: steer every node toward one fleet-wide target
-    /// LC load (in whole percent). Under-target nodes are tried first,
-    /// largest deficit leading; at/over-target nodes follow, least
-    /// overloaded leading. The fleet service re-solves the target once per
-    /// epoch from aggregate stats — "solve once, apply per-node" — so
-    /// per-event placement stays O(fleet log fleet) with no global search.
-    TargetLoad {
-        /// Per-node target LC load, percent of max QPS (`55` = 0.55).
-        target_pct: u32,
-    },
     /// Trained ranking: score every candidate with a `clite-learn` model
     /// over (job, node, fleet) features and try the best-scoring node
     /// first. The all-zero model ties every score, and the tie-break
@@ -66,7 +56,6 @@ impl PlacementPolicy {
             PlacementPolicy::FirstFit => "first-fit",
             PlacementPolicy::LeastLoaded => "least-loaded",
             PlacementPolicy::MostLoaded => "most-loaded",
-            PlacementPolicy::TargetLoad { .. } => "target-load",
             PlacementPolicy::Learned { .. } => "learned",
         }
     }
@@ -104,14 +93,6 @@ impl PlacementPolicy {
             PlacementPolicy::MostLoaded => {
                 ids.sort_by(|&a, &b| {
                     nodes[b].committed_lc_load().total_cmp(&nodes[a].committed_lc_load())
-                });
-            }
-            PlacementPolicy::TargetLoad { target_pct } => {
-                let target = f64::from(*target_pct) / 100.0;
-                // Stable sort, so equal-load nodes keep id order.
-                ids.sort_by(|&a, &b| {
-                    let (la, lb) = (nodes[a].committed_lc_load(), nodes[b].committed_lc_load());
-                    (la >= target).cmp(&(lb >= target)).then_with(|| la.total_cmp(&lb))
                 });
             }
         }

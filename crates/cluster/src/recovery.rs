@@ -179,10 +179,15 @@ impl<F: TestbedFactory + Clone> DurableFleet<F> {
         let start = Instant::now();
         let (journal, journal_rec) = EventJournal::open(&journal_path(dir))?;
         let ckpt_path = checkpoint_path(dir);
-        let checkpoint = match blob::read(&ckpt_path, CKPT_MAGIC, CKPT_VERSION)? {
-            BlobRead::Valid(bytes) => decode_checkpoint(&bytes).ok(),
-            BlobRead::Missing | BlobRead::Corrupt { .. } => None,
-        };
+        // The newest payload version first: a blob written by older code
+        // reads as corrupt under a newer version's header.
+        let mut checkpoint = None;
+        for version in (1..=CKPT_VERSION).rev() {
+            if let BlobRead::Valid(bytes) = blob::read(&ckpt_path, CKPT_MAGIC, version)? {
+                checkpoint = decode_checkpoint(&bytes, version).ok();
+                break;
+            }
+        }
         // A checkpoint ahead of the (possibly truncated) journal would
         // skip events recovery cannot replay; fall back to full replay.
         let checkpoint = checkpoint.filter(|c| (c.seqno as usize) <= journal_rec.records.len());

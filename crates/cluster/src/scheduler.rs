@@ -29,8 +29,7 @@ pub struct SchedulerConfig {
     /// Most candidate nodes probed per admission (`None` = all). At fleet
     /// size, probing every candidate makes each admission O(fleet)
     /// searches; the placement policy's ordering makes the first few
-    /// candidates the likely winners, so a small cap is the "local
-    /// refinement" half of the mean-field policy.
+    /// candidates the likely winners, so a small cap loses little.
     pub probe_limit: Option<usize>,
     /// Per-admission deadline budget in observation windows: once the
     /// windows recorded against candidates for *this* admission reach the
@@ -168,13 +167,6 @@ impl<F: TestbedFactory> ClusterScheduler<F> {
     #[must_use]
     pub fn config(&self) -> &SchedulerConfig {
         &self.config
-    }
-
-    /// Replaces the placement policy. The fleet service's epoch loop uses
-    /// this to apply a freshly solved mean-field template
-    /// ([`PlacementPolicy::TargetLoad`]) without rebuilding the fleet.
-    pub fn set_placement(&mut self, placement: PlacementPolicy) {
-        self.config.placement = placement;
     }
 
     /// Brings `count` new (empty) nodes into service, returning their
@@ -506,8 +498,7 @@ impl<F: TestbedFactory> ClusterScheduler<F> {
         self.stats.clone()
     }
 
-    /// Borrows the incrementally maintained statistics without cloning
-    /// (the fleet service's epoch solver reads these every few events).
+    /// Borrows the incrementally maintained statistics without cloning.
     #[must_use]
     pub fn stats_ref(&self) -> &ClusterStats {
         &self.stats

@@ -45,8 +45,11 @@ use crate::node::PlacedJob;
 
 /// Checkpoint blob magic (8 bytes, mirrors the `CLITESTO` log magic).
 pub const CKPT_MAGIC: &[u8; 8] = b"CLITECKP";
-/// Checkpoint payload format version.
-pub const CKPT_VERSION: u32 = 1;
+/// Checkpoint payload format version written today. Version 1 also
+/// carried a mean-field template (its solved epoch and target load), an
+/// epoch-solve counter and a window-debt queue; [`decode_checkpoint`]
+/// still reads it and discards those fields.
+pub const CKPT_VERSION: u32 = 2;
 
 /// Sequence lengths above which a payload is rejected as corrupt (a
 /// count this large can only come from flipped bits).
@@ -418,17 +421,11 @@ pub struct FleetCheckpoint {
     pub seqno: u64,
     /// Clock tick at checkpoint time.
     pub clock_now: u64,
-    /// Last epoch the mean-field template was solved for.
-    pub solved_epoch: Option<u64>,
-    /// The installed template target.
-    pub target_pct: Option<u32>,
     /// Fleet counters (the `replacements` field stores the scheduler's
-    /// live count).
+    /// live count; `epoch_solves` is not encoded and reads 0).
     pub counters: FleetCounters,
     /// Per-arrival placements so far (the byte-identity witness prefix).
     pub placements: Vec<Option<usize>>,
-    /// Recent per-admission window costs (the overload debt horizon).
-    pub debt: Vec<u64>,
     /// The scheduler and its nodes.
     pub scheduler: SchedulerSnapshot,
 }
@@ -444,13 +441,10 @@ pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
     let outcomes: usize =
         nodes.iter().filter_map(|n| n.last_outcome.as_ref()).map(|o| o.wire_bytes().len()).sum();
     let jobs: usize = nodes.iter().map(|n| n.jobs.len()).sum();
-    let mut buf = Vec::with_capacity(
-        256 + 9 * c.placements.len() + 8 * c.debt.len() + 64 * nodes.len() + 128 * jobs + outcomes,
-    );
+    let mut buf =
+        Vec::with_capacity(256 + 9 * c.placements.len() + 64 * nodes.len() + 128 * jobs + outcomes);
     put_u64(&mut buf, c.seqno);
     put_u64(&mut buf, c.clock_now);
-    put_opt(&mut buf, c.solved_epoch, put_u64);
-    put_opt(&mut buf, c.target_pct.map(u64::from), put_u64);
     let k = &c.counters;
     for v in [
         k.arrivals,
@@ -459,14 +453,12 @@ pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
         k.load_shifts,
         k.stale_events,
         k.nodes_onboarded,
-        k.epoch_solves,
         k.replacements,
         k.arrivals_shed,
     ] {
         put_u64(&mut buf, v);
     }
     put_seq(&mut buf, &c.placements, |buf, &p| put_opt(buf, p, put_usize));
-    put_seq(&mut buf, &c.debt, |buf, &d| put_u64(buf, d));
     let s = &c.scheduler;
     put_u64(&mut buf, s.next_job_id);
     put_u64(&mut buf, s.rejected);
@@ -488,37 +480,48 @@ pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
     buf
 }
 
-/// Decodes a checkpoint payload.
+/// Decodes a checkpoint payload of format `version` (1 or
+/// [`CKPT_VERSION`]). A version 1 payload's template, epoch-solve counter
+/// and window-debt queue are read and discarded, so it decodes to the
+/// checkpoint its version 2 equivalent holds.
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on any malformed byte; trailing garbage and a
-/// `target_pct` above `u32::MAX` are rejected. Callers treat a decode
-/// failure as "no usable checkpoint" and fall back to a full journal
-/// replay.
-pub fn decode_checkpoint(payload: &[u8]) -> Result<FleetCheckpoint, DecodeError> {
+/// Returns [`DecodeError`] on any malformed byte or an unknown version;
+/// trailing garbage is rejected. Callers treat a decode failure as "no
+/// usable checkpoint" and fall back to a full journal replay.
+pub fn decode_checkpoint(payload: &[u8], version: u32) -> Result<FleetCheckpoint, DecodeError> {
     let catalog = ResourceCatalog::testbed();
     let mut r = Reader::new(payload);
+    if !(1..=CKPT_VERSION).contains(&version) {
+        return Err(r.fail("checkpoint version"));
+    }
+    let v1 = version == 1;
     let seqno = r.u64("ckpt seqno")?;
     let clock_now = r.u64("clock")?;
-    let solved_epoch = r.opt("solved epoch", |r| r.u64("solved epoch"))?;
-    let target_pct = r.opt("target pct", |r| {
-        u32::try_from(r.u64("target pct")?).map_err(|_| r.fail("target pct"))
-    })?;
-    let counters = FleetCounters {
+    if v1 {
+        r.opt("solved epoch", |r| r.u64("solved epoch"))?;
+        r.opt("target pct", |r| r.u64("target pct"))?;
+    }
+    let mut counters = FleetCounters {
         arrivals: r.u64("counters")?,
         placed: r.u64("counters")?,
         departures: r.u64("counters")?,
         load_shifts: r.u64("counters")?,
         stale_events: r.u64("counters")?,
         nodes_onboarded: r.u64("counters")?,
-        epoch_solves: r.u64("counters")?,
-        replacements: r.u64("counters")?,
-        arrivals_shed: r.u64("counters")?,
+        ..FleetCounters::default()
     };
+    if v1 {
+        r.u64("counters")?;
+    }
+    counters.replacements = r.u64("counters")?;
+    counters.arrivals_shed = r.u64("counters")?;
     let placements =
         r.seq(MAX_VEC, "placement count", |r| r.opt("placement", |r| read_usize(r, "placement")))?;
-    let debt = r.seq(MAX_VEC, "debt count", |r| r.u64("debt"))?;
+    if v1 {
+        r.seq(MAX_VEC, "debt count", |r| r.u64("debt"))?;
+    }
     let scheduler = SchedulerSnapshot {
         next_job_id: r.u64("next job id")?,
         rejected: r.u64("rejected")?,
@@ -546,16 +549,7 @@ pub fn decode_checkpoint(payload: &[u8]) -> Result<FleetCheckpoint, DecodeError>
     if !r.done() {
         return Err(r.fail("end of checkpoint"));
     }
-    Ok(FleetCheckpoint {
-        seqno,
-        clock_now,
-        solved_epoch,
-        target_pct,
-        counters,
-        placements,
-        debt,
-        scheduler,
-    })
+    Ok(FleetCheckpoint { seqno, clock_now, counters, placements, scheduler })
 }
 
 #[cfg(test)]
@@ -619,11 +613,45 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trips() {
-        let ckpt = FleetCheckpoint {
+        let ckpt = sample_checkpoint();
+        let bytes = encode_checkpoint(&ckpt);
+        assert_eq!(decode_checkpoint(&bytes, CKPT_VERSION).unwrap(), ckpt);
+        for cut in 0..bytes.len() {
+            assert!(decode_checkpoint(&bytes[..cut], CKPT_VERSION).is_err(), "truncation at {cut}");
+        }
+        assert_eq!(decode_checkpoint(&bytes, 3).unwrap_err().expected, "checkpoint version");
+        assert_eq!(decode_checkpoint(&bytes, 0).unwrap_err().expected, "checkpoint version");
+    }
+
+    #[test]
+    fn version_1_payload_decodes_to_its_version_2_state() {
+        // The v1 layout is v2's with four fields more: a solved epoch and
+        // a template target after the clock, an epoch-solve counter after
+        // `nodes_onboarded`, and a debt queue after the placements.
+        let ckpt = sample_checkpoint();
+        let v2 = encode_checkpoint(&ckpt);
+        let (head, rest) = v2.split_at(16 + 6 * 8);
+        let (tail_counters, rest) = rest.split_at(2 * 8);
+        let (placements, scheduler) = rest.split_at(4 + 9 + 1 + 9);
+        let mut v1 = head[..16].to_vec();
+        put_opt(&mut v1, Some(2), put_u64);
+        put_opt(&mut v1, Some(40), put_u64);
+        v1.extend_from_slice(&head[16..]);
+        put_u64(&mut v1, 7);
+        v1.extend_from_slice(tail_counters);
+        v1.extend_from_slice(placements);
+        put_seq(&mut v1, &[12u64, 7], |buf, &d| put_u64(buf, d));
+        v1.extend_from_slice(scheduler);
+        assert_eq!(decode_checkpoint(&v1, 1).unwrap(), ckpt);
+        for cut in 0..v1.len() {
+            assert!(decode_checkpoint(&v1[..cut], 1).is_err(), "truncation at {cut}");
+        }
+    }
+
+    fn sample_checkpoint() -> FleetCheckpoint {
+        FleetCheckpoint {
             seqno: 9,
             clock_now: 17,
-            solved_epoch: Some(2),
-            target_pct: Some(40),
             counters: FleetCounters {
                 arrivals: 5,
                 placed: 4,
@@ -631,7 +659,6 @@ mod tests {
                 ..Default::default()
             },
             placements: vec![Some(0), None, Some(3)],
-            debt: vec![12, 7],
             scheduler: SchedulerSnapshot {
                 next_job_id: 5,
                 rejected: 1,
@@ -651,20 +678,6 @@ mod tests {
                     last_outcome: None,
                 }],
             },
-        };
-        let bytes = encode_checkpoint(&ckpt);
-        assert_eq!(decode_checkpoint(&bytes).unwrap(), ckpt);
-        for cut in 0..bytes.len() {
-            assert!(decode_checkpoint(&bytes[..cut]).is_err(), "truncation at {cut}");
         }
-
-        // `target_pct` travels as a u64; a value that does not fit the
-        // u32 field is corruption, not something to truncate.
-        let target_at = 8 + 8 + 9 + 1;
-        assert_eq!(bytes[target_at..target_at + 8], 40u64.to_le_bytes());
-        let mut wide = bytes.clone();
-        wide[target_at + 4] = 1;
-        let err = decode_checkpoint(&wide).unwrap_err();
-        assert_eq!(err.expected, "target pct");
     }
 }

@@ -14,7 +14,7 @@ use clite_cluster::event::FleetEvent;
 use clite_cluster::fleet::{EventOutcome, FleetConfig, FleetService};
 use clite_cluster::trace::{generate, TraceConfig};
 use clite_cluster::wire::{
-    decode_checkpoint, encode_checkpoint, CommittedOutcome, FleetCheckpoint,
+    decode_checkpoint, encode_checkpoint, CommittedOutcome, FleetCheckpoint, CKPT_VERSION,
 };
 use clite_faults::{FaultSpec, FaultyFactory};
 use clite_sim::testbed::ServerFactory;
@@ -31,7 +31,7 @@ fn trace_config() -> TraceConfig {
     }
 }
 
-/// A mean-field fleet with short searches: outcomes still carry their
+/// A least-loaded fleet with short searches: outcomes still carry their
 /// samples, and the test stays quick in debug builds.
 fn fleet_config() -> FleetConfig {
     let mut config = FleetConfig::mean_field(4, 3);
@@ -84,7 +84,7 @@ fn check_trace(seed: u64) {
         let applied = index as u64 + 1;
         let ckpt = service.checkpoint(applied, &placements);
         let bytes = encode_checkpoint(&ckpt);
-        let decoded = decode_checkpoint(&bytes).expect("checkpoint decodes");
+        let decoded = decode_checkpoint(&bytes, CKPT_VERSION).expect("checkpoint decodes");
         assert_eq!(decoded, ckpt, "seed {seed}, event {applied}: round trip");
         assert_eq!(
             encode_checkpoint(&fresh_copy(&ckpt)),

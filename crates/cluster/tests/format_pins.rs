@@ -4,20 +4,26 @@
 //! A codec or framing refactor that changes any byte on disk fails here,
 //! even if it still round-trips its own output.
 //!
-//! Each file has two pins. The `*_V2` pin is the file as written, with
-//! xxHash64 frames. The unsuffixed pin is the same file re-framed as v1
-//! (every frame rewritten with the `"CSBO"` magic and FNV-1a by
-//! [`reframe_v1`]); it was recorded before frames moved to xxHash64, so
-//! matching it proves the headers and payloads did not change. The v1
-//! re-framings are then read back through today's code and must give the
-//! same state as the files as written.
+//! Two version axes meet here, and they are named apart. *Frame v1/v2* is
+//! the record framing every file shares: frame v1 has the `"CSBO"` magic
+//! and FNV-1a, frame v2 xxHash64. *Checkpoint payload v1/v2* is what a
+//! checkpoint holds (`CKPT_VERSION`): payload v2 dropped the mean-field
+//! template, the epoch-solve counter and the window-debt queue.
+//!
+//! Each file has two pins. The `*_V2` pin is the file as written, in
+//! frame v2. The unsuffixed pin is the same file re-framed as frame v1
+//! (every frame rewritten by [`reframe_v1`]), so it moves only with a
+//! header or payload change. The frame v1 re-framings are then read back
+//! through today's code and must give the same state as the files as
+//! written. `tests/fixtures/ckpt_v1` keeps the pinned fleet's files as
+//! written in checkpoint payload v1, and they too must recover to that
+//! state.
 //!
 //! To regenerate the constants (only for a deliberate format change): run
 //! `cargo test -p clite-cluster --test format_pins -- --nocapture` and
 //! copy the printed `(len, fnv)` pairs. A payload or header change moves
 //! both pins of a file and should bump that file's version; a frame
-//! change moves only the `*_V2` pins. The v1 pins change only with a
-//! payload or header change.
+//! change moves only the `*_V2` pins.
 
 use std::path::{Path, PathBuf};
 
@@ -35,13 +41,13 @@ use clite_store::log::{fnv1a64, read_frame, xxh64, LogFile, HEADER_LEN, REC_MAGI
 use clite_store::{MixSignature, StoreRecord};
 use clite_telemetry::Telemetry;
 
-const FLEET_CKPT: (usize, u64) = (11_808, 0x7304_4b7a_d3f0_ef23);
+const FLEET_CKPT: (usize, u64) = (11_714, 0x4aa1_82e9_ef34_559c);
 const FLEET_JOURNAL: (usize, u64) = (1_623, 0xe84e_2ba5_55af_46c9);
 const MODEL_FILE: (usize, u64) = (164, 0xceef_0f12_a9b0_5224);
 const STORE_LOG: (usize, u64) = (1_380, 0xb7ea_91bd_02cd_b754);
 const STORE_LOG_COMPACTED: (usize, u64) = (704, 0x1ae4_d9d3_c8ec_d436);
 
-const FLEET_CKPT_V2: (usize, u64) = (11_808, 0x0b55_f627_bda6_e8c2);
+const FLEET_CKPT_V2: (usize, u64) = (11_714, 0x5f76_ed02_a717_4bbb);
 const FLEET_JOURNAL_V2: (usize, u64) = (1_623, 0xe53a_c604_c411_7f24);
 const MODEL_FILE_V2: (usize, u64) = (164, 0x2c02_4695_3a9a_bb5a);
 const STORE_LOG_V2: (usize, u64) = (1_380, 0x0384_9c83_7d4e_b57e);
@@ -130,7 +136,7 @@ fn durable_fleet_journal_and_checkpoint_bytes_are_pinned() {
     assert_eq!(ckpt, FLEET_CKPT_V2, "checkpoint bytes changed");
     assert_eq!(journal, FLEET_JOURNAL_V2, "journal bytes changed");
 
-    // The v1 files recover to the same state as the files as written:
+    // The frame v1 files recover to the same state as the files as written:
     // the same checkpoint (so it read as valid), the same replay, and
     // the same fleet.
     let (info, from_v2, state) = recover(&dir, &trace);
@@ -139,7 +145,7 @@ fn durable_fleet_journal_and_checkpoint_bytes_are_pinned() {
     assert_eq!(
         recover(&v1_dir, &trace),
         (info, from_v2, state),
-        "v1 files recover to the same state"
+        "frame v1 files recover to the same state"
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&v1_dir);

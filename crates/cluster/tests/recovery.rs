@@ -9,9 +9,7 @@
 use std::path::PathBuf;
 
 use clite_cluster::event::{FleetEvent, TimedEvent};
-use clite_cluster::fleet::{
-    backlog_at, EventOutcome, FleetConfig, FleetRun, FleetService, OverloadConfig,
-};
+use clite_cluster::fleet::{backlog_at, EventOutcome, FleetConfig, FleetRun, FleetService};
 use clite_cluster::recovery::{CrashPlan, CrashPoint, DurableConfig, DurableFleet, DurableOutcome};
 use clite_cluster::trace::{generate, TraceConfig};
 use clite_sim::testbed::ServerFactory;
@@ -124,8 +122,7 @@ fn shedding_decisions_survive_recovery_and_are_journaled() {
     // always probe; the arrival-heavy burst reliably contains BG arrivals.
     let burst = burst(20);
     let mut shedding_config = config();
-    shedding_config.overload =
-        OverloadConfig { shed_backlog: Some(4), shed_window_debt: None, debt_horizon: 8 };
+    shedding_config.shed_backlog = Some(4);
 
     let want = {
         let mut service = FleetService::new(NODES, shedding_config.clone(), SEED).expect("fleet");
@@ -201,8 +198,7 @@ fn deadline_bounds_every_protected_admission_under_a_burst() {
     // its first search has finished.
     let deadline = 4;
     let mut protected = config();
-    protected.overload =
-        OverloadConfig { shed_backlog: Some(4), shed_window_debt: None, debt_horizon: 8 };
+    protected.shed_backlog = Some(4);
     protected.scheduler.deadline_samples = Some(deadline);
     // The deadline is checked before each candidate, so one in-flight
     // search may finish past it. This bound is not a structural worst
@@ -234,8 +230,7 @@ fn deadline_bounds_every_protected_admission_under_a_burst() {
 /// to the nodes.
 fn shedding_run(deadline: Option<u64>, trace: &[TimedEvent]) -> (FleetRun, usize) {
     let mut config = config();
-    config.overload =
-        OverloadConfig { shed_backlog: Some(6), shed_window_debt: None, debt_horizon: 8 };
+    config.shed_backlog = Some(6);
     config.scheduler.deadline_samples = deadline;
     let mut service = FleetService::new(3, config, SEED).expect("fleet");
     let run = service.run(trace, &Telemetry::disabled()).expect("trace runs");

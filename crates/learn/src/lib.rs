@@ -1,7 +1,7 @@
 //! Trained placement scoring for fleet admission.
 //!
 //! CLITE's cluster layer orders candidate nodes with fixed heuristics
-//! (least-loaded, bin-packing, the mean-field target template). This crate
+//! (first-fit, least-loaded, bin-packing). This crate
 //! learns that ordering instead: a deterministic [feature
 //! extractor](features) turns per-(job, candidate-node) state into a
 //! fixed, versioned vector; a pure-Rust [pairwise ranking model](model)
