@@ -15,9 +15,9 @@
 //! (every frame rewritten by [`reframe_v1`]), so it moves only with a
 //! header or payload change. The frame v1 re-framings are then read back
 //! through today's code and must give the same state as the files as
-//! written. `tests/fixtures/ckpt_v1` keeps the pinned fleet's files as
-//! written in checkpoint payload v1, and they too must recover to that
-//! state.
+//! written. `tests/fixtures/ckpt_v1` and `tests/fixtures/ckpt_v2` keep
+//! the pinned fleet's files as written in checkpoint payloads v1 and v2,
+//! and they too must recover to that state.
 //!
 //! To regenerate the constants (only for a deliberate format change): run
 //! `cargo test -p clite-cluster --test format_pins -- --nocapture` and
@@ -189,6 +189,27 @@ fn checkpoint_payload_v1_fixture_recovers_like_todays_files() {
     let dir = tempdir("payload-today");
     let (trace, _) = durable_fleet(&dir, 32, 30);
     assert_eq!(recover(&old, &trace), recover(&dir, &trace), "v1 checkpoint recovers alike");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&old);
+}
+
+#[test]
+fn checkpoint_payload_v2_fixture_recovers_like_todays_files() {
+    // `tests/fixtures/ckpt_v2` holds the pinned fleet's checkpoint and
+    // journal as written with checkpoint payload v2 (frame v2). Recovery
+    // must start from that checkpoint and reach the state today's files
+    // recover to.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v2");
+    let old = tempdir("payload-v2");
+    for name in ["fleet.ckpt", "fleet.journal"] {
+        std::fs::copy(fixture.join(name), old.join(name)).expect("fixture copied");
+    }
+    let ckpt = std::fs::read(old.join("fleet.ckpt")).expect("fixture checkpoint");
+    assert_eq!(ckpt.len(), 11_714);
+    assert_eq!(ckpt[8..12], 2u32.to_le_bytes(), "the fixture is checkpoint payload v2");
+    let dir = tempdir("payload-today-v2");
+    let (trace, _) = durable_fleet(&dir, 32, 30);
+    assert_eq!(recover(&old, &trace), recover(&dir, &trace), "v2 checkpoint recovers alike");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&old);
 }
