@@ -249,9 +249,10 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -q "recovery: replayed" "$store_tmp/fleet_recover.txt"
     grep -q "without panic" "$store_tmp/fleet_recover.txt"
 
-    # The same with a checkpoint before the kill (default cadence 8), then
-    # the checkpoint truncated as a kill during its write would leave it:
-    # recovery must start from the side copy, not replay from seq 0.
+    # The same with checkpoints before the kill (default cadence 8: seq 8
+    # in fleet.ckpt, seq 16 in fleet.ckpt.side), then fleet.ckpt truncated
+    # as a kill during its write would leave it: recovery must start from
+    # the other copy's checkpoint, not replay from seq 0.
     step "colocate fleet --journal torn-checkpoint recovery smoke test"
     ckpt_journal_tmp="$store_tmp/fleet-journal-ckpt"
     ./target/release/colocate fleet --nodes 32 --events 24 \
@@ -291,7 +292,7 @@ if [[ "${1:-}" != "quick" ]]; then
         > "$store_tmp/layerbench.txt"
     wide_last="$(tail -n 1 "$store_tmp/layerbench.txt")"
     grep -q '"correct": true' <<< "$wide_last"
-    for pin in cluster.checkpoint.calls:375 cluster.checkpoint.bytes:114389598 \
+    for pin in cluster.checkpoint.calls:375 cluster.checkpoint.bytes:80314636 \
         store.journal.bytes:87099; do
         grep -qF "\"${pin%%:*}\": {\"value\": ${pin##*:}.0," <<< "$wide_last" \
             || { echo "fleet-wide-durable bytes moved: expected $pin"; exit 1; }

@@ -286,7 +286,8 @@ fn main() -> ExitCode {
 /// occupancy. Ends in a `fleet: completed ...` marker line (the CI smoke
 /// test greps for it). With `--journal DIR` the run is durable (WAL +
 /// checkpoints); `--kill-after K` dies right after journaling event K and
-/// `--recover` resumes, printing a `recovery: replayed ...` marker.
+/// `--recover` resumes, printing a `recovery: replayed ...` marker that
+/// names the checkpoint copy used and why the other was passed over.
 #[allow(clippy::too_many_arguments)]
 fn run_fleet(
     nodes: usize,
@@ -398,9 +399,11 @@ fn run_fleet(
             };
             if let Some(info) = fleet.recovery_info() {
                 println!(
-                    "recovery: replayed {} events from checkpoint seq {}{}",
+                    "recovery: replayed {} events from checkpoint seq {} ({}; passed over {}){}",
                     info.replayed,
                     info.checkpoint_seqno,
+                    info.copy().map_or("no usable checkpoint", |c| c.file_name()),
+                    info.passed_over().join(", "),
                     if info.journal_damaged { " (journal tail repaired)" } else { "" }
                 );
             }

@@ -4,7 +4,11 @@
 //! little-endian [`Reader`], flags, presence-flagged optionals,
 //! count-prefixed sequences, workload codes) so the fleet's durability
 //! layer speaks the same dialect as the observation log instead of
-//! inventing a second framing. Two payload families live here:
+//! inventing a second framing. Journal entries and checkpoint payloads v1
+//! and v2 write their integers fixed-width, as the log does; checkpoint
+//! payload v3 writes every count, id, index and counter as a canonical
+//! LEB128 varint and keeps floats and node seeds fixed-width. Two payload
+//! families live here:
 //!
 //! * **Journal entries** — one per [`TimedEvent`], written ahead of the
 //!   mutation they describe (see [`crate::recovery::DurableFleet`]). An
@@ -12,8 +16,9 @@
 //!   arrival-burst backlog the decision was made under, so replay re-derives
 //!   the exact same admission sequence without the original trace.
 //! * **Checkpoints** — a full [`FleetCheckpoint`] snapshot of the service,
-//!   scheduler, and every node, written crash-safely (side copy first)
-//!   via [`clite_store::blob`]. Recovery loads the newest valid checkpoint and
+//!   scheduler, and every node, written as a [`clite_store::blob`] into
+//!   whichever of two copies does not hold the newest one (see
+//!   [`crate::recovery`]). Recovery loads the newest valid checkpoint and
 //!   replays the journal suffix; a corrupt checkpoint degrades to a full
 //!   replay, never an abort. A node's committed outcome — most of a
 //!   checkpoint's bytes — is a shared, immutable [`CommittedOutcome`]
@@ -30,13 +35,16 @@ use std::sync::{Arc, OnceLock};
 
 use clite::score::{ScoreBreakdown, ScoreMode};
 use clite::trace::{CliteOutcome, SampleRecord};
+use clite_sim::alloc::{JobAllocation, Partition};
 use clite_sim::load::LoadSchedule;
-use clite_sim::resource::ResourceCatalog;
+use clite_sim::metrics::Observation;
+use clite_sim::resource::{ResourceCatalog, ResourceKind, NUM_RESOURCES};
 use clite_sim::server::JobSpec;
 use clite_sim::workload::WorkloadProfile;
 use clite_store::codec::{
-    put_bool, put_f64, put_observation, put_opt, put_partition_rows, put_seq, put_u64, put_u8,
-    read_observation, read_partition_rows, workload_code, workload_from_code, DecodeError, Reader,
+    put_bool, put_f64, put_job_observation, put_opt, put_seq, put_u64, put_u8, put_varint,
+    put_varint_seq, read_job_observation, read_observation, read_partition_rows, workload_code,
+    workload_from_code, DecodeError, Reader, MAX_JOBS,
 };
 
 use crate::event::{FleetEvent, TimedEvent};
@@ -45,22 +53,74 @@ use crate::node::PlacedJob;
 
 /// Checkpoint blob magic (8 bytes, mirrors the `CLITESTO` log magic).
 pub const CKPT_MAGIC: &[u8; 8] = b"CLITECKP";
-/// Checkpoint payload format version written today. Version 1 also
+/// Checkpoint payload format version written today: version 2's fields
+/// with varint integers. Version 2 wrote them fixed-width; version 1 also
 /// carried a mean-field template (its solved epoch and target load), an
-/// epoch-solve counter and a window-debt queue; [`decode_checkpoint`]
-/// still reads it and discards those fields.
-pub const CKPT_VERSION: u32 = 2;
+/// epoch-solve counter and a window-debt queue. [`decode_checkpoint`]
+/// still reads both.
+pub const CKPT_VERSION: u32 = 3;
 
 /// Sequence lengths above which a payload is rejected as corrupt (a
 /// count this large can only come from flipped bits).
 const MAX_VEC: usize = 1 << 20;
 
-fn put_usize(buf: &mut Vec<u8>, v: usize) {
-    put_u64(buf, v as u64);
+/// How a payload writes its integers (counts, ids, indices, counters):
+/// fixed-width little-endian in journal entries and checkpoint payloads
+/// v1 and v2, canonical LEB128 varints in checkpoint payload v3.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ints {
+    Fixed,
+    Varint,
 }
 
-fn read_usize(r: &mut Reader<'_>, expected: &'static str) -> Result<usize, DecodeError> {
-    usize::try_from(r.u64(expected)?).map_err(|_| r.fail(expected))
+impl Ints {
+    /// The integer form of checkpoint payload `version` (1 to
+    /// [`CKPT_VERSION`]).
+    fn of_checkpoint(version: u32, r: &Reader<'_>) -> Result<Self, DecodeError> {
+        match version {
+            1 | 2 => Ok(Self::Fixed),
+            CKPT_VERSION => Ok(Self::Varint),
+            _ => Err(r.fail("checkpoint version")),
+        }
+    }
+
+    #[inline]
+    fn put_seq<T>(self, buf: &mut Vec<u8>, items: &[T], put: impl FnMut(&mut Vec<u8>, &T)) {
+        match self {
+            Self::Fixed => put_seq(buf, items, put),
+            Self::Varint => put_varint_seq(buf, items, put),
+        }
+    }
+
+    fn u64(self, r: &mut Reader<'_>, expected: &'static str) -> Result<u64, DecodeError> {
+        match self {
+            Self::Fixed => r.u64(expected),
+            Self::Varint => r.varint(expected),
+        }
+    }
+
+    fn usize(self, r: &mut Reader<'_>, expected: &'static str) -> Result<usize, DecodeError> {
+        usize::try_from(self.u64(r, expected)?).map_err(|_| r.fail(expected))
+    }
+
+    fn seq<T>(
+        self,
+        r: &mut Reader<'_>,
+        max: usize,
+        expected: &'static str,
+        read: impl FnMut(&mut Reader<'_>) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        match self {
+            Self::Fixed => r.seq(max, expected, read),
+            Self::Varint => r.varint_seq(max, expected, read),
+        }
+    }
+}
+
+/// Appends a count, id or index as payload v3 writes it.
+#[inline]
+fn put_usize(buf: &mut Vec<u8>, v: usize) {
+    put_varint(buf, v as u64);
 }
 
 // ── journal entries ──────────────────────────────────────────────────────
@@ -113,7 +173,7 @@ fn put_event(buf: &mut Vec<u8>, event: &TimedEvent) {
     match &event.event {
         FleetEvent::Arrival { spec } => {
             put_u8(buf, 0);
-            put_job_spec(buf, spec);
+            put_job_spec(buf, spec, Ints::Fixed);
         }
         FleetEvent::Departure { job } => {
             put_u8(buf, 1);
@@ -122,30 +182,31 @@ fn put_event(buf: &mut Vec<u8>, event: &TimedEvent) {
         FleetEvent::LoadShift { job, load } => {
             put_u8(buf, 2);
             put_u64(buf, *job);
-            put_load(buf, load);
+            put_load(buf, load, Ints::Fixed);
         }
         FleetEvent::Onboard { nodes } => {
             put_u8(buf, 3);
-            put_usize(buf, *nodes);
+            put_u64(buf, *nodes as u64);
         }
     }
 }
 
 fn read_event(r: &mut Reader<'_>) -> Result<TimedEvent, DecodeError> {
     let at = r.u64("event tick")?;
+    let fixed = Ints::Fixed;
     let event = match r.u8("event tag")? {
-        0 => FleetEvent::Arrival { spec: read_job_spec(r)? },
+        0 => FleetEvent::Arrival { spec: read_job_spec(r, fixed)? },
         1 => FleetEvent::Departure { job: r.u64("job id")? },
-        2 => FleetEvent::LoadShift { job: r.u64("job id")?, load: read_load(r)? },
-        3 => FleetEvent::Onboard { nodes: read_usize(r, "onboard count")? },
+        2 => FleetEvent::LoadShift { job: r.u64("job id")?, load: read_load(r, fixed)? },
+        3 => FleetEvent::Onboard { nodes: fixed.usize(r, "onboard count")? },
         _ => return Err(r.fail("event tag")),
     };
     Ok(TimedEvent::new(at, event))
 }
 
-fn put_load(buf: &mut Vec<u8>, load: &LoadSchedule) {
+fn put_load(buf: &mut Vec<u8>, load: &LoadSchedule, ints: Ints) {
     let put_pairs = |buf: &mut Vec<u8>, pairs: &[(f64, f64)]| {
-        put_seq(buf, pairs, |buf, &(a, b)| {
+        ints.put_seq(buf, pairs, |buf, &(a, b)| {
             put_f64(buf, a);
             put_f64(buf, b);
         });
@@ -178,9 +239,10 @@ fn put_load(buf: &mut Vec<u8>, load: &LoadSchedule) {
     }
 }
 
-fn read_load(r: &mut Reader<'_>) -> Result<LoadSchedule, DecodeError> {
-    let pairs =
-        |r: &mut Reader<'_>| r.seq(MAX_VEC, "pair count", |r| Ok((r.f64("pair")?, r.f64("pair")?)));
+fn read_load(r: &mut Reader<'_>, ints: Ints) -> Result<LoadSchedule, DecodeError> {
+    let pairs = |r: &mut Reader<'_>| {
+        ints.seq(r, MAX_VEC, "pair count", |r| Ok((r.f64("pair")?, r.f64("pair")?)))
+    };
     Ok(match r.u8("load tag")? {
         0 => LoadSchedule::Constant(r.f64("load")?),
         1 => LoadSchedule::Steps(pairs(r)?),
@@ -199,16 +261,16 @@ fn read_load(r: &mut Reader<'_>) -> Result<LoadSchedule, DecodeError> {
     })
 }
 
-fn put_job_spec(buf: &mut Vec<u8>, spec: &JobSpec) {
+fn put_job_spec(buf: &mut Vec<u8>, spec: &JobSpec, ints: Ints) {
     put_u8(buf, workload_code(spec.workload));
-    put_load(buf, &spec.load);
+    put_load(buf, &spec.load, ints);
     put_opt(buf, spec.profile_override.as_ref(), put_profile);
 }
 
-fn read_job_spec(r: &mut Reader<'_>) -> Result<JobSpec, DecodeError> {
+fn read_job_spec(r: &mut Reader<'_>, ints: Ints) -> Result<JobSpec, DecodeError> {
     Ok(JobSpec {
         workload: workload_from_code(r)?,
-        load: read_load(r)?,
+        load: read_load(r, ints)?,
         profile_override: r.opt("profile presence", read_profile)?,
     })
 }
@@ -252,17 +314,76 @@ fn read_profile(r: &mut Reader<'_>) -> Result<WorkloadProfile, DecodeError> {
 }
 
 // ── controller outcomes ──────────────────────────────────────────────────
+//
+// Outcomes are encoded only in payload v3 (the writers below) and decoded
+// in every version (the readers take the payload's [`Ints`]).
+
+/// Partition rows as payload v3 writes them: a varint row count, then
+/// each row's units as varints. The store log keeps its fixed-width form
+/// ([`clite_store::codec::put_partition_rows`]).
+fn put_partition(buf: &mut Vec<u8>, partition: &Partition) {
+    put_varint_seq(buf, partition.rows(), |buf, row| {
+        for u in row.all_units() {
+            put_varint(buf, u64::from(u));
+        }
+    });
+}
+
+/// Reads partition rows under `catalog`, validating feasibility. A unit
+/// count above the catalog's is rejected before the rows are summed.
+fn read_partition(
+    r: &mut Reader<'_>,
+    catalog: ResourceCatalog,
+    ints: Ints,
+) -> Result<Partition, DecodeError> {
+    if ints == Ints::Fixed {
+        return read_partition_rows(r, catalog);
+    }
+    let rows = r.varint_seq(MAX_JOBS, "partition row count", |r| {
+        let mut units = [0u32; NUM_RESOURCES];
+        for (u, kind) in units.iter_mut().zip(ResourceKind::ALL) {
+            let v = r.varint("partition units")?;
+            *u = u32::try_from(v)
+                .ok()
+                .filter(|&v| v <= catalog.units(kind))
+                .ok_or_else(|| r.fail("partition units"))?;
+        }
+        Ok(JobAllocation::from_units(units))
+    })?;
+    Partition::from_rows(catalog, rows).map_err(|_| r.fail("feasible partition rows"))
+}
+
+/// An observation window as payload v3 writes it: the store log's layout
+/// ([`clite_store::codec::put_observation`]) with a varint job count.
+fn put_observation(buf: &mut Vec<u8>, observation: &Observation) {
+    put_f64(buf, observation.time_s);
+    put_f64(buf, observation.window_s);
+    put_varint_seq(buf, &observation.jobs, put_job_observation);
+}
+
+fn read_observation_as(r: &mut Reader<'_>, ints: Ints) -> Result<Observation, DecodeError> {
+    if ints == Ints::Fixed {
+        return read_observation(r);
+    }
+    let time_s = r.f64("observation time")?;
+    let window_s = r.f64("observation window")?;
+    let jobs = r.varint_seq(MAX_JOBS, "observation job count", read_job_observation)?;
+    if jobs.is_empty() {
+        return Err(r.fail("observation job count"));
+    }
+    Ok(Observation { time_s, window_s, jobs })
+}
 
 fn put_score(buf: &mut Vec<u8>, s: &ScoreBreakdown) {
     put_f64(buf, s.value);
     put_bool(buf, s.mode == ScoreMode::QosMet);
     for ratios in [&s.lc_ratios, &s.bg_ratios] {
-        put_seq(buf, ratios, |buf, &x| put_f64(buf, x));
+        put_varint_seq(buf, ratios, |buf, &x| put_f64(buf, x));
     }
 }
 
-fn read_score(r: &mut Reader<'_>) -> Result<ScoreBreakdown, DecodeError> {
-    let ratios = |r: &mut Reader<'_>| r.seq(MAX_VEC, "f64 vec", |r| r.f64("f64 vec"));
+fn read_score(r: &mut Reader<'_>, ints: Ints) -> Result<ScoreBreakdown, DecodeError> {
+    let ratios = |r: &mut Reader<'_>| ints.seq(r, MAX_VEC, "f64 vec", |r| r.f64("f64 vec"));
     Ok(ScoreBreakdown {
         value: r.f64("score value")?,
         mode: if r.bool("score mode")? { ScoreMode::QosMet } else { ScoreMode::QosViolated },
@@ -274,22 +395,26 @@ fn read_score(r: &mut Reader<'_>) -> Result<ScoreBreakdown, DecodeError> {
 fn put_sample(buf: &mut Vec<u8>, s: &SampleRecord) {
     put_usize(buf, s.index);
     put_bool(buf, s.bootstrap);
-    put_partition_rows(buf, &s.partition);
+    put_partition(buf, &s.partition);
     put_observation(buf, &s.observation);
     put_score(buf, &s.score);
     put_opt(buf, s.expected_improvement, put_f64);
     put_opt(buf, s.frozen_job, put_usize);
 }
 
-fn read_sample(r: &mut Reader<'_>, catalog: ResourceCatalog) -> Result<SampleRecord, DecodeError> {
+fn read_sample(
+    r: &mut Reader<'_>,
+    catalog: ResourceCatalog,
+    ints: Ints,
+) -> Result<SampleRecord, DecodeError> {
     Ok(SampleRecord {
-        index: read_usize(r, "sample index")?,
+        index: ints.usize(r, "sample index")?,
         bootstrap: r.bool("bootstrap flag")?,
-        partition: read_partition_rows(r, catalog)?,
-        observation: read_observation(r)?,
-        score: read_score(r)?,
+        partition: read_partition(r, catalog, ints)?,
+        observation: read_observation_as(r, ints)?,
+        score: read_score(r, ints)?,
         expected_improvement: r.opt("expected improvement", |r| r.f64("expected improvement"))?,
-        frozen_job: r.opt("frozen presence", |r| read_usize(r, "frozen job"))?,
+        frozen_job: r.opt("frozen presence", |r| ints.usize(r, "frozen job"))?,
     })
 }
 
@@ -301,24 +426,29 @@ fn read_sample(r: &mut Reader<'_>, catalog: ResourceCatalog) -> Result<SampleRec
 /// report at commit, so live and restored outcomes both carry
 /// `overhead: None`.
 fn put_outcome(buf: &mut Vec<u8>, o: &CliteOutcome) {
-    put_partition_rows(buf, &o.best_partition);
+    put_partition(buf, &o.best_partition);
     put_f64(buf, o.best_score);
-    put_seq(buf, &o.samples, put_sample);
+    put_varint_seq(buf, &o.samples, put_sample);
     put_bool(buf, o.converged);
-    put_seq(buf, &o.infeasible_jobs, |buf, &j| put_usize(buf, j));
+    put_varint_seq(buf, &o.infeasible_jobs, |buf, &j| put_usize(buf, j));
     put_opt(buf, o.samples_to_qos, put_usize);
     put_usize(buf, o.quarantined);
 }
 
-fn read_outcome(r: &mut Reader<'_>, catalog: ResourceCatalog) -> Result<CliteOutcome, DecodeError> {
+fn read_outcome(
+    r: &mut Reader<'_>,
+    catalog: ResourceCatalog,
+    ints: Ints,
+) -> Result<CliteOutcome, DecodeError> {
     Ok(CliteOutcome {
-        best_partition: read_partition_rows(r, catalog)?,
+        best_partition: read_partition(r, catalog, ints)?,
         best_score: r.f64("best score")?,
-        samples: r.seq(MAX_VEC, "sample count", |r| read_sample(r, catalog))?,
+        samples: ints.seq(r, MAX_VEC, "sample count", |r| read_sample(r, catalog, ints))?,
         converged: r.bool("converged flag")?,
-        infeasible_jobs: r.seq(MAX_VEC, "infeasible count", |r| read_usize(r, "infeasible job"))?,
-        samples_to_qos: r.opt("qos presence", |r| read_usize(r, "samples to qos"))?,
-        quarantined: read_usize(r, "quarantined")?,
+        infeasible_jobs: ints
+            .seq(r, MAX_VEC, "infeasible count", |r| ints.usize(r, "infeasible job"))?,
+        samples_to_qos: r.opt("qos presence", |r| ints.usize(r, "samples to qos"))?,
+        quarantined: ints.usize(r, "quarantined")?,
         overhead: None,
     })
 }
@@ -430,9 +560,10 @@ pub struct FleetCheckpoint {
     pub scheduler: SchedulerSnapshot,
 }
 
-/// Encodes a checkpoint payload (wrap in [`clite_store::blob::save`] with
-/// [`CKPT_MAGIC`]/[`CKPT_VERSION`] for the durable file). Each outcome's
-/// bytes come from its [`CommittedOutcome`] memo.
+/// Encodes a checkpoint payload of format [`CKPT_VERSION`] (wrap in
+/// [`clite_store::blob::save`] with [`CKPT_MAGIC`]/[`CKPT_VERSION`] for the
+/// durable file). Each outcome's bytes come from its [`CommittedOutcome`]
+/// memo.
 #[must_use]
 pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
     // Size the buffer once: the memoized outcomes exactly (encoding any
@@ -441,10 +572,11 @@ pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
     let outcomes: usize =
         nodes.iter().filter_map(|n| n.last_outcome.as_ref()).map(|o| o.wire_bytes().len()).sum();
     let jobs: usize = nodes.iter().map(|n| n.jobs.len()).sum();
-    let mut buf =
-        Vec::with_capacity(256 + 9 * c.placements.len() + 64 * nodes.len() + 128 * jobs + outcomes);
-    put_u64(&mut buf, c.seqno);
-    put_u64(&mut buf, c.clock_now);
+    let mut buf = Vec::with_capacity(
+        256 + 11 * c.placements.len() + 64 * nodes.len() + 128 * jobs + outcomes,
+    );
+    put_varint(&mut buf, c.seqno);
+    put_varint(&mut buf, c.clock_now);
     let k = &c.counters;
     for v in [
         k.arrivals,
@@ -456,34 +588,47 @@ pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
         k.replacements,
         k.arrivals_shed,
     ] {
-        put_u64(&mut buf, v);
+        put_varint(&mut buf, v);
     }
-    put_seq(&mut buf, &c.placements, |buf, &p| put_opt(buf, p, put_usize));
+    put_varint_seq(&mut buf, &c.placements, |buf, &p| put_opt(buf, p, put_usize));
     let s = &c.scheduler;
-    put_u64(&mut buf, s.next_job_id);
-    put_u64(&mut buf, s.rejected);
-    put_u64(&mut buf, s.replaced);
+    put_varint(&mut buf, s.next_job_id);
+    put_varint(&mut buf, s.rejected);
+    put_varint(&mut buf, s.replaced);
     put_u64(&mut buf, s.base_seed);
-    put_seq(&mut buf, &s.nodes, |buf, n| {
+    put_varint_seq(&mut buf, &s.nodes, |buf, n| {
         put_usize(buf, n.id);
         put_u64(buf, n.seed);
         put_bool(buf, n.alive);
-        put_u64(buf, n.commits);
+        put_varint(buf, n.commits);
         put_usize(buf, n.searches_run);
-        put_u64(buf, n.samples_spent);
-        put_seq(buf, &n.jobs, |buf, job| {
-            put_u64(buf, job.id);
-            put_job_spec(buf, &job.spec);
+        put_varint(buf, n.samples_spent);
+        put_varint_seq(buf, &n.jobs, |buf, job| {
+            put_varint(buf, job.id);
+            put_job_spec(buf, &job.spec, Ints::Varint);
         });
         put_opt(buf, n.last_outcome.as_ref(), |buf, o| buf.extend_from_slice(o.wire_bytes()));
     });
     buf
 }
 
-/// Decodes a checkpoint payload of format `version` (1 or
-/// [`CKPT_VERSION`]). A version 1 payload's template, epoch-solve counter
-/// and window-debt queue are read and discarded, so it decodes to the
-/// checkpoint its version 2 equivalent holds.
+/// The seqno a checkpoint payload of format `version` covers, read
+/// without decoding the rest: recovery compares its two copies by it and
+/// decodes only the one it starts from.
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] on an unknown version or a malformed seqno.
+pub fn checkpoint_seqno(payload: &[u8], version: u32) -> Result<u64, DecodeError> {
+    let mut r = Reader::new(payload);
+    Ints::of_checkpoint(version, &r)?.u64(&mut r, "ckpt seqno")
+}
+
+/// Decodes a checkpoint payload of format `version` (1 to
+/// [`CKPT_VERSION`]). Version 2 differs from version 3 only in its
+/// fixed-width integers. A version 1 payload's template, epoch-solve
+/// counter and window-debt queue are read and discarded, so it decodes
+/// to the checkpoint its later equivalents hold.
 ///
 /// # Errors
 ///
@@ -493,55 +638,54 @@ pub fn encode_checkpoint(c: &FleetCheckpoint) -> Vec<u8> {
 pub fn decode_checkpoint(payload: &[u8], version: u32) -> Result<FleetCheckpoint, DecodeError> {
     let catalog = ResourceCatalog::testbed();
     let mut r = Reader::new(payload);
-    if !(1..=CKPT_VERSION).contains(&version) {
-        return Err(r.fail("checkpoint version"));
-    }
+    let ints = Ints::of_checkpoint(version, &r)?;
     let v1 = version == 1;
-    let seqno = r.u64("ckpt seqno")?;
-    let clock_now = r.u64("clock")?;
+    let seqno = ints.u64(&mut r, "ckpt seqno")?;
+    let clock_now = ints.u64(&mut r, "clock")?;
     if v1 {
         r.opt("solved epoch", |r| r.u64("solved epoch"))?;
         r.opt("target pct", |r| r.u64("target pct"))?;
     }
     let mut counters = FleetCounters {
-        arrivals: r.u64("counters")?,
-        placed: r.u64("counters")?,
-        departures: r.u64("counters")?,
-        load_shifts: r.u64("counters")?,
-        stale_events: r.u64("counters")?,
-        nodes_onboarded: r.u64("counters")?,
+        arrivals: ints.u64(&mut r, "counters")?,
+        placed: ints.u64(&mut r, "counters")?,
+        departures: ints.u64(&mut r, "counters")?,
+        load_shifts: ints.u64(&mut r, "counters")?,
+        stale_events: ints.u64(&mut r, "counters")?,
+        nodes_onboarded: ints.u64(&mut r, "counters")?,
         ..FleetCounters::default()
     };
     if v1 {
         r.u64("counters")?;
     }
-    counters.replacements = r.u64("counters")?;
-    counters.arrivals_shed = r.u64("counters")?;
-    let placements =
-        r.seq(MAX_VEC, "placement count", |r| r.opt("placement", |r| read_usize(r, "placement")))?;
+    counters.replacements = ints.u64(&mut r, "counters")?;
+    counters.arrivals_shed = ints.u64(&mut r, "counters")?;
+    let placements = ints.seq(&mut r, MAX_VEC, "placement count", |r| {
+        r.opt("placement", |r| ints.usize(r, "placement"))
+    })?;
     if v1 {
         r.seq(MAX_VEC, "debt count", |r| r.u64("debt"))?;
     }
     let scheduler = SchedulerSnapshot {
-        next_job_id: r.u64("next job id")?,
-        rejected: r.u64("rejected")?,
-        replaced: r.u64("replaced")?,
+        next_job_id: ints.u64(&mut r, "next job id")?,
+        rejected: ints.u64(&mut r, "rejected")?,
+        replaced: ints.u64(&mut r, "replaced")?,
         base_seed: r.u64("base seed")?,
-        nodes: r.seq(MAX_VEC, "node count", |r| {
+        nodes: ints.seq(&mut r, MAX_VEC, "node count", |r| {
             Ok(NodeSnapshot {
-                id: read_usize(r, "node id")?,
+                id: ints.usize(r, "node id")?,
                 seed: r.u64("node seed")?,
                 alive: r.bool("alive flag")?,
-                commits: r.u64("commits")?,
-                searches_run: read_usize(r, "searches run")?,
-                samples_spent: r.u64("samples spent")?,
-                jobs: r
-                    .seq(MAX_VEC, "job count", |r| {
-                        Ok(PlacedJob { id: r.u64("job id")?, spec: read_job_spec(r)? })
+                commits: ints.u64(r, "commits")?,
+                searches_run: ints.usize(r, "searches run")?,
+                samples_spent: ints.u64(r, "samples spent")?,
+                jobs: ints
+                    .seq(r, MAX_VEC, "job count", |r| {
+                        Ok(PlacedJob { id: ints.u64(r, "job id")?, spec: read_job_spec(r, ints)? })
                     })?
                     .into(),
                 last_outcome: r.opt("outcome presence", |r| {
-                    Ok(Arc::new(CommittedOutcome::new(read_outcome(r, catalog)?)))
+                    Ok(Arc::new(CommittedOutcome::new(read_outcome(r, catalog, ints)?)))
                 })?,
             })
         })?,
@@ -619,17 +763,57 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode_checkpoint(&bytes[..cut], CKPT_VERSION).is_err(), "truncation at {cut}");
         }
-        assert_eq!(decode_checkpoint(&bytes, 3).unwrap_err().expected, "checkpoint version");
+        assert_eq!(decode_checkpoint(&bytes, 4).unwrap_err().expected, "checkpoint version");
         assert_eq!(decode_checkpoint(&bytes, 0).unwrap_err().expected, "checkpoint version");
+        assert_eq!(checkpoint_seqno(&bytes, CKPT_VERSION), Ok(9));
+        assert!(checkpoint_seqno(&bytes, 4).is_err());
+    }
+
+    /// `sample_checkpoint()` as payload v2 wrote it: v3's fields with
+    /// every integer fixed-width.
+    fn sample_v2() -> Vec<u8> {
+        let c = sample_checkpoint();
+        let mut v2 = Vec::new();
+        let k = &c.counters;
+        for v in [c.seqno, c.clock_now, k.arrivals, k.placed, k.departures, k.load_shifts] {
+            put_u64(&mut v2, v);
+        }
+        for v in [k.stale_events, k.nodes_onboarded, k.replacements, k.arrivals_shed] {
+            put_u64(&mut v2, v);
+        }
+        put_seq(&mut v2, &c.placements, |buf, &p| put_opt(buf, p, |buf, p| put_u64(buf, p as u64)));
+        let s = &c.scheduler;
+        for v in [s.next_job_id, s.rejected, s.replaced, s.base_seed] {
+            put_u64(&mut v2, v);
+        }
+        put_seq(&mut v2, &s.nodes, |buf, n| {
+            put_u64(buf, n.id as u64);
+            put_u64(buf, n.seed);
+            put_bool(buf, n.alive);
+            for v in [n.commits, n.searches_run as u64, n.samples_spent] {
+                put_u64(buf, v);
+            }
+            put_seq(buf, &n.jobs, |buf, job| {
+                put_u64(buf, job.id);
+                put_job_spec(buf, &job.spec, Ints::Fixed);
+            });
+            assert!(n.last_outcome.is_none(), "the sample holds no outcome");
+            put_bool(buf, false);
+        });
+        v2
     }
 
     #[test]
-    fn version_1_payload_decodes_to_its_version_2_state() {
+    fn versions_1_and_2_decode_to_the_version_3_state() {
+        let ckpt = sample_checkpoint();
+        let v2 = sample_v2();
+        assert!(encode_checkpoint(&ckpt).len() < v2.len() / 2, "varints halve this payload");
+        assert_eq!(decode_checkpoint(&v2, 2).unwrap(), ckpt);
+        assert_eq!(checkpoint_seqno(&v2, 2), Ok(9));
+        assert!(decode_checkpoint(&v2, CKPT_VERSION).is_err(), "v2 bytes are not v3");
         // The v1 layout is v2's with four fields more: a solved epoch and
         // a template target after the clock, an epoch-solve counter after
         // `nodes_onboarded`, and a debt queue after the placements.
-        let ckpt = sample_checkpoint();
-        let v2 = encode_checkpoint(&ckpt);
         let (head, rest) = v2.split_at(16 + 6 * 8);
         let (tail_counters, rest) = rest.split_at(2 * 8);
         let (placements, scheduler) = rest.split_at(4 + 9 + 1 + 9);
@@ -643,8 +827,10 @@ mod tests {
         put_seq(&mut v1, &[12u64, 7], |buf, &d| put_u64(buf, d));
         v1.extend_from_slice(scheduler);
         assert_eq!(decode_checkpoint(&v1, 1).unwrap(), ckpt);
-        for cut in 0..v1.len() {
-            assert!(decode_checkpoint(&v1[..cut], 1).is_err(), "truncation at {cut}");
+        for (version, bytes) in [(1, &v1), (2, &v2)] {
+            for cut in 0..bytes.len() {
+                assert!(decode_checkpoint(&bytes[..cut], version).is_err(), "v{version} cut {cut}");
+            }
         }
     }
 

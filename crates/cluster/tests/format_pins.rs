@@ -6,9 +6,10 @@
 //!
 //! Two version axes meet here, and they are named apart. *Frame v1/v2* is
 //! the record framing every file shares: frame v1 has the `"CSBO"` magic
-//! and FNV-1a, frame v2 xxHash64. *Checkpoint payload v1/v2* is what a
+//! and FNV-1a, frame v2 xxHash64. *Checkpoint payload v1/v2/v3* is what a
 //! checkpoint holds (`CKPT_VERSION`): payload v2 dropped the mean-field
-//! template, the epoch-solve counter and the window-debt queue.
+//! template, the epoch-solve counter and the window-debt queue, and
+//! payload v3 writes v2's integers as LEB128 varints.
 //!
 //! Each file has two pins. The `*_V2` pin is the file as written, in
 //! frame v2. The unsuffixed pin is the same file re-framed as frame v1
@@ -29,7 +30,9 @@ use std::path::{Path, PathBuf};
 
 use clite_cluster::event::TimedEvent;
 use clite_cluster::fleet::{FleetConfig, FleetRun};
-use clite_cluster::recovery::{DurableConfig, DurableFleet, DurableOutcome, RecoveryInfo};
+use clite_cluster::recovery::{
+    CopyStatus, DurableConfig, DurableFleet, DurableOutcome, RecoveryInfo,
+};
 use clite_cluster::trace::{generate, TraceConfig};
 use clite_cluster::wire::encode_checkpoint;
 use clite_learn::features::{FEATURE_DIM, FEATURE_VERSION};
@@ -41,13 +44,13 @@ use clite_store::log::{fnv1a64, read_frame, xxh64, LogFile, HEADER_LEN, REC_MAGI
 use clite_store::{MixSignature, StoreRecord};
 use clite_telemetry::Telemetry;
 
-const FLEET_CKPT: (usize, u64) = (11_714, 0x4aa1_82e9_ef34_559c);
+const FLEET_CKPT: (usize, u64) = (8_166, 0x892e_dfd3_4347_973c);
 const FLEET_JOURNAL: (usize, u64) = (1_623, 0xe84e_2ba5_55af_46c9);
 const MODEL_FILE: (usize, u64) = (164, 0xceef_0f12_a9b0_5224);
 const STORE_LOG: (usize, u64) = (1_380, 0xb7ea_91bd_02cd_b754);
 const STORE_LOG_COMPACTED: (usize, u64) = (704, 0x1ae4_d9d3_c8ec_d436);
 
-const FLEET_CKPT_V2: (usize, u64) = (11_714, 0x5f76_ed02_a717_4bbb);
+const FLEET_CKPT_V2: (usize, u64) = (8_166, 0x6085_f182_ea87_54fc);
 const FLEET_JOURNAL_V2: (usize, u64) = (1_623, 0xe53a_c604_c411_7f24);
 const MODEL_FILE_V2: (usize, u64) = (164, 0x2c02_4695_3a9a_bb5a);
 const STORE_LOG_V2: (usize, u64) = (1_380, 0x0384_9c83_7d4e_b57e);
@@ -129,7 +132,9 @@ fn durable_fleet_journal_and_checkpoint_bytes_are_pinned() {
     let dir = tempdir("fleet");
     let v1_dir = tempdir("fleet-v1");
     let (trace, run) = durable_fleet(&dir, 32, 30);
-    let (ckpt_v1, ckpt) = pin(&dir.join("fleet.ckpt"), &v1_dir.join("fleet.ckpt"));
+    // Checkpoints 7, 14, 21 and 28 alternate between the copies, so the
+    // newest is in the side copy.
+    let (ckpt_v1, ckpt) = pin(&dir.join("fleet.ckpt.side"), &v1_dir.join("fleet.ckpt.side"));
     let (journal_v1, journal) = pin(&dir.join("fleet.journal"), &v1_dir.join("fleet.journal"));
     assert_eq!(ckpt_v1, FLEET_CKPT, "checkpoint payload bytes changed");
     assert_eq!(journal_v1, FLEET_JOURNAL, "journal payload bytes changed");
@@ -141,6 +146,8 @@ fn durable_fleet_journal_and_checkpoint_bytes_are_pinned() {
     // the same fleet.
     let (info, from_v2, state) = recover(&dir, &trace);
     assert_eq!((info.checkpoint_seqno, info.replayed, info.journal_damaged), (28, 2, false));
+    let copies = recover_info(&dir, &trace).copies;
+    assert_eq!(copies, [CopyStatus::Older { seqno: 21 }, CopyStatus::Used]);
     assert_eq!(from_v2, run);
     assert_eq!(
         recover(&v1_dir, &trace),
@@ -151,9 +158,33 @@ fn durable_fleet_journal_and_checkpoint_bytes_are_pinned() {
     let _ = std::fs::remove_dir_all(&v1_dir);
 }
 
+/// What recovery found that files written by older code must share with
+/// today's: the checkpoint it started from, the replay and the journal's
+/// damage. Which copy held the checkpoint is left out, because a fixture
+/// directory holds one copy where today's alternating writes leave two;
+/// the tests assert [`RecoveryInfo::copies`] on their own.
+#[derive(Debug, PartialEq)]
+struct Found {
+    checkpoint_seqno: u64,
+    replayed: u64,
+    journal_damaged: bool,
+}
+
 /// Recovers the pinned 32-node fleet from `dir` and runs what is left of
 /// `trace`: what recovery found, the run, and the re-encoded state.
-fn recover(dir: &Path, trace: &[TimedEvent]) -> (RecoveryInfo, FleetRun, Vec<u8>) {
+fn recover(dir: &Path, trace: &[TimedEvent]) -> (Found, FleetRun, Vec<u8>) {
+    let (info, run, state) = recover_with_info(dir, trace);
+    let RecoveryInfo { checkpoint_seqno, replayed, journal_damaged, .. } = info;
+    (Found { checkpoint_seqno, replayed, journal_damaged }, run, state)
+}
+
+/// What recovering the pinned fleet from `dir` made of each copy.
+fn recover_info(dir: &Path, trace: &[TimedEvent]) -> RecoveryInfo {
+    recover_with_info(dir, trace).0
+}
+
+/// [`recover`] with the whole [`RecoveryInfo`].
+fn recover_with_info(dir: &Path, trace: &[TimedEvent]) -> (RecoveryInfo, FleetRun, Vec<u8>) {
     let mut fleet = DurableFleet::recover(
         32,
         FleetConfig::mean_field(4, 3),
@@ -210,6 +241,34 @@ fn checkpoint_payload_v2_fixture_recovers_like_todays_files() {
     let dir = tempdir("payload-today-v2");
     let (trace, _) = durable_fleet(&dir, 32, 30);
     assert_eq!(recover(&old, &trace), recover(&dir, &trace), "v2 checkpoint recovers alike");
+    let fixture_copies = recover_info(&old, &trace).copies;
+    assert_eq!(fixture_copies, [CopyStatus::Used, CopyStatus::Missing]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&old);
+}
+
+#[test]
+fn a_legacy_pair_of_equal_payload_v2_copies_recovers() {
+    // Code that wrote every checkpoint to both copies left the same
+    // payload v2 image in each. Recovery takes fleet.ckpt, passes over the
+    // side copy as no newer, and reaches the state today's files reach.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v2");
+    let old = tempdir("legacy-pair");
+    for (from, to) in [
+        ("fleet.ckpt", "fleet.ckpt"),
+        ("fleet.ckpt", "fleet.ckpt.side"),
+        ("fleet.journal", "fleet.journal"),
+    ] {
+        std::fs::copy(fixture.join(from), old.join(to)).expect("fixture copied");
+    }
+    let dir = tempdir("legacy-pair-today");
+    let (trace, _) = durable_fleet(&dir, 32, 30);
+    let copies = recover_info(&old, &trace).copies;
+    assert_eq!(copies, [CopyStatus::Used, CopyStatus::Older { seqno: 28 }]);
+    let [main, side] =
+        ["fleet.ckpt", "fleet.ckpt.side"].map(|name| std::fs::read(old.join(name)).expect("copy"));
+    assert!(main == side, "recovery reads both copies and rewrites neither");
+    assert_eq!(recover(&old, &trace), recover(&dir, &trace), "the pair recovers alike");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&old);
 }

@@ -1,10 +1,15 @@
 //! Property tests for the fleet wire codecs: `decode_checkpoint` (at
-//! either payload version) and `decode_journal_entry` are total over
+//! every payload version) and `decode_journal_entry` are total over
 //! arbitrary bytes, reject every
 //! truncation of a real encoding, and are canonical — whenever mutated
 //! bytes still decode, re-encoding the result gives back exactly those
-//! bytes, so no two byte strings decode to the same state.
+//! bytes, so no two byte strings decode to the same state. Payload v3's
+//! varints must be canonical LEB128: an overlong spelling of any value
+//! is rejected. Payloads v1 and v2, which only older code wrote, are
+//! checked on the committed fixtures: they decode, reject every
+//! truncation, and re-encode as v3 to the same state.
 
+use std::path::Path;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -13,11 +18,13 @@ use clite_cluster::event::{FleetEvent, TimedEvent};
 use clite_cluster::fleet::{FleetConfig, FleetService};
 use clite_cluster::trace::{generate, TraceConfig};
 use clite_cluster::wire::{
-    decode_checkpoint, decode_journal_entry, encode_checkpoint, encode_journal_entry, CKPT_VERSION,
+    checkpoint_seqno, decode_checkpoint, decode_journal_entry, encode_checkpoint,
+    encode_journal_entry, CKPT_MAGIC, CKPT_VERSION,
 };
 use clite_sim::load::LoadSchedule;
 use clite_sim::server::JobSpec;
 use clite_sim::workload::WorkloadId;
+use clite_store::codec::{put_varint, Reader};
 use clite_telemetry::Telemetry;
 
 /// A real checkpoint: a small fleet after a mixed trace, with committed
@@ -42,6 +49,15 @@ fn checkpoint() -> &'static [u8] {
         assert!(ckpt.scheduler.nodes.iter().any(|n| n.last_outcome.is_some()), "outcomes held");
         encode_checkpoint(&ckpt)
     })
+}
+
+/// The payload of the committed checkpoint fixture of payload `version`
+/// (1 or 2), as older code wrote it.
+fn fixture_payload(version: u32) -> Vec<u8> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("tests/fixtures/ckpt_v{version}/fleet.ckpt"));
+    let bytes = std::fs::read(path).expect("fixture checkpoint");
+    clite_store::blob::decode(&bytes, CKPT_MAGIC, version).expect("fixture intact").to_vec()
 }
 
 /// Real journal entries: a generated trace plus every load-schedule
@@ -105,6 +121,49 @@ fn fixtures_round_trip() {
 }
 
 #[test]
+fn older_payload_versions_decode_and_reencode_as_v3() {
+    for version in [1, 2] {
+        let payload = fixture_payload(version);
+        let c = decode_checkpoint(&payload, version).expect("fixture decodes");
+        assert_eq!(checkpoint_seqno(&payload, version), Ok(c.seqno));
+        let v3 = encode_checkpoint(&c);
+        assert!(v3.len() < payload.len(), "v3 is denser than v{version}");
+        assert_eq!(decode_checkpoint(&v3, CKPT_VERSION).expect("v3 decodes"), c);
+        for cut in 0..payload.len() {
+            assert!(decode_checkpoint(&payload[..cut], version).is_err(), "v{version} cut {cut}");
+        }
+    }
+}
+
+#[test]
+fn overlong_varints_are_rejected() {
+    // The payload opens with ten varints: seqno, clock and eight fleet
+    // counters; each ends at its first byte below 0x80. Spell each one a
+    // byte longer than it needs (a final zero group), and the payload
+    // must no longer decode.
+    let bytes = checkpoint();
+    let mut start = 0;
+    for _ in 0..10 {
+        let end = start + bytes[start..].iter().position(|&b| b < 0x80).expect("a last byte") + 1;
+        let v = Reader::new(&bytes[start..end]).varint("field").expect("canonical");
+        let mut canonical = Vec::new();
+        put_varint(&mut canonical, v);
+        assert_eq!(canonical, bytes[start..end], "the writer's own spelling");
+        let mut overlong = canonical;
+        *overlong.last_mut().expect("one byte at least") |= 0x80;
+        overlong.push(0);
+        let mut spliced = bytes[..start].to_vec();
+        spliced.extend_from_slice(&overlong);
+        spliced.extend_from_slice(&bytes[end..]);
+        assert!(
+            decode_checkpoint(&spliced, CKPT_VERSION).is_err(),
+            "overlong spelling of {v} at byte {start} decoded"
+        );
+        start = end;
+    }
+}
+
+#[test]
 fn every_truncation_is_rejected() {
     let bytes = checkpoint();
     for cut in 0..bytes.len() {
@@ -150,8 +209,10 @@ proptest! {
     /// Arbitrary bytes never panic either decoder.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = decode_checkpoint(&bytes, CKPT_VERSION);
-        let _ = decode_checkpoint(&bytes, 1);
+        for version in 1..=CKPT_VERSION {
+            let _ = decode_checkpoint(&bytes, version);
+            let _ = checkpoint_seqno(&bytes, version);
+        }
         let _ = decode_journal_entry(&bytes);
     }
 
@@ -166,8 +227,15 @@ proptest! {
         let ckpt = checkpoint();
         let mut bytes = ckpt[..cut % ckpt.len()].to_vec();
         bytes.extend_from_slice(&tail);
-        let _ = decode_checkpoint(&bytes, CKPT_VERSION);
-        let _ = decode_checkpoint(&bytes, 1);
+        for version in 1..=CKPT_VERSION {
+            let _ = decode_checkpoint(&bytes, version);
+        }
+        for version in [1, 2] {
+            let payload = fixture_payload(version);
+            let mut bytes = payload[..cut % payload.len()].to_vec();
+            bytes.extend_from_slice(&tail);
+            let _ = decode_checkpoint(&bytes, version);
+        }
         let entry = &journal_entries()[pick % journal_entries().len()];
         let mut bytes = entry[..cut % entry.len()].to_vec();
         bytes.extend_from_slice(&tail);

@@ -9,7 +9,10 @@
 //! safety argument.
 //!
 //! Layout is versioned by the log header (see [`crate::log`]); this module
-//! implements payload version 1.
+//! implements payload version 1. Its integers are fixed-width. The
+//! varint writers ([`put_varint`], [`put_varint_seq`]) serve denser
+//! downstream payloads (the fleet checkpoint's payload v3); no store
+//! record uses them.
 
 use clite_sim::alloc::{JobAllocation, Partition};
 use clite_sim::counters::CounterSample;
@@ -39,13 +42,13 @@ impl std::error::Error for DecodeError {}
 
 /// Jobs per record above which a payload is rejected as corrupt (a length
 /// prefix this large can only come from flipped bits).
-const MAX_JOBS: usize = 1024;
+pub const MAX_JOBS: usize = 1024;
 
 // ── primitive writers ────────────────────────────────────────────────────
 //
 // The writers and `Reader` are public: downstream codecs (the fleet
 // checkpoint in `clite-cluster`) reuse the exact same wire idiom rather
-// than inventing a second framing dialect. The five primitive writers are
+// than inventing a second framing dialect. The primitive writers are
 // `#[inline]` so those codecs' thousands of calls per checkpoint inline
 // across the crate boundary instead of each paying a call.
 
@@ -74,6 +77,18 @@ pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends `v` as canonical unsigned LEB128: seven bits a byte, the low
+/// group first, the high bit set on every byte but the last. Values below
+/// 128 take one byte and `u64::MAX` takes ten.
+#[inline]
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
 /// Appends a flag as one byte: `0` or `1`.
 #[inline]
 pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
@@ -92,6 +107,15 @@ pub fn put_opt<T>(buf: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>
 /// Appends a sequence as a `u32` count plus each item written by `put`.
 pub fn put_seq<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
     put_u32(buf, items.len() as u32);
+    for x in items {
+        put(buf, x);
+    }
+}
+
+/// Appends a sequence as a [`put_varint`] count plus each item written by
+/// `put`.
+pub fn put_varint_seq<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_varint(buf, items.len() as u64);
     for x in items {
         put(buf, x);
     }
@@ -173,6 +197,32 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.bytes(8, expected)?.try_into().expect("8 bytes")))
     }
 
+    /// Reads a value written by [`put_varint`]. Only the canonical form is
+    /// accepted, so every value has exactly one encoding.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] at end of input, on an overlong encoding (a
+    /// last byte of zero after the first), or on bits past the 64th.
+    pub fn varint(&mut self, expected: &'static str) -> Result<u64, DecodeError> {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8(expected)?;
+            // The tenth byte holds bit 63 alone and ends the value.
+            if shift == 63 && byte > 1 {
+                break;
+            }
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    break;
+                }
+                return Ok(v);
+            }
+        }
+        Err(self.fail(expected))
+    }
+
     /// Reads a flag written by [`put_bool`].
     ///
     /// # Errors
@@ -214,12 +264,38 @@ impl<'a> Reader<'a> {
         &mut self,
         max: usize,
         expected: &'static str,
+        read: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.u32(expected)?;
+        self.items(u64::from(n), max, expected, read)
+    }
+
+    /// Reads a sequence written by [`put_varint_seq`], like [`Reader::seq`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] on a malformed or over-`max` count, short
+    /// input, or whatever `read` rejects.
+    pub fn varint_seq<T>(
+        &mut self,
+        max: usize,
+        expected: &'static str,
+        read: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.varint(expected)?;
+        self.items(n, max, expected, read)
+    }
+
+    /// The `n` items after a sequence count, rejecting `n` above `max`
+    /// before anything is allocated for them.
+    fn items<T>(
+        &mut self,
+        n: u64,
+        max: usize,
+        expected: &'static str,
         mut read: impl FnMut(&mut Self) -> Result<T, DecodeError>,
     ) -> Result<Vec<T>, DecodeError> {
-        let n = self.u32(expected)? as usize;
-        if n > max {
-            return Err(self.fail(expected));
-        }
+        let n = usize::try_from(n).ok().filter(|&n| n <= max).ok_or_else(|| self.fail(expected))?;
         let mut items = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             items.push(read(self)?);
@@ -323,24 +399,28 @@ pub fn read_partition_rows(
 pub fn put_observation(buf: &mut Vec<u8>, observation: &Observation) {
     put_f64(buf, observation.time_s);
     put_f64(buf, observation.window_s);
-    put_seq(buf, &observation.jobs, |buf, j| {
-        put_u8(buf, workload_code(j.workload));
-        put_u8(buf, class_code(j.class));
-        put_f64(buf, j.latency_p95_us);
-        put_f64(buf, j.offered_qps);
-        put_f64(buf, j.normalized_perf);
-        put_u8(
-            buf,
-            match j.qos_met {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            },
-        );
-        put_opt(buf, j.qos_target_us, put_f64);
-        put_opt(buf, j.iso_latency_p95_us, put_f64);
-        put_counters(buf, &j.counters);
-    });
+    put_seq(buf, &observation.jobs, put_job_observation);
+}
+
+/// Encodes one job's record of an observation window: the per-job body
+/// of [`put_observation`].
+pub fn put_job_observation(buf: &mut Vec<u8>, j: &JobObservation) {
+    put_u8(buf, workload_code(j.workload));
+    put_u8(buf, class_code(j.class));
+    put_f64(buf, j.latency_p95_us);
+    put_f64(buf, j.offered_qps);
+    put_f64(buf, j.normalized_perf);
+    put_u8(
+        buf,
+        match j.qos_met {
+            None => 0,
+            Some(false) => 1,
+            Some(true) => 2,
+        },
+    );
+    put_opt(buf, j.qos_target_us, put_f64);
+    put_opt(buf, j.iso_latency_p95_us, put_f64);
+    put_counters(buf, &j.counters);
 }
 
 /// Reads one observation window back.
@@ -351,25 +431,32 @@ pub fn put_observation(buf: &mut Vec<u8>, observation: &Observation) {
 pub fn read_observation(r: &mut Reader<'_>) -> Result<Observation, DecodeError> {
     let time_s = r.f64("observation time")?;
     let window_s = r.f64("observation window")?;
-    let jobs = jobs(r, "observation job count", |r| {
-        Ok(JobObservation {
-            workload: workload_from_code(r)?,
-            class: class_from_code(r)?,
-            latency_p95_us: r.f64("latency")?,
-            offered_qps: r.f64("offered qps")?,
-            normalized_perf: r.f64("normalized perf")?,
-            qos_met: match r.u8("qos met flag")? {
-                0 => None,
-                1 => Some(false),
-                2 => Some(true),
-                _ => return Err(r.fail("qos met flag")),
-            },
-            qos_target_us: r.opt("qos target", |r| r.f64("qos target"))?,
-            iso_latency_p95_us: r.opt("iso latency", |r| r.f64("iso latency"))?,
-            counters: read_counters(r)?,
-        })
-    })?;
+    let jobs = jobs(r, "observation job count", read_job_observation)?;
     Ok(Observation { time_s, window_s, jobs })
+}
+
+/// Reads one job's record written by [`put_job_observation`].
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] on any malformed byte.
+pub fn read_job_observation(r: &mut Reader<'_>) -> Result<JobObservation, DecodeError> {
+    Ok(JobObservation {
+        workload: workload_from_code(r)?,
+        class: class_from_code(r)?,
+        latency_p95_us: r.f64("latency")?,
+        offered_qps: r.f64("offered qps")?,
+        normalized_perf: r.f64("normalized perf")?,
+        qos_met: match r.u8("qos met flag")? {
+            0 => None,
+            1 => Some(false),
+            2 => Some(true),
+            _ => return Err(r.fail("qos met flag")),
+        },
+        qos_target_us: r.opt("qos target", |r| r.f64("qos target"))?,
+        iso_latency_p95_us: r.opt("iso latency", |r| r.f64("iso latency"))?,
+        counters: read_counters(r)?,
+    })
 }
 
 /// A per-job sequence: at least one and at most [`MAX_JOBS`] items.
@@ -504,6 +591,48 @@ mod tests {
         let over = u32::MAX.to_le_bytes();
         let err = Reader::new(&over).seq(2, "seq count", |r| r.u8("x")).unwrap_err();
         assert_eq!((err.offset, err.expected), (4, "seq count"), "over-cap count rejected");
+    }
+
+    #[test]
+    fn varints_are_canonical_leb128() {
+        let values =
+            [0, 1, 127, 128, 300, 16_383, 16_384, u64::from(u32::MAX), u64::MAX - 1, u64::MAX];
+        let mut buf = Vec::new();
+        for &v in &values {
+            let start = buf.len();
+            put_varint(&mut buf, v);
+            let len = buf.len() - start;
+            assert_eq!(len, (64 - v.leading_zeros() as usize).div_ceil(7).max(1), "{v}");
+        }
+        assert_eq!(buf[..4], [0, 1, 0x7f, 0x80], "low group first, high bit continues");
+        let mut r = Reader::new(&buf);
+        for &v in &values {
+            assert_eq!(r.varint("v").unwrap(), v);
+        }
+        assert!(r.done());
+        // Every truncation of a multi-byte value fails, and so does every
+        // non-canonical spelling: a zero last byte after the first, or bits
+        // past the 64th.
+        let mut max = Vec::new();
+        put_varint(&mut max, u64::MAX);
+        for cut in 0..max.len() {
+            assert!(Reader::new(&max[..cut]).varint("v").is_err(), "cut at {cut}");
+        }
+        for bad in [
+            &[0x80, 0x00][..],
+            &[0x81, 0x80, 0x00],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x00],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+        ] {
+            assert!(Reader::new(bad).varint("v").is_err(), "{bad:x?}");
+        }
+        let mut seq = Vec::new();
+        put_varint_seq(&mut seq, &[5u8, 6], |buf, &x| put_u8(buf, x));
+        assert_eq!(seq, [2, 5, 6]);
+        assert_eq!(Reader::new(&seq).varint_seq(2, "seq", |r| r.u8("x")).unwrap(), [5, 6]);
+        let err = Reader::new(&seq).varint_seq(1, "seq count", |r| r.u8("x")).unwrap_err();
+        assert_eq!((err.offset, err.expected), (1, "seq count"), "over-cap count rejected");
     }
 
     #[test]

@@ -262,6 +262,12 @@ pub enum Event {
         /// Wall time of the whole recovery (journal and checkpoint load,
         /// restore, replay), in nanoseconds. Observability only.
         nanos: u64,
+        /// File name of the checkpoint copy recovery started from (`None`
+        /// if none was usable).
+        copy: Option<String>,
+        /// Each copy passed over and why, as `file: reason` (missing,
+        /// corrupt, ahead of the journal, or not newer).
+        passed_over: Vec<String>,
     },
     /// Overload protection rejected (shed) a low-priority arrival.
     ArrivalShed {
@@ -353,7 +359,13 @@ mod tests {
             Event::TrainingEpoch { epoch: 3, loss: 0.52 },
             Event::JournalAppended { seqno: 17, bytes: 64 },
             Event::CheckpointWritten { seqno: 16, bytes: 4096, nanos: 1_250_000 },
-            Event::RecoveryReplayed { checkpoint_seqno: 16, replayed: 2, nanos: 3_500_000 },
+            Event::RecoveryReplayed {
+                checkpoint_seqno: 16,
+                replayed: 2,
+                nanos: 3_500_000,
+                copy: Some("fleet.ckpt.side".to_owned()),
+                passed_over: vec!["fleet.ckpt: not newer (seq 8)".to_owned()],
+            },
             Event::ArrivalShed { job: 23, backlog: 5 },
         ];
         for event in events {

@@ -160,7 +160,7 @@ pub fn apply_event(metrics: &MetricsRegistry, event: &Event) {
             metrics.observe("clite_fleet_checkpoint_bytes", &[], *bytes as f64);
             metrics.observe("clite_fleet_checkpoint_seconds", &[], *nanos as f64 * 1e-9);
         }
-        Event::RecoveryReplayed { checkpoint_seqno, replayed, nanos } => {
+        Event::RecoveryReplayed { checkpoint_seqno, replayed, nanos, .. } => {
             metrics.inc_counter("clite_fleet_recoveries_total", &[], 1);
             metrics.set_gauge(
                 "clite_fleet_recovery_checkpoint_seqno",
@@ -361,6 +361,8 @@ mod tests {
             checkpoint_seqno: 8,
             replayed: 3,
             nanos: 2_000_000_000,
+            copy: Some("fleet.ckpt".to_owned()),
+            passed_over: vec!["fleet.ckpt.side: corrupt (checksum mismatch)".to_owned()],
         });
         let seconds = |name| recorder.metrics().histogram_snapshot(name, &[]).map(|h| h.sum);
         assert_eq!(seconds("clite_fleet_checkpoint_seconds"), Some(1.5e-3));
