@@ -643,8 +643,12 @@ FLEET (long-running event-driven scheduler):
 DURABILITY (write-ahead journal + checkpoints):
   --journal DIR makes the fleet durable: every event is journaled (with
   its shed disposition) before it mutates scheduler state, and periodic
-  checkpoints bound replay. --recover resumes from DIR — newest valid
-  checkpoint plus journal suffix — and finishing the same trace yields a
+  checkpoints bound replay. Each checkpoint is written once, over
+  whichever of DIR/fleet.ckpt and DIR/fleet.ckpt.side does not hold the
+  newest one, so a kill during a write leaves the other intact.
+  --recover resumes from DIR — the newer valid copy not ahead of the
+  journal, plus the journal suffix — and prints which copy it used and
+  why it passed over the other. Finishing the same trace yields a
   byte-identical witness to a never-crashed run. --kill-after K kills the
   process right after journaling event K (recovery demo/test hook).
 

@@ -79,7 +79,7 @@ impl Ints {
     fn of_checkpoint(version: u32, r: &Reader<'_>) -> Result<Self, DecodeError> {
         match version {
             1 | 2 => Ok(Self::Fixed),
-            CKPT_VERSION => Ok(Self::Varint),
+            3 => Ok(Self::Varint),
             _ => Err(r.fail("checkpoint version")),
         }
     }
