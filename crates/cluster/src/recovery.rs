@@ -367,12 +367,11 @@ impl<F: TestbedFactory + Clone> DurableFleet<F> {
                 (service, Vec::new(), 0)
             }
         };
-        let info = RecoveryInfo { checkpoint_seqno, replayed: 0, journal_damaged: false, copies };
         let mut fleet = Self {
             service,
             journal,
             checkpoint_paths: checkpoint_paths(dir),
-            next_copy: info.copy().map_or(CheckpointCopy::Main, CheckpointCopy::other),
+            next_copy: CheckpointCopy::Main,
             durable,
             applied: checkpoint_seqno,
             placements,
@@ -397,7 +396,14 @@ impl<F: TestbedFactory + Clone> DurableFleet<F> {
             fleet.applied += 1;
             replayed += 1;
         }
-        let info = RecoveryInfo { replayed, journal_damaged: journal_rec.damaged(), ..info };
+        let info = RecoveryInfo {
+            checkpoint_seqno,
+            replayed,
+            journal_damaged: journal_rec.damaged(),
+            copies,
+        };
+        // Never overwrite the copy recovery started from.
+        fleet.next_copy = info.copy().map_or(CheckpointCopy::Main, CheckpointCopy::other);
         telemetry.emit(Event::RecoveryReplayed {
             checkpoint_seqno,
             replayed,

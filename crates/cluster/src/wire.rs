@@ -38,7 +38,7 @@ use clite::trace::{CliteOutcome, SampleRecord};
 use clite_sim::alloc::{JobAllocation, Partition};
 use clite_sim::load::LoadSchedule;
 use clite_sim::metrics::Observation;
-use clite_sim::resource::{ResourceCatalog, ResourceKind, NUM_RESOURCES};
+use clite_sim::resource::{ResourceCatalog, NUM_RESOURCES};
 use clite_sim::server::JobSpec;
 use clite_sim::workload::WorkloadProfile;
 use clite_store::codec::{
@@ -329,8 +329,7 @@ fn put_partition(buf: &mut Vec<u8>, partition: &Partition) {
     });
 }
 
-/// Reads partition rows under `catalog`, validating feasibility. A unit
-/// count above the catalog's is rejected before the rows are summed.
+/// Reads partition rows under `catalog`, validating feasibility.
 fn read_partition(
     r: &mut Reader<'_>,
     catalog: ResourceCatalog,
@@ -341,12 +340,9 @@ fn read_partition(
     }
     let rows = r.varint_seq(MAX_JOBS, "partition row count", |r| {
         let mut units = [0u32; NUM_RESOURCES];
-        for (u, kind) in units.iter_mut().zip(ResourceKind::ALL) {
-            let v = r.varint("partition units")?;
-            *u = u32::try_from(v)
-                .ok()
-                .filter(|&v| v <= catalog.units(kind))
-                .ok_or_else(|| r.fail("partition units"))?;
+        for u in &mut units {
+            *u = u32::try_from(r.varint("partition units")?)
+                .map_err(|_| r.fail("partition units"))?;
         }
         Ok(JobAllocation::from_units(units))
     })?;
