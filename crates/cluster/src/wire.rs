@@ -42,9 +42,9 @@ use clite_sim::resource::{ResourceCatalog, NUM_RESOURCES};
 use clite_sim::server::JobSpec;
 use clite_sim::workload::WorkloadProfile;
 use clite_store::codec::{
-    put_bool, put_f64, put_job_observation, put_opt, put_seq, put_u64, put_u8, put_varint,
-    put_varint_seq, read_job_observation, read_observation, read_partition_rows, workload_code,
-    workload_from_code, DecodeError, Reader, MAX_JOBS,
+    partition_from_rows, put_bool, put_f64, put_job_observation, put_opt, put_seq, put_u64, put_u8,
+    put_varint, put_varint_seq, read_job_observation, read_observation, read_partition_rows,
+    workload_code, workload_from_code, DecodeError, Reader, MAX_JOBS,
 };
 
 use crate::event::{FleetEvent, TimedEvent};
@@ -346,7 +346,7 @@ fn read_partition(
         }
         Ok(JobAllocation::from_units(units))
     })?;
-    Partition::from_rows(catalog, rows).map_err(|_| r.fail("feasible partition rows"))
+    partition_from_rows(r, catalog, rows)
 }
 
 /// An observation window as payload v3 writes it: the store log's layout

